@@ -45,12 +45,8 @@ BackendOptions BackendOptions::from_env(BackendOptions base) {
 
 template <class T>
 SerialBackend<T>::SerialBackend(const fe::DofHandler& dofh, FusedApplyFn<T> apply_fused,
-                                std::function<void(const std::vector<double>&)> set_potential,
-                                VecApplyFn<T> apply_vec)
-    : dofh_(&dofh),
-      fused_(std::move(apply_fused)),
-      set_potential_(std::move(set_potential)),
-      vec_apply_(std::move(apply_vec)) {
+                                std::function<void(const std::vector<double>&)> set_potential)
+    : dofh_(&dofh), fused_(std::move(apply_fused)), set_potential_(std::move(set_potential)) {
   if (!fused_) throw std::invalid_argument("dd::SerialBackend: apply_fused hook is empty");
 }
 
@@ -109,14 +105,7 @@ std::unique_ptr<ExecBackend<double>> make_stiffness_backend(
           Y(i, j) = scale * (Y(i, j) - c * X(i, j)) - zterm;
         }
     };
-    // Vector hook: the exact pre-refactor PCG operator statements
-    // (fe/poisson.cpp), so the serial-backend Poisson solve stays bitwise.
-    auto vec = [&K](const std::vector<double>& x, std::vector<double>& y) {
-      y.assign(x.size(), 0.0);
-      K.apply_add(x, y);
-    };
-    return std::make_unique<SerialBackend<double>>(dofh, std::move(fused), nullptr,
-                                                   std::move(vec));
+    return std::make_unique<SerialBackend<double>>(dofh, std::move(fused));
   }
   EngineOptions eopt = engine_options_from(opt);
   eopt.hamiltonian = false;   // identity epilogue: y = K x

@@ -22,8 +22,11 @@
 // hook (bound to Hamiltonian::apply_fused by ks/, or to a bare
 // fe::CellStiffness by the Poisson factory below); the threaded backend
 // rebuilds the operator slab-locally from the DofHandler exactly like the
-// engine always has. Hot entry points are inline in this header so the
-// invariant linter's no-allocation rule covers the per-iteration code.
+// engine always has. The EP-step CG enters through pcg(): the serial backend
+// runs la::jacobi_pcg on its operator, the threaded one the engine's
+// lane-resident pcg job (one job per Poisson solve). Hot entry points are
+// inline in this header so the invariant linter's no-allocation rule covers
+// the per-iteration code.
 
 #include <functional>
 #include <memory>
@@ -34,6 +37,7 @@
 #include "dd/engine.hpp"
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
+#include "la/iterative.hpp"
 #include "la/matrix.hpp"
 #include "la/mixed.hpp"
 #include "la/workspace.hpp"
@@ -88,12 +92,6 @@ using FusedApplyFn =
     std::function<void(const la::Matrix<T>&, la::Matrix<T>&, double, double,
                        const la::Matrix<T>*, double)>;
 
-/// Optional single-vector operator hook (y = op x on std::vector storage).
-/// The Poisson serial backend uses this to keep the PCG operator bitwise
-/// identical to the pre-refactor vector-path stiffness apply.
-template <class T>
-using VecApplyFn = std::function<void(const std::vector<T>&, std::vector<T>&)>;
-
 /// Execution backend for one operator (a k-point Hamiltonian or the Poisson
 /// stiffness). All methods are driver-thread-only, mirroring the engine's
 /// threading contract.
@@ -108,8 +106,14 @@ class ExecBackend {
   virtual void set_potential(const std::vector<double>& v_eff) = 0;
   /// Y = op X (block apply).
   virtual void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) = 0;
-  /// y = op x (single-vector apply: Lanczos bounds, PCG).
+  /// y = op x (single-vector apply: Lanczos bounds).
   virtual void apply(const std::vector<T>& x, std::vector<T>& y) = 0;
+  /// Jacobi-preconditioned CG for op x = b with z = r / laplacian_diagonal
+  /// and the Dirichlet rows held fixed (la::jacobi_pcg) — the EP-step
+  /// Poisson solve on the stiffness backend. x is the initial guess and is
+  /// overwritten; b must vanish on the Dirichlet rows.
+  virtual la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
+                              int maxit) = 0;
   /// Scaled-shifted Chebyshev recurrence on columns [col0, col0+ncols) of X.
   virtual void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree,
                             double a, double b, double a0) = 0;
@@ -129,13 +133,12 @@ class ExecBackend {
 template <class T>
 class SerialBackend final : public ExecBackend<T> {
  public:
-  /// `apply_fused` is the operator; `set_potential`/`apply_vec` are optional
-  /// (potential updates reach a serial Hamiltonian through ks::Hamiltonian
-  /// directly; the vector path defaults to the fused apply on 1-column
-  /// buffers, matching Hamiltonian::apply(vector)).
+  /// `apply_fused` is the operator; `set_potential` is optional (potential
+  /// updates reach a serial Hamiltonian through ks::Hamiltonian directly).
+  /// The vector path is the fused apply on 1-column buffers, matching
+  /// Hamiltonian::apply(vector) and CellStiffness::apply_add(vector).
   SerialBackend(const fe::DofHandler& dofh, FusedApplyFn<T> apply_fused,
-                std::function<void(const std::vector<double>&)> set_potential = {},
-                VecApplyFn<T> apply_vec = {});
+                std::function<void(const std::vector<double>&)> set_potential = {});
 
   const char* name() const override { return "serial"; }
   int nlanes() const override { return 1; }
@@ -149,10 +152,6 @@ class SerialBackend final : public ExecBackend<T> {
   }
 
   void apply(const std::vector<T>& x, std::vector<T>& y) override {
-    if (vec_apply_) {
-      vec_apply_(x, y);
-      return;
-    }
     const index_t n = dofh_->ndofs();
     la::Matrix<T>& X = vec_in_.acquire(n, 1);
     std::copy(x.begin(), x.begin() + n, X.data());
@@ -161,6 +160,13 @@ class SerialBackend final : public ExecBackend<T> {
     // lint: allow(hot-path-alloc): grow-only output sizing; solver callers reuse persistent vectors
     y.resize(static_cast<std::size_t>(n));
     std::copy(Y.data(), Y.data() + n, y.begin());
+  }
+
+  la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
+                      int maxit) override {
+    auto op = [this](const std::vector<T>& v, std::vector<T>& y) { apply(v, y); };
+    return la::jacobi_pcg<T>(op, dofh_->laplacian_diagonal(), dofh_->boundary_dofs(), b, x, tol,
+                             maxit);
   }
 
   /// The three-block pointer-rotated recurrence of ks/chfes.hpp, verbatim:
@@ -213,7 +219,6 @@ class SerialBackend final : public ExecBackend<T> {
   const fe::DofHandler* dofh_;
   FusedApplyFn<T> fused_;
   std::function<void(const std::vector<double>&)> set_potential_;
-  VecApplyFn<T> vec_apply_;
   la::WorkMatrix<T> cf_x_, cf_y_, cf_z_;   // Chebyshev ping-pong blocks
   la::WorkMatrix<T> vec_in_, vec_out_;     // single-vector apply buffers
 };
@@ -244,6 +249,11 @@ class ThreadedBackend final : public ExecBackend<T> {
     // lint: allow(hot-path-alloc): grow-only output sizing; solver callers reuse persistent vectors
     y.resize(static_cast<std::size_t>(n));
     std::copy(Y.data(), Y.data() + n, y.begin());
+  }
+
+  la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
+                      int maxit) override {
+    return engine_.pcg(b, x, tol, maxit);
   }
 
   void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree, double a,
@@ -284,9 +294,9 @@ std::unique_ptr<ExecBackend<T>> make_backend(
     std::array<double, 3> kpoint = {0.0, 0.0, 0.0});
 
 /// Backend for the Poisson stiffness (coef_lap = 1, no mass/potential
-/// epilogue). Serial: borrows `K` and keeps the pre-refactor vector-path
-/// arithmetic (y = K x via CellStiffness::apply_add) bitwise. Threaded:
-/// slab-decomposes the stiffness across lanes.
+/// epilogue). Serial: borrows `K`; its pcg() is la::jacobi_pcg on y = K x,
+/// the built-in fe::PoissonSolver CG. Threaded: brick-decomposes the
+/// stiffness across lanes; its pcg() is one lane-resident engine job.
 std::unique_ptr<ExecBackend<double>> make_stiffness_backend(
     const fe::DofHandler& dofh, const BackendOptions& opt,
     const fe::CellStiffness<double>& K);

@@ -90,6 +90,8 @@ void RankEngine<T>::build_lanes() {
 
   const auto& mass = dofh_->mass();
   const auto& bmask = dofh_->boundary_mask();
+  const auto& kdiag = dofh_->laplacian_diagonal();
+  reduce_.init(R);
 
   lanes_.resize(R);
   for (int r = 0; r < R; ++r) {
@@ -98,6 +100,11 @@ void RankEngine<T>::build_lanes() {
     const Brick& bk = part_.brick(r);
     const std::array<int, 3> c = part_.coords(r);
     ln.rank = r;
+    const std::string comm_prefix = "comm.lane" + std::to_string(r);
+    ln.metric_bytes = comm_prefix + ".bytes";
+    ln.metric_messages = comm_prefix + ".messages";
+    ln.metric_wait = comm_prefix + ".exposed_wait_s";
+    ln.metric_highwater = "mem.lane" + std::to_string(r) + ".highwater_bytes";
 
     index_t nc[3];
     bool lo_act[3], hi_act[3];
@@ -157,6 +164,12 @@ void RankEngine<T>::build_lanes() {
       const index_t g = ln.gmap[static_cast<std::size_t>(l)];
       ln.ims[static_cast<std::size_t>(l)] = 1.0 / std::sqrt(mass[g]);
       ln.bmask[static_cast<std::size_t>(l)] = bmask[g];
+    }
+    // The Jacobi preconditioner of the pcg job (bare-stiffness engines).
+    if (!opt_.hamiltonian) {
+      ln.kdiag.resize(static_cast<std::size_t>(ln.nloc));
+      for (index_t l = 0; l < ln.nloc; ++l)
+        ln.kdiag[static_cast<std::size_t>(l)] = kdiag[ln.gmap[static_cast<std::size_t>(l)]];
     }
 
     // Segment the brick's cells: per axis, one boundary cell layer per
@@ -306,10 +319,12 @@ void RankEngine<T>::lane_main(int r) {
         sched::LockGuard lk(mu_);
         if (!first_error_) first_error_ = std::current_exception();
       }
-      // Poison this lane's mailboxes so neighbors blocked on us unblock and
-      // fail too — the failure cascades lane-to-lane instead of deadlocking,
-      // and every lane still checks in below.
+      // Poison this lane's mailboxes and the reduction barrier so lanes
+      // blocked on us unblock and fail too — the failure cascades
+      // lane-to-lane instead of deadlocking, and every lane still checks in
+      // below.
       close_lane_channels(*lanes_[r]);
+      reduce_.close();
     }
     {
       sched::LockGuard lk(mu_);
@@ -330,7 +345,7 @@ void RankEngine<T>::close_lane_channels(Lane& ln) {
 template <class T>
 void RankEngine<T>::run_job(int r, const Job& job) {
   Lane& ln = *lanes_[r];
-  if (job.fault_lane == r)
+  if (job.fault_lane == r && job.fault_iter < 0)
     throw std::runtime_error("dd::RankEngine: injected lane fault");
   // Per-job demotion error budget: snapshot the drift accumulators so the
   // check below sees exactly this job's wire traffic.
@@ -356,6 +371,9 @@ void RankEngine<T>::run_job(int r, const Job& job) {
       break;
     case JobKind::density:
       lane_density(ln, job);
+      break;
+    case JobKind::pcg:
+      lane_pcg(ln, job);
       break;
     case JobKind::pulse: {
       // Minimal halo round: every lane posts to and receives from each
@@ -400,6 +418,7 @@ const char* RankEngine<T>::job_name(JobKind kind) {
     case JobKind::filter: return "filter";
     case JobKind::gram: return "gram";
     case JobKind::density: return "density";
+    case JobKind::pcg: return "pcg";
     case JobKind::pulse: return "pulse";
     case JobKind::stop: return "stop";
     default: return "none";
@@ -432,9 +451,10 @@ void RankEngine<T>::submit(Job job) {
     std::exception_ptr e = first_error_;
     first_error_ = nullptr;
     lk.unlock();
-    // All lanes are parked again; clear poisoned/in-flight mailbox state so
-    // the engine is usable for the next job.
+    // All lanes are parked again; clear poisoned/in-flight mailbox and
+    // barrier state so the engine is usable for the next job.
     for (auto& ch : channels_) ch->reset();
+    reduce_.reset();
     std::rethrow_exception(e);
   }
 }
@@ -497,19 +517,17 @@ void RankEngine<T>::publish_job_metrics(int nsteps) {
     for (int k = 0; k < nsteps && k < static_cast<int>(ln.steps.size()); ++k)
       wait += ln.steps[static_cast<std::size_t>(k)].wait;
     exposed += wait;
-    const std::string lane_prefix = "comm.lane" + std::to_string(ln.rank);
-    m.counter_add(lane_prefix + ".bytes", static_cast<double>(dbytes));
-    m.counter_add(lane_prefix + ".messages", static_cast<double>(dmsgs));
-    m.counter_add(lane_prefix + ".exposed_wait_s", wait);
+    m.counter_add(ln.metric_bytes, static_cast<double>(dbytes));
+    m.counter_add(ln.metric_messages, static_cast<double>(dmsgs));
+    m.counter_add(ln.metric_wait, wait);
     // Lane working-set high water: every persistent WorkMatrix the lane owns.
     std::int64_t hw = ln.sl.highwater_bytes() + ln.xb.highwater_bytes() +
                       ln.yb.highwater_bytes() + ln.zb.highwater_bytes() +
                       ln.ga.highwater_bytes() + ln.gb.highwater_bytes() +
-                      ln.gram.highwater_bytes();
+                      ln.gram.highwater_bytes() + ln.cg.highwater_bytes();
     for (const Segment& sg : ln.segments)
       hw += sg.xs.highwater_bytes() + sg.ys.highwater_bytes();
-    m.gauge_set("mem.lane" + std::to_string(ln.rank) + ".highwater_bytes",
-                static_cast<double>(hw));
+    m.gauge_set(ln.metric_highwater, static_cast<double>(hw));
     ln.comm_pub = ln.comm;
     ln.wire_pub = ln.wire;
   }
@@ -685,6 +703,42 @@ void RankEngine<T>::accumulate_density(const la::Matrix<T>& X,
 }
 
 template <class T>
+la::SolveReport RankEngine<T>::pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
+                                   int maxit) {
+  if (opt_.hamiltonian)
+    throw std::logic_error(
+        "RankEngine::pcg: needs a bare-stiffness engine (EngineOptions::hamiltonian = false)");
+  const index_t n = dofh_->ndofs();
+  if (static_cast<index_t>(b.size()) != n || static_cast<index_t>(x.size()) != n)
+    throw std::invalid_argument("RankEngine::pcg: vector length != ndofs");
+  for (const index_t i : dofh_->boundary_dofs())
+    if (b[static_cast<std::size_t>(i)] != T{})
+      throw std::invalid_argument("RankEngine::pcg: b must vanish on the Dirichlet rows");
+  ensure_wire_capacity(1);
+  ensure_step_storage(2);  // steps[0]: job totals, steps[1]: per-apply scratch
+  Job j;
+  j.kind = JobKind::pcg;
+  j.vb = &b;
+  j.vx = &x;
+  j.tol = tol;
+  j.maxit = maxit;
+  j.fault_lane = pcg_fault_lane_;
+  j.fault_iter = pcg_fault_iter_;
+  pcg_fault_lane_ = pcg_fault_iter_ = -1;
+  submit(j);
+  collect_step_stats(1);
+  publish_job_metrics(1);
+  // Every lane exits on the same bitwise-identical reduced residual; a
+  // disagreement would mean the reduction plane is broken.
+  const la::SolveReport rep = lanes_[0]->pcg_rep;
+  for (const auto& lp : lanes_)
+    if (lp->pcg_rep.iterations != rep.iterations || lp->pcg_rep.residual != rep.residual ||
+        lp->pcg_rep.converged != rep.converged)
+      throw std::logic_error("RankEngine::pcg: lanes left the solve at different iterations");
+  return rep;
+}
+
+template <class T>
 CommStats RankEngine<T>::comm_stats() const {
   CommStats total;
   for (const auto& ln : lanes_) {
@@ -735,6 +789,14 @@ void RankEngine<T>::debug_fault(int lane) {
   j.kind = JobKind::pulse;
   j.fault_lane = lane;
   submit(j);
+}
+
+template <class T>
+void RankEngine<T>::debug_fault_pcg(int lane, int iteration) {
+  if (lane < 0 || lane >= nlanes() || iteration < 0)
+    throw std::invalid_argument("RankEngine::debug_fault_pcg: bad lane or iteration");
+  pcg_fault_lane_ = lane;
+  pcg_fault_iter_ = iteration;
 }
 
 template class RankEngine<double>;

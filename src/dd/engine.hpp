@@ -55,11 +55,28 @@
 // lane grid, the association order CommModel::allreduce_time charges for —
 // instead of a flat all-to-lane-0 sum.
 //
+// The EP-step Poisson solve runs lane-resident (pcg, bare-stiffness engines
+// only): ONE job runs the whole Jacobi-preconditioned CG, so the lanes never
+// park between iterations. Each lane gathers its slices of b and x once;
+// every iteration applies the stiffness with the same lane_fused_step (halo
+// exchange and sync/async schedules unchanged), masks the Dirichlet rows
+// with its bmask slice, and does the axpys, the preconditioner and the
+// p-update on its own local rows. Dot products are partial sums over owned
+// rows, combined by the in-job lane allreduce of dd/allreduce.hpp — a
+// generation barrier over per-lane slots, double-buffered by parity, whose
+// slots every lane sums itself in the Gram-tree stride-doubling order. Every
+// lane therefore holds bitwise-identical alpha, beta and ||r||, takes the
+// same exit branch, and cannot strand its peers in a barrier. (r.z, r.r) are
+// fused into one reduction, so an iteration costs two barrier rounds
+// ("PCG-reduce" spans) plus one halo round; the job ends with each lane
+// scattering its owned rows of x. A failing lane poisons the barrier along
+// with its mailboxes, so the failure cascades through both planes.
+//
 // Threading contract: lanes pin their OpenMP team to one thread (the GEMM
 // kernels' inner `parallel for` would otherwise oversubscribe), so
 // lane-level concurrency replaces OpenMP scaling when the engine is active.
 // Pick nlanes ≈ physical cores for throughput; the public entry points
-// (apply / filter_block / set_potential / set_mode) must be called from one
+// (apply / filter_block / pcg / set_potential / set_mode) must be called from one
 // driver thread. A lane failure poisons its mailboxes so every lane (and the
 // submitter) unblocks; the first exception is rethrown on the driver thread
 // and the engine resets to a usable state.
@@ -72,12 +89,15 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "base/defs.hpp"
+#include "base/flops.hpp"
 #include "base/timer.hpp"
+#include "dd/allreduce.hpp"
 #include "dd/exchange.hpp"
 #include "dd/mailbox.hpp"
 #include "dd/partition.hpp"
@@ -85,6 +105,7 @@
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
 #include "fe/mesh.hpp"
+#include "la/iterative.hpp"
 #include "la/matrix.hpp"
 #include "la/mixed.hpp"
 #include "la/view.hpp"
@@ -188,6 +209,14 @@ class RankEngine {
   void accumulate_density(const la::Matrix<T>& X, const std::vector<double>& occ,
                           double weight, std::vector<double>& rho);
 
+  /// Jacobi-preconditioned CG for K x = b on a bare-stiffness engine, as one
+  /// lane-resident job (see the header comment): the statements of la::pcg
+  /// with z = r / laplacian_diagonal and the Dirichlet rows held fixed, i.e.
+  /// la::jacobi_pcg on the undecomposed stiffness up to the association
+  /// order of the dot products. x is the initial guess and is overwritten;
+  /// b must vanish on the Dirichlet rows.
+  la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol, int maxit);
+
   /// Aggregated wire traffic over all lanes since construction /
   /// clear_comm_stats(). Call between jobs.
   CommStats comm_stats() const;
@@ -202,6 +231,11 @@ class RankEngine {
   /// posting — exercises failure cascade + engine reset. Rethrows the lane's
   /// exception on the calling thread; the engine stays usable afterwards.
   void debug_fault(int lane);
+
+  /// Test hook: make `lane` throw at CG iteration `iteration` of the next
+  /// pcg() — a fault in the middle of a lane-resident solve, with peers
+  /// blocked in halo receives or the reduction barrier.
+  void debug_fault_pcg(int lane, int iteration);
 
  private:
   /// Neighbor directions (dx, dy, dz) in {-1, 0, 1}^3 \ {0}, enumerated
@@ -220,7 +254,7 @@ class RankEngine {
     return opp < 13 ? opp : opp - 1;
   }
 
-  enum class JobKind { none, apply, filter, gram, density, pulse, stop };
+  enum class JobKind { none, apply, filter, gram, density, pcg, pulse, stop };
   struct Job {
     JobKind kind = JobKind::none;
     EngineMode mode = EngineMode::sync;
@@ -233,10 +267,15 @@ class RankEngine {
     const std::vector<double>* occ = nullptr;    // density occupations
     double weight = 1.0;                         // density k-point weight
     std::vector<double>* rho = nullptr;          // density accumulator
+    const std::vector<T>* vb = nullptr;          // pcg right-hand side
+    std::vector<T>* vx = nullptr;                // pcg initial guess / solution
+    double tol = 0.0;                            // pcg relative residual target
+    int maxit = 0;                               // pcg iteration cap
     index_t col0 = 0, ncols = 0;
     int degree = 0;
     double a = 0.0, b = 0.0, a0 = 0.0;
     int fault_lane = -1;
+    int fault_iter = -1;  // >= 0: pcg iteration at which fault_lane throws
   };
   /// A maximal row range that is contiguous on both of its sides (copy /
   /// packet / global indices advance in lockstep). Built cold in engine.cpp;
@@ -274,6 +313,7 @@ class RankEngine {
     std::vector<Run> gather_runs;      // dst: lane-local row, src: global row
     std::vector<Run> owned_runs;       // dst: global row, src: lane-local row
     std::vector<double> ims, veff, bmask;  // slices of the global nodal fields
+    std::vector<double> kdiag;         // Laplacian diagonal slice (bare stiffness only)
     std::vector<Segment> segments;     // boundary layers first, interior bulk
     std::array<Neighbor, kDirs> nb;    // fixed dz-major neighbor order
     // Epilogue row ranges: interior rows touch no shared region (safe before
@@ -282,6 +322,8 @@ class RankEngine {
     la::WorkMatrix<T> sl, xb, yb, zb;  // scaled input + recurrence blocks
     la::WorkMatrix<T> ga, gb;          // gathered owned rows (brick gram)
     la::WorkMatrix<T> gram;            // brick-local partial Gram block (N x N)
+    la::WorkMatrix<T> cg;              // pcg vectors b, x, r, z (p, Ap live in xb, yb)
+    la::SolveReport pcg_rep;           // this lane's view of the last pcg job
     std::vector<EngineStepStats> steps;
     CommStats comm;
     WireStats wire;
@@ -289,6 +331,9 @@ class RankEngine {
     // registry counters receive exact per-job deltas.
     CommStats comm_pub;
     WireStats wire_pub;
+    // Per-lane registry keys, built once in build_lanes so publishing a
+    // job's metrics builds no strings.
+    std::string metric_bytes, metric_messages, metric_wait, metric_highwater;
     std::thread th;
   };
 
@@ -541,28 +586,31 @@ class RankEngine {
     st.modeled = ln.comm.modeled_seconds - modeled0;
   }
 
-  /// Copy the lane's local rows (owned + ghost) of columns
-  /// [col0, col0+ncols) out of the global block.
-  void gather_block(Lane& ln, const la::Matrix<T>& X, index_t col0, index_t ncols,
-                    la::Matrix<T>& Xl) {
-    for (index_t j = 0; j < ncols; ++j) {
-      const T* src = X.col(col0 + j);
-      T* dst = Xl.col(j);
-      for (const Run& rn : ln.gather_runs)
-        std::copy(src + rn.src, src + rn.src + rn.len, dst + rn.dst);
-    }
+  /// Copy the lane's local rows (owned + ghost) of one global column.
+  static void gather_rows(const Lane& ln, const T* src, T* dst) {
+    for (const Run& rn : ln.gather_runs)
+      std::copy(src + rn.src, src + rn.src + rn.len, dst + rn.dst);
   }
 
-  /// Scatter the lane's owned rows back into the global block (lanes write
-  /// disjoint row sets, so concurrent scatters need no synchronization).
-  void scatter_owned(Lane& ln, const la::Matrix<T>& Yl, la::Matrix<T>& Y, index_t col0,
-                     index_t ncols) {
-    for (index_t j = 0; j < ncols; ++j) {
-      const T* src = Yl.col(j);
-      T* dst = Y.col(col0 + j);
-      for (const Run& rn : ln.owned_runs)
-        std::copy(src + rn.src, src + rn.src + rn.len, dst + rn.dst);
-    }
+  /// Write the lane's owned rows of one local column into the global one
+  /// (lanes write disjoint row sets, so concurrent scatters need no
+  /// synchronization).
+  static void scatter_rows(const Lane& ln, const T* src, T* dst) {
+    for (const Run& rn : ln.owned_runs)
+      std::copy(src + rn.src, src + rn.src + rn.len, dst + rn.dst);
+  }
+
+  /// Copy the lane's local rows (owned + ghost) of columns
+  /// [col0, col0+ncols) out of the global block.
+  static void gather_block(const Lane& ln, const la::Matrix<T>& X, index_t col0,
+                           index_t ncols, la::Matrix<T>& Xl) {
+    for (index_t j = 0; j < ncols; ++j) gather_rows(ln, X.col(col0 + j), Xl.col(j));
+  }
+
+  /// Scatter the lane's owned rows back into the global block.
+  static void scatter_owned(const Lane& ln, const la::Matrix<T>& Yl, la::Matrix<T>& Y,
+                            index_t col0, index_t ncols) {
+    for (index_t j = 0; j < ncols; ++j) scatter_rows(ln, Yl.col(j), Y.col(col0 + j));
   }
 
   /// The full Chebyshev recurrence of ks::ChebyshevFilteredSolver::filter()
@@ -687,11 +735,134 @@ class RankEngine {
     st.modeled = 0.0;
   }
 
+  /// Real part of sum conj(a_i) b_i over this lane's owned rows — each
+  /// global row counted by exactly one lane.
+  static double owned_dot(const Lane& ln, const T* a, const T* b) {
+    double s = 0.0;
+    for (const Run& rn : ln.owned_runs)
+      for (index_t i = rn.src; i < rn.src + rn.len; ++i)
+        s += scalar_traits<T>::real(scalar_traits<T>::conj(a[i]) * b[i]);
+    return s;
+  }
+
+  /// One reduction round of the lane-resident PCG: contribute `width`
+  /// partials, receive the tree-summed totals (bitwise equal on every lane).
+  /// The blocked time is the "PCG-reduce" span; the modeled interconnect
+  /// cost of the allreduce is accounted like a Gram reduction.
+  void lane_allreduce(Lane& ln, const double* in, double* out, int width) {
+    obs::TraceSpan span("PCG-reduce", "dd", ln.rank);
+    reduce_.allreduce(ln.rank, in, out, width);
+    const std::int64_t bytes = width * static_cast<std::int64_t>(sizeof(double));
+    const double modeled = opt_.model.allreduce_time(bytes, static_cast<int>(lanes_.size()));
+    ln.wire.fp64_bytes += bytes;
+    ln.wire.fp64_messages += 1;
+    ln.comm.bytes += bytes;
+    ln.comm.messages += 1;
+    ln.comm.modeled_seconds += modeled;
+    ln.steps[0].modeled += modeled;
+  }
+
+  /// Ap = K p on the lane's brick with the Dirichlet rows zeroed; the step's
+  /// timings accumulate into steps[0] (steps[1] is the per-apply scratch).
+  void pcg_apply(Lane& ln, const la::Matrix<T>& P, la::Matrix<T>& AP, EngineMode mode) {
+    lane_fused_step(ln, P, AP, nullptr, 0.0, 1.0, 0.0, mode, 1);
+    const EngineStepStats& st = ln.steps[1];
+    EngineStepStats& acc = ln.steps[0];
+    acc.compute += st.compute;
+    acc.wait += st.wait;
+    acc.modeled += st.modeled;
+    const double* bm = ln.bmask.data();
+    T* ap = AP.data();
+    for (index_t i = 0; i < ln.nloc; ++i)
+      if (bm[i] != 0.0) ap[i] = T{};
+  }
+
+  /// The whole Jacobi-PCG of one EP solve on the lane's local rows (owned +
+  /// ghost): la::jacobi_pcg statement for statement, with every dot product
+  /// a partial over owned rows completed by lane_allreduce. Ghost rows run
+  /// the same elementwise updates with the same alpha/beta, so they track
+  /// their owners' values and the next halo apply sees a consistent p.
+  void lane_pcg(Lane& ln, const Job& job) {
+    obs::TraceSpan span("EP-lane", "dd", ln.rank);
+    const index_t n = ln.nloc;
+    la::Matrix<T>& V = ln.cg.acquire(n, 4);
+    T* b = V.col(0);
+    T* x = V.col(1);
+    T* r = V.col(2);
+    T* z = V.col(3);
+    la::Matrix<T>& P = ln.xb.acquire(n, 1);
+    la::Matrix<T>& AP = ln.yb.acquire(n, 1);
+    T* p = P.data();
+    const T* ap = AP.data();
+    const double* bm = ln.bmask.data();
+    const double* kd = ln.kdiag.data();
+    gather_rows(ln, job.vb->data(), b);
+    gather_rows(ln, job.vx->data(), x);
+    ln.steps[0] = EngineStepStats{};
+
+    // r = b - K x (the operator sees x with its Dirichlet rows zeroed),
+    // z = r / diag, p = z; one fused reduction for (b.b, r.z, r.r).
+    for (index_t i = 0; i < n; ++i) p[i] = (bm[i] != 0.0) ? T{} : x[i];
+    pcg_apply(ln, P, AP, job.mode);
+    for (index_t i = 0; i < n; ++i) {
+      r[i] = b[i] - ap[i];
+      z[i] = r[i] / kd[i];
+      p[i] = z[i];
+    }
+    double part[3] = {owned_dot(ln, b, b), owned_dot(ln, r, z), owned_dot(ln, r, r)};
+    double tot[3];
+    lane_allreduce(ln, part, tot, 3);
+    const double bnorm = std::max(std::sqrt(tot[0]), 1e-300);
+    double rz = tot[1], rr = tot[2];
+
+    la::SolveReport rep;
+    int done = 0;  // full iterations, for the FLOP ledger
+    for (int it = 0; it < job.maxit; ++it) {
+      rep.iterations = it;
+      rep.residual = std::sqrt(rr) / bnorm;
+      if (rep.residual < job.tol) {
+        rep.converged = true;
+        break;
+      }
+      if (it == job.fault_iter && ln.rank == job.fault_lane)
+        throw std::runtime_error("dd::RankEngine: injected lane fault in pcg");
+      pcg_apply(ln, P, AP, job.mode);
+      part[0] = owned_dot(ln, p, ap);
+      lane_allreduce(ln, part, tot, 1);
+      const double alpha = rz / tot[0];
+      for (index_t i = 0; i < n; ++i) {
+        x[i] += alpha * p[i];
+        r[i] -= alpha * ap[i];
+        z[i] = r[i] / kd[i];
+      }
+      part[0] = owned_dot(ln, r, z);
+      part[1] = owned_dot(ln, r, r);
+      lane_allreduce(ln, part, tot, 2);
+      const double beta = tot[0] / rz;
+      rz = tot[0];
+      rr = tot[1];
+      for (index_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+      ++done;
+    }
+    if (!rep.converged) {
+      rep.residual = std::sqrt(rr) / bnorm;
+      rep.converged = rep.residual < job.tol;
+    }
+    ln.pcg_rep = rep;
+    scatter_rows(ln, x, job.vx->data());
+    // The vector work of la::pcg's ledger (dotc + 2 axpy + dotc per
+    // iteration, one initial dotc), over this lane's share of the rows.
+    FlopCounter::global().add((2.0 + 8.0 * done) * static_cast<double>(ln.nown) *
+                              scalar_traits<T>::flop_factor);
+  }
+
   const fe::DofHandler* dofh_;
   EngineOptions opt_;
   BrickPartition part_;
   std::vector<std::unique_ptr<HaloChannel<T>>> channels_;
+  LaneAllreduce reduce_;  // in-job reduction plane of the pcg job
   std::vector<std::unique_ptr<Lane>> lanes_;
+  int pcg_fault_lane_ = -1, pcg_fault_iter_ = -1;  // debug_fault_pcg arming
   std::vector<EngineStepStats> step_stats_;
   // Driver-side FP32 gram wire buffer for the multi-lane mixed reduction
   // (grow-only; sized once per overlap shape in engine.cpp).

@@ -36,11 +36,13 @@
 //     emulation, irrelevant to protocol ordering.
 //
 // Seeded mutants (checking builds only, selected at runtime through
-// set_mutant so one binary hosts trunk + both mutant legs): drop_notify
+// set_mutant so one binary hosts trunk + every mutant leg): drop_notify
 // swallows the first packet-published notification of each channel;
-// skip_gen skips one buffer-generation bump. Both MUST be caught by the
-// checker (tests/test_model_check.cpp) — that is the proof the harness has
-// teeth. Production builds do not compile the mutant hooks at all.
+// skip_gen skips one buffer-generation bump; early_release opens the lane
+// allreduce barrier (dd/allreduce.hpp) on the second-to-last arrival. All
+// three MUST be caught by the checker (tests/test_model_check.cpp) — that is
+// the proof the harness has teeth. Production builds do not compile the
+// mutant hooks at all.
 
 #include <chrono>
 #include <condition_variable>
@@ -72,7 +74,7 @@ enum class Op {
 #if DFTFE_MODEL_CHECK
 
 /// Seeded protocol faults for checker self-validation.
-enum class Mutant { none, drop_notify, skip_gen };
+enum class Mutant { none, drop_notify, skip_gen, early_release };
 
 Mutant mutant() noexcept;
 void set_mutant(Mutant m) noexcept;

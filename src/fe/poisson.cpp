@@ -11,6 +11,17 @@ namespace dftfe::fe {
 PoissonSolver::PoissonSolver(const DofHandler& dofh)
     : dofh_(&dofh), K_(dofh, 1.0), periodic_(dofh.boundary_dofs().empty()) {}
 
+la::SolveReport PoissonSolver::run_cg(const std::vector<double>& b, std::vector<double>& x,
+                                      double tol, int maxit) const {
+  if (cg_) return cg_(b, x, tol, maxit);
+  auto op = [this](const std::vector<double>& v, std::vector<double>& y) {
+    y.assign(v.size(), 0.0);
+    K_.apply_add(v, y);
+  };
+  return la::jacobi_pcg<double>(op, dofh_->laplacian_diagonal(), dofh_->boundary_dofs(), b, x,
+                                tol, maxit);
+}
+
 la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& phi,
                                      double tol, int maxit) const {
   obs::TraceSpan timer("EP", "fe");
@@ -18,7 +29,6 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
   const index_t n = dofh_->ndofs();
   const auto& mass = dofh_->mass();
   const auto& bmask = dofh_->boundary_mask();
-  const auto& kdiag = dofh_->laplacian_diagonal();
   if (static_cast<index_t>(phi.size()) != n) phi.assign(n, 0.0);
 
   std::vector<double> rhs(n);
@@ -34,15 +44,7 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
 #pragma omp parallel for
     for (index_t i = 0; i < n; ++i) rhs[i] = 4.0 * kPi * mass[i] * (rho[i] - mean);
 
-    auto op = [&](const std::vector<double>& x, std::vector<double>& y) {
-      apply_stiffness(x, y);
-    };
-    auto prec = [&](const std::vector<double>& r, std::vector<double>& z) {
-      z.resize(n);
-#pragma omp parallel for
-      for (index_t i = 0; i < n; ++i) z[i] = r[i] / kdiag[i];
-    };
-    auto rep = la::pcg<double>(op, prec, rhs, phi, tol, maxit);
+    auto rep = run_cg(rhs, phi, tol, maxit);
     obs::MetricsRegistry::global().series_append("poisson.iterations", rep.iterations);
     // Remove the constant nullspace component.
     double pmean = 0.0;
@@ -71,32 +73,17 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
     g[b] = q / std::max(r, 1e-6);
   }
   // rhs = 4 pi M rho - K g on the interior; boundary handled by masking.
-  std::vector<double> Kg;
-  apply_stiffness(g, Kg);
+  std::vector<double> Kg(n, 0.0);
+  K_.apply_add(g, Kg);
 #pragma omp parallel for
   for (index_t i = 0; i < n; ++i)
     rhs[i] = (bmask[i] != 0.0) ? 0.0 : 4.0 * kPi * mass[i] * rho[i] - Kg[i];
 
-  // Hoisted interior-masked copy: the operator runs once per CG iteration,
-  // so an allocation inside the lambda would defeat the zero-allocation
-  // steady state of the EP step.
-  std::vector<double> xm(n);
-  auto op = [&](const std::vector<double>& x, std::vector<double>& y) {
-    std::copy(x.begin(), x.begin() + n, xm.begin());
-    for (const index_t b : dofh_->boundary_dofs()) xm[b] = 0.0;
-    apply_stiffness(xm, y);
-    for (const index_t b : dofh_->boundary_dofs()) y[b] = 0.0;
-  };
-  auto prec = [&](const std::vector<double>& r, std::vector<double>& z) {
-    z.resize(n);
-#pragma omp parallel for
-    for (index_t i = 0; i < n; ++i) z[i] = r[i] / kdiag[i];
-  };
   // Interior solve with homogeneous boundary, then add the lift g.
   std::vector<double> u(n, 0.0);
 #pragma omp parallel for
   for (index_t i = 0; i < n; ++i) u[i] = (bmask[i] != 0.0) ? 0.0 : phi[i] - g[i];
-  auto rep = la::pcg<double>(op, prec, rhs, u, tol, maxit);
+  auto rep = run_cg(rhs, u, tol, maxit);
   obs::MetricsRegistry::global().series_append("poisson.iterations", rep.iterations);
 #pragma omp parallel for
   for (index_t i = 0; i < n; ++i) phi[i] = u[i] + g[i];

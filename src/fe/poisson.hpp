@@ -17,6 +17,12 @@ namespace dftfe::fe {
 
 class PoissonSolver {
  public:
+  /// The CG of one EP solve: solve K x = b by Jacobi-preconditioned CG
+  /// (z = r / laplacian_diagonal) with the Dirichlet rows (boundary_dofs)
+  /// held fixed, starting from and overwriting x.
+  using CgFn = std::function<la::SolveReport(const std::vector<double>& b,
+                                             std::vector<double>& x, double tol, int maxit)>;
+
   explicit PoissonSolver(const DofHandler& dofh);
 
   /// Solve -lap(phi) = 4 pi rho for the nodal field rho; phi is overwritten
@@ -27,32 +33,21 @@ class PoissonSolver {
   bool periodic() const { return periodic_; }
   const CellStiffness<double>& stiffness() const { return K_; }
 
-  /// Route the stiffness apply (y = K x, full overwrite) through an external
-  /// executor — a dd::ExecBackend wrapping this solver's stiffness() — so the
-  /// EP step's PCG operator runs under the same execution model as the rest
-  /// of the SCF. Dirichlet masking stays on the caller side of the hook
-  /// (applied to the hook's input/output here), so the hook is a bare
-  /// operator apply. Empty function restores the built-in serial apply.
-  void set_stiffness_apply(
-      std::function<void(const std::vector<double>&, std::vector<double>&)> fn) {
-    kapply_ = std::move(fn);
-  }
+  /// Hand the CG of every solve to an external executor — a dd::ExecBackend
+  /// wrapping this solver's stiffness() — so the EP step runs under the same
+  /// execution model as the rest of the SCF. The right-hand side, the
+  /// Dirichlet lift and the periodic gauge stay here. An empty function
+  /// restores the built-in serial CG.
+  void set_cg(CgFn fn) { cg_ = std::move(fn); }
 
  private:
-  /// y = K x: through the override when installed, else the built-in apply.
-  void apply_stiffness(const std::vector<double>& x, std::vector<double>& y) const {
-    if (kapply_) {
-      kapply_(x, y);
-      return;
-    }
-    y.assign(x.size(), 0.0);
-    K_.apply_add(x, y);
-  }
+  la::SolveReport run_cg(const std::vector<double>& b, std::vector<double>& x, double tol,
+                         int maxit) const;
 
   const DofHandler* dofh_;
   CellStiffness<double> K_;  // coef_lap = 1
   bool periodic_;
-  std::function<void(const std::vector<double>&, std::vector<double>&)> kapply_;
+  CgFn cg_;
 };
 
 }  // namespace dftfe::fe

@@ -52,9 +52,7 @@ class ChebyshevFilteredSolver {
         owned_serial_(std::make_unique<dd::SerialBackend<T>>(
             H.dofs(),
             [h = &H](const la::Matrix<T>& A, la::Matrix<T>& B, double c, double s,
-                     const la::Matrix<T>* Z, double zc) { h->apply_fused(A, B, c, s, Z, zc); },
-            nullptr,
-            [h = &H](const std::vector<T>& x, std::vector<T>& y) { h->apply(x, y); })) {}
+                     const la::Matrix<T>* Z, double zc) { h->apply_fused(A, B, c, s, Z, zc); })) {}
 
   index_t nstates() const { return X_.cols(); }
   la::Matrix<T>& subspace() { return X_; }

@@ -177,8 +177,8 @@ class KohnShamDFT {
   std::vector<std::unique_ptr<Hamiltonian<T>>> hams_;
   std::vector<std::unique_ptr<ChebyshevFilteredSolver<T>>> solvers_;
   // Execution backends, rebuilt by solve(): one per k-point Hamiltonian plus
-  // one for the Poisson stiffness (installed into poisson_ via the
-  // stiffness-apply hook so the EP PCG runs under the same execution model).
+  // one for the Poisson stiffness (installed into poisson_ as its CG hook so
+  // the EP solve runs under the same execution model).
   std::vector<std::unique_ptr<dd::ExecBackend<T>>> backends_;
   std::unique_ptr<dd::ExecBackend<double>> es_backend_;
 

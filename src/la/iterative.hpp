@@ -68,12 +68,46 @@ SolveReport pcg(const std::function<void(const std::vector<T>&, std::vector<T>&)
     const T rz_new = dotc(n, r.data(), z.data());
     const T beta = rz_new / rz;
     rz = rz_new;
+    // Raw pointers, not the thread_local names: inside the parallel region an
+    // OpenMP worker would resolve `p` / `z` to its own (empty) scratch.
+    T* pp = p.data();
+    const T* zp = z.data();
 #pragma omp parallel for if (n > 8192)
-    for (index_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    for (index_t i = 0; i < n; ++i) pp[i] = zp[i] + beta * pp[i];
   }
   rep.residual = nrm2(n, r.data()) / bnorm;
   rep.converged = rep.residual < tol;
   return rep;
+}
+
+/// Jacobi-preconditioned CG (z = r / diag) with the `fixed` rows held: the
+/// operator sees its input with those rows zeroed and has its output zeroed
+/// on them — the homogeneous-Dirichlet interior system of the FE Poisson
+/// solve. With `fixed` empty it is plain PCG on `op`. `b` must vanish on the
+/// fixed rows (their residual could never fall).
+template <class T>
+SolveReport jacobi_pcg(const std::function<void(const std::vector<T>&, std::vector<T>&)>& op,
+                       const std::vector<double>& diag, const std::vector<index_t>& fixed,
+                       const std::vector<T>& b, std::vector<T>& x, double tol, int maxit) {
+  const index_t n = static_cast<index_t>(b.size());
+  auto prec = [&](const std::vector<T>& r, std::vector<T>& z) {
+    const T* rp = r.data();
+    T* zp = z.data();
+    const double* d = diag.data();
+#pragma omp parallel for
+    for (index_t i = 0; i < n; ++i) zp[i] = rp[i] / d[i];
+  };
+  if (fixed.empty()) return pcg<T>(op, prec, b, x, tol, maxit);
+  // Hoisted masked copy: the operator runs once per CG iteration.
+  static thread_local std::vector<T> xm;
+  ensure_scratch(xm, static_cast<std::size_t>(n));
+  auto masked = [&](const std::vector<T>& v, std::vector<T>& y) {
+    std::copy(v.begin(), v.begin() + n, xm.begin());
+    for (const index_t i : fixed) xm[i] = T{};
+    op(xm, y);
+    for (const index_t i : fixed) y[i] = T{};
+  };
+  return pcg<T>(masked, prec, b, x, tol, maxit);
 }
 
 /// Block MINRES for symmetric (possibly indefinite) systems A_j x_j = b_j,

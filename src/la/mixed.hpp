@@ -153,9 +153,12 @@ void gemm_low_precision(char transa, char transb, index_t m, index_t n, index_t 
   demote_panel(B, ldb, brows, bcols, Bf.data());
   gemm<L>(transa, transb, m, n, k, L(1), Af.data(), arows, Bf.data(), brows, L(0), Cf.data(),
           m);
+  // Raw pointer, not the thread_local name: an OpenMP worker would resolve
+  // `Cf` to its own (empty) scratch.
+  const L* cf = Cf.data();
 #pragma omp parallel for if (n > 4)
   for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < m; ++i) C[i + j * ldc] = static_cast<T>(Cf[i + j * m]);
+    for (index_t i = 0; i < m; ++i) C[i + j * ldc] = static_cast<T>(cf[i + j * m]);
 }
 
 /// Upper-block-triangle of S = A^H B over the rows covered by the spans —

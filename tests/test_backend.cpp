@@ -2,7 +2,8 @@
 // the multi-rank refactor: the serial backend must reproduce the direct
 // ks-layer arithmetic bitwise, the threaded backend must agree with it to
 // solver precision on every stage (apply, Chebyshev filter, Gram overlap,
-// density accumulation, Poisson stiffness), and a *full SCF* run on the
+// density accumulation, the Poisson stiffness and its PCG solve), and a
+// *full SCF* run on the
 // threaded backend must land on the serial total energy to <= 1e-10 Ha —
 // the acceptance gate the CI engine-scf-equivalence leg enforces.
 
@@ -225,6 +226,30 @@ TEST(BackendStiffness, SerialIsBitwiseDirectAndThreadedAgrees) {
   ASSERT_NO_THROW(threaded->set_potential(std::vector<double>(dofh.ndofs(), 1.0)));
   threaded->apply(x, yt);
   for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_NEAR(yt[i], yref[i], 1e-12) << i;
+
+  // The EP solve entry. Serial: the built-in fe::PoissonSolver CG bitwise,
+  // both on its own and behind the solver's CG hook. Threaded: the
+  // lane-resident pcg job, equal to solver precision.
+  std::vector<double> rho(dofh.ndofs());
+  for (index_t i = 0; i < dofh.ndofs(); ++i) rho[i] = 0.2 + std::cos(0.13 * i) * std::cos(0.13 * i);
+  std::vector<double> phi_builtin, phi_serial, phi_threaded;
+  const la::SolveReport r0 = poisson.solve(rho, phi_builtin, 1e-10);
+  poisson.set_cg([&serial](const std::vector<double>& b, std::vector<double>& xx, double tol,
+                           int maxit) { return serial->pcg(b, xx, tol, maxit); });
+  const la::SolveReport r1 = poisson.solve(rho, phi_serial, 1e-10);
+  poisson.set_cg([&threaded](const std::vector<double>& b, std::vector<double>& xx, double tol,
+                             int maxit) { return threaded->pcg(b, xx, tol, maxit); });
+  const la::SolveReport r2 = poisson.solve(rho, phi_threaded, 1e-10);
+  poisson.set_cg({});
+  ASSERT_TRUE(r0.converged && r1.converged && r2.converged);
+  EXPECT_EQ(r1.iterations, r0.iterations);
+  EXPECT_LE(std::abs(r2.iterations - r0.iterations), 1);
+  double scale = 0.0;
+  for (index_t i = 0; i < dofh.ndofs(); ++i) scale = std::max(scale, std::abs(phi_builtin[i]));
+  for (index_t i = 0; i < dofh.ndofs(); ++i) {
+    ASSERT_EQ(phi_serial[i], phi_builtin[i]) << i;
+    ASSERT_NEAR(phi_threaded[i], phi_builtin[i], 1e-8 * scale) << i;
+  }
 }
 
 /// Shared harness: one SCF on the serial backend, one on the threaded

@@ -2,11 +2,14 @@
 // of the real sync/async execution against the undecomposed reference path
 // (Hamiltonian apply and the full Chebyshev filter), FP32-wire tolerance,
 // bare-stiffness (Poisson) mode, the simulator-vs-measured overlap sanity
-// bounds, failure propagation, and the zero-allocation steady state.
+// bounds, failure propagation, the zero-allocation steady state, and the
+// lane-resident PCG job against the serial Jacobi-PCG.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/timer.hpp"
@@ -531,6 +534,176 @@ TEST(BrickEngine, GramTreeReductionMatchesSerialOverlap) {
   for (index_t j = 0; j < nst; ++j)
     for (index_t i = 0; i < nst; ++i)
       EXPECT_NEAR(S(i, j), Sref(i, j), 1e-11 * n) << i << "," << j;
+}
+
+// --- lane-resident PCG -----------------------------------------------------
+
+/// A smooth charge-like right-hand side for the stiffness solve: zero on the
+/// Dirichlet rows, zero-sum on a periodic mesh (K's nullspace is the
+/// constants), so K x = b is consistent in both cases.
+std::vector<double> poisson_rhs(const fe::DofHandler& dofh, double L) {
+  const index_t n = dofh.ndofs();
+  const auto& mass = dofh.mass();
+  const auto& bmask = dofh.boundary_mask();
+  std::vector<double> b(n);
+  double q = 0.0, m = 0.0;
+  for (index_t g = 0; g < n; ++g) {
+    const auto p = dofh.dof_point(g);
+    const double r2 = (p[0] - 0.4 * L) * (p[0] - 0.4 * L) + (p[1] - 0.5 * L) * (p[1] - 0.5 * L) +
+                      (p[2] - 0.55 * L) * (p[2] - 0.55 * L);
+    b[g] = mass[g] * std::exp(-r2 / 2.0);
+    q += b[g];
+    m += mass[g];
+  }
+  const bool periodic = dofh.boundary_dofs().empty();
+  for (index_t g = 0; g < n; ++g) {
+    if (periodic) b[g] -= mass[g] * q / m;
+    if (bmask[g] != 0.0) b[g] = 0.0;
+  }
+  return b;
+}
+
+/// The serial reference: fe::PoissonSolver's built-in CG.
+la::SolveReport serial_pcg(const fe::DofHandler& dofh, const std::vector<double>& b,
+                           std::vector<double>& x, double tol, int maxit) {
+  fe::CellStiffness<double> K(dofh, 1.0);
+  auto op = [&K](const std::vector<double>& v, std::vector<double>& y) {
+    y.assign(v.size(), 0.0);
+    K.apply_add(v, y);
+  };
+  return la::jacobi_pcg<double>(op, dofh.laplacian_diagonal(), dofh.boundary_dofs(), b, x, tol,
+                                maxit);
+}
+
+EngineOptions stiffness_options(std::array<int, 3> grid, EngineMode mode) {
+  EngineOptions opt;
+  opt.grid = grid;
+  opt.nlanes = grid[0] * grid[1] * grid[2];
+  opt.mode = mode;
+  opt.hamiltonian = false;
+  opt.coef_lap = 1.0;
+  return opt;
+}
+
+double rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    num += (a[i] - b[i]) * (a[i] - b[i]);
+    den += b[i] * b[i];
+  }
+  return std::sqrt(num / den);
+}
+
+// The tentpole equivalence criterion: one lane-resident pcg job per solve
+// agrees with serial la::jacobi_pcg (solution to 1e-10 relative, iteration
+// count within +-1) on isolated and periodic meshes above the OpenMP
+// parallel thresholds, on slab and brick grids; sync and async are bitwise
+// identical; and every lane leaves the loop at the same iteration (pcg()
+// throws std::logic_error otherwise).
+TEST(LanePcg, MatchesSerialPcgOnBrickGridsInBothModes) {
+  const double L = 8.0, tol = 1e-12;
+  for (const bool periodic : {false, true}) {
+    const auto mesh = fe::make_uniform_mesh(L, periodic ? 6 : 5, periodic);
+    fe::DofHandler dofh(mesh, 4);
+    ASSERT_GT(dofh.ndofs(), 8192);
+    const std::vector<double> b = poisson_rhs(dofh, L);
+    std::vector<double> xref(dofh.ndofs(), 0.0);
+    const la::SolveReport ref = serial_pcg(dofh, b, xref, tol, 4000);
+    ASSERT_TRUE(ref.converged);
+    for (const std::array<int, 3> grid : {std::array<int, 3>{1, 1, 4},
+                                          std::array<int, 3>{2, 1, 2},
+                                          std::array<int, 3>{2, 2, 2}}) {
+      std::vector<double> xs, xa;
+      la::SolveReport rs, ra;
+      for (const auto mode : {EngineMode::sync, EngineMode::async}) {
+        SCOPED_TRACE(testing::Message() << "periodic=" << periodic << " grid=" << grid[0] << "x"
+                                        << grid[1] << "x" << grid[2] << " mode="
+                                        << (mode == EngineMode::sync ? "sync" : "async"));
+        RankEngine<double> eng(dofh, stiffness_options(grid, mode));
+        std::vector<double> x(dofh.ndofs(), 0.0);
+        la::SolveReport rep;
+        ASSERT_NO_THROW(rep = eng.pcg(b, x, tol, 4000));
+        EXPECT_TRUE(rep.converged);
+        EXPECT_LE(std::abs(rep.iterations - ref.iterations), 1);
+        EXPECT_LT(rel_diff(x, xref), 1e-10);
+        (mode == EngineMode::sync ? xs : xa) = x;
+        (mode == EngineMode::sync ? rs : ra) = rep;
+      }
+      EXPECT_EQ(rs.iterations, ra.iterations);
+      EXPECT_EQ(rs.residual, ra.residual);
+      for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_EQ(xs[i], xa[i]) << i;
+    }
+  }
+}
+
+TEST(LanePcg, MaxitReturnsUnconvergedWithoutDeadlock) {
+  const double L = 6.0;
+  const auto mesh = fe::make_uniform_mesh(L, 4, false);
+  fe::DofHandler dofh(mesh, 3);
+  const std::vector<double> b = poisson_rhs(dofh, L);
+  for (const int maxit : {0, 1, 5}) {
+    std::vector<double> xref(dofh.ndofs(), 0.0), x(dofh.ndofs(), 0.0);
+    const la::SolveReport ref = serial_pcg(dofh, b, xref, 1e-14, maxit);
+    RankEngine<double> eng(dofh, stiffness_options({2, 2, 1}, EngineMode::async));
+    const la::SolveReport rep = eng.pcg(b, x, 1e-14, maxit);
+    EXPECT_FALSE(rep.converged) << "maxit=" << maxit;
+    EXPECT_EQ(rep.iterations, ref.iterations) << "maxit=" << maxit;
+    EXPECT_NEAR(rep.residual, ref.residual, 1e-10 * ref.residual) << "maxit=" << maxit;
+  }
+}
+
+TEST(LanePcg, MidSolveLaneFaultIsRethrownAndEngineSolvesAgain) {
+  const double L = 6.0;
+  const auto mesh = fe::make_uniform_mesh(L, 4, false);
+  fe::DofHandler dofh(mesh, 3);
+  const std::vector<double> b = poisson_rhs(dofh, L);
+  std::vector<double> xref(dofh.ndofs(), 0.0);
+  const la::SolveReport ref = serial_pcg(dofh, b, xref, 1e-10, 2000);
+  for (const auto mode : {EngineMode::sync, EngineMode::async}) {
+    RankEngine<double> eng(dofh, stiffness_options({2, 1, 2}, mode));
+    for (const auto& [lane, iter] : {std::pair<int, int>{0, 0}, {3, 7}, {1, 20}}) {
+      eng.debug_fault_pcg(lane, iter);
+      std::vector<double> x(dofh.ndofs(), 0.0);
+      try {
+        eng.pcg(b, x, 1e-10, 2000);
+        ADD_FAILURE() << "injected fault on lane " << lane << " was not rethrown";
+      } catch (const std::runtime_error& err) {
+        EXPECT_NE(std::string(err.what()).find("injected lane fault"), std::string::npos)
+            << err.what();
+      }
+      // Poisoned mailboxes and barrier were reset: the next solve is clean.
+      const la::SolveReport rep = eng.pcg(b, x, 1e-10, 2000);
+      EXPECT_TRUE(rep.converged);
+      EXPECT_LE(std::abs(rep.iterations - ref.iterations), 1);
+      EXPECT_LT(rel_diff(x, xref), 1e-8);
+    }
+  }
+}
+
+TEST(LanePcg, WarmSolveAllocatesNothing) {
+  const double L = 6.0;
+  const auto mesh = fe::make_uniform_mesh(L, 4, true);
+  fe::DofHandler dofh(mesh, 3);
+  const std::vector<double> b = poisson_rhs(dofh, L);
+  RankEngine<double> eng(dofh, stiffness_options({2, 2, 1}, EngineMode::async));
+  std::vector<double> x(dofh.ndofs(), 0.0);
+  ASSERT_TRUE(eng.pcg(b, x, 1e-10, 2000).converged);  // warm: sizes every lane buffer
+  la::WorkspaceCounters::reset();
+  std::fill(x.begin(), x.end(), 0.0);
+  ASSERT_TRUE(eng.pcg(b, x, 1e-10, 2000).converged);
+  EXPECT_EQ(la::WorkspaceCounters::allocations(), 0);
+  EXPECT_GT(la::WorkspaceCounters::checkouts(), 0);
+}
+
+TEST(LanePcg, RejectsHamiltonianEnginesAndDirichletLoads) {
+  const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
+  fe::DofHandler dofh(mesh, 3);
+  std::vector<double> b(dofh.ndofs(), 0.0), x(dofh.ndofs(), 0.0);
+  RankEngine<double> ham(dofh, EngineOptions{});
+  EXPECT_THROW(ham.pcg(b, x, 1e-10, 10), std::logic_error);
+  RankEngine<double> eng(dofh, stiffness_options({2, 1, 1}, EngineMode::sync));
+  b[static_cast<std::size_t>(dofh.boundary_dofs().front())] = 1.0;
+  EXPECT_THROW(eng.pcg(b, x, 1e-10, 10), std::invalid_argument);
 }
 
 }  // namespace

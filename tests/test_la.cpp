@@ -4,6 +4,7 @@
 // with per-column shifts, Lanczos spectrum bounds, mixed-precision kernels.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
 #include <tuple>
@@ -425,6 +426,45 @@ TEST(Pcg, JacobiPreconditionerReducesIterations) {
   EXPECT_TRUE(rep_plain.converged);
   EXPECT_TRUE(rep_jac.converged);
   EXPECT_LT(rep_jac.iterations, rep_plain.iterations);
+}
+
+// OpenMP > 1 regression: parallel loops in la::pcg and gemm_low_precision
+// once named their static thread_local scratch, which an OpenMP worker
+// resolves to its own empty vector — a crash as soon as the loop really runs
+// on a team. Run both above their parallel thresholds on four threads.
+TEST(OpenMpScratch, PcgAndLowPrecisionGemmOnFourThreads) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+  const index_t n = 20000;  // above pcg's `if (n > 8192)` gate
+  std::vector<double> b(n), x(n, 0.0);
+  for (index_t i = 0; i < n; ++i) b[i] = std::sin(0.001 * static_cast<double>(i)) + 0.5;
+  // Diagonally dominant tridiagonal SPD operator, Jacobi preconditioner.
+  auto op = [n](const std::vector<double>& in, std::vector<double>& out) {
+    out.assign(n, 0.0);
+    for (index_t i = 0; i < n; ++i)
+      out[i] = 4.0 * in[i] - (i > 0 ? in[i - 1] : 0.0) - (i + 1 < n ? in[i + 1] : 0.0);
+  };
+  auto prec = [n](const std::vector<double>& in, std::vector<double>& out) {
+    for (index_t i = 0; i < n; ++i) out[i] = in[i] / 4.0;
+  };
+  const SolveReport rep = pcg<double>(op, prec, b, x, 1e-12, 200);
+  EXPECT_TRUE(rep.converged);
+  std::vector<double> Ax;
+  op(x, Ax);
+  double err = 0.0;
+  for (index_t i = 0; i < n; ++i) err = std::max(err, std::abs(Ax[i] - b[i]));
+  EXPECT_LT(err, 1e-9);
+
+  Rng rng(98);
+  const index_t m = 64, nc = 48, k = 40;  // nc > 4: the promotion loop runs on the team
+  Matrix<double> A = random_matrix<double>(m, k, rng);
+  Matrix<double> B = random_matrix<double>(k, nc, rng);
+  Matrix<double> C64(m, nc), C32(m, nc);
+  gemm('N', 'N', 1.0, A, B, 0.0, C64);
+  gemm_low_precision<double>('N', 'N', m, nc, k, A.data(), A.ld(), B.data(), B.ld(), C32.data(),
+                             C32.ld());
+  EXPECT_LT(max_abs_diff(C64, C32), 1e-4 * k);
+  omp_set_num_threads(saved);
 }
 
 template <class T>

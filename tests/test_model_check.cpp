@@ -82,7 +82,8 @@ TEST(ModelCheckExplore, SyncAndAsyncBodiesAgreeBitwiseAcrossAllSchedules) {
 TEST(ModelCheckExplore, ProtocolEdgeScenariosClean) {
   for (const char* name :
        {"backpressure", "close_waiter", "close_racing_post", "drift_fail",
-        "reset_reuse", "halo_chain_3"}) {
+        "reset_reuse", "halo_chain_3", "allreduce_2", "allreduce_poison_3",
+        "allreduce_reset_reuse_3"}) {
     SCOPED_TRACE(name);
     const ExploreResult res = explore_named(name);
     EXPECT_TRUE(res.ok()) << res.violations.front().message << "\n"
@@ -153,6 +154,15 @@ TEST(ModelCheckMutants, SkippedGenerationBumpIsCaught) {
   ASSERT_FALSE(res.ok()) << "checker failed to catch the skipped generation bump";
   EXPECT_NE(res.violations.front().message.find("generation"), std::string::npos)
       << res.violations.front().message;
+}
+
+// Teeth check 4: the seeded early-release mutant (the lane allreduce
+// barrier opens on the second-to-last arrival) must surface as a wrong tree
+// sum or a stranded lane.
+TEST(ModelCheckMutants, EarlyReleaseBarrierIsCaught) {
+  const MutantScope m(dd::sched::Mutant::early_release);
+  const ExploreResult res = explore_named("allreduce_3");
+  ASSERT_FALSE(res.ok()) << "checker failed to catch the early-release barrier";
 }
 
 #else  // !DFTFE_MODEL_CHECK

@@ -91,17 +91,14 @@ WHITELIST = [
     (r"dftfe::ks::Hamiltonian<.*>::apply_fused", {"alloc"},
      "amortized ensure_scratch warmup inlined at -O3; steady state is "
      "allocation-free (mem.workspace.allocations gauge asserts this)"),
-    (r"std::_Function_handler<", {"alloc"},
-     "std::function thunk for the backend apply hooks; allocation happens "
-     "at hook installation, not invocation"),
     # -- threaded rank engine --------------------------------------------
     (r"dftfe::dd::RankEngine<.*>::(build_lanes|start_lanes|ensure_wire_capacity|"
      r"ensure_step_storage|collect_step_stats|publish_job_metrics|submit|"
-     r"set_potential|debug_fault)", {"alloc", "throw"},
+     r"set_potential|debug_fault|debug_fault_pcg)", {"alloc", "throw"},
      "engine cold control plane: construction, sizing, job submission, "
      "metrics publication (driver thread, between jobs)"),
     (r"dftfe::dd::RankEngine<.*>::(apply|overlap|accumulate_density|filter_block|"
-     r"run_job)\(", {"alloc", "throw"},
+     r"pcg|run_job)\(", {"alloc", "throw"},
      "driver-side job entry points: precondition throws plus failure "
      "propagation (rethrow of a lane's job error); at most once per job"),
     (r"dftfe::dd::RankEngine<.*>::(post_halo|recv_halo)", {"throw"},
@@ -110,6 +107,15 @@ WHITELIST = [
     (r"dftfe::dd::RankEngine<.*>::(apply_segment|lane_gram|lane_filter)", {"alloc"},
      "per-lane workspace lease acquire inlined at -O3; amortized to zero "
      "after lane warmup"),
+    (r"dftfe::dd::RankEngine<.*>::(lane_pcg|pcg_apply|lane_allreduce)", {"alloc", "throw"},
+     "lane-resident PCG: per-lane workspace acquire inlined at -O3 (zero "
+     "after the first solve, asserted by LanePcg.WarmSolveAllocatesNothing), "
+     "the reduction barrier's poison throw — a peer lane failed, the cascade "
+     "the allreduce model-check scenarios explore — and the injected-fault "
+     "test hook; each throws at most once per failed job"),
+    (r"dftfe::dd::LaneAllreduce::(allreduce|init)", {"alloc", "throw"},
+     "lane allreduce barrier: poison throw when a peer lane failed (at most "
+     "once per failed job) and the cold slot sizing in init()"),
 ]
 
 COMPILED = [(re.compile(pat), syms, reason) for pat, syms, reason in WHITELIST]

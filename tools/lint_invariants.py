@@ -91,6 +91,7 @@ HOT_PATH_FILES = [
     # inline neighbor/coords lookups ride along.
     "src/dd/engine.hpp",
     "src/dd/mailbox.hpp",
+    "src/dd/allreduce.hpp",
     "src/dd/partition.hpp",
     # Execution backends: the inline stage methods (apply / filter_block /
     # overlap / accumulate_density) run once per recurrence step or SCF
@@ -133,8 +134,11 @@ TRACE_VOCAB = {
     "SCF", "SCF-iter", "ChFES-cycle", "Relax-step",
     "invDFT-forward", "invDFT-adjoint", "Simulation-run",
     # threaded rank engine (dd/engine.hpp) lane-side spans, plus the
-    # driver-side tree allreduce of the brick gram partials (dd/engine.cpp)
+    # driver-side tree allreduce of the brick gram partials (dd/engine.cpp);
+    # EP-lane is the lane-resident PCG job, PCG-reduce its time blocked in
+    # the in-job lane allreduce (dd/allreduce.hpp)
     "CF-lane", "CF-halo", "Engine-apply", "Gram-lane", "Gram-tree", "DC-lane",
+    "EP-lane", "PCG-reduce",
 }
 
 TRACE_SPAN_RE = re.compile(r"\bTraceSpan\b[^(;]*\(\s*\"([^\"]*)\"")

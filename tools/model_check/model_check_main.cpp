@@ -7,7 +7,7 @@
 // a pass.
 //
 // Usage:
-//   model_check [--list] [--scenario NAME | --quick] [--mutant none|drop-notify|skip-gen]
+//   model_check [--list] [--scenario NAME | --quick] [--mutant none|drop-notify|skip-gen|early-release]
 //               [--preemption-bound K] [--max-schedules N] [--budget-seconds S]
 //               [--expect-violation]
 
@@ -24,7 +24,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " [--list] [--scenario NAME | --quick] [--mutant none|drop-notify|skip-gen]\n"
+      << " [--list] [--scenario NAME | --quick] [--mutant none|drop-notify|skip-gen|early-release]\n"
          "       [--preemption-bound K] [--max-schedules N] [--budget-seconds S]\n"
          "       [--expect-violation]\n";
   return 2;
@@ -67,6 +67,8 @@ int main(int argc, char** argv) {
         mutant = Mutant::drop_notify;
       else if (m == "skip-gen")
         mutant = Mutant::skip_gen;
+      else if (m == "early-release")
+        mutant = Mutant::early_release;
       else
         return usage(argv[0]);
     } else if (a == "--preemption-bound") {

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "dd/allreduce.hpp"
 #include "dd/mailbox.hpp"
 #include "harness.hpp"
 
@@ -612,6 +613,144 @@ inline Scenario brick4_drift_scenario() {
 }
 
 // ---------------------------------------------------------------------------
+// Lane allreduce (dd/allreduce.hpp): the reduction plane of the engine's
+// lane-resident PCG. N lanes run back-to-back reduction rounds — more rounds
+// than the two parity slot sets, so every slot set is reused — and in every
+// schedule every lane must receive, every round, exactly the stride-doubling
+// tree sum of all lanes' contributions: bitwise, and so identical on every
+// lane (the property that keeps the lanes' CG exit branches in lockstep).
+// The seeded early_release mutant (the barrier opens on the second-to-last
+// arrival) lets a lane sum a slot its last peer has not written yet.
+
+constexpr int kReduceWidth = 2;
+
+/// Reference: the stride-doubling tree sum over lanes [i, i + span) ∩ [0, n).
+inline double reduce_reference(int n, int round, int k, int i, int span) {
+  if (span == 1) return lane_value(i, round, k);
+  const int half = span / 2;
+  double s = reduce_reference(n, round, k, i, half);
+  if (i + half < n) s += reduce_reference(n, round, k, i + half, half);
+  return s;
+}
+
+inline double reduce_reference(int n, int round, int k) {
+  int span = 1;
+  while (span < n) span *= 2;
+  return reduce_reference(n, round, k, 0, span);
+}
+
+struct ReduceState {
+  dd::LaneAllreduce bar;
+  int n = 2;
+  int rounds = 3;
+  std::vector<double> got;  // [lane][round][k]
+};
+
+inline Scenario allreduce_scenario(int nlanes, int rounds, bool poisoned_first = false) {
+  std::ostringstream nm;
+  nm << (poisoned_first ? "allreduce_reset_reuse_" : "allreduce_") << nlanes;
+  return make_scenario<ReduceState>(
+      nm.str(),
+      poisoned_first ? "poisoned-then-reset() allreduce barrier behaves like a fresh one"
+                     : "lane allreduce: back-to-back rounds reuse both parity slot sets",
+      nlanes,
+      [nlanes, rounds, poisoned_first](Registrar& reg) {
+        auto st = std::make_shared<ReduceState>();
+        st->n = nlanes;
+        st->rounds = rounds;
+        st->bar.init(nlanes);
+        if (poisoned_first) {
+          st->bar.close();
+          st->bar.reset();
+        }
+        st->got.assign(static_cast<std::size_t>(nlanes * rounds * kReduceWidth), 0.0);
+        reg.channel(st->bar, "allreduce");
+        return st;
+      },
+      [](ReduceState& st, int tid) {
+        for (int round = 0; round < st.rounds; ++round) {
+          double in[kReduceWidth];
+          for (int k = 0; k < kReduceWidth; ++k) in[k] = lane_value(tid, round, k);
+          double* out = st.got.data() + (tid * st.rounds + round) * kReduceWidth;
+          st.bar.allreduce(tid, in, out, kReduceWidth);
+        }
+      },
+      [](ReduceState& st) {
+        for (int tid = 0; tid < st.n; ++tid)
+          for (int round = 0; round < st.rounds; ++round)
+            for (int k = 0; k < kReduceWidth; ++k)
+              if (st.got[static_cast<std::size_t>((tid * st.rounds + round) * kReduceWidth + k)] !=
+                  reduce_reference(st.n, round, k))
+                throw InvariantViolation(
+                    "allreduce: a lane received something other than the tree sum of every "
+                    "lane's contribution (barrier opened before the last arrival?)");
+      });
+}
+
+// Lane hard-fail while its peers block in the barrier: every lane completes
+// round 0, then lane 0 fails instead of contributing to round 1 and poisons
+// the barrier, RankEngine-style. Each peer must observe the poison (nobody
+// can complete a round lane 0 never joined) and cascades it by closing the
+// barrier itself — never blocking forever. Recovery through reset() is the
+// allreduce_reset_reuse scenario.
+
+struct ReducePoisonState {
+  dd::LaneAllreduce bar;
+  int n = 3;
+  bool lane0_failed = false;
+  int round0_ok[4] = {0, 0, 0, 0};
+  int completed1[4] = {0, 0, 0, 0};
+  int poisoned[4] = {0, 0, 0, 0};
+};
+
+inline Scenario allreduce_poison_scenario(int nlanes) {
+  std::ostringstream nm;
+  nm << "allreduce_poison_" << nlanes;
+  return make_scenario<ReducePoisonState>(
+      nm.str(), "lane hard-fails while its peers block in the allreduce barrier", nlanes,
+      [nlanes](Registrar& reg) {
+        auto st = std::make_shared<ReducePoisonState>();
+        st->n = nlanes;
+        st->bar.init(nlanes);
+        reg.channel(st->bar, "allreduce");
+        return st;
+      },
+      [](ReducePoisonState& st, int tid) {
+        double in[kReduceWidth], out[kReduceWidth];
+        try {
+          for (int k = 0; k < kReduceWidth; ++k) in[k] = lane_value(tid, 0, k);
+          st.bar.allreduce(tid, in, out, kReduceWidth);
+          st.round0_ok[tid] =
+              (out[0] == reduce_reference(st.n, 0, 0) && out[1] == reduce_reference(st.n, 0, 1));
+          if (tid == 0) {
+            st.lane0_failed = true;
+            st.bar.close();
+            return;
+          }
+          for (int k = 0; k < kReduceWidth; ++k) in[k] = lane_value(tid, 1, k);
+          st.bar.allreduce(tid, in, out, kReduceWidth);
+          st.completed1[tid] = 1;
+        } catch (const InvariantViolation&) {
+          throw;
+        } catch (const std::runtime_error&) {
+          st.poisoned[tid] = 1;
+          st.bar.close();  // cascade: idempotent
+        }
+      },
+      [](ReducePoisonState& st) {
+        if (!st.lane0_failed) throw InvariantViolation("allreduce poison: failure path did not run");
+        for (int tid = 0; tid < st.n; ++tid)
+          if (!st.round0_ok[tid])
+            throw InvariantViolation("allreduce poison: round 0 sum wrong before the failure");
+        for (int tid = 1; tid < st.n; ++tid)
+          if (st.completed1[tid] || !st.poisoned[tid])
+            throw InvariantViolation(
+                "allreduce poison: a peer completed a round the failed lane never joined, or "
+                "missed the poison");
+      });
+}
+
+// ---------------------------------------------------------------------------
 // The suite. `quick` marks the scenarios the README verify step and the CI
 // time budget lean on; the per-scenario options keep the 3-4 lane sweeps
 // bounded (preemption bound + caps) while the acceptance-gate scenarios run
@@ -653,6 +792,16 @@ inline std::vector<ScenarioSpec> all_scenarios() {
   specs.push_back({brick4_scenario(1, false), 2, 120000, 40.0, true});
   specs.push_back({brick4_scenario(1, true), 2, 120000, 40.0, false});
   specs.push_back({brick4_drift_scenario(), 2, 120000, 40.0, true});
+  // The lane allreduce of the lane-resident PCG. One barrier object is one
+  // dependency group, so sleep sets prune little: the 2- and 3-lane sweeps
+  // and the poison cascade are the quick gate; 4 lanes run
+  // preemption-bounded. The seeded early-release mutant leg runs against
+  // allreduce_3.
+  specs.push_back({allreduce_scenario(2, 3), -1, 200000, 30.0, true});
+  specs.push_back({allreduce_scenario(3, 3), 2, 150000, 40.0, true});
+  specs.push_back({allreduce_scenario(4, 2), 2, 120000, 40.0, false});
+  specs.push_back({allreduce_poison_scenario(3), 2, 150000, 30.0, true});
+  specs.push_back({allreduce_scenario(3, 2, /*poisoned_first=*/true), 2, 100000, 30.0, false});
   return specs;
 }
 

@@ -82,11 +82,16 @@ int main() {
   for (int ranks : {480, 960, 1920, 3840, 7680}) {
     const double dofs_rank = dof_total / ranks;
     const double comp = dofs_rank * s_per_dof;
-    // Boundary exchange bytes scale with the slab cross-section ~ dofs^{2/3};
-    // reductions with the wavefunction count (fixed).
+    // Boundary exchange bytes scale with the slab cross-section ~ dofs^{2/3}
+    // (a fractional face in this continuum model): two 64-column FP32 plane
+    // packets per exchange. Reductions scale with the wavefunction count
+    // (fixed).
     const double plane = std::pow(dofs_rank, 2.0 / 3.0);
-    const double comm = 200.0 * net.time(static_cast<index_t>(plane * 64 * 4 * 2), 4) +
-                        2.0 * net.allreduce_time(512 * 512 * 8, ranks);
+    const double value_bytes =
+        static_cast<double>(dd::halo_packet_bytes<double>(1, dd::Wire::fp32));
+    const double comm =
+        200.0 * net.time(static_cast<index_t>(plane * 64 * value_bytes * 2), 4) +
+        2.0 * net.allreduce_time(512 * 512 * 8, ranks);
     const double wall = comp + comm;
     if (r0 == 0) {
       r0 = ranks;

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: dense GEMM,
 // strided-batched cell GEMM, the full cell-level Hamiltonian apply
 // (gather + batched GEMM + assembly), mixed-precision GEMM, and the
-// FP32/FP64 wire pack. These are the building blocks whose throughputs the
-// table/figure benches aggregate.
+// FP64/FP32/BF16 halo-packet round trip. These are the building blocks whose
+// throughputs the table/figure benches aggregate.
 //
 // Unlike the plain BENCHMARK_MAIN() harness, this binary runs with a
 // reporter that mirrors every finished benchmark into the metrics registry
@@ -12,10 +12,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "bench_common.hpp"
-#include "dd/exchange.hpp"
+#include "dd/mailbox.hpp"
 #include "fe/cell_ops.hpp"
 #include "ks/hamiltonian.hpp"
 #include "la/batched.hpp"
@@ -97,17 +99,51 @@ static void BM_MixedPrecisionGemm(benchmark::State& state) {
 BENCHMARK(BM_MixedPrecisionGemm)->Arg(256);
 
 static void BM_WirePack(benchmark::State& state) {
-  const bool fp32 = state.range(0) == 32;
+  // One halo packet round trip through the rank engine's mailbox, single
+  // threaded: claim a slot, pack a 64-column z-plane through the wire format,
+  // publish, receive, unpack, release — the per-packet data path of
+  // RankEngine's post/receive without the neighbor bookkeeping. Argument:
+  // bits per value on the wire (64 = FP64, 32 = FP32, 16 = BF16).
+  const dd::Wire wire = state.range(0) == 32   ? dd::Wire::fp32
+                        : state.range(0) == 16 ? dd::Wire::bf16
+                                               : dd::Wire::fp64;
   static fe::Mesh mesh = fe::make_uniform_mesh(10.0, 4, true);
   static fe::DofHandler dofh(mesh, 4);
-  static dd::SlabPartition part(dofh, 8);
-  dd::BoundaryExchange<double> ex(part, fp32 ? dd::Wire::fp32 : dd::Wire::fp64);
-  la::MatrixD X(dofh.ndofs(), 64);
-  for (auto _ : state) ex.exchange(X);
+  const index_t rows = dofh.naxis(0) * dofh.naxis(1), B = 64, u = la::bf16_units<double>;
+  std::vector<double> src(static_cast<std::size_t>(rows * B)), dst(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = std::sin(0.01 * static_cast<double>(i));
+  dd::HaloChannel<double> ch;
+  ch.init(wire, rows * B);
+  for (auto _ : state) {
+    const int s = ch.begin_post();
+    for (index_t j = 0; j < B; ++j) {
+      const double* x = src.data() + j * rows;
+      switch (wire) {
+        case dd::Wire::fp32: la::demote<double>(x, ch.buf32(s) + j * rows, rows); break;
+        case dd::Wire::bf16: la::demote_bf16<double>(x, ch.bufbf(s) + j * rows * u, rows); break;
+        case dd::Wire::fp64: std::copy_n(x, rows, ch.buf64(s) + j * rows); break;
+      }
+    }
+    ch.finish_post(s, dd::HaloChannel<double>::Clock::now());
+    const int r = ch.wait_packet();
+    for (index_t j = 0; j < B; ++j) {
+      double* y = dst.data() + j * rows;
+      switch (wire) {
+        case dd::Wire::fp32: la::promote<double>(ch.cbuf32(r) + j * rows, y, rows); break;
+        case dd::Wire::bf16: la::promote_bf16<double>(ch.cbufbf(r) + j * rows * u, y, rows); break;
+        case dd::Wire::fp64: std::copy_n(ch.cbuf64(r) + j * rows, rows, y); break;
+      }
+    }
+    ch.release(r);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
   state.counters["GB/s"] = benchmark::Counter(
-      static_cast<double>(ex.stats().bytes) / 1e9, benchmark::Counter::kIsRate);
+      static_cast<double>(dd::halo_packet_bytes<double>(rows * B, wire)) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WirePack)->Arg(64)->Arg(32);
+BENCHMARK(BM_WirePack)->Arg(64)->Arg(32)->Arg(16);
 
 namespace {
 

@@ -9,13 +9,13 @@
 // overlap argument as the async schedule, lifted from within one solve to
 // across a fleet of solves.
 //
-// Emulation convention (one core, byte-accurate comm — the convention of
-// bench_scf_strong_scaling): every job runs the threaded sync backend at 2
-// lanes with an injected wire delay calibrated against this machine's own
-// per-step filter compute, so each halo exchange is a real sleep the OS can
-// overlap across jobs. The sequential loop serializes those sleeps end to
-// end; the service overlaps them behind other jobs' compute. The headline
-// gauge svc_throughput.speedup = sequential wall / service wall gates the
+// Interconnect emulation (the convention of bench_scf_scaling): every job
+// runs the threaded sync backend at 2 lanes with an injected wire delay
+// calibrated against the running host's own per-step filter compute, so
+// each halo exchange is a real sleep the OS can overlap across jobs. The
+// sequential loop serializes those sleeps end to end; the service overlaps
+// them behind other jobs' compute. The headline gauge
+// svc_throughput.speedup = sequential wall / service wall gates the
 // bench-regression CI tier at >= 1.3x. Every service job must land on its
 // sequential twin's energy to <= 1e-10 Ha (FP64 wire: the bitwise-path
 // budget), and the shared model must be constructed exactly once for the
@@ -38,9 +38,6 @@
 #include "core/simulation.hpp"
 #include "dd/backend.hpp"
 #include "dd/engine.hpp"
-#include "dd/exchange.hpp"
-#include "ks/hamiltonian.hpp"
-#include "la/iterative.hpp"
 #include "svc/service.hpp"
 
 using namespace dftfe;
@@ -89,38 +86,21 @@ int main(int argc, char** argv) {
   scf.temperature = 0.01;
 
   // ---- Calibration probe: per-step filter compute at 2 lanes, free wire ----
-  // Same convention as bench_scf_brick_scaling: the injected delay is a fixed
-  // multiple of this machine's own per-step compute, so the wire-bound regime
-  // travels with the hardware. A 300 us floor keeps the sleep well above OS
-  // timer jitter on hosts where the tiny sweep problem computes in the noise.
+  // The injected delay is a fixed multiple of the running host's own per-step
+  // compute (bench_common.hpp), so the wire-bound regime travels with the
+  // hardware. A 300 us floor keeps the sleep well above OS timer jitter on
+  // hosts where the tiny sweep problem computes in the noise.
   auto probe_model = std::make_shared<const core::SharedModel>(family_parent(), mopt);
   const fe::DofHandler& dofh = probe_model->dofs();
-  double step_compute = 0.0;
-  {
-    ks::Hamiltonian<double> H(dofh);
-    H.set_potential(std::vector<double>(dofh.ndofs(), -0.3));
-    auto op = [&H](const std::vector<double>& x, std::vector<double>& y) { H.apply(x, y); };
-    const double b = la::lanczos_upper_bound<double>(op, H.n(), 14);
-    const double a0 = -1.3, a = a0 + 0.15 * (b - a0);
-    la::Matrix<double> X(dofh.ndofs(), scf.block_size);
-    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.17 * i);
-    dd::EngineOptions popt;
-    popt.nlanes = nlanes;
-    popt.mode = dd::EngineMode::sync;
-    dd::RankEngine<double> probe(dofh, popt);
-    probe.set_potential(H.potential());
-    probe.filter_block(X, 0, X.cols(), scf.cheb_degree, a, b, a0);
-    const auto& stats = probe.last_step_stats();
-    for (const auto& s : stats) step_compute += s.compute;
-    step_compute /= static_cast<double>(stats.size());
-  }
-  const double delay = std::max(4.0 * step_compute, 300e-6);
-  const std::int64_t plane_packet = dofh.naxis(0) * dofh.naxis(1) * scf.block_size *
-                                    dd::wire_value_bytes<double>(dd::Wire::fp64);
-  dd::CommModel net;
-  net.latency_s = 2e-6;
-  net.bandwidth_bytes_per_s =
-      static_cast<double>(plane_packet) / std::max(delay - net.latency_s, 1e-6);
+  dd::EngineOptions popt;
+  popt.nlanes = nlanes;
+  popt.mode = dd::EngineMode::sync;
+  const bench::InjectedWire wire = bench::calibrated_wire(
+      bench::probe_step_compute(dofh, popt, scf.block_size, scf.cheb_degree), 4.0,
+      dd::halo_packet_bytes<double>(dofh.naxis(0) * dofh.naxis(1) * scf.block_size,
+                                    dd::Wire::fp64),
+      300e-6);
+  const double delay = wire.delay;
 
   dd::BackendOptions backend;
   backend.kind = dd::BackendKind::threaded;
@@ -128,7 +108,7 @@ int main(int argc, char** argv) {
   backend.mode = dd::EngineMode::sync;
   backend.wire = dd::Wire::fp64;  // bitwise-path budget: service == sequential
   backend.inject_wire_delay = true;
-  backend.model = net;
+  backend.model = wire.model;
 
   std::printf("workload: %d jobs x %d SCF iterations (fixed), %lld dofs, LDA,\n"
               "2-lane sync backend, FP64 wire, %.2f ms injected delay per plane packet\n\n",

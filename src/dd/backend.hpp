@@ -12,16 +12,16 @@
 //     the fused Chebyshev recurrence, la::overlap_hermitian_mixed, and the
 //     DC row loop are the exact statements the ks/ layer ran before the
 //     refactor, so a serial-backend SCF is indistinguishable from the seed.
-//   * ThreadedBackend — wraps dd::SlabEngine: every stage executes
-//     slab-decomposed across the engine's lanes with real halo exchange
-//     (filter/apply), slab-local partial Gram reductions (overlap), and
+//   * ThreadedBackend — wraps dd::RankEngine: every stage executes
+//     brick-decomposed across the engine's lanes with real halo exchange
+//     (filter/apply), brick-local partial Gram reductions (overlap), and
 //     disjoint owned-row density accumulation.
 //
 // Layering: dd sits below ks, so the backend cannot name ks::Hamiltonian.
 // The serial backend instead borrows the operator through a FusedApplyFn
 // hook (bound to Hamiltonian::apply_fused by ks/, or to a bare
 // fe::CellStiffness by the Poisson factory below); the threaded backend
-// rebuilds the operator slab-locally from the DofHandler exactly like the
+// rebuilds the operator brick-locally from the DofHandler exactly like the
 // engine always has. The EP-step CG enters through pcg(): the serial backend
 // runs la::jacobi_pcg on its operator, the threaded one the engine's
 // lane-resident pcg job (one job per Poisson solve). Hot entry points are
@@ -71,14 +71,15 @@ struct BackendOptions {
   /// Overlay the DFTFE_* execution environment onto `base` and return it —
   /// the one parser every driver binary (quickstart, sweep service, benches)
   /// shares, so CI legs configure any of them identically:
-  ///   DFTFE_BACKEND=threaded        threaded brick lanes (else keep base.kind)
-  ///   DFTFE_NLANES=8 | 2,2,2        total lane count or explicit brick grid
-  ///   DFTFE_WIRE=fp64|fp32|bf16     halo wire format
-  ///   DFTFE_ENGINE_MODE=sync        synchronous halo protocol
-  ///   DFTFE_INJECT_WIRE_DELAY=1     sleep out modeled wire time on receive
-  ///   DFTFE_WIRE_BW=<bytes/s>       modeled interconnect bandwidth
-  /// Unset variables leave the corresponding field of `base` untouched.
-  /// Throws std::invalid_argument on an unrecognized DFTFE_WIRE value.
+  ///   DFTFE_BACKEND=serial|threaded     serial, or threaded brick lanes
+  ///   DFTFE_NLANES=8 | 2,2,2            total lane count or explicit brick grid
+  ///   DFTFE_WIRE=fp64|fp32|bf16         halo wire format
+  ///   DFTFE_ENGINE_MODE=sync|async      halo protocol
+  ///   DFTFE_INJECT_WIRE_DELAY=0|1       sleep out modeled wire time on receive
+  ///   DFTFE_WIRE_BW=<bytes/s>           modeled interconnect bandwidth (> 0)
+  /// Unset variables leave the corresponding field of `base` untouched. A set
+  /// variable outside these forms throws std::invalid_argument naming the
+  /// accepted forms — never a silent fallback.
   static BackendOptions from_env(BackendOptions base);
   /// Overlay the environment onto default-constructed options.
   static BackendOptions from_env();
@@ -223,8 +224,8 @@ class SerialBackend final : public ExecBackend<T> {
   la::WorkMatrix<T> vec_in_, vec_out_;     // single-vector apply buffers
 };
 
-/// Multi-rank backend: every stage runs slab-decomposed on the wrapped
-/// SlabEngine's lanes (see dd/engine.hpp for the execution model).
+/// Multi-rank backend: every stage runs brick-decomposed on the wrapped
+/// RankEngine's lanes (see dd/engine.hpp for the execution model).
 template <class T>
 class ThreadedBackend final : public ExecBackend<T> {
  public:
@@ -232,7 +233,7 @@ class ThreadedBackend final : public ExecBackend<T> {
 
   const char* name() const override { return "threaded"; }
   int nlanes() const override { return engine_.nlanes(); }
-  SlabEngine<T>& engine() { return engine_; }
+  RankEngine<T>& engine() { return engine_; }
 
   void set_potential(const std::vector<double>& v_eff) override {
     if (hamiltonian_) engine_.set_potential(v_eff);
@@ -279,14 +280,14 @@ class ThreadedBackend final : public ExecBackend<T> {
 
  private:
   bool hamiltonian_;
-  SlabEngine<T> engine_;
+  RankEngine<T> engine_;
   la::WorkMatrix<T> vec_in_, vec_out_;  // single-vector apply buffers
 };
 
 /// Backend for a k-point Hamiltonian. Serial: wraps the caller's fused-apply
 /// hook (bind ks::Hamiltonian::apply_fused); potential updates stay with the
 /// Hamiltonian, so `serial_set_potential` is usually empty. Threaded: builds
-/// the slab-decomposed Hamiltonian lanes from the DofHandler and `kpoint`.
+/// the brick-decomposed Hamiltonian lanes from the DofHandler and `kpoint`.
 template <class T>
 std::unique_ptr<ExecBackend<T>> make_backend(
     const fe::DofHandler& dofh, const BackendOptions& opt, FusedApplyFn<T> serial_apply,

@@ -81,7 +81,7 @@ void RankEngine<T>::build_lanes() {
   // opposite-direction mailbox. Inactive directions leave their channel
   // unused (never init'd, never touched). A periodic axis with a single
   // brick wires a direction's send channel back to the same lane
-  // (self-exchange), matching the slab engine's single-rank periodic wrap.
+  // (self-exchange) across the periodic wrap interface.
   channels_.resize(static_cast<std::size_t>(R) * kDirs);
   for (auto& ch : channels_) ch = std::make_unique<HaloChannel<T>>();
   auto chan = [&](int r, int di) {

@@ -36,7 +36,7 @@
 //                                                   (wire time hidden)
 //
 // so sync and async produce bitwise-identical results and their wall-clock
-// difference is exactly the measured overlap win (bench_ablation_async_overlap;
+// difference is exactly the measured overlap win (bench_scf_scaling;
 // dd/pipeline.hpp's simulate_sync/simulate_overlap now serve as analytic
 // bounds on these measured times).
 //
@@ -889,10 +889,5 @@ class RankEngine {
 
 extern template class RankEngine<double>;
 extern template class RankEngine<complex_t>;
-
-/// Historical name: the slab engine is the {1, 1, N} special case of the
-/// brick rank engine. Existing call sites keep compiling unchanged.
-template <class T>
-using SlabEngine = RankEngine<T>;
 
 }  // namespace dftfe::dd

@@ -1,26 +1,26 @@
 #pragma once
 
-// Emulated partition-boundary communication (paper Secs. 5.4.2-5.4.4).
+// Wire formats and interconnect accounting for partition-boundary
+// communication (paper Secs. 5.4.2-5.4.4).
 //
-// This environment exposes a single CPU core and no network, so distributed
-// execution is emulated (see DESIGN.md):
-//  * REAL: the pack -> wire buffer -> unpack data path, including the FP32
-//    wire format of Sec. 5.4.2 — values genuinely pass through float storage,
-//    so the numerical effect of single-precision boundary communication is
-//    exactly reproduced — and the byte/message accounting.
-//  * MODELED: the time a real interconnect would take. Each exchange charges
-//    latency_per_message + bytes / bandwidth to `stats().modeled_seconds`.
-//    Scaling benches compose these modeled times with measured compute times
-//    through the pipeline simulator (dd/pipeline.hpp), the same methodology
-//    as network simulators like SimGrid/LogGP.
+// The threaded rank engine (dd/engine.hpp) moves halo packets between brick
+// lanes through the HaloChannel mailboxes of dd/mailbox.hpp; this header
+// holds what every packet shares:
+//  * Wire — the FP64 / FP32 / BF16 format a packet's values travel in, so the
+//    numerical effect of reduced-precision boundary communication is real;
+//  * halo_packet_bytes — the one bytes-on-the-wire formula, used by the
+//    engine's ledgers, the modeled-extrapolation benches and the model
+//    checker's scenario packets alike;
+//  * CommModel — latency + bytes / bandwidth, the interconnect time the
+//    engine stamps on each packet (slept out on receive when delay injection
+//    is on) and the pipeline simulator (dd/pipeline.hpp) charges when it
+//    extrapolates to rank counts and interconnects beyond one host;
+//  * CommStats — the byte / message / modeled-time ledger of one engine.
 
 #include <cmath>
-#include <vector>
+#include <cstdint>
 
 #include "base/defs.hpp"
-#include "base/timer.hpp"
-#include "dd/partition.hpp"
-#include "la/matrix.hpp"
 #include "la/mixed.hpp"
 
 namespace dftfe::dd {
@@ -51,11 +51,11 @@ constexpr std::int64_t wire_value_bytes(Wire wire) {
 }
 
 /// Bytes a halo packet of `values` values of T occupies on the wire. The
-/// single accounting formula shared by the modeled BoundaryExchange below and
-/// the threaded engine's HaloChannel packets (dd/mailbox.hpp) — keeping the
-/// two data paths' byte/message ledgers and modeled ready-stamps comparable.
-/// tools/model_check sizes its scenario packets through the same channel API,
-/// so the protocol it verifies carries exactly these packets.
+/// single accounting formula behind the engine's HaloChannel packets
+/// (dd/mailbox.hpp), their modeled ready-stamps, and the modeled benches'
+/// per-exchange byte counts. tools/model_check sizes its scenario packets
+/// through the same channel API, so the protocol it verifies carries exactly
+/// these packets.
 template <class T>
 constexpr std::int64_t halo_packet_bytes(std::int64_t values, Wire wire) {
   return values * wire_value_bytes<T>(wire);
@@ -74,83 +74,6 @@ struct CommModel {
     const int steps = static_cast<int>(std::ceil(std::log2(static_cast<double>(ranks))));
     return steps * (latency_s + static_cast<double>(bytes) / bandwidth_bytes_per_s);
   }
-};
-
-/// Exchanges (re-transmits) the interface-plane rows of a block of vectors.
-/// In a real distributed run each rank sends its partial contributions for
-/// the shared plane and adds the received ones; in this shared-memory
-/// emulation the summed value is already in place, so the exchange
-/// round-trips the plane through the wire format: byte counts, message
-/// counts, modeled time, and the FP32 rounding of transmitted data all match
-/// the distributed code path.
-template <class T>
-class BoundaryExchange {
- public:
-  BoundaryExchange(const SlabPartition& part, Wire wire, CommModel model = {})
-      : part_(&part), wire_(wire), model_(model) {}
-
-  Wire wire() const { return wire_; }
-  const CommStats& stats() const { return stats_; }
-  void clear_stats() { stats_.clear(); }
-  const CommModel& model() const { return model_; }
-
-  /// Exchange all interface planes of X (M x B block). Returns the modeled
-  /// wire time of this call (also accumulated into stats()).
-  double exchange(la::Matrix<T>& X) {
-    double modeled = 0.0;
-    for (const index_t z : part_->interface_planes()) modeled += exchange_plane(X, z);
-    return modeled;
-  }
-
- private:
-  double exchange_plane(la::Matrix<T>& X, index_t z) {
-    const auto [lo, hi] = part_->plane_range(z);
-    const index_t rows = hi - lo;
-    const index_t B = X.cols();
-    const index_t count = rows * B;
-
-    Timer t;
-    const auto bytes = static_cast<index_t>(halo_packet_bytes<T>(count, wire_));
-    if (wire_ == Wire::fp32) {
-      using L = la::low_precision_t<T>;
-      // Typed buffer, not reinterpreted raw bytes: writing L values into
-      // vector<unsigned char> storage never started the lifetime of any L
-      // object (UB the sanitizer tier exists to rule out), and byte storage
-      // carries no alignment guarantee for L beyond the allocator's.
-      wire32_.resize(count);
-      L* buf = wire32_.data();
-      for (index_t j = 0; j < B; ++j) la::demote<T>(X.col(j) + lo, buf + j * rows, rows);
-      for (index_t j = 0; j < B; ++j) la::promote<T>(buf + j * rows, X.col(j) + lo, rows);
-    } else if (wire_ == Wire::bf16) {
-      wirebf_.resize(count * la::bf16_units<T>);
-      la::bf16_t* buf = wirebf_.data();
-      const index_t u = la::bf16_units<T>;
-      for (index_t j = 0; j < B; ++j)
-        la::demote_bf16<T>(X.col(j) + lo, buf + j * rows * u, rows);
-      for (index_t j = 0; j < B; ++j)
-        la::promote_bf16<T>(buf + j * rows * u, X.col(j) + lo, rows);
-    } else {
-      wire64_.resize(count);
-      T* buf = wire64_.data();
-      for (index_t j = 0; j < B; ++j) std::copy(X.col(j) + lo, X.col(j) + hi, buf + j * rows);
-      for (index_t j = 0; j < B; ++j)
-        std::copy(buf + j * rows, buf + (j + 1) * rows, X.col(j) + lo);
-    }
-    stats_.pack_seconds += t.seconds();
-    stats_.bytes += 2 * bytes;  // send + receive
-    stats_.messages += 2;
-    const double modeled = model_.time(2 * bytes, 2);
-    stats_.modeled_seconds += modeled;
-    return modeled;
-  }
-
-  const SlabPartition* part_;
-  Wire wire_;
-  CommModel model_;
-  CommStats stats_;
-  std::vector<la::low_precision_t<T>> wire32_;
-  std::vector<la::bf16_t> wirebf_;
-  std::vector<T> wire64_;
 };
 
 }  // namespace dftfe::dd

@@ -3,11 +3,10 @@
 // Double-buffered halo mailbox: the transport of the threaded rank engine
 // (dd/engine.hpp). One HaloChannel is a single-producer/single-consumer FIFO
 // of fixed-size packets between two lanes (mutex + condition variable, two
-// slots). The payload passes through typed FP64, FP32, or BF16 wire storage —
-// the
-// exact pack/wire/unpack path of dd/exchange.hpp, so the numerical effect of
-// single-precision boundary communication is identical in the real engine
-// and in the modeled BoundaryExchange.
+// slots). The payload passes through typed FP64, FP32, or BF16 wire storage
+// (dd::Wire of dd/exchange.hpp), so the numerical effect of reduced-precision
+// boundary communication is real: a receiver adds exactly the values that
+// survived the sender's demotion.
 //
 // Wire time: a packet carries a `ready` timestamp chosen by the sender
 // (steady clock "now" plus the modeled interconnect time when delay

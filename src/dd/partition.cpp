@@ -5,47 +5,6 @@
 
 namespace dftfe::dd {
 
-SlabPartition::SlabPartition(const fe::DofHandler& dofh, int nranks) {
-  if (nranks < 1) throw std::invalid_argument("SlabPartition: nranks >= 1 required");
-  plane_size_ = dofh.naxis(0) * dofh.naxis(1);
-  nplanes_ = dofh.naxis(2);
-  const int r_eff = static_cast<int>(std::min<index_t>(nranks, nplanes_));
-  slabs_.resize(r_eff);
-  for (int r = 0; r < r_eff; ++r) {
-    slabs_[r].z_begin = nplanes_ * r / r_eff;
-    slabs_[r].z_end = nplanes_ * (r + 1) / r_eff;
-  }
-  // Interfaces: the first plane of each rank > 0 receives contributions from
-  // the rank below (cells straddle the plane). Periodic z adds the wrap.
-  for (int r = 1; r < r_eff; ++r) interfaces_.push_back(slabs_[r].z_begin);
-  if (dofh.mesh().axis(2).periodic && r_eff > 1) interfaces_.push_back(0);
-}
-
-SlabPartition SlabPartition::cell_aligned(const fe::DofHandler& dofh, int nranks) {
-  if (nranks < 1)
-    throw std::invalid_argument("SlabPartition::cell_aligned: nranks >= 1 required");
-  SlabPartition p;
-  p.cell_aligned_ = true;
-  p.plane_size_ = dofh.naxis(0) * dofh.naxis(1);
-  p.nplanes_ = dofh.naxis(2);
-  const index_t ncz = dofh.mesh().ncells(2);
-  const int deg = dofh.degree();
-  const int r_eff = static_cast<int>(std::min<index_t>(nranks, ncz));
-  p.slabs_.resize(r_eff);
-  for (int r = 0; r < r_eff; ++r) {
-    Slab& s = p.slabs_[r];
-    s.c_begin = ncz * r / r_eff;
-    s.c_end = ncz * (r + 1) / r_eff;
-    s.z_begin = s.c_begin * deg;
-    // The last rank of a non-periodic z axis also owns the final dof plane
-    // (periodic axes have nplanes == ncz * deg, so the expression coincides).
-    s.z_end = (r == r_eff - 1) ? p.nplanes_ : s.c_end * deg;
-  }
-  for (int r = 1; r < r_eff; ++r) p.interfaces_.push_back(p.slabs_[r].z_begin);
-  if (dofh.mesh().axis(2).periodic && r_eff > 1) p.interfaces_.push_back(0);
-  return p;
-}
-
 BrickPartition BrickPartition::cell_aligned(const fe::DofHandler& dofh,
                                             std::array<int, 3> grid) {
   BrickPartition p;

@@ -1,32 +1,12 @@
 #pragma once
 
 // Domain decomposition of the structured FE dof grid, one sub-domain per
-// rank. Two decompositions share this file:
-//
-//  * SlabPartition — 1D z-slabs, the bookkeeping of the *modeled* path
-//    (exchange.hpp + pipeline.hpp) and the historical engine partition;
-//  * BrickPartition — cell-aligned 3D bricks on an nx x ny x nz lane grid,
-//    what the threaded rank engine (engine.hpp) runs on. A 1 x 1 x N grid
-//    degenerates to exactly the slab cell splits, so the slab engine is the
-//    special case, not a separate code path.
-//
-// Two execution paths share this bookkeeping:
-//
-//  * the *modeled* path (exchange.hpp + pipeline.hpp): a single thread moves
-//    interface planes through staging buffers — preserving the exact
-//    pack/wire/unpack code path, including the FP32 wire format of
-//    Sec. 5.4.2 — and charges a modeled interconnect time;
-//  * the *real* path (engine.hpp): each rank is a live std::thread lane with
-//    its own slab operator, and halo exchange actually happens through
-//    double-buffered mailboxes (mailbox.hpp) while the interior computes.
-//
-// The real engine needs slab boundaries that coincide with mesh cell-layer
-// boundaries (each slab must be a standalone sub-mesh), which the
-// `cell_aligned` factory guarantees; the plane-count constructor splits dof
-// planes evenly and remains the modeled path's default.
-//
-// Because dofs are numbered x-fastest, each z-plane is a contiguous index
-// range, which is what makes slab interfaces cheap to pack.
+// rank: cell-aligned 3D bricks on an nx x ny x nz lane grid, the partition
+// the threaded rank engine (engine.hpp) runs on. Brick boundaries coincide
+// with mesh cell-layer boundaries, so each brick is a standalone sub-mesh
+// (fe::make_brick_mesh). A 1 x 1 x N grid is the z-slab layout: every lane
+// owns whole x-y planes, and with dofs numbered x-fastest each of its
+// interface planes is one contiguous index range.
 
 #include <array>
 #include <vector>
@@ -36,70 +16,26 @@
 
 namespace dftfe::dd {
 
-struct Slab {
-  index_t z_begin = 0;  // first owned z-plane
-  index_t z_end = 0;    // one past last owned z-plane
-  index_t c_begin = 0;  // first owned z cell layer (cell-aligned partitions only)
-  index_t c_end = 0;    // one past last owned z cell layer
-};
-
-class SlabPartition {
- public:
-  SlabPartition(const fe::DofHandler& dofh, int nranks);
-
-  /// Partition whose slab boundaries land on cell-layer boundaries, so each
-  /// rank's slab is a standalone sub-mesh: slab r owns cell layers
-  /// [c_begin, c_end) and dof planes [c_begin*degree, c_end*degree) (the last
-  /// rank of a non-periodic axis additionally owns the final plane). This is
-  /// the partition the threaded rank engine (engine.hpp) runs on; ranks are
-  /// clamped to the number of z cell layers.
-  static SlabPartition cell_aligned(const fe::DofHandler& dofh, int nranks);
-
-  int nranks() const { return static_cast<int>(slabs_.size()); }
-  const Slab& slab(int r) const { return slabs_[r]; }
-  index_t plane_size() const { return plane_size_; }  // dofs per z-plane
-  index_t nplanes() const { return nplanes_; }
-  bool cell_aligned_slabs() const { return cell_aligned_; }
-
-  /// Interface planes between neighboring ranks (z index of the shared
-  /// plane). With periodic z there is additionally the wrap interface at
-  /// plane 0.
-  const std::vector<index_t>& interface_planes() const { return interfaces_; }
-
-  /// Global dof range [begin, end) of a z-plane (contiguous by construction).
-  std::pair<index_t, index_t> plane_range(index_t z) const {
-    return {z * plane_size_, (z + 1) * plane_size_};
-  }
-
- private:
-  SlabPartition() = default;
-
-  std::vector<Slab> slabs_;
-  std::vector<index_t> interfaces_;
-  index_t plane_size_ = 0;
-  index_t nplanes_ = 0;
-  bool cell_aligned_ = false;
-};
-
 /// One rank's cell-aligned brick: the half-open cell range it owns on each
 /// axis. Its dof box is closed — the brick's sub-mesh carries nc*degree + 1
 /// dof layers per axis; the upper closing layer is a ghost whenever an upper
-/// neighbor exists (that neighbor owns it), mirroring the slab convention.
+/// neighbor exists (that neighbor owns it).
 struct Brick {
   std::array<index_t, 3> c_begin{0, 0, 0};
   std::array<index_t, 3> c_end{0, 0, 0};
 };
 
 /// Cell-aligned 3D brick partition on an nx x ny x nz lane grid. Ranks are
-/// numbered x-fastest over the grid (r = gx + nx*(gy + ny*gz)); cells split
-/// evenly per axis with the same `nc*r/n` arithmetic as the cell-aligned
-/// slab factory, so a {1, 1, N} grid reproduces SlabPartition::cell_aligned
-/// exactly. The surface-minimizing `factorize` picks the grid for a given
-/// total lane count (what DFTFE_NLANES=<total> resolves through).
+/// numbered x-fastest over the grid (r = gx + nx*(gy + ny*gz)); axis a of
+/// grid line g owns cells [nc_a*g/n_a, nc_a*(g+1)/n_a), so a {1, 1, N} grid
+/// gives z-slab r the cell layers [ncz*r/N, ncz*(r+1)/N). The
+/// surface-minimizing `factorize` picks the grid for a given total lane
+/// count (what DFTFE_NLANES=<total> resolves through).
 class BrickPartition {
  public:
   /// Partition onto the given lane grid; each axis is clamped to its cell
-  /// count (like slab rank clamping), so the effective grid may be smaller.
+  /// count (at most one lane per cell layer), so the effective grid may be
+  /// smaller.
   static BrickPartition cell_aligned(const fe::DofHandler& dofh, std::array<int, 3> grid);
 
   /// Choose the lane grid for `nlanes` total lanes: among all grids with
@@ -123,8 +59,8 @@ class BrickPartition {
 
   /// Lane-grid neighbor of rank r in direction (dx, dy, dz) in {-1, 0, 1}^3,
   /// or -1 when the step leaves a non-periodic boundary. A periodic axis with
-  /// a single brick wraps to the brick itself (self-exchange, exactly like
-  /// the slab engine's single-rank periodic wrap interface).
+  /// a single brick wraps to the brick itself (self-exchange across the
+  /// periodic wrap interface).
   int neighbor(int r, int dx, int dy, int dz) const {
     const std::array<int, 3> c = coords(r);
     const int d[3] = {dx, dy, dz};

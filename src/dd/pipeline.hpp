@@ -19,7 +19,7 @@
 // (a measured run must land between simulate_overlap and simulate_sync of
 // its own per-step timings; tests/test_engine.cpp asserts this). Feed it
 // either modeled (compute, comm) pairs from the CommModel or measured pairs
-// from SlabEngine::last_step_stats().
+// from RankEngine::last_step_stats().
 
 #include <algorithm>
 #include <vector>

@@ -12,7 +12,7 @@
 //   * production builds (DFTFE_MODEL_CHECK=0, the default): plain aliases of
 //     std::mutex / std::condition_variable / std::lock_guard /
 //     std::unique_lock plus empty inline hook functions — zero code, zero
-//     data, zero cost. `bench_scf_strong_scaling` against the committed
+//     data, zero cost. `bench_scf_scaling` against the committed
 //     baselines is the regression gate for this claim.
 //
 //   * checking builds (-DDFTFE_MODEL_CHECK=ON): cooperative versions that
@@ -98,7 +98,7 @@ class Scheduler {
 /// Install/remove the process-global controlled scheduler. Threads opt in
 /// individually via ThreadGuard; unregistered threads always pass through to
 /// the std primitives, so an installed scheduler never perturbs unrelated
-/// concurrency (e.g. a SlabEngine running in the same process).
+/// concurrency (e.g. a RankEngine running in the same process).
 void set_controller(Scheduler* s) noexcept;
 Scheduler* controller() noexcept;
 

@@ -45,15 +45,6 @@ Mesh make_uniform_mesh(double L, index_t n, bool periodic) {
               make_uniform_axis(L, n, periodic));
 }
 
-Mesh make_slab_mesh(const Mesh& m, index_t cz_begin, index_t cz_end) {
-  if (cz_begin < 0 || cz_end > m.ncells(2) || cz_begin >= cz_end)
-    throw std::invalid_argument("make_slab_mesh: bad z cell-layer range");
-  Axis z;
-  z.periodic = false;
-  z.nodes.assign(m.axis(2).nodes.begin() + cz_begin, m.axis(2).nodes.begin() + cz_end + 1);
-  return Mesh(m.axis(0), m.axis(1), std::move(z));
-}
-
 Mesh make_brick_mesh(const Mesh& m, index_t cx_begin, index_t cx_end, index_t cy_begin,
                      index_t cy_end, index_t cz_begin, index_t cz_end) {
   const index_t begins[3] = {cx_begin, cy_begin, cz_begin};

@@ -72,19 +72,11 @@ class Mesh {
 /// Convenience: cubic box [0, L]^3 with n cells per axis.
 Mesh make_uniform_mesh(double L, index_t n, bool periodic = false);
 
-/// Extract the z-slab sub-mesh covering cell layers [cz_begin, cz_end): the
-/// x/y axes are shared unchanged (including their periodicity); the z axis
-/// keeps only the covered node range and is never periodic — slab interfaces
-/// (including the periodic wrap) are handled by halo exchange in the rank
-/// engine (dd/engine.hpp), not by index wrap inside the slab.
-Mesh make_slab_mesh(const Mesh& m, index_t cz_begin, index_t cz_end);
-
 /// Extract the 3D brick sub-mesh covering cell ranges [c?_begin, c?_end) on
-/// every axis. Like make_slab_mesh, the sub-axes keep only the covered node
-/// ranges and are never periodic: brick faces (including periodic wraps) are
-/// assembled by the rank engine's halo exchange, not by index wrap inside the
-/// brick. make_brick_mesh(m, 0, ncx, 0, ncy, z0, z1) == make_slab_mesh(m, z0,
-/// z1) up to the (unused) periodicity flags of the retained full axes.
+/// every axis. The sub-axes keep only the covered node ranges and are never
+/// periodic: brick faces (including periodic wraps) are assembled by the rank
+/// engine's halo exchange (dd/engine.hpp), not by index wrap inside the
+/// brick.
 Mesh make_brick_mesh(const Mesh& m, index_t cx_begin, index_t cx_end, index_t cy_begin,
                      index_t cy_end, index_t cz_begin, index_t cz_end);
 

@@ -19,14 +19,10 @@
 // subspace. No penalty shift is needed — important, because a large penalty
 // would inflate the Chebyshev filter's spectrum bound and destroy its
 // convergence rate.
-//
-// An optional dd::BoundaryExchange can be attached: each block apply then
-// re-transmits partition-interface planes through the (possibly FP32) wire,
-// emulating the distributed CF step and accumulating communication stats.
 
-#include <memory>
+#include <cmath>
+#include <vector>
 
-#include "dd/exchange.hpp"
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
 #include "la/matrix.hpp"
@@ -53,7 +49,6 @@ class Hamiltonian {
   void set_potential(std::vector<double> v_eff) { v_eff_ = std::move(v_eff); }
   const std::vector<double>& potential() const { return v_eff_; }
 
-  void attach_exchange(dd::BoundaryExchange<T>* ex) { exchange_ = ex; }
   fe::CellStiffness<T>& kinetic() { return kinetic_; }
 
   /// Y = H X for a block of vectors (boundary components projected out).
@@ -103,7 +98,6 @@ class Hamiltonian {
           Y(i, j) = T(scale) * (h - T(c) * X(i, j)) - T(zc) * (*Z)(i, j);
         }
     }
-    if (exchange_ != nullptr) exchange_->exchange(Y);
   }
 
   /// y = H x for a single vector (Lanczos/MINRES path); allocation-free in
@@ -138,7 +132,6 @@ class Hamiltonian {
   fe::CellStiffness<T> kinetic_;
   std::vector<double> inv_sqrt_mass_;
   std::vector<double> v_eff_;
-  dd::BoundaryExchange<T>* exchange_ = nullptr;
   // Persistent workspace: block applies are const but reuse this scratch, so
   // concurrent applies on one Hamiltonian are not supported (each k-point /
   // thread owns its own instance, as the SCF driver already arranges).

@@ -33,8 +33,9 @@ const char* log_level_name(LogLevel level) {
 
 Logger::Logger() {
   // Runs once, inside the magic-static guard of Logger::global(), before
-  // any solver thread exists; nothing in this codebase calls setenv, so the
-  // getenv data race concurrency-mt-unsafe guards against cannot occur.
+  // any solver thread exists; the only setenv caller is a single-threaded
+  // test body (tests/test_backend.cpp), so the getenv data race
+  // concurrency-mt-unsafe guards against cannot occur.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   if (const char* env = std::getenv("DFTFE_LOG_LEVEL"))
     level_ = parse_log_level(env, LogLevel::info);

@@ -12,8 +12,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dd/backend.hpp"
@@ -463,6 +466,74 @@ TEST(BackendThreaded, SecondSubmitWhileJobInFlightIsDiagnosedLoudly) {
   la::Matrix<double> Y;
   ASSERT_NO_THROW(be.apply(X, Y));
   for (index_t i = 0; i < Y.size(); ++i) ASSERT_TRUE(std::isfinite(Y.data()[i]));
+}
+
+TEST(BackendOptionsEnv, MalformedValuesAreRejectedAndValidFormsParse) {
+  // Every DFTFE_* execution variable either parses exactly or throws naming
+  // the accepted forms; none silently falls back to a default.
+  // setenv/unsetenv race with a concurrent getenv; this body runs on the
+  // main thread with no engine lane or service worker alive, and from_env
+  // reads the environment on this same thread.
+  auto set = [](const char* var, const char* value) {
+    if (value != nullptr) setenv(var, value, 1);  // NOLINT(concurrency-mt-unsafe)
+    else unsetenv(var);                           // NOLINT(concurrency-mt-unsafe)
+  };
+  const char* const vars[] = {"DFTFE_BACKEND", "DFTFE_NLANES", "DFTFE_WIRE",
+                              "DFTFE_ENGINE_MODE", "DFTFE_INJECT_WIRE_DELAY",
+                              "DFTFE_WIRE_BW"};
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved;
+  for (const char* var : vars) {
+    const char* v = std::getenv(var);  // NOLINT(concurrency-mt-unsafe)
+    saved.emplace_back(var, v ? std::optional<std::string>(v) : std::nullopt);
+    set(var, nullptr);
+  }
+
+  const std::pair<const char*, const char*> bad[] = {
+      {"DFTFE_NLANES", "2,2"},          {"DFTFE_NLANES", "four"},
+      {"DFTFE_NLANES", "0"},            {"DFTFE_NLANES", "2,2,2,2"},
+      {"DFTFE_NLANES", "4x"},           {"DFTFE_BACKEND", "Threaded"},
+      {"DFTFE_ENGINE_MODE", "synch"},   {"DFTFE_INJECT_WIRE_DELAY", "yes"},
+      {"DFTFE_INJECT_WIRE_DELAY", "2"}, {"DFTFE_WIRE_BW", "fast"},
+      {"DFTFE_WIRE_BW", "2e7x"},        {"DFTFE_WIRE_BW", "-1"},
+      {"DFTFE_WIRE", "FP32"}};
+  for (const auto& [var, value] : bad) {
+    set(var, value);
+    try {
+      BackendOptions::from_env();
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find(var), std::string::npos) << what;
+      EXPECT_NE(what.find("accepted"), std::string::npos) << what;
+    }
+    set(var, nullptr);
+  }
+
+  // The forms CI, the examples and the e2e attribution test use.
+  set("DFTFE_BACKEND", "threaded");
+  set("DFTFE_NLANES", "2,2,2");
+  set("DFTFE_ENGINE_MODE", "sync");
+  set("DFTFE_INJECT_WIRE_DELAY", "1");
+  set("DFTFE_WIRE_BW", "2e7");
+  set("DFTFE_WIRE", "bf16");
+  BackendOptions opt = BackendOptions::from_env();
+  EXPECT_EQ(opt.kind, BackendKind::threaded);
+  EXPECT_EQ(opt.grid, (std::array<int, 3>{2, 2, 2}));
+  EXPECT_EQ(opt.nlanes, 8);
+  EXPECT_EQ(opt.mode, EngineMode::sync);
+  EXPECT_TRUE(opt.inject_wire_delay);
+  EXPECT_DOUBLE_EQ(opt.model.bandwidth_bytes_per_s, 2e7);
+  EXPECT_EQ(opt.wire, Wire::bf16);
+  set("DFTFE_NLANES", "4");
+  set("DFTFE_ENGINE_MODE", "async");
+  set("DFTFE_INJECT_WIRE_DELAY", "0");
+  opt = BackendOptions::from_env(opt);
+  EXPECT_EQ(opt.grid, (std::array<int, 3>{0, 0, 0}));
+  EXPECT_EQ(opt.nlanes, 4);
+  EXPECT_EQ(opt.mode, EngineMode::async);
+  EXPECT_FALSE(opt.inject_wire_delay);
+
+  for (const auto& [var, value] : saved) set(var, value ? value->c_str() : nullptr);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the threaded multi-rank slab engine (dd/engine.hpp): equivalence
+// Tests for the threaded multi-rank brick engine (dd/engine.hpp): equivalence
 // of the real sync/async execution against the undecomposed reference path
 // (Hamiltonian apply and the full Chebyshev filter), FP32-wire tolerance,
 // bare-stiffness (Poisson) mode, the simulator-vs-measured overlap sanity
@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -83,7 +84,7 @@ TEST(SlabEngine, ApplyMatchesReferenceAcrossLaneCounts) {
       EngineOptions opt;
       opt.nlanes = lanes;
       opt.mode = EngineMode::async;
-      SlabEngine<double> eng(dofh, opt);
+      RankEngine<double> eng(dofh, opt);
       eng.set_potential(H.potential());
       la::Matrix<double> Y;
       eng.apply(X, Y);
@@ -111,7 +112,7 @@ TEST(SlabEngine, SyncAndAsyncAreBitwiseIdentical) {
     EngineOptions opt;
     opt.nlanes = 4;
     opt.mode = mode;
-    SlabEngine<double> eng(dofh, opt);
+    RankEngine<double> eng(dofh, opt);
     eng.set_potential(H.potential());
     eng.filter_block(X, 0, X.cols(), 8, a, b, a0);
   };
@@ -193,23 +194,32 @@ TEST(SlabEngine, ComplexKpointFilterMatchesReference) {
   EXPECT_LT(max_diff(sol.subspace(), ref.subspace()), 1e-12);
 }
 
-TEST(SlabEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
+/// One apply on 4 lanes over the FP32 wire against the undecomposed
+/// reference, at Bloch vector `kpt` (complex T carries the k-point phases).
+template <class T>
+void expect_fp32_wire_drift(std::array<double, 3> kpt) {
   const double L = 8.0;
   const auto mesh = fe::make_uniform_mesh(L, 4, true);
   fe::DofHandler dofh(mesh, 3);
-  ks::Hamiltonian<double> H(dofh);
+  ks::Hamiltonian<T> H(dofh, kpt);
   H.set_potential(mg_like_potential(dofh, L));
-  la::Matrix<double> X(dofh.ndofs(), 4);
-  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.31 * i);
-  la::Matrix<double> Yref;
+  la::Matrix<T> X(dofh.ndofs(), 4);
+  for (index_t i = 0; i < X.size(); ++i) {
+    if constexpr (std::is_same_v<T, complex_t>)
+      X.data()[i] = complex_t(std::sin(0.31 * i), std::cos(0.17 * i));
+    else
+      X.data()[i] = std::sin(0.31 * i);
+  }
+  la::Matrix<T> Yref;
   H.apply(X, Yref);
 
   EngineOptions opt;
   opt.nlanes = 4;
   opt.wire = Wire::fp32;
-  SlabEngine<double> eng(dofh, opt);
+  opt.kpoint = kpt;
+  RankEngine<T> eng(dofh, opt);
   eng.set_potential(H.potential());
-  la::Matrix<double> Y;
+  la::Matrix<T> Y;
   eng.apply(X, Y);
   const double d = max_diff(Y, Yref);
   // Interface planes see the neighbor's partial after an FP32 round trip —
@@ -223,10 +233,16 @@ TEST(SlabEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
   // Wire bytes on the wire are half the FP64 payload for the same traffic.
   EngineOptions o64 = opt;
   o64.wire = Wire::fp64;
-  SlabEngine<double> eng64(dofh, o64);
+  RankEngine<T> eng64(dofh, o64);
   eng64.set_potential(H.potential());
   eng64.apply(X, Y);
   EXPECT_EQ(2 * eng.comm_stats().bytes, eng64.comm_stats().bytes);
+}
+
+TEST(SlabEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
+  expect_fp32_wire_drift<double>({0.0, 0.0, 0.0});
+  // Complex Bloch blocks travel the same wire as two float parts per value.
+  expect_fp32_wire_drift<complex_t>({0.1, 0.0, 0.05});
 }
 
 TEST(SlabEngine, BareStiffnessModeMatchesPoissonOperator) {
@@ -243,7 +259,7 @@ TEST(SlabEngine, BareStiffnessModeMatchesPoissonOperator) {
   opt.nlanes = 3;
   opt.hamiltonian = false;
   opt.coef_lap = 1.0;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   la::Matrix<double> Y;
   eng.apply(X, Y);
   EXPECT_LT(max_diff(Y, Yref), 1e-12);
@@ -269,7 +285,7 @@ TEST(SlabEngine, MeasuredWallRespectsSimulatorBounds) {
   opt.inject_wire_delay = true;
   opt.model.bandwidth_bytes_per_s = 5e6;  // ~2 ms per 8-column halo packet
   opt.model.latency_s = 1e-4;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
 
   la::Matrix<double> X(dofh.ndofs(), 8);
@@ -311,7 +327,7 @@ TEST(SlabEngine, LaneFaultPropagatesAndEngineRecovers) {
   H.set_potential(std::vector<double>(dofh.ndofs(), -0.5));
   EngineOptions opt;
   opt.nlanes = 4;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
 
   la::Matrix<double> X(dofh.ndofs(), 3), Y, Yref;
@@ -337,7 +353,7 @@ TEST(SlabEngine, SteadyStateAllocatesNothing) {
 
   EngineOptions opt;
   opt.nlanes = 4;
-  SlabEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
   la::Matrix<double> X(dofh.ndofs(), 6);
   for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::cos(0.23 * i);
@@ -364,7 +380,9 @@ TEST(SlabEngine, CommStatsCountBothDirectionsPerInterface) {
   opt.grid = {1, 1, 4};  // pin the z-slab layout: the counts below are slab-exact
   opt.hamiltonian = false;
   opt.coef_lap = 1.0;
-  SlabEngine<double> eng(dofh, opt);
+  opt.model.bandwidth_bytes_per_s = 1e8;
+  opt.model.latency_s = 1e-5;
+  RankEngine<double> eng(dofh, opt);
   la::Matrix<double> X(dofh.ndofs(), 5), Y;
   eng.apply(X, Y);
   const auto st = eng.comm_stats();
@@ -372,7 +390,10 @@ TEST(SlabEngine, CommStatsCountBothDirectionsPerInterface) {
   const index_t plane = dofh.naxis(0) * dofh.naxis(1);
   EXPECT_EQ(st.messages, 3 * 4);
   EXPECT_EQ(st.bytes, 3 * 4 * static_cast<std::int64_t>(plane) * 5 * 8);
-  EXPECT_GT(st.modeled_seconds, 0.0);
+  // The modeled wire time is CommModel's per-packet charge, paid once per
+  // received packet (3 interfaces x 2 directions).
+  const std::int64_t packet = halo_packet_bytes<double>(plane * 5, Wire::fp64);
+  EXPECT_NEAR(st.modeled_seconds, 3 * 2 * opt.model.time(packet, 1), 1e-12);
   eng.clear_comm_stats();
   EXPECT_EQ(eng.comm_stats().messages, 0);
 }

@@ -1,8 +1,7 @@
 // Tests for the reduced-precision kernels of la/mixed.hpp, with emphasis on
 // the BF16 wire scalar (tentpole satellite): round-to-nearest-even demotion
 // accuracy bounds, exact representability, special values, the complex
-// two-unit packing, and the typed BF16 byte accounting of the modeled
-// BoundaryExchange.
+// two-unit packing, and the per-format wire byte counts.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +11,6 @@
 #include <vector>
 
 #include "dd/exchange.hpp"
-#include "dd/partition.hpp"
-#include "fe/dofs.hpp"
-#include "fe/mesh.hpp"
-#include "la/matrix.hpp"
 #include "la/mixed.hpp"
 
 namespace dftfe::la {
@@ -98,40 +93,6 @@ TEST(Bf16, WireValueBytesPerFormat) {
   EXPECT_EQ(dd::wire_value_bytes<std::complex<double>>(Wire::fp64), 16);
   EXPECT_EQ(dd::wire_value_bytes<std::complex<double>>(Wire::fp32), 8);
   EXPECT_EQ(dd::wire_value_bytes<std::complex<double>>(Wire::bf16), 4);
-}
-
-TEST(Bf16, BoundaryExchangeAccountsBf16BytesAndRoundsValues) {
-  // The modeled exchange under the BF16 wire: byte accounting at 2 bytes per
-  // double (quarter of FP64), and the interface planes genuinely pass
-  // through BF16 storage (values change by at most the half-ulp bound).
-  const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 4, true);
-  const fe::DofHandler dofh(mesh, 2);
-  const dd::SlabPartition part = dd::SlabPartition::cell_aligned(dofh, 2);
-  dd::BoundaryExchange<double> ex(part, dd::Wire::bf16);
-
-  la::Matrix<double> X(dofh.ndofs(), 3);
-  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.29 * i);
-  la::Matrix<double> X0 = X;
-  ex.exchange(X);
-
-  index_t plane_count = 0;
-  for (const index_t z : part.interface_planes()) {
-    const auto [lo, hi] = part.plane_range(z);
-    plane_count += hi - lo;
-  }
-  const std::int64_t expect_bytes = 2 * plane_count * X.cols() *
-                                    dd::wire_value_bytes<double>(dd::Wire::bf16);
-  EXPECT_EQ(ex.stats().bytes, expect_bytes);
-  const double bound = std::ldexp(1.0, -8);
-  double max_rel = 0.0;
-  bool changed = false;
-  for (index_t i = 0; i < X.size(); ++i) {
-    const double d = std::abs(X.data()[i] - X0.data()[i]);
-    if (d > 0.0) changed = true;
-    if (std::abs(X0.data()[i]) > 0.0) max_rel = std::max(max_rel, d / std::abs(X0.data()[i]));
-  }
-  EXPECT_TRUE(changed) << "BF16 exchange left every value bit-identical";
-  EXPECT_LE(max_rel, bound);
 }
 
 }  // namespace

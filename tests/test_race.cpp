@@ -1,7 +1,7 @@
 // Concurrency stress suite for the shared mutable state of the SCF hot path:
 // the trace/metrics/profile registries, the Workspace<T> buffer pool, the
 // mixed-precision overlap kernel, block Hamiltonian applies on per-thread
-// instances, and the emulated halo exchange.
+// instances, and the rank engine's halo mailboxes and lanes.
 //
 // Every test here is written with std::thread (not OpenMP) for the
 // cross-thread interleavings, so the synchronization under test is fully
@@ -28,9 +28,7 @@
 #include "core/model.hpp"
 #include "dd/backend.hpp"
 #include "dd/engine.hpp"
-#include "dd/exchange.hpp"
 #include "dd/mailbox.hpp"
-#include "dd/partition.hpp"
 #include "fe/dofs.hpp"
 #include "fe/mesh.hpp"
 #include "ks/hamiltonian.hpp"
@@ -347,31 +345,6 @@ TEST(RaceKernels, PerThreadHamiltonianAppliesAgree) {
   });
 }
 
-TEST(RaceKernels, ConcurrentHaloExchangesAreIndependent) {
-  const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 3, false);
-  const fe::DofHandler dofh(mesh, 3);
-  const dd::SlabPartition part(dofh, 3);
-
-  la::Matrix<double> X0(dofh.ndofs(), 4);
-  for (index_t i = 0; i < X0.size(); ++i) X0.data()[i] = std::sin(0.37 * i) * 1e3;
-  dd::BoundaryExchange<double> exref(part, dd::Wire::fp32);
-  la::Matrix<double> Xref = X0;
-  exref.exchange(Xref);
-
-  run_threads(kThreads, [&](int) {
-    // Exchange objects hold per-instance wire buffers and stats, so each
-    // thread owns one; the partition is shared immutable geometry.
-    dd::BoundaryExchange<double> ex(part, dd::Wire::fp32);
-    for (int i = 0; i < 50; ++i) {
-      la::Matrix<double> X = X0;
-      ex.exchange(X);
-      ASSERT_EQ(la::max_abs_diff(X, Xref), 0.0);
-    }
-    EXPECT_EQ(ex.stats().bytes, 50 * exref.stats().bytes);
-    EXPECT_EQ(ex.stats().messages, 50 * exref.stats().messages);
-  });
-}
-
 TEST(RaceEngine, MailboxHandoffUnderContention) {
   // Direct SPSC stress of the double-buffered halo mailbox: one producer
   // and one consumer push far more packets than slots, verifying FIFO order
@@ -464,7 +437,7 @@ TEST(RaceEngine, ConcurrentLaneStartupShutdown) {
       dd::EngineOptions opt;
       opt.nlanes = 2 + (i + t) % 3;
       opt.mode = (i % 2 == 0) ? dd::EngineMode::async : dd::EngineMode::sync;
-      dd::SlabEngine<double> eng(dofh, opt);
+      dd::RankEngine<double> eng(dofh, opt);
       if (i % 3 == 2) continue;  // startup immediately followed by shutdown
       eng.set_potential(v);
       la::Matrix<double> Y;
@@ -500,7 +473,7 @@ TEST(RaceEngine, Bf16WireLaneChurn) {
       opt.nlanes = 2 + (i + t) % 3;
       opt.mode = (i % 2 == 0) ? dd::EngineMode::async : dd::EngineMode::sync;
       opt.wire = dd::Wire::bf16;
-      dd::SlabEngine<double> eng(dofh, opt);
+      dd::RankEngine<double> eng(dofh, opt);
       if (i % 3 == 2) continue;  // startup immediately followed by shutdown
       eng.set_potential(v);
       la::Matrix<double> Y;
@@ -565,7 +538,7 @@ TEST(RaceEngine, LaneFaultPropagationUnderContention) {
   run_threads(kThreads, [&](int t) {
     dd::EngineOptions opt;
     opt.nlanes = 4;
-    dd::SlabEngine<double> eng(dofh, opt);
+    dd::RankEngine<double> eng(dofh, opt);
     eng.set_potential(v);
     la::Matrix<double> Y;
     for (int i = 0; i < 10; ++i) {

@@ -139,7 +139,7 @@ TEST(RunReport, CommLedgerMatchesHandComputedHaloBytes) {
   opt.hamiltonian = false;
   opt.coef_lap = 1.0;
   opt.wire = dd::Wire::fp32;
-  dd::SlabEngine<double> eng(dofh, opt);
+  dd::RankEngine<double> eng(dofh, opt);
 
   auto& m = obs::MetricsRegistry::global();
   m.clear();
@@ -212,7 +212,7 @@ TEST(RunReport, CommLedgerMatchesHandComputedBf16HaloBytes) {
   opt.coef_lap = 1.0;
   opt.wire = dd::Wire::bf16;
   opt.drift_budget = 1.0;  // BF16 drift is ~4e-3 RMS; keep headroom
-  dd::SlabEngine<double> eng(dofh, opt);
+  dd::RankEngine<double> eng(dofh, opt);
 
   auto& m = obs::MetricsRegistry::global();
   m.clear();
@@ -276,7 +276,7 @@ TEST(RunReport, ExposedWaitTracksInjectedWireDelay) {
   opt.inject_wire_delay = true;
   opt.model.bandwidth_bytes_per_s = 5e6;  // ~1 ms per 5-column halo packet
   opt.model.latency_s = 1e-4;
-  dd::SlabEngine<double> eng(dofh, opt);
+  dd::RankEngine<double> eng(dofh, opt);
 
   auto& m = obs::MetricsRegistry::global();
   m.clear();

@@ -48,7 +48,7 @@ Usage
       bench/baselines/BENCH_kernels.json=build/bench/BENCH_kernels.json \
       --min-gauge ablation_async.speedup=1.15 \
       --report bench/baselines/RUNREPORT_kernels.json=build/bench/RUNREPORT_kernels.json \
-      bench/baselines/BENCH_ablation_async_overlap.json=build/bench/BENCH_ablation_async_overlap.json
+      bench/baselines/BENCH_scf_scaling.json=build/bench/BENCH_scf_scaling.json
 
 Exit status: 0 clean, 1 regression or floor violation, 2 usage/parse error.
 """

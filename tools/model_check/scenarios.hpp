@@ -2,7 +2,7 @@
 
 // Fixed dd-protocol scenarios for the model checker (and the passthrough /
 // TSan legs). Each one drives real dd::HaloChannel objects through the exact
-// call sequence the SlabEngine lanes use — begin_post/finish_post on the
+// call sequence the RankEngine lanes use — begin_post/finish_post on the
 // sender side, wait_packet/release on the receiver side, close() for the
 // failure cascade, reset() for job-failure recovery — and asserts the
 // protocol invariants:
@@ -288,7 +288,7 @@ inline Scenario close_racing_post_scenario() {
 // ---------------------------------------------------------------------------
 // Drift-budget hard-fail mid-exchange: lane0 posts its halo, then detects a
 // drift overrun and hard-fails — closing both its channels exactly like
-// SlabEngine::close_lane_channels — while lane1's reply may still be in
+// RankEngine::close_lane_channels — while lane1's reply may still be in
 // flight and lane1 may be anywhere in its own exchange. Lane1 must either
 // finish the step (lane0's packet was already published, so delivery is
 // guaranteed) or observe the poison; the explorer proves no schedule
@@ -320,7 +320,7 @@ inline Scenario drift_fail_scenario() {
           if (tid == 0) {
             post_packet(st.up, 0, 0);
             // Drift overrun detected mid-exchange: hard-fail and cascade,
-            // mirroring SlabEngine's close_lane_channels. Lane1's reply on
+            // mirroring RankEngine's close_lane_channels. Lane1's reply on
             // `dn` is abandoned in flight.
             st.lane0_failed = true;
             st.up.close();

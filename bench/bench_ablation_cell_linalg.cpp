@@ -10,7 +10,7 @@
 // (apply_add_sumfac, three n x n^2 strided-batched GEMMs per cell chunk) —
 // the "sf speedup" column is GEMM-cast over scalar. Steady-state workspace
 // allocations per path are reported (expected 0 after warmup), and the
-// whole table is exported as BENCH_cell_linalg.json.
+// whole table is exported as RUNREPORT_cell_linalg.json.
 
 #include <cstdio>
 
@@ -89,8 +89,7 @@ int main() {
               "dense batched-GEMM path trades extra FLOPs for throughput — on GPUs\n"
               "(the paper's setting) that trade wins, which is why DFT-FE casts the\n"
               "Hamiltonian apply as xGEMMStridedBatched.\n");
-  bench::write_bench_artifact("BENCH_cell_linalg.json");
-  FlopCounter::global().clear();
+  bench::emit_bench_artifact("cell_linalg");
   metrics.clear();
   return 0;
 }

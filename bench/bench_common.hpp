@@ -155,45 +155,32 @@ inline std::string pct_of_peak(double gflops) {
   return TextTable::num(100.0 * gflops / calibrated_peak_gflops(), 1) + "%";
 }
 
-/// Write the current metrics snapshot (solver metrics + per-step wall times
-/// + per-step FLOPs) as a machine-readable bench artifact, so every bench
-/// run's numbers are trackable across commits. Call before clearing the
-/// global registries.
-///
-/// Every artifact carries the host's calibrated GEMM peak and thread count
-/// as `machine.*` gauges: tools/check_bench_regression.py uses the peak to
-/// normalize wall times when the committed baseline was recorded on a
-/// different machine than the CI runner comparing against it.
-inline void write_bench_artifact(const std::string& path) {
-  auto& m = obs::MetricsRegistry::global();
-  m.gauge_set("machine.peak_gflops", calibrated_peak_gflops());
-  m.gauge_set("machine.hw_threads",
-              static_cast<double>(std::thread::hardware_concurrency()));
-  if (obs::write_metrics_snapshot(path))
-    std::printf("bench artifact: %s\n", path.c_str());
-  else
-    std::printf("bench artifact: FAILED to write %s\n", path.c_str());
-}
-
 /// The standard bench epilogue, shared by every artifact-producing bench:
 /// publish the headline gauges as `<prefix>.<key>` (the names
 /// tools/check_bench_regression.py compares against bench/baselines/), write
-/// `BENCH_<name>.json`, then clear the global profile/FLOP registries so
-/// state never leaks into a subsequent bench run in the same process
-/// (ctest smoke runs, scripts that chain benches).
+/// the RunReport `RUNREPORT_<name>.json` — the bench's one artifact — then
+/// clear the global profile/FLOP registries so state never leaks into a
+/// subsequent bench run in the same process (ctest smoke runs, scripts that
+/// chain benches).
+///
+/// Every artifact carries the host's calibrated GEMM peak and thread count
+/// as `machine.*` gauges: the checker uses the peak to normalize wall times
+/// when the committed baseline was recorded on a different machine than the
+/// CI runner comparing against it.
 inline void emit_bench_artifact(const std::string& name, const std::string& prefix = "",
                                 const std::vector<std::pair<std::string, double>>& gauges = {}) {
   auto& m = obs::MetricsRegistry::global();
   for (const auto& [key, value] : gauges)
     m.gauge_set(prefix.empty() ? key : prefix + "." + key, value);
-  write_bench_artifact("BENCH_" + name + ".json");
-  // RunReport flight-recorder twin of the flat snapshot: span tree + comm /
-  // memory / convergence ledgers, diffable with tools/report_diff.py. Must
-  // also be written before the registries are cleared below.
+  m.gauge_set("machine.peak_gflops", calibrated_peak_gflops());
+  m.gauge_set("machine.hw_threads",
+              static_cast<double>(std::thread::hardware_concurrency()));
   la::publish_workspace_metrics();
-  const std::string report_path = "RUNREPORT_" + name + ".json";
-  if (obs::write_run_report(report_path, obs::build_run_report(name)))
-    std::printf("run report:     %s\n", report_path.c_str());
+  const std::string path = "RUNREPORT_" + name + ".json";
+  if (obs::write_run_report(path, obs::build_run_report(name)))
+    std::printf("bench artifact: %s\n", path.c_str());
+  else
+    std::printf("bench artifact: FAILED to write %s\n", path.c_str());
   ProfileRegistry::global().clear();
   FlopCounter::global().clear();
 }

@@ -7,7 +7,7 @@
 // Unlike the plain BENCHMARK_MAIN() harness, this binary runs with a
 // reporter that mirrors every finished benchmark into the metrics registry
 // (wall time per iteration, user counters such as GFLOPS/GB/s, workspace
-// allocation counts) and writes BENCH_kernels.json on exit, so kernel
+// allocation counts) and writes RUNREPORT_kernels.json on exit, so kernel
 // throughput is trackable across commits like the table benches.
 
 #include <benchmark/benchmark.h>

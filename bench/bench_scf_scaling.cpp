@@ -36,7 +36,7 @@
 //
 // Sections 2 and 3 share one workload (8 x 8 x 96 cells) and run one
 // {1,1,4} calibration probe between them. All gauges land in
-// BENCH_scf_scaling.json / RUNREPORT_scf_scaling.json.
+// RUNREPORT_scf_scaling.json.
 //
 // Flags: --quick  the CI preset (fewer SCF iterations, a smaller section-1
 //                 problem, section 5 skipped).
@@ -77,11 +77,11 @@ struct ScfRun {
   ks::ScfResult res;
 };
 
-/// Span seconds of the dense subspace steps, read from the obs histogram
-/// ledger the RunReport carries.
+/// Span seconds of the dense subspace steps, read from the profile
+/// registry the RunReport carries.
 double dense_span_seconds() {
-  auto& m = obs::MetricsRegistry::global();
-  return m.histogram("CholGS-S").sum + m.histogram("RR-P").sum;
+  const auto& prof = ProfileRegistry::global();
+  return prof.seconds("CholGS-S") + prof.seconds("RR-P");
 }
 
 /// Best-of-`reps` SCF wall (the minimum filters scheduler jitter; every rep

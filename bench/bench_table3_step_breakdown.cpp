@@ -67,12 +67,9 @@ int main() {
               "are minor; DH+EP+Others is a small tail.\n",
               static_cast<long long>(dofh.ndofs()), static_cast<long long>(opt.nstates));
   // Machine-readable artifact: the same numbers, trackable across commits.
-  obs::MetricsRegistry::global().gauge_set("bench.total_wall_seconds", total_wall);
-  obs::MetricsRegistry::global().gauge_set("bench.calibrated_peak_gflops",
-                                           bench::calibrated_peak_gflops());
-  bench::write_bench_artifact("BENCH_table3.json");
-  ProfileRegistry::global().clear();
-  FlopCounter::global().clear();
+  bench::emit_bench_artifact("table3", "bench",
+                             {{"total_wall_seconds", total_wall},
+                              {"calibrated_peak_gflops", bench::calibrated_peak_gflops()}});
   obs::MetricsRegistry::global().clear();
   return 0;
 }

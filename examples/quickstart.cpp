@@ -1,8 +1,8 @@
 // Quickstart: ground state of a small Mg2 dimer with LDA, using the
 // top-level public API. Demonstrates structure setup, SCF, the energy
 // breakdown, and the telemetry exports: a Chrome trace (open
-// quickstart_trace.json in chrome://tracing or ui.perfetto.dev) and a
-// metrics snapshot with per-iteration SCF residuals and per-step wall/FLOP
+// quickstart_trace.json in chrome://tracing or ui.perfetto.dev) and the
+// RunReport with per-iteration SCF residuals and per-step wall/FLOP
 // attribution. Runs in a few seconds on one core.
 
 #include <cstdio>
@@ -93,14 +93,12 @@ int main() {
     std::printf(" %.5f", ev[i]);
   std::printf("\n");
 
-  // Telemetry artifacts: the span trace of the whole run and the flat
-  // metrics snapshot (scf.residual series, per-step wall times and FLOPs).
+  // Telemetry: the span trace of the whole run for the Chrome/Perfetto
+  // viewer; the RunReport (span tree, per-step wall times and FLOPs, every
+  // metrics series) is written by Simulation::run() (report_path).
   if (obs::write_chrome_trace("quickstart_trace.json"))
     std::printf("trace:   quickstart_trace.json (%zu spans; load in chrome://tracing)\n",
                 obs::TraceRecorder::global().size());
-  if (obs::write_metrics_snapshot("quickstart_metrics.json"))
-    std::printf("metrics: quickstart_metrics.json\n");
-  // The RunReport itself is written by Simulation::run() (report_path).
   std::printf("report:  %s (RunReport; diff two with tools/report_diff.py)\n",
               opt.report_path.c_str());
   return res.scf.converged ? 0 : 1;

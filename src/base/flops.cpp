@@ -2,15 +2,10 @@
 
 namespace dftfe {
 
-FlopCounter*& FlopCounter::thread_override() {
-  thread_local FlopCounter* override_counter = nullptr;
-  return override_counter;
-}
-
 FlopCounter& FlopCounter::global() {
-  if (FlopCounter* o = thread_override(); o != nullptr) return *o;
   static FlopCounter c;
-  return c;
+  const TelemetrySinks* sinks = thread_sinks();
+  return sinks != nullptr ? *sinks->flops : c;
 }
 
 }  // namespace dftfe

@@ -11,6 +11,8 @@
 #include <mutex>
 #include <string>
 
+#include "base/sinks.hpp"
+
 namespace dftfe {
 
 class FlopCounter {
@@ -52,12 +54,10 @@ class FlopCounter {
     has_step_.store(false, std::memory_order_release);
   }
 
-  /// The counter global() resolves to on the calling thread: process-wide by
-  /// default, or the per-job counter installed through thread_override()
-  /// (obs::JobScope), so concurrent jobs attribute FLOPs separately.
+  /// The counter global() resolves to on the calling thread: the installed
+  /// job's counter (base/sinks.hpp), else the process-wide one, so
+  /// concurrent jobs attribute FLOPs separately.
   static FlopCounter& global();
-  /// Thread-local override slot backing global(); managed by obs::JobScope.
-  static FlopCounter*& thread_override();
 
  private:
   std::atomic<double> total_{0.0};

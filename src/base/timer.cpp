@@ -2,15 +2,10 @@
 
 namespace dftfe {
 
-ProfileRegistry*& ProfileRegistry::thread_override() {
-  thread_local ProfileRegistry* override_registry = nullptr;
-  return override_registry;
-}
-
 ProfileRegistry& ProfileRegistry::global() {
-  if (ProfileRegistry* o = thread_override(); o != nullptr) return *o;
   static ProfileRegistry reg;
-  return reg;
+  const TelemetrySinks* sinks = thread_sinks();
+  return sinks != nullptr ? *sinks->profile : reg;
 }
 
 }  // namespace dftfe

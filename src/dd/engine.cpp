@@ -285,7 +285,7 @@ void RankEngine<T>::start_lanes() {
   // layer each job runs inside its own obs::JobScope, and the lane-side
   // spans/metrics (CF-lane, comm.lane.*) must land in that job's registries
   // rather than the process-wide ones. With no scope installed the token is
-  // all-null and adoption is a no-op.
+  // null and adoption is a no-op.
   const obs::JobScope::Token scope = obs::JobScope::current();
   for (int r = 0; r < static_cast<int>(lanes_.size()); ++r)
     lanes_[r]->th = std::thread([this, r, scope] {

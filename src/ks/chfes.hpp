@@ -10,10 +10,11 @@
 //   [RR]      Rayleigh-Ritz: projected Hamiltonian (same mixed-precision
 //             block structure), dense diagonalization, subspace rotation.
 //
-// Every step opens an obs::TraceSpan (which feeds both the Chrome-trace
-// recorder and the aggregate ProfileRegistry) and attributes FLOPs to the
-// paper's step names (CF, CholGS-S, CholGS-CI, CholGS-O, RR-P, RR-D,
-// RR-SR), which is what the Table 3 bench reads back out.
+// Every step opens an obs::TraceSpan (the one section timer: it adds the
+// step's duration once to the ProfileRegistry entry of its name and records
+// a Chrome-trace event) and attributes FLOPs to the paper's step names (CF,
+// CholGS-S, CholGS-CI, CholGS-O, RR-P, RR-D, RR-SR), which is what the
+// Table 3 bench reads back out.
 
 #include <vector>
 

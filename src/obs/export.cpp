@@ -1,40 +1,14 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace dftfe::obs {
-
-namespace {
-
-/// JSON number: shortest round-trip form; non-finite values become null
-/// (strict JSON has no NaN/Inf and chrome://tracing rejects them).
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Works for both the registry's transparent-comparator maps and the plain
-// std::map<std::string,double> the FlopCounter returns.
-template <class Map>
-void append_scalar_map(std::ostringstream& os, const Map& m) {
-  os << '{';
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(k) << "\":" << json_num(v);
-  }
-  os << '}';
-}
-
-}  // namespace
 
 const std::vector<CanonicalStep>& canonical_steps() {
   static const std::vector<CanonicalStep> steps = {
@@ -116,76 +90,6 @@ bool write_chrome_trace(const std::string& path, const TraceRecorder& rec) {
   std::ofstream f(path);
   if (!f) return false;
   f << chrome_trace_json(rec) << '\n';
-  return static_cast<bool>(f);
-}
-
-std::string metrics_snapshot_json(const MetricsRegistry& metrics,
-                                  const ProfileRegistry& profile, const FlopCounter& flops) {
-  const auto snap = metrics.snapshot();
-  std::ostringstream os;
-  os << "{\"schema\":\"dftfe.metrics.v1\"";
-
-  os << ",\"counters\":";
-  append_scalar_map(os, snap.counters);
-  os << ",\"gauges\":";
-  append_scalar_map(os, snap.gauges);
-
-  os << ",\"series\":{";
-  bool first = true;
-  for (const auto& [name, values] : snap.series) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(name) << "\":[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i) os << ',';
-      os << json_num(values[i]);
-    }
-    os << ']';
-  }
-  os << '}';
-
-  os << ",\"profile\":{";
-  first = true;
-  for (const auto& [name, entry] : profile.entries()) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(name) << "\":{\"seconds\":" << json_num(entry.seconds)
-       << ",\"count\":" << entry.count << '}';
-  }
-  os << '}';
-
-  os << ",\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json_escape(name) << "\":{\"count\":" << h.count
-       << ",\"sum\":" << json_num(h.sum) << ",\"min\":" << json_num(h.min)
-       << ",\"max\":" << json_num(h.max) << ",\"p50\":" << json_num(h.quantile(0.5))
-       << ",\"p99\":" << json_num(h.quantile(0.99)) << ",\"buckets\":[";
-    // Sparse [index, count] pairs: most of the 64 log2 buckets are empty.
-    bool bfirst = true;
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      if (!h.buckets[static_cast<std::size_t>(i)]) continue;
-      if (!bfirst) os << ',';
-      bfirst = false;
-      os << '[' << i << ',' << h.buckets[static_cast<std::size_t>(i)] << ']';
-    }
-    os << "]}";
-  }
-  os << '}';
-
-  os << ",\"flops\":{\"total\":" << json_num(flops.total()) << ",\"steps\":";
-  append_scalar_map(os, flops.steps());
-  os << "}}";
-  return os.str();
-}
-
-bool write_metrics_snapshot(const std::string& path, const MetricsRegistry& metrics,
-                            const ProfileRegistry& profile, const FlopCounter& flops) {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << metrics_snapshot_json(metrics, profile, flops) << '\n';
   return static_cast<bool>(f);
 }
 

@@ -1,15 +1,13 @@
 #pragma once
 
-// Telemetry exporters:
+// Telemetry views besides the RunReport (obs/report.hpp, the one
+// machine-readable artifact of a run):
 //  * chrome_trace_json / write_chrome_trace — the recorder's spans in Chrome
 //    trace-event format ("X" complete events); load the file directly in
 //    chrome://tracing or https://ui.perfetto.dev.
-//  * metrics_snapshot_json / write_metrics_snapshot — one flat JSON object
-//    combining the MetricsRegistry (counters/gauges/series), the
-//    ProfileRegistry per-step wall times, and the FlopCounter per-step FLOP
-//    attribution. This is the machine-readable form of the paper's Table 3.
 //  * step_breakdown_table — the human-readable Table-3-layout text table
 //    (per-step wall / GFLOP / GFLOPS / optional %-of-peak).
+//  * lane_breakdown_table — the per-lane wall of the lane-tagged spans.
 
 #include <string>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "base/flops.hpp"
 #include "base/table.hpp"
 #include "base/timer.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dftfe::obs {
@@ -38,14 +35,6 @@ std::string chrome_trace_json(const TraceRecorder& rec = TraceRecorder::global()
 /// Write the Chrome trace to `path`; returns false on I/O failure.
 bool write_chrome_trace(const std::string& path,
                         const TraceRecorder& rec = TraceRecorder::global());
-
-std::string metrics_snapshot_json(const MetricsRegistry& metrics = MetricsRegistry::global(),
-                                  const ProfileRegistry& profile = ProfileRegistry::global(),
-                                  const FlopCounter& flops = FlopCounter::global());
-bool write_metrics_snapshot(const std::string& path,
-                            const MetricsRegistry& metrics = MetricsRegistry::global(),
-                            const ProfileRegistry& profile = ProfileRegistry::global(),
-                            const FlopCounter& flops = FlopCounter::global());
 
 /// Table-3-layout breakdown of the canonical steps plus a "DH+EP+Others"
 /// remainder row and a TOTAL row. `total_wall` is the measured wall time the

@@ -1,19 +1,22 @@
 #pragma once
 
-// Minimal recursive-descent JSON support, two layers:
-//  - json_valid: validator only — no DOM, no allocation. Checks that a byte
-//    string is one well-formed JSON value (RFC 8259 grammar, with a depth
-//    cap against pathological nesting). Deliberately strict (no trailing
-//    commas, no comments, no NaN/Inf) so anything it accepts loads in
-//    chrome://tracing / Perfetto.
-//  - json_parse / JsonValue: a small ordered DOM used by the RunReport
-//    round-trip (obs/report.hpp). Object members keep insertion order and
-//    numbers keep their raw source token, so parse → re-emit can reproduce
-//    the input byte-for-byte.
+// Minimal JSON support shared by the RunReport, Chrome-trace and checkpoint
+// writers and readers:
+//  - json_num: the one number formatter — shortest round-trip %.17g, with
+//    non-finite values written as null (strict JSON has no NaN/Inf and
+//    chrome://tracing rejects them);
+//  - json_parse / JsonValue: a recursive-descent parser into a small ordered
+//    DOM. Deliberately strict (RFC 8259 grammar: no trailing commas, no
+//    comments, no NaN/Inf; a depth cap against pathological nesting), so a
+//    document it accepts also loads in chrome://tracing / Perfetto. Object
+//    members keep insertion order and numbers keep their raw source token,
+//    so parse -> re-emit can reproduce the input byte-for-byte.
 
 #include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -34,8 +37,6 @@ struct Cursor {
 inline void skip_ws(Cursor& c) {
   while (!c.eof() && (*c.p == ' ' || *c.p == '\t' || *c.p == '\n' || *c.p == '\r')) ++c.p;
 }
-
-inline bool parse_value(Cursor& c);
 
 inline bool parse_literal(Cursor& c, const char* lit) {
   while (*lit) {
@@ -97,78 +98,14 @@ inline bool parse_number(Cursor& c) {
   return true;
 }
 
-inline bool parse_array(Cursor& c) {
-  ++c.p;  // consume '['
-  skip_ws(c);
-  if (!c.eof() && *c.p == ']') {
-    ++c.p;
-    return true;
-  }
-  while (true) {
-    if (!parse_value(c)) return false;
-    skip_ws(c);
-    if (c.eof()) return false;
-    if (*c.p == ']') {
-      ++c.p;
-      return true;
-    }
-    if (*c.p != ',') return false;
-    ++c.p;
-    skip_ws(c);
-  }
-}
-
-inline bool parse_object(Cursor& c) {
-  ++c.p;  // consume '{'
-  skip_ws(c);
-  if (!c.eof() && *c.p == '}') {
-    ++c.p;
-    return true;
-  }
-  while (true) {
-    skip_ws(c);
-    if (!parse_string(c)) return false;
-    skip_ws(c);
-    if (c.eof() || *c.p != ':') return false;
-    ++c.p;
-    if (!parse_value(c)) return false;
-    skip_ws(c);
-    if (c.eof()) return false;
-    if (*c.p == '}') {
-      ++c.p;
-      return true;
-    }
-    if (*c.p != ',') return false;
-    ++c.p;
-  }
-}
-
-inline bool parse_value(Cursor& c) {
-  if (++c.depth > 256) return false;
-  skip_ws(c);
-  if (c.eof()) return false;
-  bool ok = false;
-  switch (*c.p) {
-    case '{': ok = parse_object(c); break;
-    case '[': ok = parse_array(c); break;
-    case '"': ok = parse_string(c); break;
-    case 't': ok = parse_literal(c, "true"); break;
-    case 'f': ok = parse_literal(c, "false"); break;
-    case 'n': ok = parse_literal(c, "null"); break;
-    default: ok = parse_number(c); break;
-  }
-  --c.depth;
-  return ok;
-}
-
 }  // namespace json_detail
 
-/// True iff `text` is exactly one well-formed JSON value (plus whitespace).
-inline bool json_valid(const std::string& text) {
-  json_detail::Cursor c{text.data(), text.data() + text.size()};
-  if (!json_detail::parse_value(c)) return false;
-  json_detail::skip_ws(c);
-  return c.eof();
+/// JSON number: shortest round-trip form; non-finite values become null.
+inline std::string json_num(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 /// Ordered JSON DOM node. Numbers keep the raw source token (`num_raw`) so a

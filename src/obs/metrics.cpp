@@ -1,16 +1,13 @@
 #include "obs/metrics.hpp"
 
+#include "base/sinks.hpp"
+
 namespace dftfe::obs {
 
-MetricsRegistry*& MetricsRegistry::thread_override() {
-  thread_local MetricsRegistry* override_registry = nullptr;
-  return override_registry;
-}
-
 MetricsRegistry& MetricsRegistry::global() {
-  if (MetricsRegistry* o = thread_override(); o != nullptr) return *o;
   static MetricsRegistry reg;
-  return reg;
+  const TelemetrySinks* sinks = thread_sinks();
+  return sinks != nullptr ? *sinks->metrics : reg;
 }
 
 }  // namespace dftfe::obs

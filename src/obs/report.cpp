@@ -1,8 +1,6 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -14,13 +12,6 @@
 namespace dftfe::obs {
 
 namespace {
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 // ---------------------------------------------------------------------------
 // Span-tree aggregation
@@ -136,7 +127,7 @@ void emit_span(std::ostringstream& os, const ReportSpan& s) {
 }
 
 void emit_histogram(std::ostringstream& os, const Histogram& h) {
-  os << "{\"count\":" << h.count << ",\"sum\":" << json_num(h.sum)
+  os << "{\"count\":" << h.count << ",\"sum\":" << json_num(h.seconds)
      << ",\"min\":" << json_num(h.min) << ",\"max\":" << json_num(h.max)
      << ",\"p50\":" << json_num(h.quantile(0.5)) << ",\"p99\":" << json_num(h.quantile(0.99))
      << ",\"buckets\":[";
@@ -193,8 +184,8 @@ void parse_span(const JsonValue& v, ReportSpan& out) {
 }
 
 void parse_histogram(const JsonValue& v, Histogram& h) {
-  h.count = static_cast<std::uint64_t>(int_at(v, "count"));
-  h.sum = num_at(v, "sum");
+  h.count = int_at(v, "count");
+  h.seconds = num_at(v, "sum");
   h.min = num_at(v, "min");
   h.max = num_at(v, "max");
   if (const JsonValue* b = v.find("buckets"); b && b->is_array())
@@ -218,7 +209,6 @@ RunReport build_run_report(const std::string& label, double wall_s, const TraceR
   const auto snap = metrics.snapshot();
   r.counters = snap.counters;
   r.gauges = snap.gauges;
-  r.histograms = snap.histograms;
   r.profile = profile.entries();
   r.flops_total = flops.total();
   r.flop_steps = flops.steps();
@@ -297,9 +287,9 @@ RunReport build_run_report(const std::string& label, double wall_s, const TraceR
     for (auto& [lane, line] : lanes) r.memory.lanes.push_back(line);
   }
 
-  // Convergence record: everything the SCF loop appended under scf.*.
-  for (const auto& [name, values] : snap.series)
-    if (std::string_view{name}.substr(0, 4) == "scf.") r.convergence.series[name] = values;
+  // Convergence record: every series, the SCF loop's scf.* and the
+  // poisson.*, relax.* and invdft*.* iteration records alike.
+  r.convergence.series = snap.series;
   {
     auto it = r.convergence.series.find("scf.residual");
     if (it != r.convergence.series.end() && !it->second.empty()) {
@@ -394,9 +384,10 @@ std::string run_report_json(const RunReport& r) {
   os << "},\"health\":{\"fp32_drift_rms\":" << json_num(r.convergence.fp32_drift_rms)
      << ",\"trace_dropped\":" << r.convergence.trace_dropped << "}}";
 
+  // Both sections come from the one ProfileRegistry aggregate per span name.
   os << ",\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : r.histograms) {
+  for (const auto& [name, h] : r.profile) {
     if (!first) os << ',';
     first = false;
     os << '"' << json_escape(name) << "\":";
@@ -519,8 +510,10 @@ bool parse_run_report(const std::string& text, RunReport& out) {
     }
   }
 
+  // `histograms` carries the full aggregate; `profile` repeats its seconds
+  // and count and wins where a hand-edited document disagrees.
   if (const JsonValue* hists = doc.find("histograms"); hists && hists->is_object())
-    for (const auto& [name, h] : hists->obj) parse_histogram(h, out.histograms[name]);
+    for (const auto& [name, h] : hists->obj) parse_histogram(h, out.profile[name]);
 
   if (const JsonValue* prof = doc.find("profile"); prof && prof->is_object())
     for (const auto& [name, e] : prof->obj) {

@@ -2,8 +2,8 @@
 
 // RunReport: the per-run flight recorder artifact.
 //
-// One versioned, schema-stable JSON document per solver run that unifies the
-// telemetry currently scattered across exporters:
+// The one machine-readable file a run or bench writes: a versioned,
+// schema-stable JSON document that unifies the whole telemetry stack:
 //   * a hierarchical span tree (from the TraceRecorder) with per-lane wall
 //     attribution and self-vs-total seconds per node,
 //   * a communication ledger — bytes on the wire per precision, message
@@ -11,11 +11,13 @@
 //     time, and the FP32-wire drift error-budget gauge,
 //   * a memory ledger — Workspace allocation counters, named pool high-water
 //     marks / lease counts, and per-lane engine working-set high-water marks,
-//   * a convergence record — the scf.* time series (residual, Fermi level,
-//     band energy, Anderson depth, Chebyshev degree) plus a numerical-health
-//     section,
-//   * the bounded-memory span-duration / message-latency histograms, and the
-//     raw ProfileRegistry / FlopCounter / counter / gauge dumps.
+//   * a convergence record — every metrics time series (the scf.* residual,
+//     Fermi level, band energy, Anderson depth and Chebyshev degree, plus
+//     poisson.*, relax.* and invdft*.* series) and a numerical-health section,
+//   * the ProfileRegistry span aggregates, emitted twice from one registry:
+//     `profile` (seconds, count) and `histograms` (count, sum, min, max,
+//     quantiles, log2 buckets), and the raw FlopCounter / counter / gauge
+//     dumps.
 //
 // The producers push everything into MetricsRegistry::global() under the
 // ledger vocabulary (comm.wire.*, comm.halo.*, comm.lane<k>.*, mem.*,
@@ -96,7 +98,7 @@ struct ConvergenceRecord {
   std::int64_t iterations = 0;
   bool converged = false;
   double residual_final = 0.0;
-  std::map<std::string, std::vector<double>, std::less<>> series;  // scf.* time series
+  std::map<std::string, std::vector<double>, std::less<>> series;  // every metrics series
   // Numerical-health section.
   double fp32_drift_rms = 0.0;
   std::int64_t trace_dropped = 0;
@@ -110,8 +112,7 @@ struct RunReport {
   CommLedger comm;
   MemoryLedger memory;
   ConvergenceRecord convergence;
-  std::map<std::string, Histogram, std::less<>> histograms;
-  std::map<std::string, ProfileRegistry::Entry> profile;
+  std::map<std::string, ProfileRegistry::Entry, std::less<>> profile;  // per span name
   std::map<std::string, double, std::less<>> counters;
   std::map<std::string, double, std::less<>> gauges;
   double flops_total = 0.0;

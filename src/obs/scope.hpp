@@ -1,14 +1,15 @@
 #pragma once
 
 // Per-job observability scope — the "tenant dimension" of the telemetry
-// stack. The four process-wide registries (MetricsRegistry, TraceRecorder,
-// ProfileRegistry, FlopCounter) are resolved through thread-local override
-// slots; a JobScope owns one private instance of each and installs them on
-// the constructing thread, so everything a job records — scf.* series, span
-// traces, per-step wall times and FLOPs — lands in that job's registries
-// instead of interleaving with other tenants in one process-wide map. The
-// RunReport built inside the scope (obs/report.hpp resolves its registry
-// defaults at call time) is therefore a clean per-job artifact.
+// stack. Every registry's global() resolves through one thread-local slot
+// (base/sinks.hpp) that points at a set of sinks; a JobScope owns one
+// private MetricsRegistry, TraceRecorder, ProfileRegistry and FlopCounter and
+// installs their set on the constructing thread, so everything a job records
+// — scf.* series, span traces, per-step wall times and FLOPs — lands in that
+// job's registries instead of interleaving with other tenants in the
+// process-wide ones. The RunReport built inside the scope (obs/report.hpp
+// resolves its registry defaults at call time) is therefore a clean per-job
+// artifact.
 //
 // Threads a job spawns (the dd::RankEngine brick lanes) do not inherit the
 // spawner's thread-locals; the spawning code captures `JobScope::current()`
@@ -22,6 +23,7 @@
 // job — and its lanes — die first).
 
 #include "base/flops.hpp"
+#include "base/sinks.hpp"
 #include "base/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -30,40 +32,25 @@ namespace dftfe::obs {
 
 class JobScope {
  public:
-  /// What a thread's registry lookups currently resolve to. Null entries
-  /// mean the process-wide singletons.
-  struct Token {
-    MetricsRegistry* metrics = nullptr;
-    TraceRecorder* trace = nullptr;
-    ProfileRegistry* profile = nullptr;
-    FlopCounter* flops = nullptr;
-  };
+  /// What a thread's registry lookups currently resolve to: an installed
+  /// job's sink set, or null for the process-wide singletons.
+  using Token = const TelemetrySinks*;
 
-  JobScope() : prev_(current()) {
-    install({&metrics_, &trace_, &profile_, &flops_});
-  }
-  ~JobScope() { install(prev_); }
+  JobScope() : prev_(current()) { thread_sinks() = &sinks_; }
+  ~JobScope() { thread_sinks() = prev_; }
   JobScope(const JobScope&) = delete;
   JobScope& operator=(const JobScope&) = delete;
 
-  MetricsRegistry& metrics() { return metrics_; }
-  TraceRecorder& trace() { return trace_; }
-  ProfileRegistry& profile() { return profile_; }
-  FlopCounter& flops() { return flops_; }
-
   /// The calling thread's current resolution, capturable for Adopt on a
   /// thread about to be spawned.
-  static Token current() {
-    return {MetricsRegistry::thread_override(), TraceRecorder::thread_override(),
-            ProfileRegistry::thread_override(), FlopCounter::thread_override()};
-  }
+  static Token current() { return thread_sinks(); }
 
   /// Install a captured Token on this thread for the lifetime of the Adopt
   /// (worker/lane threads joining a job's scope).
   class Adopt {
    public:
-    explicit Adopt(const Token& tok) : prev_(current()) { install(tok); }
-    ~Adopt() { install(prev_); }
+    explicit Adopt(Token tok) : prev_(current()) { thread_sinks() = tok; }
+    ~Adopt() { thread_sinks() = prev_; }
     Adopt(const Adopt&) = delete;
     Adopt& operator=(const Adopt&) = delete;
 
@@ -72,17 +59,11 @@ class JobScope {
   };
 
  private:
-  static void install(const Token& t) {
-    MetricsRegistry::thread_override() = t.metrics;
-    TraceRecorder::thread_override() = t.trace;
-    ProfileRegistry::thread_override() = t.profile;
-    FlopCounter::thread_override() = t.flops;
-  }
-
   MetricsRegistry metrics_;
   TraceRecorder trace_;
   ProfileRegistry profile_;
   FlopCounter flops_;
+  const TelemetrySinks sinks_{&metrics_, &trace_, &profile_, &flops_};
   Token prev_;
 };
 

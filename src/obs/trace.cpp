@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/metrics.hpp"
-
 namespace dftfe::obs {
 
 namespace {
@@ -76,15 +74,10 @@ void TraceRecorder::set_capacity(std::size_t cap) {
   capacity_ = cap;
 }
 
-TraceRecorder*& TraceRecorder::thread_override() {
-  thread_local TraceRecorder* override_recorder = nullptr;
-  return override_recorder;
-}
-
 TraceRecorder& TraceRecorder::global() {
-  if (TraceRecorder* o = thread_override(); o != nullptr) return *o;
   static TraceRecorder rec;
-  return rec;
+  const TelemetrySinks* sinks = thread_sinks();
+  return sinks != nullptr ? *sinks->trace : rec;
 }
 
 TraceSpan::TraceSpan(std::string name, std::string category, TraceRecorder& rec,
@@ -114,9 +107,6 @@ void TraceSpan::stop() {
   stopped_ = true;
   const double seconds = t_.seconds();
   reg_->add(name_, seconds);
-  // Span-duration distribution; zero steady-state allocation (transparent
-  // string_view lookup against an existing key).
-  MetricsRegistry::global().histogram_record(name_, seconds);
 #if DFTFE_ENABLE_TRACING
   if (!t_span_stack.empty() && t_span_stack.back() == id_) t_span_stack.pop_back();
   TraceEvent ev;

@@ -2,12 +2,14 @@
 
 // Thread-safe hierarchical span tracer.
 //
-// A TraceSpan is an RAII section marker: construction pushes the span onto a
-// per-thread stack (establishing parent/child nesting), destruction records a
-// completed TraceEvent with steady-clock timestamps into the process-wide
-// TraceRecorder and adds the elapsed seconds to the ProfileRegistry bucket of
-// the same name. The recorder serializes to the Chrome trace-event JSON
-// format (chrome://tracing, Perfetto) via obs/export.hpp.
+// A TraceSpan is the section timer: construction pushes the span onto a
+// per-thread stack (establishing parent/child nesting), destruction adds the
+// elapsed seconds once to the ProfileRegistry entry of the same name (total,
+// count and duration histogram) and records a completed TraceEvent with
+// steady-clock timestamps into the TraceRecorder. Both sinks are the ones the
+// span was given, by default the calling thread's global() instances. The
+// recorder serializes to the Chrome trace-event JSON format
+// (chrome://tracing, Perfetto) via obs/export.hpp.
 //
 // Span names follow the paper's step vocabulary (Sec. 6.3): CF, CholGS-S,
 // CholGS-CI, CholGS-O, RR-P, RR-D, RR-SR, DC, DH, EP — plus higher-level
@@ -69,12 +71,10 @@ class TraceRecorder {
   /// Dense id of the calling thread (assigned on first use).
   static std::uint32_t thread_id();
 
-  /// The recorder global() resolves to on the calling thread: process-wide
-  /// by default, or the per-job recorder installed by obs::JobScope so
-  /// concurrent jobs' span streams stay separable.
+  /// The recorder global() resolves to on the calling thread: the installed
+  /// job's recorder (obs::JobScope, base/sinks.hpp), else the process-wide
+  /// one, so concurrent jobs' span streams stay separable.
   static TraceRecorder& global();
-  /// Thread-local override slot backing global(); managed by obs::JobScope.
-  static TraceRecorder*& thread_override();
 
  private:
   mutable std::mutex mu_;

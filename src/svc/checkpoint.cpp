@@ -1,6 +1,5 @@
 #include "svc/checkpoint.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -12,18 +11,11 @@ namespace dftfe::svc {
 
 namespace {
 
-std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 void emit_vec(std::ostringstream& os, const std::vector<double>& v) {
   os << '[';
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i) os << ',';
-    os << json_num(v[i]);
+    os << obs::json_num(v[i]);
   }
   os << ']';
 }
@@ -37,11 +29,16 @@ void emit_vec2(std::ostringstream& os, const std::vector<std::vector<double>>& v
   os << ']';
 }
 
+/// Every element must be a number: a non-finite value was written as null,
+/// and resuming from it (or from a corrupted element) as 0 would be silent.
 bool read_vec(const obs::JsonValue* v, std::vector<double>& out) {
   if (v == nullptr || !v->is_array()) return false;
   out.clear();
   out.reserve(v->arr.size());
-  for (const auto& x : v->arr) out.push_back(x.as_num());
+  for (const auto& x : v->arr) {
+    if (x.kind != obs::JsonValue::Kind::number) return false;
+    out.push_back(x.as_num());
+  }
   return true;
 }
 

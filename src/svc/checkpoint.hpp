@@ -28,7 +28,8 @@ struct Checkpoint {
 std::string checkpoint_json(const Checkpoint& cp);
 
 /// Parse a dftfe.checkpoint.v1 document. Returns false on syntax errors,
-/// wrong schema, or missing required fields.
+/// wrong schema, missing required fields, or a vector element that is not a
+/// number (a non-finite value is written as null and never resumed from).
 bool parse_checkpoint(const std::string& text, Checkpoint& out);
 
 /// Atomically write the artifact: serialize to "<path>.tmp", then rename

@@ -7,8 +7,10 @@ once with the injected wire delay, the FP32 wire, and a
 throttled modeled bandwidth — then runs tools/report_diff.py on the two
 RunReports and asserts the differ attributes the slowdown to the
 halo-exchange spans (CF-halo). Also checks the acceptance invariants of the
-report itself: nonzero FP32 and FP64 wire bytes, measured exposed wait, and
-per-lane Workspace high-water marks.
+report itself: nonzero FP32 and FP64 wire bytes, measured exposed wait,
+per-lane Workspace high-water marks, the non-SCF poisson.iterations series,
+and a `profile` section that agrees span by span with `histograms` (both are
+emitted from the one ProfileRegistry).
 
 Usage: report_diff_e2e.py <example_quickstart binary> <tools/report_diff.py>
 """
@@ -49,6 +51,14 @@ def main() -> int:
     assert len(mem_lanes) == 4 and all(l["highwater_bytes"] > 0 for l in mem_lanes), \
         f"per-lane workspace high-water marks missing: {mem_lanes}"
     assert fast["convergence"]["converged"], "quickstart did not converge"
+    assert fast["convergence"]["series"].get("poisson.iterations"), \
+        "poisson.iterations series missing from the RunReport"
+    profile, hists = fast["profile"], fast["histograms"]
+    assert profile and profile.keys() == hists.keys(), \
+        f"profile/histograms span names differ: {sorted(profile.keys() ^ hists.keys())}"
+    for name, entry in profile.items():
+        assert entry["seconds"] == hists[name]["sum"], name
+        assert entry["count"] == hists[name]["count"], name
 
     out = subprocess.run(
         [sys.executable, report_diff, "e2e_fast.json", "e2e_slow.json", "--top", "3"],

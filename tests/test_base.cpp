@@ -10,6 +10,7 @@
 #include "base/rng.hpp"
 #include "base/table.hpp"
 #include "base/timer.hpp"
+#include "obs/trace.hpp"
 
 namespace dftfe {
 namespace {
@@ -41,10 +42,13 @@ TEST(ProfileRegistry, AccumulatesNamedSections) {
   EXPECT_EQ(reg.find("missing"), nullptr);
 }
 
-TEST(ProfileRegistry, ScopedTimerFeedsRegistry) {
+// TraceSpan is the one section timer; with DFTFE_ENABLE_TRACING=OFF it
+// still feeds the registry.
+TEST(ProfileRegistry, TraceSpanFeedsRegistry) {
   ProfileRegistry reg;
+  obs::TraceRecorder rec;
   {
-    ScopedTimer st("section", reg);
+    obs::TraceSpan span("section", "test", rec, reg);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(reg.seconds("section"), 0.005);

@@ -1,6 +1,6 @@
 // Unit tests for the observability subsystem: span tracing (nesting,
-// concurrency), metrics registry ordering, JSON exporters (parsed back with
-// the strict validator), and the leveled logging facade.
+// concurrency), metrics registry ordering, the Chrome-trace exporter (parsed
+// back with the strict JSON parser), and the leveled logging facade.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,12 @@
 
 namespace dftfe {
 namespace {
+
+/// Well-formedness check through the one JSON reader.
+bool json_ok(const std::string& text) {
+  obs::JsonValue doc;
+  return obs::json_parse(text, doc);
+}
 
 #if DFTFE_ENABLE_TRACING
 
@@ -132,7 +138,7 @@ TEST(ChromeTrace, ExportIsWellFormedJsonWithEscapedNames) {
     obs::TraceSpan weird("na\"me\nwith\tescapes\\", "cat\"egory", rec, reg);
   }
   const std::string json = obs::chrome_trace_json(rec);
-  EXPECT_TRUE(obs::json_valid(json)) << json;
+  EXPECT_TRUE(json_ok(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("na\\\"me\\nwith\\tescapes\\\\"), std::string::npos);
@@ -184,41 +190,23 @@ TEST(Metrics, ConcurrentRecordingIsConsistent) {
   }
 }
 
-TEST(MetricsSnapshot, JsonRoundTripsThroughValidator) {
-  obs::MetricsRegistry m;
-  ProfileRegistry reg;
-  FlopCounter fc;
-  m.series_append("scf.residual", 0.5);
-  m.series_append("scf.residual", 0.01);
-  m.gauge_set("chfes.block_size", 48.0);
-  m.counter_add("weird\"name", 1.0);
-  reg.add("CF", 1.25);
-  reg.add("DC", 0.5);
-  fc.set_step("CF");
-  fc.add(1e9);
-  fc.set_step("");
-  const std::string json = obs::metrics_snapshot_json(m, reg, fc);
-  EXPECT_TRUE(obs::json_valid(json)) << json;
-  EXPECT_NE(json.find("\"scf.residual\":[0.5,0.01]"), std::string::npos);
-  EXPECT_NE(json.find("\"CF\":{\"seconds\":1.25,\"count\":1}"), std::string::npos);
-  EXPECT_NE(json.find("\"flops\""), std::string::npos);
-  EXPECT_NE(json.find("weird\\\"name"), std::string::npos);
-}
-
 TEST(JsonValidator, AcceptsValidRejectsMalformed) {
-  EXPECT_TRUE(obs::json_valid("{}"));
-  EXPECT_TRUE(obs::json_valid("[1,2.5,-3e+7,\"x\",true,false,null]"));
-  EXPECT_TRUE(obs::json_valid("  {\"a\":{\"b\":[{}]}}  "));
-  EXPECT_TRUE(obs::json_valid("\"esc \\\" \\n \\u00e9\""));
-  EXPECT_FALSE(obs::json_valid(""));
-  EXPECT_FALSE(obs::json_valid("{"));
-  EXPECT_FALSE(obs::json_valid("{\"a\":1,}"));
-  EXPECT_FALSE(obs::json_valid("[1 2]"));
-  EXPECT_FALSE(obs::json_valid("{\"a\" 1}"));
-  EXPECT_FALSE(obs::json_valid("01"));
-  EXPECT_FALSE(obs::json_valid("nan"));
-  EXPECT_FALSE(obs::json_valid("{} extra"));
-  EXPECT_FALSE(obs::json_valid("\"unterminated"));
+  EXPECT_TRUE(json_ok("{}"));
+  EXPECT_TRUE(json_ok("[1,2.5,-3e+7,\"x\",true,false,null]"));
+  EXPECT_TRUE(json_ok("  {\"a\":{\"b\":[{}]}}  "));
+  EXPECT_TRUE(json_ok("\"esc \\\" \\n \\u00e9\""));
+  EXPECT_FALSE(json_ok(""));
+  EXPECT_FALSE(json_ok("{"));
+  EXPECT_FALSE(json_ok("{\"a\":1,}"));
+  EXPECT_FALSE(json_ok("[1 2]"));
+  EXPECT_FALSE(json_ok("{\"a\" 1}"));
+  EXPECT_FALSE(json_ok("01"));
+  EXPECT_FALSE(json_ok("nan"));
+  EXPECT_FALSE(json_ok("{} extra"));
+  EXPECT_FALSE(json_ok("\"unterminated"));
+  // The depth cap rejects pathological nesting instead of overflowing.
+  EXPECT_TRUE(json_ok(std::string(200, '[') + std::string(200, ']')));
+  EXPECT_FALSE(json_ok(std::string(300, '[') + std::string(300, ']')));
 }
 
 TEST(StepBreakdown, TableCoversCanonicalStepsAndRemainder) {

@@ -120,9 +120,10 @@ TEST(RaceRegistry, HistogramsAndReportBuildConcurrent) {
   constexpr int kIters = 1500;
   std::atomic<bool> done{false};
   // A builder thread assembles full RunReports from the live registries
-  // while the workers mutate counters, gauges, and histograms under the
-  // ledger vocabulary: every registry accessor the report path uses is
-  // mutex-guarded, so the builder must only ever see consistent snapshots.
+  // while the workers mutate counters and gauges under the ledger
+  // vocabulary and add span durations to the profile registry: every
+  // registry accessor the report path uses is mutex-guarded, so the report
+  // thread must only ever see consistent snapshots.
   std::thread builder([&] {
     while (!done.load(std::memory_order_relaxed)) {
       const obs::RunReport r = obs::build_run_report("race", -1.0, rec, reg, prof);
@@ -135,7 +136,7 @@ TEST(RaceRegistry, HistogramsAndReportBuildConcurrent) {
       reg.counter_add("comm.wire.fp32.bytes", 4.0);
       reg.counter_add(lane_key, 8.0);
       reg.gauge_set("mem.workspace.checkouts", static_cast<double>(i));
-      reg.histogram_record("CF-halo", 1e-4 * (i + 1));
+      prof.add("CF-halo", 1e-4 * (i + 1));
       if (i % 256 == 0) (void)reg.snapshot();
     }
   });
@@ -145,8 +146,8 @@ TEST(RaceRegistry, HistogramsAndReportBuildConcurrent) {
   EXPECT_DOUBLE_EQ(r.comm.fp32.bytes, 4.0 * kThreads * kIters);
   ASSERT_EQ(r.comm.lanes.size(), static_cast<std::size_t>(kThreads));
   for (const auto& ln : r.comm.lanes) EXPECT_DOUBLE_EQ(ln.bytes, 8.0 * kIters);
-  EXPECT_EQ(reg.histogram("CF-halo").count,
-            static_cast<std::uint64_t>(kThreads) * kIters);
+  ASSERT_NE(prof.find("CF-halo"), nullptr);
+  EXPECT_EQ(prof.find("CF-halo")->count, static_cast<std::int64_t>(kThreads) * kIters);
 }
 
 TEST(RaceTrace, ConcurrentNestedSpanEmission) {

@@ -1,8 +1,10 @@
 // Tests for the RunReport flight recorder (obs/report.hpp) and its feeders:
 //
-//  * Histogram: log2 bucketing, count/sum/min/max, quantile edges;
+//  * the ProfileRegistry span aggregate: log2 bucketing, count/sum/min/max,
+//    quantile edges;
 //  * schema round trip: build -> emit -> parse -> re-emit is byte-identical
-//    (the deterministic-emission guarantee tools/report_diff.py relies on);
+//    (the deterministic-emission guarantee tools/report_diff.py relies on),
+//    and the `profile` and `histograms` sections agree span by span;
 //  * comm ledger exactness: halo wire bytes/messages from a 2-lane FP32
 //    engine apply match the hand-computed packet arithmetic, the mixed-
 //    precision Gram allreduce splits its payload FP64-diagonal /
@@ -29,27 +31,31 @@
 namespace dftfe {
 namespace {
 
-// ---------- histogram metric ----------
+// ---------- span-duration histogram ----------
 
 TEST(RunReport, HistogramBucketsAndStats) {
-  obs::Histogram h;
-  EXPECT_EQ(h.count, 0u);
-  EXPECT_EQ(h.mean(), 0.0);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
+  using Entry = ProfileRegistry::Entry;
+  const Entry empty{};
+  EXPECT_EQ(empty.count, 0);
+  EXPECT_EQ(empty.mean(), 0.0);
+  EXPECT_EQ(empty.quantile(0.5), 0.0);
 
   // Bucket index is floor(log2 v) - kMinExp, clamped.
-  EXPECT_EQ(obs::Histogram::bucket_of(1.0), -obs::Histogram::kMinExp);
-  EXPECT_EQ(obs::Histogram::bucket_of(0.5), -obs::Histogram::kMinExp - 1);
-  EXPECT_EQ(obs::Histogram::bucket_of(2.0), -obs::Histogram::kMinExp + 1);
-  EXPECT_EQ(obs::Histogram::bucket_of(0.0), 0);      // non-positive -> bucket 0
-  EXPECT_EQ(obs::Histogram::bucket_of(-3.0), 0);
-  EXPECT_EQ(obs::Histogram::bucket_of(1e300), obs::Histogram::kBuckets - 1);
+  EXPECT_EQ(Entry::bucket_of(1.0), -Entry::kMinExp);
+  EXPECT_EQ(Entry::bucket_of(0.5), -Entry::kMinExp - 1);
+  EXPECT_EQ(Entry::bucket_of(2.0), -Entry::kMinExp + 1);
+  EXPECT_EQ(Entry::bucket_of(0.0), 0);      // non-positive -> bucket 0
+  EXPECT_EQ(Entry::bucket_of(-3.0), 0);
+  EXPECT_EQ(Entry::bucket_of(1e300), Entry::kBuckets - 1);
 
-  h.record(1.0);
-  h.record(4.0);
-  h.record(0.25);
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_DOUBLE_EQ(h.sum, 5.25);
+  ProfileRegistry reg;
+  reg.add("CF", 1.0);
+  reg.add("CF", 4.0);
+  reg.add("CF", 0.25);
+  ASSERT_NE(reg.find("CF"), nullptr);
+  const Entry& h = *reg.find("CF");
+  EXPECT_EQ(h.count, 3);
+  EXPECT_DOUBLE_EQ(h.seconds, 5.25);
   EXPECT_DOUBLE_EQ(h.min, 0.25);
   EXPECT_DOUBLE_EQ(h.max, 4.0);
   EXPECT_DOUBLE_EQ(h.mean(), 1.75);
@@ -92,13 +98,14 @@ TEST(RunReport, EmitParseReEmitIsByteIdentical) {
   m.series_append("scf.residual", 1e-3);
   m.series_append("scf.residual", 1e-5);
   m.series_append("scf.cheb_degree", 15.0);
-  m.histogram_record("CF-halo", 1.5e-4);
-  m.histogram_record("CF-halo", 3.0e-4);
+  ProfileRegistry::global().add("CF-halo", 1.5e-4);
+  ProfileRegistry::global().add("CF-halo", 3.0e-4);
   FlopCounter::global().add(100.0);
 
   const obs::RunReport r1 = obs::build_run_report("roundtrip");
   const std::string s1 = obs::run_report_json(r1);
-  EXPECT_TRUE(obs::json_valid(s1)) << s1;
+  obs::JsonValue doc;
+  EXPECT_TRUE(obs::json_parse(s1, doc)) << s1;
 
   obs::RunReport r2;
   ASSERT_TRUE(obs::parse_run_report(s1, r2));
@@ -113,7 +120,9 @@ TEST(RunReport, EmitParseReEmitIsByteIdentical) {
   EXPECT_EQ(r2.convergence.series.at("scf.residual").size(), 2u);
   EXPECT_EQ(r2.convergence.iterations, 2);
   EXPECT_TRUE(r2.convergence.converged);
-  EXPECT_EQ(r2.histograms.at("CF-halo").count, 2u);
+  EXPECT_EQ(r2.profile.at("CF-halo").count, 2);
+  EXPECT_DOUBLE_EQ(r2.profile.at("CF-halo").min, 1.5e-4);
+  EXPECT_DOUBLE_EQ(r2.profile.at("CF-halo").max, 3.0e-4);
 
   const std::string s2 = obs::run_report_json(r2);
   EXPECT_EQ(s1, s2) << "emit -> parse -> re-emit must be byte-identical";
@@ -127,6 +136,38 @@ TEST(RunReport, EmitParseReEmitIsByteIdentical) {
   rec.clear();
   ProfileRegistry::global().clear();
   FlopCounter::global().clear();
+}
+
+TEST(RunReport, ProfileAndHistogramSectionsAgree) {
+  // Sinks of the test's own: a span writes only to the recorder and registry
+  // it was given.
+  obs::TraceRecorder rec;
+  obs::MetricsRegistry m;
+  ProfileRegistry prof;
+  FlopCounter fc;
+  for (int i = 0; i < 3; ++i) {
+    obs::TraceSpan outer("agree.SCF-iter", "scf", rec, prof);
+    obs::TraceSpan inner("agree.CF", "chfes", rec, prof);
+  }
+  { obs::TraceSpan lane_span("agree.CF-lane", "dd", /*lane=*/2, rec, prof); }
+  EXPECT_EQ(ProfileRegistry::global().find("agree.CF"), nullptr);
+
+  const std::string json =
+      obs::run_report_json(obs::build_run_report("agree", -1.0, rec, m, prof, fc));
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::json_parse(json, doc)) << json;
+  const obs::JsonValue* profile = doc.find("profile");
+  const obs::JsonValue* hists = doc.find("histograms");
+  ASSERT_TRUE(profile != nullptr && hists != nullptr);
+  ASSERT_EQ(profile->obj.size(), 3u);
+  ASSERT_EQ(hists->obj.size(), profile->obj.size());
+  for (const auto& [name, p] : profile->obj) {
+    const obs::JsonValue* h = hists->find(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(p.find("seconds")->num_raw, h->find("sum")->num_raw) << name;
+    EXPECT_EQ(p.find("count")->as_int(), h->find("count")->as_int()) << name;
+  }
+  EXPECT_EQ(profile->find("agree.CF")->find("count")->as_int(), 3);
 }
 
 // ---------- comm ledger exactness ----------

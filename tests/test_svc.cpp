@@ -222,6 +222,24 @@ TEST(SvcCheckpoint, ParseRejectsWrongSchemaAndGarbage) {
   EXPECT_FALSE(svc::parse_checkpoint("not json", out));
   EXPECT_FALSE(svc::parse_checkpoint(
       "{\"schema\":\"dftfe.checkpoint.v1\",\"label\":\"x\"}", out));  // missing scf
+
+  // A vector element that is not a number fails the parse (the job then
+  // starts fresh) instead of resuming as 0.
+  const std::string good = svc::checkpoint_json(sample_checkpoint());
+  ASSERT_TRUE(svc::parse_checkpoint(good, out));
+  auto insert_after = [&good](const std::string& key, const std::string& text) {
+    std::string doc = good;
+    const std::size_t at = doc.find(key);
+    EXPECT_NE(at, std::string::npos) << key;
+    return doc.insert(at + key.size(), text);
+  };
+  svc::Checkpoint nonfinite = sample_checkpoint();
+  nonfinite.scf.rho[1] = std::nan("");
+  const std::string null_rho = svc::checkpoint_json(nonfinite);
+  EXPECT_NE(null_rho.find("null"), std::string::npos);  // non-finite is written as null
+  EXPECT_FALSE(svc::parse_checkpoint(null_rho, out));
+  EXPECT_FALSE(svc::parse_checkpoint(insert_after("\"phi\":[", "\"x\","), out));
+  EXPECT_FALSE(svc::parse_checkpoint(insert_after("\"hist_rho\":[[", "{\"v\":1},"), out));
 }
 
 TEST(SvcCheckpoint, WriteIsAtomicAndReadsBack) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "base/flops.hpp"
+#include "base/timer.hpp"
 #include "fe/cell_ops.hpp"
 #include "ks/chfes.hpp"
 #include "ks/hamiltonian.hpp"
@@ -383,17 +384,18 @@ TEST(Workspace, ChfesCycleIsAllocationFreeAfterWarmup) {
   EXPECT_GT(la::WorkspaceCounters::checkouts(), 0);
 }
 
-// ---------- metrics registry: zero-alloc string_view lookups ----------
+// ---------- metrics and profile registries: zero-alloc string_view lookups ----------
 
 TEST(Workspace, MetricsMutatorsAllocationFreeOnWarmKeys) {
 #if !DFTFE_COUNT_GLOBAL_NEW
   GTEST_SKIP() << "global operator new counting disabled under sanitizers";
 #else
   auto& m = obs::MetricsRegistry::global();
+  auto& prof = ProfileRegistry::global();
   // Warm the keys: the first touch of each name allocates its map node.
   m.counter_add("zat.counter", 1);
   m.gauge_set("zat.gauge", 0.0);
-  m.histogram_record("zat.hist", 1e-3);
+  prof.add("zat.hist", 1e-3);
 
   const std::int64_t before = g_global_new_calls.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
@@ -401,13 +403,13 @@ TEST(Workspace, MetricsMutatorsAllocationFreeOnWarmKeys) {
     // existing keys without materializing a std::string.
     m.counter_add(std::string_view("zat.counter"), 2);
     m.gauge_set(std::string_view("zat.gauge"), 0.5 * i);
-    m.histogram_record(std::string_view("zat.hist"), 1e-6 * (i + 1));
+    prof.add(std::string_view("zat.hist"), 1e-6 * (i + 1));
   }
   const std::int64_t after = g_global_new_calls.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
       << "metric mutators on existing keys must not touch the heap";
   EXPECT_EQ(m.counter("zat.counter"), 1 + 2 * 1000);
-  EXPECT_EQ(m.histogram("zat.hist").count, 1001u);
+  EXPECT_EQ(prof.find("zat.hist")->count, 1001);
 #endif
 }
 

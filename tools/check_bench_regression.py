@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Bench perf-regression gate: compare BENCH_*.json artifacts to baselines.
+"""Bench perf-regression gate: compare RUNREPORT_*.json artifacts to baselines.
 
-Reads pairs of `dftfe.metrics.v1` snapshots (the artifacts every bench
-binary writes via bench::write_bench_artifact) and fails when a wall-time
+Reads pairs of `dftfe.runreport.v1` RunReports (the one artifact every bench
+binary writes via bench::emit_bench_artifact) and fails when a wall-time
 gauge regressed past the threshold. This is the checker behind the
 `bench-regression` CI job; the committed reference files live in
 bench/baselines/.
@@ -34,21 +34,18 @@ Floors
   `ablation_async.speedup=1.15`, the measured async-overlap acceptance
   gate). Machine normalization does not apply; ratios are dimensionless.
 
-RunReport attribution
-  --report BASELINE=CURRENT (repeatable) registers a pair of RunReport
-  flight-recorder artifacts (the RUNREPORT_*.json twins every bench writes
-  next to its BENCH_*.json). They are not gated here — but when a wall-time
-  gauge regresses, the checker shells out to tools/report_diff.py on each
-  pair and appends the top-3 regressed spans to the failure message, so the
-  CI log answers *where* the time went, not just that it went.
+Attribution
+  When a wall-time gauge of a pair regresses, the checker runs
+  tools/report_diff.py on that same pair and appends the top-3 regressed
+  spans to the failure message, so the CI log answers *where* the time went,
+  not just that it went.
 
 Usage
   check_bench_regression.py [options] BASELINE=CURRENT [BASELINE=CURRENT...]
   check_bench_regression.py --threshold 1.10 \
-      bench/baselines/BENCH_kernels.json=build/bench/BENCH_kernels.json \
-      --min-gauge ablation_async.speedup=1.15 \
-      --report bench/baselines/RUNREPORT_kernels.json=build/bench/RUNREPORT_kernels.json \
-      bench/baselines/BENCH_scf_scaling.json=build/bench/BENCH_scf_scaling.json
+      bench/baselines/RUNREPORT_kernels.json=build/bench/RUNREPORT_kernels.json \
+      bench/baselines/RUNREPORT_scf_scaling.json=build/bench/RUNREPORT_scf_scaling.json \
+      --min-gauge ablation_async.speedup=1.15
 
 Exit status: 0 clean, 1 regression or floor violation, 2 usage/parse error.
 """
@@ -61,24 +58,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+SCHEMA = "dftfe.runreport.v1"
+
 
 def load_gauges(path: Path) -> dict[str, float]:
     try:
         with path.open() as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
-    if doc.get("schema") != "dftfe.metrics.v1":
-        raise SystemExit(f"error: {path}: not a dftfe.metrics.v1 snapshot")
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        sys.exit(2)
+    if doc.get("schema") != SCHEMA:
+        print(f"error: {path}: schema {doc.get('schema')!r}, expected {SCHEMA!r}",
+              file=sys.stderr)
+        sys.exit(2)
     gauges = doc.get("gauges", {})
     return {k: float(v) for k, v in gauges.items()}
 
 
-def compare_pair(base_path: Path, cur_path: Path, threshold: float, min_seconds: float,
-                 normalize: str) -> list[str]:
-    base = load_gauges(base_path)
-    cur = load_gauges(cur_path)
-
+def compare_pair(base: dict[str, float], cur: dict[str, float], threshold: float,
+                 min_seconds: float, normalize: str) -> list[str]:
     scale = 1.0  # multiplies *current* walls to express them in baseline-host seconds
     if normalize == "peak":
         bp, cp = base.get("machine.peak_gflops"), cur.get("machine.peak_gflops")
@@ -117,39 +116,28 @@ def compare_pair(base_path: Path, cur_path: Path, threshold: float, min_seconds:
     return failures
 
 
-def attribute_regressions(report_pairs: list[str], normalize: str) -> list[str]:
-    """Run tools/report_diff.py on each RunReport pair, echo its output, and
+def attribute_regression(base_path: Path, cur_path: Path, normalize: str) -> list[str]:
+    """Run tools/report_diff.py on one regressed pair, echo its output, and
     return the TOP-SPAN attribution lines for the failure summary."""
     differ = Path(__file__).resolve().parent / "report_diff.py"
-    top_lines: list[str] = []
-    for pair in report_pairs:
-        if "=" not in pair:
-            print(f"  --report '{pair}': expected BASELINE=CURRENT, skipping")
-            continue
-        base_s, cur_s = pair.split("=", 1)
-        if not Path(base_s).is_file() or not Path(cur_s).is_file():
-            print(f"  --report {pair}: artifact missing, skipping attribution")
-            continue
-        print(f"\nattributing via report_diff: {cur_s} vs {base_s}")
-        proc = subprocess.run(
-            [sys.executable, str(differ), base_s, cur_s, "--top", "3",
-             "--normalize", normalize],
-            capture_output=True, text=True)
-        sys.stdout.write(proc.stdout)
-        if proc.returncode not in (0, 1):
-            sys.stderr.write(proc.stderr)
-            continue
-        name = Path(cur_s).name
-        top_lines += [f"{name}: {line.strip()}" for line in proc.stdout.splitlines()
-                      if line.lstrip().startswith("TOP-SPAN")]
-    return top_lines
+    print(f"\nattributing via report_diff: {cur_path} vs {base_path}")
+    proc = subprocess.run(
+        [sys.executable, str(differ), str(base_path), str(cur_path), "--top", "3",
+         "--normalize", normalize],
+        capture_output=True, text=True)
+    sys.stdout.write(proc.stdout)
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stderr)
+        return []
+    return [f"{cur_path.name}: {line.strip()}" for line in proc.stdout.splitlines()
+            if line.lstrip().startswith("TOP-SPAN")]
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(
         description="Fail when bench wall times regressed vs committed baselines.")
     ap.add_argument("pairs", nargs="+", metavar="BASELINE=CURRENT",
-                    help="baseline and current BENCH_*.json, '=' separated")
+                    help="baseline and current RUNREPORT_*.json, '=' separated")
     ap.add_argument("--threshold", type=float, default=1.10,
                     help="allowed current/baseline wall ratio (default 1.10 = +10%%)")
     ap.add_argument("--min-seconds", type=float, default=1e-3,
@@ -159,12 +147,10 @@ def main() -> int:
                          "(default: peak)")
     ap.add_argument("--min-gauge", action="append", default=[], metavar="KEY=VALUE",
                     help="require gauge KEY (in any current artifact) >= VALUE")
-    ap.add_argument("--report", action="append", default=[], metavar="BASELINE=CURRENT",
-                    help="RunReport pair to attribute a wall regression with "
-                         "(tools/report_diff.py, top-3 spans); repeatable")
     args = ap.parse_args()
 
     failures: list[str] = []
+    regressed: list[tuple[Path, Path]] = []
     current_gauges: dict[str, float] = {}
     for pair in args.pairs:
         if "=" not in pair:
@@ -172,9 +158,13 @@ def main() -> int:
         base_s, cur_s = pair.split("=", 1)
         base_path, cur_path = Path(base_s), Path(cur_s)
         print(f"comparing {cur_path} against {base_path}")
-        failures += compare_pair(base_path, cur_path, args.threshold, args.min_seconds,
-                                 args.normalize)
-        current_gauges.update(load_gauges(cur_path))
+        cur = load_gauges(cur_path)
+        pair_failures = compare_pair(load_gauges(base_path), cur, args.threshold,
+                                     args.min_seconds, args.normalize)
+        if pair_failures:
+            regressed.append((base_path, cur_path))
+        failures += pair_failures
+        current_gauges.update(cur)
 
     for spec in args.min_gauge:
         if "=" not in spec:
@@ -190,8 +180,8 @@ def main() -> int:
             print(f"floor {key}: {val:.4f} >= {floor:.4f} [ok]")
 
     if failures:
-        if args.report:
-            failures += attribute_regressions(args.report, args.normalize)
+        for base_path, cur_path in regressed:
+            failures += attribute_regression(base_path, cur_path, args.normalize)
         print("\nbench regression check FAILED:")
         for f in failures:
             print(f"  {f}")

@@ -4,8 +4,9 @@
 // dislocation dipole at varying separations). The immutable half — mesh,
 // DofHandler, XC functional — is built ONCE as a core::SharedModel; each
 // separation is a core::JobOptions with a family-sibling structure, run
-// concurrently by svc::JobService workers with per-job workspace pools,
-// per-job RunReports, and dftfe.checkpoint.v1 checkpoint/restart.
+// concurrently by svc::JobService workers (each job's solver owns its
+// scratch) with per-job RunReports and dftfe.checkpoint.v1
+// checkpoint/restart.
 //
 // The CI service-soak leg drives the full resilience story with this
 // binary:

@@ -124,6 +124,4 @@ ks::KohnShamDFT<complex_t>& JobState::kpoint_solver() {
   throw std::runtime_error("JobState: no k-point solver active");
 }
 
-void JobState::release_solver() { solver_.emplace<std::monostate>(); }
-
 }  // namespace dftfe::core

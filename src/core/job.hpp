@@ -90,9 +90,6 @@ class JobState {
   ks::KohnShamDFT<double>& gamma_solver();
   /// k-point solver access (after run()); throws on Gamma runs.
   ks::KohnShamDFT<complex_t>& kpoint_solver();
-  /// Drop the solver (subspace + density storage). The svc worker releases
-  /// before returning its workspace lease so pooled buffers outlive no job.
-  void release_solver();
 
  private:
   template <class T>

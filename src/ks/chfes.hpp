@@ -93,9 +93,8 @@ class ChebyshevFilteredSolver {
   }
 
   /// Max residual norm ||H x_i - eps_i x_i|| over the lowest `count` states.
-  double max_residual(index_t count) const {
-    auto Wl = la::Workspace<T>::global().checkout(X_.rows(), X_.cols());
-    la::Matrix<T>& W = *Wl;
+  double max_residual(index_t count) {
+    la::Matrix<T>& W = W_.acquire(X_.rows(), X_.cols());
     H_->apply(X_, W);
     double worst = 0.0;
     for (index_t j = 0; j < std::min(count, X_.cols()); ++j) {
@@ -105,6 +104,12 @@ class ChebyshevFilteredSolver {
       worst = std::max(worst, std::sqrt(r2));
     }
     return worst;
+  }
+
+  /// Bytes held by the CholGS/RR scratch members: one n x N block plus two
+  /// N x N matrices once a cycle has run.
+  std::int64_t scratch_highwater_bytes() const {
+    return W_.highwater_bytes() + S_.highwater_bytes() + Q_.highwater_bytes();
   }
 
   double upper_bound() const { return b_; }
@@ -216,11 +221,10 @@ class ChebyshevFilteredSolver {
 
   void orthonormalize() {
     const index_t n = X_.rows(), N = X_.cols();
-    auto& ws = la::Workspace<T>::global();
-    auto S = ws.checkout(N, N);
+    la::Matrix<T>& S = S_.acquire(N, N);
     {
       obs::TraceSpan t("CholGS-S", "chfes");
-      overlap("CholGS-S", X_, X_, *S);
+      overlap("CholGS-S", X_, X_, S);
     }
     {
       obs::TraceSpan t("CholGS-CI", "chfes");
@@ -229,52 +233,48 @@ class ChebyshevFilteredSolver {
       // numerically dependent on the very first random pass) retries on the
       // *same* overlap with diagonal regularization — recomputing it would
       // double both the cost and the FLOP attribution of CholGS-S.
-      auto S0 = ws.checkout(N, N);
-      std::copy(S->data(), S->data() + S->size(), S0->data());
-      if (!la::cholesky_lower(*S)) {
+      la::Matrix<T>& S0 = Q_.acquire(N, N);
+      std::copy(S.data(), S.data() + S.size(), S0.data());
+      if (!la::cholesky_lower(S)) {
         obs::MetricsRegistry::global().counter_add("chfes.cholesky_retries", 1.0);
-        std::copy(S0->data(), S0->data() + S0->size(), S->data());
-        for (index_t i = 0; i < N; ++i)
-          (*S)(i, i) += T(1e-10 * std::abs((*S0)(i, i)) + 1e-14);
-        if (!la::cholesky_lower(*S))
+        std::copy(S0.data(), S0.data() + S0.size(), S.data());
+        for (index_t i = 0; i < N; ++i) S(i, i) += T(1e-10 * std::abs(S0(i, i)) + 1e-14);
+        if (!la::cholesky_lower(S))
           throw std::runtime_error("ChFES: overlap matrix not positive definite");
       }
-      la::invert_lower_triangular(*S);  // S now holds L^{-1}
+      la::invert_lower_triangular(S);  // S now holds L^{-1}
     }
     {
       obs::TraceSpan t("CholGS-O", "chfes");
       ScopedFlopStep step("CholGS-O");
-      auto Xo = ws.checkout(n, N);
-      la::gemm('N', 'C', T(1), X_, *S, T(0), *Xo);  // X L^{-H}
-      Xo.swap(X_);  // allocation-free rotation; old storage returns to pool
+      la::gemm('N', 'C', T(1), X_, S, T(0), W_.acquire(n, N));  // X L^{-H}
+      W_.swap(X_);  // allocation-free rotation: W_ keeps the old subspace storage
     }
   }
 
   void rayleigh_ritz() {
     const index_t n = X_.rows(), N = X_.cols();
-    auto& ws = la::Workspace<T>::global();
-    auto P = ws.checkout(N, N);
+    la::Matrix<T>& P = S_.acquire(N, N);
     {
       obs::TraceSpan t("RR-P", "chfes");
-      auto W = ws.checkout(n, N);
+      la::Matrix<T>& W = W_.acquire(n, N);
       {
         ScopedFlopStep step("RR-P");  // H X counts toward the projection step
-        backend()->apply(X_, *W);
+        backend()->apply(X_, W);
       }
-      overlap("RR-P", X_, *W, *P);
+      overlap("RR-P", X_, W, P);
     }
-    auto Q = ws.checkout(N, N);
+    la::Matrix<T>& Q = Q_.acquire(N, N);
     {
       obs::TraceSpan t("RR-D", "chfes");
       ScopedFlopStep step("RR-D");
-      la::hermitian_eig(*P, evals_, *Q);
+      la::hermitian_eig(P, evals_, Q);
     }
     {
       obs::TraceSpan t("RR-SR", "chfes");
       ScopedFlopStep step("RR-SR");
-      auto Xr = ws.checkout(n, N);
-      la::gemm('N', 'N', T(1), X_, *Q, T(0), *Xr);
-      Xr.swap(X_);
+      la::gemm('N', 'N', T(1), X_, Q, T(0), W_.acquire(n, N));
+      W_.swap(X_);
     }
   }
 
@@ -289,6 +289,11 @@ class ChebyshevFilteredSolver {
   // Fallback execution backend wrapping H_ directly; owns the Chebyshev
   // ping-pong blocks the solver used to keep inline.
   std::unique_ptr<dd::SerialBackend<T>> owned_serial_;
+  // CholGS/RR scratch, sized by the first cycle. W_ (n x N) takes H X in
+  // RR-P and max_residual and is the CholGS-O / RR-SR rotation target
+  // swapped into X_; S_ holds S (then L^{-1}) and P; Q_ holds the saved
+  // overlap S0 and the Ritz vectors Q.
+  la::WorkMatrix<T> W_, S_, Q_;
 };
 
 }  // namespace dftfe::ks

@@ -235,26 +235,15 @@ std::vector<double> KohnShamDFT<T>::compute_density(double mu) {
   obs::TraceSpan t("DC", "scf");
   ScopedFlopStep step("DC");
   const index_t n = dofh_->ndofs();
-  const auto& mass = dofh_->mass();
   std::vector<double> rho(n, 0.0);
   for (std::size_t ik = 0; ik < kpts_.size(); ++ik) {
     const auto f = occupations(static_cast<int>(ik), mu);
     const auto& X = solvers_[ik]->subspace();
     FlopCounter::global().add(3.0 * static_cast<double>(n) * X.cols() *
                               scalar_traits<T>::flop_factor);
-    if (ik < backends_.size()) {
-      // Backend DC: serial runs the identical row loop; threaded accumulates
-      // each lane's disjoint owned rows (bitwise equal for a given subspace).
-      backends_[ik]->accumulate_density(X, f, kpts_[ik].weight, rho);
-      continue;
-    }
-#pragma omp parallel for
-    for (index_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (index_t j = 0; j < X.cols(); ++j)
-        if (f[j] > 1e-12) s += f[j] * scalar_traits<T>::abs2(X(i, j));
-      rho[i] += kpts_[ik].weight * s / mass[i];
-    }
+    // Backend DC: serial runs the row loop; threaded accumulates each lane's
+    // disjoint owned rows (bitwise equal for a given subspace).
+    backends_[ik]->accumulate_density(X, f, kpts_[ik].weight, rho);
   }
   return rho;
 }
@@ -383,6 +372,13 @@ ScfResult KohnShamDFT<T>::solve() {
   }
   ScfResult result;
   result.iterations = start_iter;
+  // Memory ledger: the CholGS/RR scratch of the k-point solvers (RunReport
+  // memory.pools.chfes), published once per solve.
+  auto publish_scratch = [&] {
+    double bytes = 0.0;
+    for (const auto& s : solvers_) bytes += static_cast<double>(s->scratch_highwater_bytes());
+    metrics.gauge_set("mem.pool.chfes.highwater_bytes", bytes);
+  };
 
   for (int iter = start_iter; iter < opt_.max_iterations; ++iter) {
     obs::TraceSpan iter_span("SCF-iter", "scf");
@@ -429,6 +425,7 @@ ScfResult KohnShamDFT<T>::solve() {
       rho_ = rho_out;
       result.residual_history = residual_history_;
       metrics.gauge_set("scf.converged", 1.0);
+      publish_scratch();
       return result;
     }
 
@@ -508,6 +505,7 @@ ScfResult KohnShamDFT<T>::solve() {
   const double mu = find_fermi_level();
   result.energy = compute_energy(rho_, v_eff_, mu);
   result.residual_history = residual_history_;
+  publish_scratch();
   return result;
 }
 

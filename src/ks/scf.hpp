@@ -146,8 +146,8 @@ class KohnShamDFT {
   /// Update v_eff from the current density (exposed for invDFT and benches).
   void update_effective_potential();
   /// Density from the current subspaces and a chemical potential (the DC
-  /// step; routed through the execution backends built by solve(), falling
-  /// back to the inline serial loop when none exist yet).
+  /// step, routed through the execution backends built by solve(); call
+  /// during or after solve()).
   std::vector<double> compute_density(double mu);
   /// Chemical potential such that the states hold n_electrons.
   double find_fermi_level() const;

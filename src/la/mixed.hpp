@@ -178,25 +178,34 @@ void overlap_hermitian_partial(ConstSpan2D<T> A, ConstSpan2D<T> B, Matrix<T>& S,
   S.reshape(N, N);
   const index_t nb = std::max<index_t>(1, std::min(mp_block, N));
   const index_t nblk = (N + nb - 1) / nb;
+  auto block = [&](index_t bi, index_t bj) {
+    const index_t I = bi * nb, ni = std::min(nb, N - I);
+    const index_t J = bj * nb, nj = std::min(nb, N - J);
+    if (bi == bj || !mixed) {
+      gemm<T>('C', 'N', ni, nj, n, T(1), A.col(I), A.ld, B.col(J), B.ld, T(0),
+              S.data() + I + J * N, N);
+    } else {
+      // The inner FP32 GEMM self-counts at the full analytic rate
+      // (Sec. 6.3 does not discount reduced-precision FLOPs).
+      gemm_low_precision<T>('C', 'N', ni, nj, n, A.col(I), A.ld, B.col(J), B.ld,
+                            S.data() + I + J * N, N);
+    }
+  };
+  // One block: run it outside any parallel region, so gemm's own team
+  // (pooled threads, warm thread-local panels) does the work. An if(false)
+  // region would still nest that team one level down, where libgomp starts
+  // fresh threads on every call.
+  if (nblk == 1) {
+    block(0, 0);
+    return;
+  }
   // Block pairs are independent writes; gemm's internal parallel region
   // degrades to a single-thread team when nested, so the outer collapse is
   // the effective parallelization across block pairs.
-#pragma omp parallel for collapse(2) schedule(dynamic) if (nblk > 1)
+#pragma omp parallel for collapse(2) schedule(dynamic)
   for (index_t bi = 0; bi < nblk; ++bi)
-    for (index_t bj = 0; bj < nblk; ++bj) {
-      if (bj < bi) continue;
-      const index_t I = bi * nb, ni = std::min(nb, N - I);
-      const index_t J = bj * nb, nj = std::min(nb, N - J);
-      if (bi == bj || !mixed) {
-        gemm<T>('C', 'N', ni, nj, n, T(1), A.col(I), A.ld, B.col(J), B.ld, T(0),
-                S.data() + I + J * N, N);
-      } else {
-        // The inner FP32 GEMM self-counts at the full analytic rate
-        // (Sec. 6.3 does not discount reduced-precision FLOPs).
-        gemm_low_precision<T>('C', 'N', ni, nj, n, A.col(I), A.ld, B.col(J), B.ld,
-                              S.data() + I + J * N, N);
-      }
-    }
+    for (index_t bj = 0; bj < nblk; ++bj)
+      if (bj >= bi) block(bi, bj);
 }
 
 /// Hermitian completion of a (summed) upper-block-triangle overlap: average

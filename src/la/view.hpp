@@ -8,7 +8,7 @@
 // leading dimension — instead of a Matrix. No copies, no allocation: a span
 // over a lane's owned rows is just (data + row0, nrows, cols, ld = global
 // rows), which preserves the zero-allocation lint invariants and keeps the
-// per-lane workspace pools untouched.
+// per-lane workspace buffers untouched.
 
 #include <cassert>
 

@@ -6,31 +6,25 @@
 // allocation per apply would dominate the small-block regime the CF-blocksize
 // ablation explores. Every scratch buffer in the hot path is therefore either
 //
-//  * a persistent `WorkMatrix` member (Hamiltonian scaled/vector buffers,
-//    CellStiffness gather/scatter chunks, ChFES filter ping-pong blocks), or
-//  * an arena checkout from the global `Workspace<T>` pool (transient
-//    per-cycle buffers: overlap/projection matrices, rotation outputs), or
+//  * a persistent `WorkMatrix` member of the object that uses it (Hamiltonian
+//    scaled/vector buffers, CellStiffness gather/scatter chunks, ChFES filter
+//    ping-pong blocks and CholGS/RR overlap, eigenvector and rotation
+//    buffers), or
 //  * a thread-local persistent panel (`gemm` packing buffers, mixed-precision
 //    demotion scratch).
 //
-// All three routes report through `WorkspaceCounters`, so tests can assert the
+// Both routes report through `WorkspaceCounters`, so tests can assert the
 // steady-state invariant directly: after the first SCF iteration has warmed
-// the pools, later iterations check out zero fresh heap buffers.
+// the buffers, later iterations allocate zero fresh heap buffers.
 //
 // Ownership rules (see DESIGN.md "Hot-path memory & kernel architecture"):
 //  * WorkMatrix buffers belong to exactly one object and are sized by
 //    `acquire`; contents are unspecified on acquire and must be overwritten.
-//  * Pool leases return their buffer on destruction; never hold a lease
-//    across a call that may itself check out (deadlock-free — the pool just
-//    grows — but defeats reuse).
+//    An object driven from several threads needs one WorkMatrix per thread.
 //  * Thread-local scratch is per (thread, scalar type) and grow-only.
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <utility>
-#include <vector>
 
 #include "base/defs.hpp"
 #include "la/matrix.hpp"
@@ -39,9 +33,9 @@ namespace dftfe::la {
 
 /// Process-wide instrumentation of workspace-managed buffers. `allocations()`
 /// counts fresh heap growth events (a buffer created or grown past its
-/// high-water mark); `checkouts()` counts acquire/checkout calls regardless of
-/// whether they allocated. The zero-allocation test hook: warm up, `reset()`,
-/// run more iterations, assert `allocations() == 0`.
+/// high-water mark); `checkouts()` counts `WorkMatrix::acquire` calls
+/// regardless of whether they allocated. The zero-allocation test hook: warm
+/// up, `reset()`, run more iterations, assert `allocations() == 0`.
 class WorkspaceCounters {
  public:
   static void note_alloc(std::int64_t bytes) {
@@ -121,169 +115,6 @@ class WorkMatrix {
  private:
   Matrix<T> m_;
   index_t highwater_ = 0;
-};
-
-/// Arena-style pool of Matrix<T> buffers with RAII checkout/return. Buffers
-/// are recycled by capacity (best fit over the free list), so a steady-state
-/// checkout pattern touches the heap zero times once warmed up.
-template <class T>
-class Workspace {
-  struct Slot {
-    std::unique_ptr<Matrix<T>> m;
-    index_t highwater = 0;
-  };
-
- public:
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Workspace* ws, Slot slot) : ws_(ws), slot_(std::move(slot)) {}
-    Lease(Lease&& o) noexcept : ws_(o.ws_), slot_(std::move(o.slot_)) { o.ws_ = nullptr; }
-    Lease& operator=(Lease&& o) noexcept {
-      if (this != &o) {
-        release();
-        ws_ = o.ws_;
-        slot_ = std::move(o.slot_);
-        o.ws_ = nullptr;
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
-
-    Matrix<T>& operator*() { return *slot_.m; }
-    const Matrix<T>& operator*() const { return *slot_.m; }
-    Matrix<T>* operator->() { return slot_.m.get(); }
-    const Matrix<T>* operator->() const { return slot_.m.get(); }
-
-    /// Swap the leased storage with `other` (same total size); the swapped-in
-    /// buffer is returned to the pool when the lease ends.
-    void swap(Matrix<T>& other) {
-      slot_.m->swap(other);
-      if (slot_.m->size() > slot_.highwater) {
-        if (ws_ != nullptr)
-          ws_->note_growth(static_cast<std::int64_t>(slot_.m->size() - slot_.highwater) *
-                           static_cast<std::int64_t>(sizeof(T)));
-        slot_.highwater = slot_.m->size();
-      }
-    }
-
-   private:
-    void release() {
-      if (ws_ != nullptr && slot_.m != nullptr) ws_->release(std::move(slot_));
-      ws_ = nullptr;
-    }
-    Workspace* ws_ = nullptr;
-    Slot slot_;
-  };
-
-  /// Check out a rows x cols buffer. Contents are unspecified unless `zeroed`.
-  Lease checkout(index_t rows, index_t cols, bool zeroed = false) {
-    WorkspaceCounters::note_checkout();
-    leases_.fetch_add(1, std::memory_order_relaxed);
-    const index_t need = rows * cols;
-    Slot slot;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      // Best fit: smallest free buffer that already fits; otherwise the
-      // largest free buffer (grown below), so the pool converges instead of
-      // accumulating many undersized buffers.
-      std::size_t best = free_.size(), largest = free_.size();
-      for (std::size_t s = 0; s < free_.size(); ++s) {
-        const index_t hw = free_[s].highwater;
-        if (hw >= need && (best == free_.size() || hw < free_[best].highwater)) best = s;
-        if (largest == free_.size() || hw > free_[largest].highwater) largest = s;
-      }
-      const std::size_t pick = (best != free_.size()) ? best : largest;
-      if (pick != free_.size()) {
-        slot = std::move(free_[pick]);
-        free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(pick));
-      }
-    }
-    if (slot.m == nullptr) {
-      slot.m = std::make_unique<Matrix<T>>();
-    }
-    if (need > slot.highwater) {
-      const std::int64_t grown = static_cast<std::int64_t>(need - slot.highwater) *
-                                 static_cast<std::int64_t>(sizeof(T));
-      WorkspaceCounters::note_alloc(grown);
-      note_growth(grown);
-      slot.highwater = need;
-    }
-    slot.m->reshape(rows, cols);
-    if (zeroed) slot.m->zero();
-    return Lease(this, std::move(slot));
-  }
-
-  std::size_t pooled() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return free_.size();
-  }
-
-  /// Pool-level high-water mark: total backing bytes ever held by this
-  /// pool's slots (checked-out slots included — their growth is counted when
-  /// it happens, not when they return).
-  std::int64_t highwater_bytes() const {
-    return highwater_bytes_.load(std::memory_order_relaxed);
-  }
-  /// Cumulative checkout (lease) count over the pool's lifetime.
-  std::int64_t leases() const { return leases_.load(std::memory_order_relaxed); }
-
-  /// Drop all pooled buffers (tests / memory pressure).
-  void clear() {
-    std::lock_guard<std::mutex> lk(mu_);
-    free_.clear();
-  }
-
-  /// The pool global() resolves to on the calling thread: the process-wide
-  /// pool by default, or a pool installed by ScopedBind (the svc workspace
-  /// arena leases per-job pool bundles to worker threads, so concurrent
-  /// jobs neither contend for one free list nor cross-pollute each other's
-  /// buffer sizes).
-  static Workspace& global() {
-    Workspace* b = bound();
-    return b != nullptr ? *b : process();
-  }
-
-  /// The process-wide pool, ignoring any thread-local binding.
-  static Workspace& process() {
-    static Workspace ws;
-    return ws;
-  }
-
-  /// RAII thread-local pool binding: while alive, global() on this thread
-  /// resolves to `ws`. Nests (the previous binding is restored).
-  class ScopedBind {
-   public:
-    explicit ScopedBind(Workspace& ws) : prev_(bound()) { bound() = &ws; }
-    ~ScopedBind() { bound() = prev_; }
-    ScopedBind(const ScopedBind&) = delete;
-    ScopedBind& operator=(const ScopedBind&) = delete;
-
-   private:
-    Workspace* prev_;
-  };
-
- private:
-  static Workspace*& bound() {
-    thread_local Workspace* bound_pool = nullptr;
-    return bound_pool;
-  }
-
-  friend class Lease;
-  void release(Slot slot) {
-    std::lock_guard<std::mutex> lk(mu_);
-    free_.push_back(std::move(slot));
-  }
-  void note_growth(std::int64_t bytes) {
-    highwater_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
-  mutable std::mutex mu_;
-  std::vector<Slot> free_;
-  std::atomic<std::int64_t> highwater_bytes_{0};
-  std::atomic<std::int64_t> leases_{0};
 };
 
 /// Grow-only ensure for plain vector scratch (thread-local panels and

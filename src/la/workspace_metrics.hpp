@@ -1,29 +1,18 @@
 #pragma once
 
 // Bridge from the workspace memory layer to the observability registry: one
-// call publishes the WorkspaceCounters totals and the global pool high-water
-// marks / lease counts as gauges under the RunReport memory-ledger
-// vocabulary (mem.workspace.*, mem.pool.<name>.*).
+// call publishes the WorkspaceCounters totals as gauges under the RunReport
+// memory-ledger vocabulary (mem.workspace.*). The ChFES scratch high-water
+// line (mem.pool.chfes.*) is published by KohnShamDFT::solve.
 //
 // Kept out of workspace.hpp on purpose: the la target does not link obs, so
 // this header may only be included from TUs that do (core, bench, examples,
 // tests) — everything here is inline and instantiated at the call site.
 
-#include <complex>
-
 #include "la/workspace.hpp"
 #include "obs/metrics.hpp"
 
 namespace dftfe::la {
-
-template <class T>
-inline void publish_pool_metrics(const char* name, const Workspace<T>& pool,
-                                 obs::MetricsRegistry& metrics) {
-  const std::string prefix = std::string("mem.pool.") + name;
-  metrics.gauge_set(prefix + ".highwater_bytes",
-                    static_cast<double>(pool.highwater_bytes()));
-  metrics.gauge_set(prefix + ".leases", static_cast<double>(pool.leases()));
-}
 
 /// Snapshot the workspace layer into gauges. Call at report-emission points
 /// (end of a simulation or bench), not on the hot path.
@@ -35,9 +24,6 @@ inline void publish_workspace_metrics(
                     static_cast<double>(WorkspaceCounters::bytes_allocated()));
   metrics.gauge_set("mem.workspace.checkouts",
                     static_cast<double>(WorkspaceCounters::checkouts()));
-  publish_pool_metrics("fp64", Workspace<double>::global(), metrics);
-  publish_pool_metrics("fp32", Workspace<float>::global(), metrics);
-  publish_pool_metrics("z128", Workspace<std::complex<double>>::global(), metrics);
 }
 
 }  // namespace dftfe::la

@@ -258,7 +258,8 @@ RunReport build_run_report(const std::string& label, double wall_s, const TraceR
     for (auto& [lane, line] : lanes) r.comm.lanes.push_back(line);
   }
 
-  // Memory ledger: la::publish_workspace_metrics + engine per-lane gauges.
+  // Memory ledger: la::publish_workspace_metrics, the mem.pool.chfes line
+  // from KohnShamDFT::solve, and the engine per-lane gauges.
   r.memory.allocations = lookup(snap.gauges, "mem.workspace.allocations");
   r.memory.bytes_allocated = lookup(snap.gauges, "mem.workspace.bytes_allocated");
   r.memory.checkouts = lookup(snap.gauges, "mem.workspace.checkouts");

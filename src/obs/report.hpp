@@ -9,8 +9,9 @@
 //   * a communication ledger — bytes on the wire per precision, message
 //     counts, exposed vs overlapped halo wait, modeled wire seconds, pack
 //     time, and the FP32-wire drift error-budget gauge,
-//   * a memory ledger — Workspace allocation counters, named pool high-water
-//     marks / lease counts, and per-lane engine working-set high-water marks,
+//   * a memory ledger — Workspace allocation counters, the ChFES CholGS/RR
+//     scratch high-water mark (pool "chfes", published once per solve by
+//     KohnShamDFT::solve), and per-lane engine working-set high-water marks,
 //   * a convergence record — every metrics time series (the scf.* residual,
 //     Fermi level, band energy, Anderson depth and Chebyshev degree, plus
 //     poisson.*, relax.* and invdft*.* series) and a numerical-health section,
@@ -81,12 +82,14 @@ struct CommLedger {
 struct MemoryLedger {
   double allocations = 0.0;     // WorkspaceCounters::allocations
   double bytes_allocated = 0.0; // cumulative backing-buffer bytes
-  double checkouts = 0.0;       // pool checkouts (pool hits + misses)
+  double checkouts = 0.0;       // WorkMatrix::acquire calls
   struct PoolLine {
     double highwater_bytes = 0.0;
     double leases = 0.0;
   };
-  std::map<std::string, PoolLine> pools;  // named Workspace pools
+  // Named scratch footprints from `mem.pool.<name>.*` gauges: the one
+  // producer is "chfes" (leases stays 0: that scratch is owned, not leased).
+  std::map<std::string, PoolLine> pools;
   struct LaneLine {
     int lane = 0;
     double highwater_bytes = 0.0;

@@ -14,8 +14,7 @@ namespace dftfe::svc {
 JobService::JobService(std::shared_ptr<const core::SharedModel> model, ServiceOptions opt)
     : model_(std::move(model)),
       opt_(std::move(opt)),
-      queue_(opt_.queue_capacity),
-      arena_(WorkspaceArena::global()) {
+      queue_(opt_.queue_capacity) {
   if (model_ == nullptr) throw std::invalid_argument("JobService: null SharedModel");
   if (opt_.workers < 1) opt_.workers = 1;
   std::error_code ec;  // best effort; a missing dir surfaces as a write failure
@@ -51,7 +50,6 @@ std::vector<JobOutcome> JobService::drain() {
     m.gauge_set("svc.workers", static_cast<double>(opt_.workers));
     m.gauge_set("svc.queue.capacity", static_cast<double>(queue_.capacity()));
     m.gauge_set("svc.queue.highwater", static_cast<double>(queue_.highwater()));
-    arena_.publish_metrics();
   }
   std::lock_guard<std::mutex> lk(outcomes_mu_);
   std::sort(outcomes_.begin(), outcomes_.end(),
@@ -84,11 +82,9 @@ JobOutcome JobService::run_one(int w, Spec spec) {
   // The process registry, resolved before the per-job scope installs: the
   // svc.jobs.* fleet counters cross job boundaries.
   obs::MetricsRegistry& proc = obs::MetricsRegistry::global();
-  // Ordering is load-bearing: the workspace lease outlives the obs scope,
-  // which outlives the job — the job's engine lanes (which adopt the scope
-  // and lease scratch) are joined by the solver teardown before either
-  // unwinds (see obs/scope.hpp lifetime rule).
-  WorkspaceArena::Lease lease(arena_);
+  // Ordering is load-bearing: the obs scope outlives the job — the job's
+  // engine lanes (which adopt the scope) are joined by the solver teardown
+  // before it unwinds (see obs/scope.hpp lifetime rule).
   obs::JobScope scope;
   try {
     if (spec.job.report_path.empty() && !opt_.report_dir.empty()) {
@@ -122,9 +118,6 @@ JobOutcome JobService::run_one(int w, Spec spec) {
     }
     out.result = job.run();
     out.resumed_from = job.resumed_from();
-    // Drop the solver before the lease returns its pools, so no job-owned
-    // buffer outlives the bundle binding.
-    job.release_solver();
     out.ok = true;
     proc.counter_add("svc.jobs.completed", 1.0);
   } catch (const std::exception& e) {

@@ -6,16 +6,14 @@
 // N worker threads pop and run one core::JobState each, concurrently. Per
 // job, a worker:
 //
-//   1. leases a workspace bundle from the global WorkspaceArena
-//      (svc/arena.hpp) — la::Workspace<T>::global() resolves to the job's
-//      private pools for the job's whole lifetime;
-//   2. opens an obs::JobScope — the job's metrics/traces/report land in
+//   1. opens an obs::JobScope — the job's metrics/traces/report land in
 //      per-job registries, not interleaved with other tenants;
-//   3. wires checkpointing: if a dftfe.checkpoint.v1 artifact for the job
+//   2. wires checkpointing: if a dftfe.checkpoint.v1 artifact for the job
 //      name exists in checkpoint_dir, the job resumes from it; every
 //      checkpoint_every completed iterations the current ks::ScfState is
 //      written back (atomic tmp+rename, svc/checkpoint.hpp);
-//   4. runs the job, releases the solver, returns the lease.
+//   3. runs the job, whose solver owns all of its scratch buffers and frees
+//      them when the job ends.
 //
 // A killed service re-runs the same submissions and every interrupted job
 // resumes mid-SCF to the identical converged energy (see tests/test_svc.cpp
@@ -32,7 +30,6 @@
 
 #include "core/job.hpp"
 #include "core/model.hpp"
-#include "svc/arena.hpp"
 #include "svc/queue.hpp"
 
 namespace dftfe::svc {
@@ -89,7 +86,6 @@ class JobService {
   std::shared_ptr<const core::SharedModel> model_;
   ServiceOptions opt_;
   BoundedQueue<Spec> queue_;
-  WorkspaceArena& arena_;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> next_seq_{0};
   bool drained_ = false;

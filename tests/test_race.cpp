@@ -1,5 +1,5 @@
 // Concurrency stress suite for the shared mutable state of the SCF hot path:
-// the trace/metrics/profile registries, the Workspace<T> buffer pool, the
+// the trace/metrics/profile registries, the workspace counters, the
 // mixed-precision overlap kernel, block Hamiltonian applies on per-thread
 // instances, and the rank engine's halo mailboxes and lanes.
 //
@@ -11,7 +11,7 @@
 //     across threads) still assert real behavior;
 //   * DFTFE_SANITIZE=thread: the primary race-detection gate;
 //   * DFTFE_SANITIZE=address;undefined: shakes out lifetime bugs in the
-//     lease/return and swap paths under contention.
+//     engine lanes and job teardown under contention.
 
 #include <gtest/gtest.h>
 #include <omp.h>
@@ -39,7 +39,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "svc/arena.hpp"
 #include "svc/service.hpp"
 
 namespace dftfe {
@@ -244,57 +243,21 @@ TEST(RaceLog, ConcurrentWritesAndLevelChanges) {
   EXPECT_GE(count, kThreads * 500);
 }
 
-TEST(RaceWorkspace, PoolLeaseReturnIntegrityUnderContention) {
-  la::Workspace<double> pool;
-  constexpr int kIters = 300;
-  run_threads(kThreads, [&](int t) {
-    for (int i = 0; i < kIters; ++i) {
-      const index_t rows = 8 + (i + t) % 16;
-      const index_t cols = 1 + i % 7;
-      auto lease = pool.checkout(rows, cols);
-      // A leased buffer is exclusively owned until release: fill with a
-      // thread-unique pattern and verify nothing else scribbled on it.
-      const double tag = t * 1000.0 + i;
-      for (index_t e = 0; e < lease->size(); ++e) lease->data()[e] = tag + e;
-      auto inner = pool.checkout(4, 4, /*zeroed=*/true);
-      for (index_t e = 0; e < inner->size(); ++e) EXPECT_EQ(inner->data()[e], 0.0);
-      for (index_t e = 0; e < lease->size(); ++e)
-        ASSERT_EQ(lease->data()[e], tag + e) << "pool handed one buffer to two leases";
-    }
-  });
-  // Steady state: every buffer is back on the free list and the pool has
-  // converged to at most two slots per thread (outer + inner lease).
-  EXPECT_LE(pool.pooled(), static_cast<std::size_t>(2 * kThreads));
-  EXPECT_GE(pool.pooled(), 1u);
-}
-
-TEST(RaceWorkspace, LeaseSwapRotationUnderContention) {
-  la::Workspace<double> pool;
-  run_threads(kThreads, [&](int t) {
-    la::Matrix<double> mine(32, 4);
-    for (index_t e = 0; e < mine.size(); ++e) mine.data()[e] = t;
-    for (int i = 0; i < 200; ++i) {
-      auto lease = pool.checkout(32, 4);
-      for (index_t e = 0; e < lease->size(); ++e) lease->data()[e] = t + 0.5;
-      lease.swap(mine);  // rotated-in storage must carry the new values
-      for (index_t e = 0; e < mine.size(); ++e) ASSERT_EQ(mine.data()[e], t + 0.5);
-      for (index_t e = 0; e < mine.size(); ++e) mine.data()[e] = t;
-    }
-  });
-}
-
 TEST(RaceWorkspace, CountersStayConsistentAcrossThreads) {
   la::WorkspaceCounters::reset();
-  la::Workspace<double> pool;
-  run_threads(kThreads, [&](int) {
+  run_threads(kThreads, [&](int t) {
+    la::WorkMatrix<double> wm;  // one per thread, as the ownership rule requires
     for (int i = 0; i < 200; ++i) {
-      auto lease = pool.checkout(16, 16);
+      la::Matrix<double>& m = wm.acquire(16, 1 + i % 16);
+      m(15, m.cols() - 1) = t;
     }
   });
   EXPECT_EQ(la::WorkspaceCounters::checkouts(), kThreads * 200);
-  // Growth events are bounded by the number of distinct slots ever created;
-  // with one size the pool cannot allocate more than one buffer per thread.
-  EXPECT_LE(la::WorkspaceCounters::allocations(), kThreads);
+  // Each thread's buffer grows 16 times (one new column per acquire) and
+  // then reshapes in place: the shared counters must see every growth once.
+  EXPECT_EQ(la::WorkspaceCounters::allocations(), kThreads * 16);
+  EXPECT_EQ(la::WorkspaceCounters::bytes_allocated(),
+            static_cast<std::int64_t>(kThreads * 256 * sizeof(double)));
   la::WorkspaceCounters::reset();
 }
 
@@ -673,13 +636,13 @@ TEST(RaceFlops, ConcurrentAttributedAccumulation) {
   fc.clear();
 }
 
-TEST(RaceService, ConcurrentJobsAgainstSharedModelAndGlobalArena) {
+TEST(RaceService, ConcurrentJobsAgainstSharedModel) {
   // The multi-tenant invariants under TSan: four worker threads run jobs
   // concurrently against ONE const SharedModel (mesh/DofHandler/functional
-  // aliased read-only across threads) while leasing per-job workspace
-  // bundles from the process-wide arena and scoping their telemetry with
-  // obs::JobScope. Two tenants additionally run the threaded backend, so
-  // engine lanes adopting a job's scope are in the TSan picture too.
+  // aliased read-only across threads), each solver owning its scratch and
+  // each job scoping its telemetry with obs::JobScope. Two tenants
+  // additionally run the threaded backend, so engine lanes adopting a
+  // job's scope are in the TSan picture too.
   atoms::Structure parent;
   parent.atoms = {{atoms::Species::X, {1.0, 1.0, 1.0}}};
   parent.box = {7.0, 7.0, 7.0};
@@ -711,8 +674,6 @@ TEST(RaceService, ConcurrentJobsAgainstSharedModelAndGlobalArena) {
   const auto outcomes = service.drain();
   ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kJobs));
   for (const auto& o : outcomes) EXPECT_TRUE(o.ok) << o.name << ": " << o.error;
-  // Jobs that ran concurrently leased distinct bundles; all returned.
-  EXPECT_GE(svc::WorkspaceArena::global().leases(), static_cast<std::int64_t>(kJobs));
 }
 
 }  // namespace

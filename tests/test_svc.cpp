@@ -1,10 +1,10 @@
 // Tests for the multi-tenant job service stack: SharedModel/JobState split
 // semantics (shared-once model, family-sibling nuclei), the bounded job
-// queue, the workspace arena, the dftfe.checkpoint.v1 round trip, and the
-// end-to-end service guarantees — N concurrent jobs reproduce sequential
-// plain-Simulation energies against ONE shared model, a killed job resumes
-// from its checkpoint to the identical converged energy, and concurrent
-// jobs emit distinct well-formed RunReport artifacts.
+// queue, the dftfe.checkpoint.v1 round trip, and the end-to-end service
+// guarantees — N concurrent jobs reproduce sequential plain-Simulation
+// energies against ONE shared model, a killed job resumes from its
+// checkpoint to the identical converged energy, and concurrent jobs emit
+// distinct well-formed RunReport artifacts.
 
 #include <gtest/gtest.h>
 
@@ -22,9 +22,7 @@
 #include "core/job.hpp"
 #include "core/model.hpp"
 #include "core/simulation.hpp"
-#include "la/workspace.hpp"
 #include "obs/report.hpp"
-#include "svc/arena.hpp"
 #include "svc/checkpoint.hpp"
 #include "svc/queue.hpp"
 #include "svc/service.hpp"
@@ -125,51 +123,6 @@ TEST(SvcQueue, CloseWakesBlockedConsumer) {
   std::thread t([&] { EXPECT_FALSE(q.pop().has_value()); });
   q.close();
   t.join();
-}
-
-// ---------------------------------------------------------------------------
-// WorkspaceArena
-// ---------------------------------------------------------------------------
-
-TEST(SvcArena, LeaseBindsThreadLocalPools) {
-  svc::WorkspaceArena arena;
-  la::Workspace<double>* process = &la::Workspace<double>::process();
-  EXPECT_EQ(&la::Workspace<double>::global(), process);
-  {
-    svc::WorkspaceArena::Lease lease(arena);
-    EXPECT_EQ(&la::Workspace<double>::global(), &lease.bundle().d);
-    EXPECT_EQ(&la::Workspace<float>::global(), &lease.bundle().f);
-    EXPECT_NE(&la::Workspace<double>::global(), process);
-    auto buf = la::Workspace<double>::global().checkout(8, 8);
-    EXPECT_EQ(lease.bundle().d.leases(), 1);
-  }
-  EXPECT_EQ(&la::Workspace<double>::global(), process);
-  EXPECT_EQ(arena.bundles(), 1u);
-  EXPECT_EQ(arena.leases(), 1);
-  EXPECT_GT(arena.highwater_bytes(), 0);
-}
-
-TEST(SvcArena, ConcurrentLeasesGetDistinctBundlesSerialReuses) {
-  svc::WorkspaceArena arena;
-  {
-    // Two overlapping leases on two threads -> two bundles.
-    std::atomic<int> holding{0};
-    auto hold = [&] {
-      svc::WorkspaceArena::Lease lease(arena);
-      (void)la::Workspace<double>::global().checkout(4, 4);
-      ++holding;
-      while (holding.load() < 2) std::this_thread::yield();
-    };
-    std::thread a(hold), b(hold);
-    a.join();
-    b.join();
-  }
-  EXPECT_EQ(arena.bundles(), 2u);
-  EXPECT_EQ(arena.lease_highwater(), 2u);
-  // Sequential leases reuse the free list: no third bundle.
-  for (int i = 0; i < 3; ++i) svc::WorkspaceArena::Lease lease(arena);
-  EXPECT_EQ(arena.bundles(), 2u);
-  EXPECT_EQ(arena.leases(), 5);
 }
 
 // ---------------------------------------------------------------------------

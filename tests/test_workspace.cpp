@@ -1,7 +1,7 @@
 // Tests for the hot-path workspace layer (la/workspace.hpp) and the fused /
 // restructured kernels that ride on it:
 //
-//  * WorkMatrix / Workspace pool / ensure_scratch allocation accounting,
+//  * WorkMatrix / ensure_scratch allocation accounting,
 //  * the steady-state zero-allocation invariant of the SCF hot path
 //    (Hamiltonian applies and full ChFES cycles after warmup),
 //  * equivalence of the fused Chebyshev apply epilogue with the plain apply,
@@ -64,10 +64,13 @@ void* operator new[](std::size_t sz) {
   if (void* p = std::malloc(sz ? sz : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// noinline: GCC 12 otherwise inlines these into deletes of objects from
+// `new` (gtest's test factories) and flags the new/free pair with
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #endif
 
 namespace dftfe {
@@ -90,53 +93,6 @@ TEST(Workspace, WorkMatrixCountsOnlyHighWaterGrowth) {
   EXPECT_EQ(la::WorkspaceCounters::allocations(), 2);
 }
 
-TEST(Workspace, PoolReusesReturnedBuffers) {
-  la::Workspace<double> ws;
-  la::WorkspaceCounters::reset();
-  {
-    auto a = ws.checkout(16, 16);
-    auto b = ws.checkout(8, 8);
-    (*a)(0, 0) = 1.0;
-    (*b)(0, 0) = 2.0;
-  }
-  EXPECT_EQ(ws.pooled(), 2u);
-  EXPECT_EQ(la::WorkspaceCounters::allocations(), 2);
-  la::WorkspaceCounters::reset();
-  {
-    auto c = ws.checkout(12, 12, /*zeroed=*/true);  // best fit: the 16x16 slot
-    EXPECT_EQ((*c)(0, 0), 0.0);
-    auto d = ws.checkout(8, 8);
-    (void)d;
-  }
-  EXPECT_EQ(la::WorkspaceCounters::allocations(), 0);
-  EXPECT_EQ(la::WorkspaceCounters::checkouts(), 2);
-  ws.clear();
-  EXPECT_EQ(ws.pooled(), 0u);
-}
-
-TEST(Workspace, PoolHighWaterAndLeaseAccounting) {
-  la::Workspace<double> ws;
-  EXPECT_EQ(ws.highwater_bytes(), 0);
-  EXPECT_EQ(ws.leases(), 0);
-  {
-    auto a = ws.checkout(16, 16);
-    auto b = ws.checkout(8, 8);
-  }
-  const auto sz = static_cast<std::int64_t>(sizeof(double));
-  EXPECT_EQ(ws.leases(), 2);
-  EXPECT_EQ(ws.highwater_bytes(), (256 + 64) * sz);
-  {
-    auto c = ws.checkout(12, 12);  // best fit reuses the 256-element slot
-  }
-  EXPECT_EQ(ws.leases(), 3);
-  EXPECT_EQ(ws.highwater_bytes(), (256 + 64) * sz);
-  {
-    auto d = ws.checkout(20, 20);  // grows the largest slot: 256 -> 400
-  }
-  EXPECT_EQ(ws.leases(), 4);
-  EXPECT_EQ(ws.highwater_bytes(), (400 + 64) * sz);
-}
-
 TEST(Workspace, WorkMatrixHighWaterBytes) {
   la::WorkMatrix<double> wm;
   EXPECT_EQ(wm.highwater_bytes(), 0);
@@ -144,6 +100,23 @@ TEST(Workspace, WorkMatrixHighWaterBytes) {
   wm.acquire(4, 4);  // shrink: high-water unchanged
   EXPECT_EQ(wm.highwater(), 64);
   EXPECT_EQ(wm.highwater_bytes(), static_cast<std::int64_t>(64 * sizeof(double)));
+}
+
+TEST(Workspace, WorkMatrixSwapRotatesWithoutAllocating) {
+  // The ChFES rotation: gemm into the work buffer, then swap it with the
+  // subspace; the work buffer keeps the old storage for the next cycle.
+  la::WorkMatrix<double> wm;
+  la::Matrix<double> X(6, 3);
+  X.fill(1.0);
+  const double* old_storage = X.data();
+  la::WorkspaceCounters::reset();
+  wm.acquire(6, 3).fill(2.0);
+  wm.swap(X);
+  EXPECT_EQ(X(5, 2), 2.0);
+  EXPECT_EQ(wm.get().data(), old_storage);
+  wm.acquire(6, 3);  // same size as the swapped-in storage: no growth
+  EXPECT_EQ(la::WorkspaceCounters::allocations(), 1);
+  EXPECT_EQ(wm.highwater(), 18);
 }
 
 TEST(Workspace, EnsureScratchGrowOnly) {
@@ -370,11 +343,12 @@ TEST(Workspace, ChfesCycleIsAllocationFreeAfterWarmup) {
   ks::ChfesOptions opt;
   opt.cheb_degree = 6;
   opt.block_size = 4;
-  ks::ChebyshevFilteredSolver<double> solver(H, 8, opt);
+  const index_t n = dofh.ndofs(), N = 8;
+  ks::ChebyshevFilteredSolver<double> solver(H, N, opt);
   solver.initialize_random(7);
 
   // Warmup: two cycles (the first takes the cold-bounds branch; the second
-  // the Ritz-value branch), sizing every persistent buffer and pool slot.
+  // the Ritz-value branch), sizing every persistent buffer.
   solver.cycle();
   solver.cycle();
   la::WorkspaceCounters::reset();
@@ -382,6 +356,9 @@ TEST(Workspace, ChfesCycleIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(la::WorkspaceCounters::allocations(), 0)
       << "steady-state ChFES cycles must check out zero fresh heap buffers";
   EXPECT_GT(la::WorkspaceCounters::checkouts(), 0);
+  // The CholGS/RR scratch is one n x N block plus two N x N matrices.
+  EXPECT_EQ(solver.scratch_highwater_bytes(),
+            static_cast<std::int64_t>((n * N + 2 * N * N) * sizeof(double)));
 }
 
 // ---------- metrics and profile registries: zero-alloc string_view lookups ----------

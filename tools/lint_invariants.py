@@ -11,8 +11,8 @@ Rules (see DESIGN.md "Correctness & analysis tier"):
                    designated hot-path translation units of src/la, src/ks,
                    and the threaded rank engine's lane-side code in src/dd.
                    Scratch must go through la/workspace.hpp (WorkMatrix,
-                   Workspace<T> leases, ensure_scratch) so the zero-allocation
-                   steady-state invariant stays testable. The workspace layer
+                   ensure_scratch) so the zero-allocation steady-state
+                   invariant stays testable. The workspace layer
                    itself (la/workspace.hpp, la/matrix.hpp) is the sanctioned
                    allocation layer and is exempt.
 
@@ -34,7 +34,7 @@ Rules (see DESIGN.md "Correctness & analysis tier"):
   metric-vocab     Every `comm.*` / `mem.*` / `svc.*` / `job.*` metric-name
                    string literal in src/ is either an exact member of the
                    RunReport ledger vocabulary (obs/report.hpp) plus the job
-                   service's fleet/arena gauges, or starts with a registered
+                   service's fleet gauges, or starts with a registered
                    per-lane/per-pool prefix. The comm/memory ledgers of the
                    RunReport are built by parsing these names back out of the
                    MetricsRegistry, so a misspelled publisher would silently
@@ -101,11 +101,9 @@ HOT_PATH_FILES = [
     # cycles, density build, mixing) — per-solve setup needs waivers.
     "src/ks/scf.cpp",
     # Job service hot path: the bounded queue sits on every submit/pop and
-    # the arena lease on every job start — both must stay allocation-free in
-    # steady state (the ring is sized once at construction; bundle creation
-    # is the waived cold growth path in svc/arena.cpp).
+    # must stay allocation-free in steady state (the ring is sized once at
+    # construction).
     "src/svc/queue.hpp",
-    "src/svc/arena.hpp",
 ]
 
 ALLOC_PATTERNS = [
@@ -159,8 +157,6 @@ METRIC_VOCAB = {
     "svc.jobs.submitted", "svc.jobs.completed", "svc.jobs.failed",
     "svc.jobs.resumed", "svc.workers",
     "svc.queue.capacity", "svc.queue.highwater",
-    "svc.arena.bundles", "svc.arena.leases",
-    "svc.arena.lease_highwater", "svc.arena.highwater_bytes",
     "job.energy", "job.resume.iteration", "job.checkpoint.writes",
 }
 METRIC_PREFIXES = ("comm.lane", "mem.lane", "mem.pool.")
@@ -304,8 +300,8 @@ def lint_file(path: Path, root: Path, violations: list[Violation],
                     violations.append(Violation(
                         "hot-path-alloc", path, idx,
                         f"{what} in hot-path file; route scratch through "
-                        "la/workspace.hpp (WorkMatrix / Workspace lease / "
-                        "ensure_scratch) or add a justified waiver"))
+                        "la/workspace.hpp (WorkMatrix / ensure_scratch) or "
+                        "add a justified waiver"))
 
     # -- cout-outside-obs --
     if in_src and not in_obs:

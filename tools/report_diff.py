@@ -10,7 +10,9 @@ the end-to-end wall delta is attributed to the top-k movers. The comm and
 memory ledgers are diffed line-by-line alongside, so a wall regression that
 coincides with a byte-count or exposed-wait jump is immediately explainable
 (e.g. an injected wire delay shows up as CF-halo self time plus a matching
-comm.halo exposed-wait increase).
+comm.halo exposed-wait increase). A build with tracing off records no span
+tree; the differ then attributes the delta from the `profile` section's
+per-name total seconds instead (inclusive, pooled over threads and lanes).
 
 Machine normalization mirrors tools/check_bench_regression.py: when both
 reports carry the `machine.peak_gflops` gauge (bench artifacts do), current
@@ -157,26 +159,40 @@ def main() -> int:
     print(f"lanes: {base.get('nlanes')} -> {cur.get('nlanes')}")
     print()
 
+    # {path or name: (seconds, count)} per report, from the span tree when
+    # either report has one, else from the profile section.
     bspans = flatten_spans(base.get("spans", []))
     cspans = flatten_spans(cur.get("spans", []))
+    if bspans or cspans:
+        kind = "self"
+        btimes = {p: (s["self_s"], s["count"]) for p, s in bspans.items()}
+        ctimes = {p: (s["self_s"], s["count"]) for p, s in cspans.items()}
+    else:
+        kind = "total"
+        print("note: neither report has a span tree (tracing off); attributing "
+              "from the profile section's per-name total seconds")
+        btimes = {n: (float(e["seconds"]), int(e["count"]))
+                  for n, e in base.get("profile", {}).items()}
+        ctimes = {n: (float(e["seconds"]), int(e["count"]))
+                  for n, e in cur.get("profile", {}).items()}
     movers = []
-    for path in set(bspans) | set(cspans):
-        bs = bspans.get(path, {"self_s": 0.0, "total_s": 0.0, "count": 0})
-        cs = cspans.get(path, {"self_s": 0.0, "total_s": 0.0, "count": 0})
-        movers.append((cs["self_s"] * scale - bs["self_s"], path, bs, cs))
+    for path in set(btimes) | set(ctimes):
+        bs, bcount = btimes.get(path, (0.0, 0))
+        cs, ccount = ctimes.get(path, (0.0, 0))
+        movers.append((cs * scale - bs, path, bs, cs * scale, bcount, ccount))
     movers.sort(key=lambda m: -abs(m[0]))
 
-    print(f"top {args.top} span movers by self-time delta "
+    print(f"top {args.top} span movers by {kind}-time delta "
           f"(attributing {dwall:+.4f}s end-to-end):")
     attributed = 0.0
-    for delta, path, bs, cs in movers[:args.top]:
+    for delta, path, bs, cs, bcount, ccount in movers[:args.top]:
         attributed += delta
         share = 100.0 * delta / dwall if abs(dwall) > 1e-12 else 0.0
         # Machine-greppable: check_bench_regression.py lifts these lines into
         # its failure message on a floor breach.
-        print(f"  TOP-SPAN {path}: self {bs['self_s']:.4f}s -> {cs['self_s'] * scale:.4f}s "
+        print(f"  TOP-SPAN {path}: {kind} {bs:.4f}s -> {cs:.4f}s "
               f"({delta:+.4f}s, {share:.0f}% of wall delta, "
-              f"count {bs['count']} -> {cs['count']})")
+              f"count {bcount} -> {ccount})")
     print(f"  ({attributed:+.4f}s of {dwall:+.4f}s attributed by the top "
           f"{min(args.top, len(movers))})")
     print()

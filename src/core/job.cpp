@@ -1,6 +1,7 @@
 #include "core/job.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "la/workspace_metrics.hpp"
 #include "obs/log.hpp"
@@ -57,11 +58,16 @@ SimulationResult JobState::run() {
   metrics.gauge_set("sim.natoms", static_cast<double>(res.natoms));
   metrics.gauge_set("sim.ndofs", static_cast<double>(res.ndofs));
   metrics.gauge_set("sim.n_electrons", res.n_electrons);
-  const bool threaded = opt_.backend.kind == dd::BackendKind::threaded;
-  metrics.gauge_set("sim.backend.threaded", threaded ? 1.0 : 0.0);
-  metrics.gauge_set("sim.backend.nlanes", threaded ? opt_.backend.nlanes : 1.0);
-  DFTFE_LOG(info) << "[job " << opt_.name << "] backend " << (threaded ? "threaded" : "serial")
-                  << (threaded ? " nlanes " + std::to_string(opt_.backend.nlanes) : "");
+  // The backend gauges (scf.backend.*) come from KohnShamDFT::solve, which
+  // reads them off the backend it built; an explicit grid overrides nlanes.
+  const dd::BackendOptions& be = opt_.backend;
+  std::string exec = "serial";
+  if (be.kind == dd::BackendKind::threaded)
+    exec = (be.grid[0] > 0 && be.grid[1] > 0 && be.grid[2] > 0)
+               ? "threaded grid " + std::to_string(be.grid[0]) + "x" +
+                     std::to_string(be.grid[1]) + "x" + std::to_string(be.grid[2])
+               : "threaded nlanes " + std::to_string(be.nlanes);
+  DFTFE_LOG(info) << "[job " << opt_.name << "] backend " << exec;
 
   const bool gamma_only =
       opt_.kpoints.empty() ||

@@ -39,9 +39,9 @@ struct SimulationOptions {
   /// Yb/Cd valences down to laptop-runnable electron counts; see DESIGN.md).
   std::map<atoms::Species, double> z_override;
   /// Execution backend for the whole solver stack (eigensolver stages,
-  /// density accumulation, Poisson stiffness applies): serial single-image
-  /// or threaded slab-rank lanes. Copied into scf.backend by run(); set
-  /// scf.backend directly only to diverge from this top-level choice.
+  /// density accumulation, the EP-step Poisson CG): serial single-image
+  /// or threaded brick-rank lanes. run() copies it into scf.backend, so
+  /// scf.backend itself is ignored under a Simulation.
   dd::BackendOptions backend;
   /// When non-empty, run() writes the RunReport flight-recorder artifact
   /// (schema dftfe.runreport.v1, see obs/report.hpp) to this path. A path

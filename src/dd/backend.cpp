@@ -6,9 +6,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
+
+#include "dd/engine.hpp"
 
 namespace dftfe::dd {
 
@@ -85,30 +88,11 @@ BackendOptions BackendOptions::from_env(BackendOptions base) {
 template <class T>
 SerialBackend<T>::SerialBackend(const fe::DofHandler& dofh, FusedApplyFn<T> apply_fused,
                                 std::function<void(const std::vector<double>&)> set_potential)
-    : dofh_(&dofh), fused_(std::move(apply_fused)), set_potential_(std::move(set_potential)) {
+    : ExecBackend<T>(dofh.ndofs()),
+      dofh_(&dofh),
+      fused_(std::move(apply_fused)),
+      set_potential_(std::move(set_potential)) {
   if (!fused_) throw std::invalid_argument("dd::SerialBackend: apply_fused hook is empty");
-}
-
-template <class T>
-ThreadedBackend<T>::ThreadedBackend(const fe::DofHandler& dofh, EngineOptions opt)
-    : hamiltonian_(opt.hamiltonian), engine_(dofh, opt) {}
-
-/// Forward the backend-level knobs onto the engine's lane protocol. Every
-/// field below lands on behavior the model checker verifies (tools/
-/// model_check): wire/model stamp the packets the mailbox publishes,
-/// drift_budget arms the mid-exchange hard-fail whose poison cascade the
-/// drift_fail scenario explores, and mode selects the sync/async bodies the
-/// checker proves bitwise-equal across all schedules.
-static EngineOptions engine_options_from(const BackendOptions& opt) {
-  EngineOptions eopt;
-  eopt.nlanes = opt.nlanes;
-  eopt.grid = opt.grid;
-  eopt.mode = opt.mode;
-  eopt.wire = opt.wire;
-  eopt.model = opt.model;
-  eopt.inject_wire_delay = opt.inject_wire_delay;
-  eopt.drift_budget = opt.drift_budget;
-  return eopt;
 }
 
 template <class T>
@@ -119,43 +103,13 @@ std::unique_ptr<ExecBackend<T>> make_backend(
   if (opt.kind == BackendKind::serial)
     return std::make_unique<SerialBackend<T>>(dofh, std::move(serial_apply),
                                               std::move(serial_set_potential));
-  EngineOptions eopt = engine_options_from(opt);
-  eopt.hamiltonian = true;
-  eopt.coef_lap = 0.5;
+  EngineOptions eopt = engine_options(opt);
   eopt.kpoint = kpoint;
-  return std::make_unique<ThreadedBackend<T>>(dofh, eopt);
-}
-
-std::unique_ptr<ExecBackend<double>> make_stiffness_backend(
-    const fe::DofHandler& dofh, const BackendOptions& opt,
-    const fe::CellStiffness<double>& K) {
-  if (opt.kind == BackendKind::serial) {
-    // Block hook: bare-stiffness apply with the generic shift-scale epilogue
-    // (identity for a plain apply, so filter-style calls also work).
-    auto fused = [&K](const la::Matrix<double>& X, la::Matrix<double>& Y, double c,
-                      double scale, const la::Matrix<double>* Z, double zc) {
-      Y.reshape(X.rows(), X.cols());
-      Y.zero();
-      K.apply_add(X, Y);
-      if (Z == nullptr && c == 0.0 && scale == 1.0) return;
-      for (index_t j = 0; j < X.cols(); ++j)
-        for (index_t i = 0; i < X.rows(); ++i) {
-          const double zterm = (Z != nullptr) ? zc * (*Z)(i, j) : 0.0;
-          Y(i, j) = scale * (Y(i, j) - c * X(i, j)) - zterm;
-        }
-    };
-    return std::make_unique<SerialBackend<double>>(dofh, std::move(fused));
-  }
-  EngineOptions eopt = engine_options_from(opt);
-  eopt.hamiltonian = false;   // identity epilogue: y = K x
-  eopt.coef_lap = 1.0;        // Poisson stiffness scaling
-  return std::make_unique<ThreadedBackend<double>>(dofh, eopt);
+  return std::make_unique<RankEngine<T>>(dofh, eopt);
 }
 
 template class SerialBackend<double>;
 template class SerialBackend<complex_t>;
-template class ThreadedBackend<double>;
-template class ThreadedBackend<complex_t>;
 
 template std::unique_ptr<ExecBackend<double>> make_backend<double>(
     const fe::DofHandler&, const BackendOptions&, FusedApplyFn<double>,

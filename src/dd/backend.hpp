@@ -1,41 +1,43 @@
 #pragma once
 
-// ExecBackend — the single execution abstraction every SCF stage routes
-// through (the tentpole of the multi-rank refactor). The paper's strong
-// scaling (Fig. 5, Table 3) comes from running the *entire* SCF — Hamiltonian
-// applies, the Chebyshev filter, the CholGS/RR reductions, the density build,
-// and the Hartree Poisson solve — under one distributed execution model;
-// per-kernel opt-ins (the old ChebyshevFilteredSolver::set_engine) leave
-// Amdahl's law in charge. Two implementations:
+// ExecBackend — the single execution abstraction every eigensolver stage
+// routes through. The paper's strong scaling (Fig. 5, Table 3) comes from
+// running the *entire* SCF — Hamiltonian applies, the Chebyshev filter, the
+// CholGS/RR reductions, the density build, and the Hartree Poisson solve —
+// under one distributed execution model; per-kernel opt-ins leave Amdahl's
+// law in charge. One implementation per execution model:
 //
-//   * SerialBackend — reproduces today's single-image arithmetic *bitwise*:
-//     the fused Chebyshev recurrence, la::overlap_hermitian_mixed, and the
-//     DC row loop are the exact statements the ks/ layer ran before the
-//     refactor, so a serial-backend SCF is indistinguishable from the seed.
-//   * ThreadedBackend — wraps dd::RankEngine: every stage executes
-//     brick-decomposed across the engine's lanes with real halo exchange
-//     (filter/apply), brick-local partial Gram reductions (overlap), and
-//     disjoint owned-row density accumulation.
+//   * SerialBackend (below) — single image: the operator is borrowed through
+//     a FusedApplyFn hook (bound to ks::Hamiltonian::apply_fused by ks/), so
+//     a serial SCF runs exactly the statements of the ks layer.
+//   * dd::RankEngine (dd/engine.hpp) implements ExecBackend itself: every
+//     stage executes brick-decomposed across the engine's lanes with real
+//     halo exchange (filter/apply), brick-local partial Gram reductions
+//     (overlap), and disjoint owned-row density accumulation.
 //
-// Layering: dd sits below ks, so the backend cannot name ks::Hamiltonian.
-// The serial backend instead borrows the operator through a FusedApplyFn
-// hook (bound to Hamiltonian::apply_fused by ks/, or to a bare
-// fe::CellStiffness by the Poisson factory below); the threaded backend
-// rebuilds the operator brick-locally from the DofHandler exactly like the
-// engine always has. The EP-step CG enters through pcg(): the serial backend
-// runs la::jacobi_pcg on its operator, the threaded one the engine's
-// lane-resident pcg job (one job per Poisson solve). Hot entry points are
-// inline in this header so the invariant linter's no-allocation rule covers
-// the per-iteration code.
+// Each kernel the two run is written once: the Chebyshev recurrence is
+// la::chebyshev_filter over each model's fused operator step, the nodal
+// epilogue of that step is fe::ks_nodal_rows, and the single-vector apply
+// (Lanczos bounds) is the non-virtual ExecBackend::apply below, over the
+// block apply.
+//
+// Layering: dd sits below ks, so the backend cannot name ks::Hamiltonian;
+// the serial backend borrows it through the hook, and the engine rebuilds
+// the operator brick-locally from the DofHandler. The EP-step Poisson CG is
+// not a backend stage: a serial solve runs fe::PoissonSolver's built-in
+// la::jacobi_pcg, and the threaded one a bare-stiffness RankEngine's
+// lane-resident pcg job, installed by ks::KohnShamDFT through
+// PoissonSolver::set_cg. Hot entry points are inline in this header so the
+// invariant linter's no-allocation rule covers the per-iteration code.
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "base/defs.hpp"
-#include "dd/engine.hpp"
-#include "fe/cell_ops.hpp"
+#include "dd/exchange.hpp"
 #include "fe/dofs.hpp"
 #include "la/iterative.hpp"
 #include "la/matrix.hpp"
@@ -46,9 +48,14 @@ namespace dftfe::dd {
 
 enum class BackendKind { serial, threaded };
 
+/// The threaded backend's halo protocol (see dd/engine.hpp): sync waits for
+/// every halo before the interior compute, async overlaps them.
+enum class EngineMode { sync, async };
+
 /// Options describing how a solver stack should execute. Owned by
 /// core::SimulationOptions / ks::ScfOptions; the ks layer builds one backend
-/// per k-point Hamiltonian plus one for the Poisson stiffness from these.
+/// per k-point Hamiltonian from these (plus, when threaded, one stiffness
+/// engine for the Poisson CG).
 struct BackendOptions {
   BackendKind kind = BackendKind::serial;
   int nlanes = 2;                  // threaded: total rank lanes (factorized into a grid)
@@ -62,7 +69,7 @@ struct BackendOptions {
   // reduced-precision partition-boundary communication is the default at
   // scale, monitored by the drift budget below). Serial execution has no
   // wire; callers needing bitwise lane arithmetic (equivalence tests, the
-  // Poisson stiffness backend) pin Wire::fp64 explicitly.
+  // Poisson stiffness engine) pin Wire::fp64 explicitly.
   Wire wire = Wire::fp32;
   CommModel model{};               // interconnect model for stats / injection
   bool inject_wire_delay = false;  // sleep out the modeled wire time on receive
@@ -93,9 +100,8 @@ using FusedApplyFn =
     std::function<void(const la::Matrix<T>&, la::Matrix<T>&, double, double,
                        const la::Matrix<T>*, double)>;
 
-/// Execution backend for one operator (a k-point Hamiltonian or the Poisson
-/// stiffness). All methods are driver-thread-only, mirroring the engine's
-/// threading contract.
+/// Execution backend for one k-point Hamiltonian. All methods must be called
+/// from one thread at a time, mirroring the engine's threading contract.
 template <class T>
 class ExecBackend {
  public:
@@ -107,14 +113,18 @@ class ExecBackend {
   virtual void set_potential(const std::vector<double>& v_eff) = 0;
   /// Y = op X (block apply).
   virtual void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) = 0;
-  /// y = op x (single-vector apply: Lanczos bounds).
-  virtual void apply(const std::vector<T>& x, std::vector<T>& y) = 0;
-  /// Jacobi-preconditioned CG for op x = b with z = r / laplacian_diagonal
-  /// and the Dirichlet rows held fixed (la::jacobi_pcg) — the EP-step
-  /// Poisson solve on the stiffness backend. x is the initial guess and is
-  /// overwritten; b must vanish on the Dirichlet rows.
-  virtual la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
-                              int maxit) = 0;
+  /// y = op x for a single vector (the Lanczos bounds): the block apply on
+  /// persistent one-column buffers. Exactly ndofs entries are read, since
+  /// callers may hand capacity-reused scratch longer than the operator.
+  void apply(const std::vector<T>& x, std::vector<T>& y) {
+    la::Matrix<T>& X = vec_in_.acquire(n_, 1);
+    std::copy(x.begin(), x.begin() + n_, X.data());
+    la::Matrix<T>& Y = vec_out_.acquire(n_, 1);
+    apply(X, Y);
+    // lint: allow(hot-path-alloc): grow-only output sizing; solver callers reuse persistent vectors
+    y.resize(static_cast<std::size_t>(n_));
+    std::copy(Y.data(), Y.data() + n_, y.begin());
+  }
   /// Scaled-shifted Chebyshev recurrence on columns [col0, col0+ncols) of X.
   virtual void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree,
                             double a, double b, double a0) = 0;
@@ -127,17 +137,23 @@ class ExecBackend {
                                   double weight, std::vector<double>& rho) = 0;
   /// Modeled interconnect seconds of the most recent job (0 when serial).
   virtual double modeled_comm_last_job() const { return 0.0; }
+
+ protected:
+  explicit ExecBackend(index_t ndofs) : n_(ndofs) {}
+
+ private:
+  index_t n_;                              // operator dimension
+  la::WorkMatrix<T> vec_in_, vec_out_;     // single-vector apply buffers
 };
 
-/// Single-image backend: executes every stage with the exact statements the
-/// pre-refactor ks/ layer ran, so results are bitwise identical to the seed.
+/// Single-image backend: executes every stage with the statements of the ks
+/// layer (the Hamiltonian's own fused apply, la::overlap_hermitian_mixed, the
+/// DC row loop).
 template <class T>
 class SerialBackend final : public ExecBackend<T> {
  public:
   /// `apply_fused` is the operator; `set_potential` is optional (potential
   /// updates reach a serial Hamiltonian through ks::Hamiltonian directly).
-  /// The vector path is the fused apply on 1-column buffers, matching
-  /// Hamiltonian::apply(vector) and CellStiffness::apply_add(vector).
   SerialBackend(const fe::DofHandler& dofh, FusedApplyFn<T> apply_fused,
                 std::function<void(const std::vector<double>&)> set_potential = {});
 
@@ -148,54 +164,27 @@ class SerialBackend final : public ExecBackend<T> {
     if (set_potential_) set_potential_(v_eff);
   }
 
+  using ExecBackend<T>::apply;
   void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) override {
     fused_(X, Y, 0.0, 1.0, nullptr, 0.0);
   }
 
-  void apply(const std::vector<T>& x, std::vector<T>& y) override {
-    const index_t n = dofh_->ndofs();
-    la::Matrix<T>& X = vec_in_.acquire(n, 1);
-    std::copy(x.begin(), x.begin() + n, X.data());
-    la::Matrix<T>& Y = vec_out_.acquire(n, 1);
-    fused_(X, Y, 0.0, 1.0, nullptr, 0.0);
-    // lint: allow(hot-path-alloc): grow-only output sizing; solver callers reuse persistent vectors
-    y.resize(static_cast<std::size_t>(n));
-    std::copy(Y.data(), Y.data() + n, y.begin());
-  }
-
-  la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
-                      int maxit) override {
-    auto op = [this](const std::vector<T>& v, std::vector<T>& y) { apply(v, y); };
-    return la::jacobi_pcg<T>(op, dofh_->laplacian_diagonal(), dofh_->boundary_dofs(), b, x, tol,
-                             maxit);
-  }
-
-  /// The three-block pointer-rotated recurrence of ks/chfes.hpp, verbatim:
-  /// same fused-apply sequence, same rotation, so the filtered block is
-  /// bitwise equal to the pre-refactor inline path.
+  /// la::chebyshev_filter on a copy of the columns, each step one fused
+  /// apply of the borrowed operator.
   void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree, double a,
                     double b, double a0) override {
     const index_t n = X.rows();
-    la::Matrix<T>* Xb = &cf_x_.acquire(n, ncols);
-    la::Matrix<T>* Yb = &cf_y_.acquire(n, ncols);
-    la::Matrix<T>* Zb = &cf_z_.acquire(n, ncols);
+    la::Matrix<T>& Xb = cf_x_.acquire(n, ncols);
+    la::Matrix<T>& Yb = cf_y_.acquire(n, ncols);
+    la::Matrix<T>& Zb = cf_z_.acquire(n, ncols);
     for (index_t j = 0; j < ncols; ++j)
-      std::copy(X.col(col0 + j), X.col(col0 + j) + n, Xb->col(j));
-    const double e = (b - a) / 2.0, c = (b + a) / 2.0;
-    double sigma = e / (a0 - c);
-    const double sigma1 = sigma;
-    fused_(*Xb, *Yb, c, sigma1 / e, nullptr, 0.0);
-    for (int k = 2; k <= degree; ++k) {
-      const double sigma2 = 1.0 / (2.0 / sigma1 - sigma);
-      fused_(*Yb, *Zb, c, 2.0 * sigma2 / e, Xb, sigma * sigma2);
-      la::Matrix<T>* t = Xb;
-      Xb = Yb;
-      Yb = Zb;
-      Zb = t;
-      sigma = sigma2;
-    }
+      std::copy(X.col(col0 + j), X.col(col0 + j) + n, Xb.col(j));
+    const la::Matrix<T>* R = la::chebyshev_filter(
+        &Xb, &Yb, &Zb, degree, a, b, a0,
+        [this](const la::Matrix<T>& In, la::Matrix<T>& Out, const la::Matrix<T>* Z, double c,
+               double scale, double zc, int) { fused_(In, Out, c, scale, Z, zc); });
     for (index_t j = 0; j < ncols; ++j)
-      std::copy(Yb->col(j), Yb->col(j) + n, X.col(col0 + j));
+      std::copy(R->col(j), R->col(j) + n, X.col(col0 + j));
   }
 
   void overlap(const la::Matrix<T>& A, const la::Matrix<T>& B, la::Matrix<T>& S,
@@ -221,90 +210,20 @@ class SerialBackend final : public ExecBackend<T> {
   FusedApplyFn<T> fused_;
   std::function<void(const std::vector<double>&)> set_potential_;
   la::WorkMatrix<T> cf_x_, cf_y_, cf_z_;   // Chebyshev ping-pong blocks
-  la::WorkMatrix<T> vec_in_, vec_out_;     // single-vector apply buffers
-};
-
-/// Multi-rank backend: every stage runs brick-decomposed on the wrapped
-/// RankEngine's lanes (see dd/engine.hpp for the execution model).
-template <class T>
-class ThreadedBackend final : public ExecBackend<T> {
- public:
-  ThreadedBackend(const fe::DofHandler& dofh, EngineOptions opt);
-
-  const char* name() const override { return "threaded"; }
-  int nlanes() const override { return engine_.nlanes(); }
-  RankEngine<T>& engine() { return engine_; }
-
-  void set_potential(const std::vector<double>& v_eff) override {
-    if (hamiltonian_) engine_.set_potential(v_eff);
-  }
-
-  void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) override { engine_.apply(X, Y); }
-
-  void apply(const std::vector<T>& x, std::vector<T>& y) override {
-    const index_t n = engine_.partition().ndofs();
-    la::Matrix<T>& X = vec_in_.acquire(n, 1);
-    std::copy(x.begin(), x.begin() + n, X.data());
-    la::Matrix<T>& Y = vec_out_.acquire(n, 1);
-    engine_.apply(X, Y);
-    // lint: allow(hot-path-alloc): grow-only output sizing; solver callers reuse persistent vectors
-    y.resize(static_cast<std::size_t>(n));
-    std::copy(Y.data(), Y.data() + n, y.begin());
-  }
-
-  la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
-                      int maxit) override {
-    return engine_.pcg(b, x, tol, maxit);
-  }
-
-  void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree, double a,
-                    double b, double a0) override {
-    engine_.filter_block(X, col0, ncols, degree, a, b, a0);
-  }
-
-  void overlap(const la::Matrix<T>& A, const la::Matrix<T>& B, la::Matrix<T>& S,
-               index_t mp_block, bool mixed) override {
-    engine_.overlap(A, B, S, mp_block, mixed);
-  }
-
-  void accumulate_density(const la::Matrix<T>& X, const std::vector<double>& occ,
-                          double weight, std::vector<double>& rho) override {
-    engine_.accumulate_density(X, occ, weight, rho);
-  }
-
-  double modeled_comm_last_job() const override {
-    double s = 0.0;
-    for (const auto& st : engine_.last_step_stats()) s += st.modeled;
-    return s;
-  }
-
- private:
-  bool hamiltonian_;
-  RankEngine<T> engine_;
-  la::WorkMatrix<T> vec_in_, vec_out_;  // single-vector apply buffers
 };
 
 /// Backend for a k-point Hamiltonian. Serial: wraps the caller's fused-apply
 /// hook (bind ks::Hamiltonian::apply_fused); potential updates stay with the
-/// Hamiltonian, so `serial_set_potential` is usually empty. Threaded: builds
-/// the brick-decomposed Hamiltonian lanes from the DofHandler and `kpoint`.
+/// Hamiltonian, so `serial_set_potential` is usually empty. Threaded: a
+/// RankEngine building the brick-decomposed Hamiltonian lanes from the
+/// DofHandler and `kpoint`.
 template <class T>
 std::unique_ptr<ExecBackend<T>> make_backend(
     const fe::DofHandler& dofh, const BackendOptions& opt, FusedApplyFn<T> serial_apply,
     std::function<void(const std::vector<double>&)> serial_set_potential = {},
     std::array<double, 3> kpoint = {0.0, 0.0, 0.0});
 
-/// Backend for the Poisson stiffness (coef_lap = 1, no mass/potential
-/// epilogue). Serial: borrows `K`; its pcg() is la::jacobi_pcg on y = K x,
-/// the built-in fe::PoissonSolver CG. Threaded: brick-decomposes the
-/// stiffness across lanes; its pcg() is one lane-resident engine job.
-std::unique_ptr<ExecBackend<double>> make_stiffness_backend(
-    const fe::DofHandler& dofh, const BackendOptions& opt,
-    const fe::CellStiffness<double>& K);
-
 extern template class SerialBackend<double>;
 extern template class SerialBackend<complex_t>;
-extern template class ThreadedBackend<double>;
-extern template class ThreadedBackend<complex_t>;
 
 }  // namespace dftfe::dd

@@ -38,9 +38,28 @@ void push_run(std::vector<RunT>& runs, index_t dst, index_t src, index_t len) {
 
 }  // namespace
 
+/// Forward the backend-level knobs onto the engine's lane protocol. Every
+/// field below lands on behavior the model checker verifies (tools/
+/// model_check): wire/model stamp the packets the mailbox publishes,
+/// drift_budget arms the mid-exchange hard-fail whose poison cascade the
+/// drift_fail scenario explores, and mode selects the sync/async bodies the
+/// checker proves bitwise-equal across all schedules.
+EngineOptions engine_options(const BackendOptions& opt) {
+  EngineOptions eopt;
+  eopt.nlanes = opt.nlanes;
+  eopt.grid = opt.grid;
+  eopt.mode = opt.mode;
+  eopt.wire = opt.wire;
+  eopt.model = opt.model;
+  eopt.inject_wire_delay = opt.inject_wire_delay;
+  eopt.drift_budget = opt.drift_budget;
+  return eopt;
+}
+
 template <class T>
 RankEngine<T>::RankEngine(const fe::DofHandler& dofh, EngineOptions opt)
-    : dofh_(&dofh),
+    : ExecBackend<T>(dofh.ndofs()),
+      dofh_(&dofh),
       opt_(opt),
       part_(BrickPartition::cell_aligned(
           dofh, (opt.grid[0] > 0 && opt.grid[1] > 0 && opt.grid[2] > 0)
@@ -204,8 +223,8 @@ void RankEngine<T>::build_lanes() {
               mesh, bk.c_begin[0] + rx.s0, bk.c_begin[0] + rx.s1, bk.c_begin[1] + ry.s0,
               bk.c_begin[1] + ry.s1, bk.c_begin[2] + rz.s0, bk.c_begin[2] + rz.s1));
           sg.dofh = std::make_unique<fe::DofHandler>(*sg.mesh, deg);
-          sg.op = std::make_unique<fe::CellStiffness<T>>(*sg.dofh, opt_.coef_lap,
-                                                         opt_.kpoint);
+          sg.op = std::make_unique<fe::CellStiffness<T>>(
+              *sg.dofh, opt_.hamiltonian ? 0.5 : 1.0, opt_.kpoint);
           sg.nrows = sg.dofh->ndofs();
           const index_t sm0 = (rx.s1 - rx.s0) * deg + 1;
           const index_t sm1 = (ry.s1 - ry.s0) * deg + 1;
@@ -552,6 +571,7 @@ void RankEngine<T>::publish_job_metrics(int nsteps) {
 
 template <class T>
 void RankEngine<T>::set_potential(const std::vector<double>& v_eff) {
+  if (!opt_.hamiltonian) return;  // the bare stiffness has no potential term
   if (static_cast<index_t>(v_eff.size()) < dofh_->ndofs())
     throw std::invalid_argument("RankEngine::set_potential: field too short");
   for (auto& lp : lanes_) {

@@ -2,9 +2,11 @@
 
 // Threaded multi-rank brick execution engine — the paper's asynchronous
 // compute/communication overlap (Sec. 5.4.2–5.4.3) executed for real instead
-// of simulated. Each rank of a cell-aligned BrickPartition (an nx x ny x nz
-// lane grid; a 1 x 1 x N grid is exactly the historical z-slab layout)
-// becomes a std::thread "lane" that owns one brick of the operator:
+// of simulated, and the threaded implementation of the dd::ExecBackend seam
+// (dd/backend.hpp): ks/ drives a RankEngine through that interface with no
+// wrapper in between. Each rank of a cell-aligned BrickPartition (an
+// nx x ny x nz lane grid; a 1 x 1 x N grid is exactly the historical z-slab
+// layout) becomes a std::thread "lane" that owns one brick of the operator:
 //
 //   * its own sub-mesh DofHandler and CellStiffness segments (one-layer
 //     boundary segments along every active face plus the interior bulk), so
@@ -38,7 +40,10 @@
 // so sync and async produce bitwise-identical results and their wall-clock
 // difference is exactly the measured overlap win (bench_scf_scaling;
 // dd/pipeline.hpp's simulate_sync/simulate_overlap now serve as analytic
-// bounds on these measured times).
+// bounds on these measured times). The epilogue of a Hamiltonian step is
+// fe::ks_nodal_rows, the per-element kernel ks::Hamiltonian runs, called
+// once per (column, row range); a filter job runs la::chebyshev_filter, the
+// serial backend's recurrence, over the lane's fused step.
 //
 // Numerics: with the FP64 wire, a 2-sharer face dof combines as a + b on one
 // side and b + a on the other (IEEE addition is commutative), so face ghosts
@@ -76,8 +81,8 @@
 // kernels' inner `parallel for` would otherwise oversubscribe), so
 // lane-level concurrency replaces OpenMP scaling when the engine is active.
 // Pick nlanes ≈ physical cores for throughput; the public entry points
-// (apply / filter_block / pcg / set_potential / set_mode) must be called from one
-// driver thread. A lane failure poisons its mailboxes so every lane (and the
+// (the ExecBackend stages, pcg, set_mode) must all be called from the one
+// thread that owns the engine. A lane failure poisons its mailboxes so every lane (and the
 // submitter) unblocks; the first exception is rethrown on the driver thread
 // and the engine resets to a usable state.
 
@@ -98,6 +103,7 @@
 #include "base/flops.hpp"
 #include "base/timer.hpp"
 #include "dd/allreduce.hpp"
+#include "dd/backend.hpp"
 #include "dd/exchange.hpp"
 #include "dd/mailbox.hpp"
 #include "dd/partition.hpp"
@@ -114,8 +120,6 @@
 
 namespace dftfe::dd {
 
-enum class EngineMode { sync, async };
-
 struct EngineOptions {
   int nlanes = 2;
   // Explicit lane grid {nx, ny, nz}. All-zero (the default) factorizes
@@ -126,8 +130,10 @@ struct EngineOptions {
   Wire wire = Wire::fp64;
   CommModel model{};              // interconnect model for stats / injection
   bool inject_wire_delay = false; // sleep out the modeled wire time on receive
-  bool hamiltonian = true;        // mass/potential/boundary epilogue vs bare stiffness
-  double coef_lap = 0.5;          // 0.5 = kinetic operator, 1.0 = Poisson stiffness
+  // Hamiltonian lanes: the kinetic operator (1/2 Laplacian) with the
+  // mass/potential/boundary epilogue. false: the bare Poisson stiffness
+  // (the Laplacian), the operator of the pcg job.
+  bool hamiltonian = true;
   // Per-job demotion error budget: a job hard-fails when the relative L2
   // drift of the values it packed through a reduced-precision wire exceeds
   // this bound (<= 0 disables the check). The default admits FP32 halo drift
@@ -136,6 +142,12 @@ struct EngineOptions {
   double drift_budget = 1e-2;
   std::array<double, 3> kpoint{0.0, 0.0, 0.0};
 };
+
+/// The engine options a threaded BackendOptions describes: a Hamiltonian
+/// engine at the Gamma point with the backend's lanes, grid, halo protocol,
+/// wire, interconnect model and drift budget. Callers set kpoint, or
+/// hamiltonian = false for the Poisson stiffness, on top.
+EngineOptions engine_options(const BackendOptions& opt);
 
 /// Per-recurrence-step timing, reduced over lanes (max): `compute` excludes
 /// halo waits, `wait` is the exposed receive time, `modeled` the interconnect
@@ -164,34 +176,36 @@ struct WireStats {
 };
 
 template <class T>
-class RankEngine {
+class RankEngine final : public ExecBackend<T> {
  public:
   explicit RankEngine(const fe::DofHandler& dofh, EngineOptions opt = {});
-  ~RankEngine();
+  ~RankEngine() override;
   RankEngine(const RankEngine&) = delete;
   RankEngine& operator=(const RankEngine&) = delete;
 
-  int nlanes() const { return static_cast<int>(lanes_.size()); }
+  const char* name() const override { return "threaded"; }
+  int nlanes() const override { return static_cast<int>(lanes_.size()); }
   const BrickPartition& partition() const { return part_; }
   EngineMode mode() const { return opt_.mode; }
   /// Switch sync/async between jobs (driver thread only).
   void set_mode(EngineMode m) { opt_.mode = m; }
 
-  /// Refresh the lane-local effective-potential slices (hamiltonian mode).
-  void set_potential(const std::vector<double>& v_eff);
+  /// Refresh the lane-local effective-potential slices (no-op on a
+  /// bare-stiffness engine, which has no potential).
+  void set_potential(const std::vector<double>& v_eff) override;
 
+  using ExecBackend<T>::apply;
   /// Y = op(X) across all lanes (op = scaled Hamiltonian or bare stiffness,
   /// per EngineOptions). Blocks until every lane finished its brick.
-  void apply(const la::Matrix<T>& X, la::Matrix<T>& Y);
+  void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) override;
 
-  /// Run the degree-`degree` scaled-and-shifted Chebyshev recurrence of
-  /// ks/chfes.hpp on columns [col0, col0+ncols) of X, in place: each lane
-  /// executes the full recurrence on its brick, exchanging interface partial
-  /// sums through the mailboxes each step. Lanes drift up to one exchange
-  /// apart (double buffering) — the cross-block pipelining the simulator
-  /// only modeled.
-  void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree,
-                    double a, double b, double a0);
+  /// Run la::chebyshev_filter on columns [col0, col0+ncols) of X, in place:
+  /// each lane executes the full recurrence on its brick, exchanging
+  /// interface partial sums through the mailboxes each step. Lanes drift up
+  /// to one exchange apart (double buffering) — the cross-block pipelining
+  /// the simulator only modeled.
+  void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree, double a,
+                    double b, double a0) override;
 
   /// Hermitian overlap S = A^H B distributed over lanes: each lane evaluates
   /// the upper block triangle of its owned-row span (the brick-local partial
@@ -200,14 +214,14 @@ class RankEngine {
   /// allreduce of a real distributed run — and applies the Hermitian
   /// completion once.
   void overlap(const la::Matrix<T>& A, const la::Matrix<T>& B, la::Matrix<T>& S,
-               index_t mp_block, bool mixed);
+               index_t mp_block, bool mixed) override;
 
   /// rho[i] += weight * sum_j occ[j] |X(i,j)|^2 / mass[i], distributed over
   /// lanes: each lane accumulates exactly the rows of the global density
   /// vector its brick owns (disjoint ranges — no reduction needed beyond the
   /// shared-memory gather), reproducing the serial DC row arithmetic bitwise.
   void accumulate_density(const la::Matrix<T>& X, const std::vector<double>& occ,
-                          double weight, std::vector<double>& rho);
+                          double weight, std::vector<double>& rho) override;
 
   /// Jacobi-preconditioned CG for K x = b on a bare-stiffness engine, as one
   /// lane-resident job (see the header comment): the statements of la::pcg
@@ -226,6 +240,13 @@ class RankEngine {
 
   /// Per-step timings of the most recent job (max over lanes).
   const std::vector<EngineStepStats>& last_step_stats() const { return step_stats_; }
+
+  /// Modeled interconnect seconds of the most recent job, summed over steps.
+  double modeled_comm_last_job() const override {
+    double s = 0.0;
+    for (const auto& st : step_stats_) s += st.modeled;
+    return s;
+  }
 
   /// Test hook: run a minimal halo round in which `lane` throws instead of
   /// posting — exercises failure cascade + engine reset. Rethrows the lane's
@@ -496,46 +517,30 @@ class RankEngine {
     }
   }
 
-  /// The fused epilogue of ks::Hamiltonian::apply_fused on rows [r0, r1):
-  /// Y = scale * ((Y * M^-1/2 + v X) * (1-bmask) - c X) - zc Z, with the same
-  /// branch structure (and therefore the same arithmetic) as the reference.
+  /// The fused epilogue on rows [r0, r1): a Hamiltonian lane runs
+  /// fe::ks_nodal_rows on each column (the arithmetic of
+  /// ks::Hamiltonian::apply_fused, on the lane's field slices).
   void epilogue_rows(Lane& ln, const la::Matrix<T>& Xl, la::Matrix<T>& Yl,
                      const la::Matrix<T>* Zl, double c, double scale, double zc,
                      index_t r0, index_t r1) {
     if (r0 >= r1) return;
     const index_t B = Xl.cols();
-    if (!opt_.hamiltonian) {
-      // Bare stiffness: identity epilogue for a plain apply, shift-scale
-      // otherwise (so the filter recurrence still works on e.g. the Poisson
-      // operator).
-      if (Zl == nullptr && c == 0.0 && scale == 1.0) return;
+    if (opt_.hamiltonian) {
       for (index_t j = 0; j < B; ++j)
-        for (index_t i = r0; i < r1; ++i) {
-          const T zterm = (Zl != nullptr) ? T(zc) * (*Zl)(i, j) : T{};
-          Yl(i, j) = T(scale) * (Yl(i, j) - T(c) * Xl(i, j)) - zterm;
-        }
+        fe::ks_nodal_rows<T>(fe::KsNodal::epilogue, ln.ims.data(), ln.veff.data(),
+                             ln.bmask.data(), Xl.col(j), Yl.col(j),
+                             Zl != nullptr ? Zl->col(j) : nullptr, c, scale, zc, r0, r1);
       return;
     }
-    const double* ims = ln.ims.data();
-    const double* v = ln.veff.data();
-    const double* bm = ln.bmask.data();
-    if (Zl == nullptr && c == 0.0 && scale == 1.0) {
-      for (index_t j = 0; j < B; ++j)
-        for (index_t i = r0; i < r1; ++i)
-          Yl(i, j) = (Yl(i, j) * T(ims[i]) + T(v[i]) * Xl(i, j)) * T(1.0 - bm[i]);
-    } else if (Zl == nullptr) {
-      for (index_t j = 0; j < B; ++j)
-        for (index_t i = r0; i < r1; ++i) {
-          const T h = (Yl(i, j) * T(ims[i]) + T(v[i]) * Xl(i, j)) * T(1.0 - bm[i]);
-          Yl(i, j) = T(scale) * (h - T(c) * Xl(i, j));
-        }
-    } else {
-      for (index_t j = 0; j < B; ++j)
-        for (index_t i = r0; i < r1; ++i) {
-          const T h = (Yl(i, j) * T(ims[i]) + T(v[i]) * Xl(i, j)) * T(1.0 - bm[i]);
-          Yl(i, j) = T(scale) * (h - T(c) * Xl(i, j)) - T(zc) * (*Zl)(i, j);
-        }
-    }
+    // Bare stiffness: identity epilogue for a plain apply, shift-scale
+    // otherwise (so the filter recurrence still works on e.g. the Poisson
+    // operator).
+    if (Zl == nullptr && c == 0.0 && scale == 1.0) return;
+    for (index_t j = 0; j < B; ++j)
+      for (index_t i = r0; i < r1; ++i) {
+        const T zterm = (Zl != nullptr) ? T(zc) * (*Zl)(i, j) : T{};
+        Yl(i, j) = T(scale) * (Yl(i, j) - T(c) * Xl(i, j)) - zterm;
+      }
   }
 
   /// One fused operator step Yl = scale*(op Xl - c Xl) - zc Zl on the lane's
@@ -552,13 +557,10 @@ class RankEngine {
     const index_t nloc = ln.nloc, B = Xl.cols();
     la::Matrix<T>& S = ln.sl.acquire(nloc, B);
     if (opt_.hamiltonian) {
-      const double* ims = ln.ims.data();
-      const double* bm = ln.bmask.data();
-      for (index_t j = 0; j < B; ++j) {
-        const T* x = Xl.col(j);
-        T* s = S.col(j);
-        for (index_t i = 0; i < nloc; ++i) s[i] = x[i] * T(ims[i] * (1.0 - bm[i]));
-      }
+      for (index_t j = 0; j < B; ++j)
+        fe::ks_nodal_rows<T>(fe::KsNodal::prescale, ln.ims.data(), ln.veff.data(),
+                             ln.bmask.data(), Xl.col(j), S.col(j), nullptr, 0.0, 1.0, 0.0, 0,
+                             nloc);
     } else {
       for (index_t j = 0; j < B; ++j) std::copy(Xl.col(j), Xl.col(j) + nloc, S.col(j));
     }
@@ -613,31 +615,23 @@ class RankEngine {
     for (index_t j = 0; j < ncols; ++j) scatter_rows(ln, Yl.col(j), Y.col(col0 + j));
   }
 
-  /// The full Chebyshev recurrence of ks::ChebyshevFilteredSolver::filter()
-  /// on the lane's brick: three ping-pong blocks rotated by pointer, the
-  /// shift-scale-subtract update fused into each step's epilogue.
+  /// la::chebyshev_filter on the lane's brick, each step one
+  /// lane_fused_step (halo exchange included, step k timed into steps[k]).
   void lane_filter(Lane& ln, la::Matrix<T>& X, index_t col0, index_t ncols, int degree,
                    double a, double b, double a0, EngineMode mode) {
     obs::TraceSpan span("CF-lane", "dd", ln.rank);
     const index_t nloc = ln.nloc;
-    la::Matrix<T>* Xb = &ln.xb.acquire(nloc, ncols);
-    la::Matrix<T>* Yb = &ln.yb.acquire(nloc, ncols);
-    la::Matrix<T>* Zb = &ln.zb.acquire(nloc, ncols);
-    gather_block(ln, X, col0, ncols, *Xb);
-    const double e = (b - a) / 2.0, c = (b + a) / 2.0;
-    double sigma = e / (a0 - c);
-    const double sigma1 = sigma;
-    lane_fused_step(ln, *Xb, *Yb, nullptr, c, sigma1 / e, 0.0, mode, 0);
-    for (int k = 2; k <= degree; ++k) {
-      const double sigma2 = 1.0 / (2.0 / sigma1 - sigma);
-      lane_fused_step(ln, *Yb, *Zb, Xb, c, 2.0 * sigma2 / e, sigma * sigma2, mode, k - 1);
-      la::Matrix<T>* t = Xb;
-      Xb = Yb;
-      Yb = Zb;
-      Zb = t;
-      sigma = sigma2;
-    }
-    scatter_owned(ln, *Yb, X, col0, ncols);
+    la::Matrix<T>& Xb = ln.xb.acquire(nloc, ncols);
+    la::Matrix<T>& Yb = ln.yb.acquire(nloc, ncols);
+    la::Matrix<T>& Zb = ln.zb.acquire(nloc, ncols);
+    gather_block(ln, X, col0, ncols, Xb);
+    const la::Matrix<T>* R = la::chebyshev_filter(
+        &Xb, &Yb, &Zb, degree, a, b, a0,
+        [&](const la::Matrix<T>& In, la::Matrix<T>& Out, const la::Matrix<T>* Z, double c,
+            double scale, double zc, int k) {
+          lane_fused_step(ln, In, Out, Z, c, scale, zc, mode, k);
+        });
+    scatter_owned(ln, *R, X, col0, ncols);
   }
 
   /// Brick-local partial Gram block: the upper block triangle of

@@ -98,4 +98,42 @@ class CellStiffness {
 extern template class CellStiffness<double>;
 extern template class CellStiffness<complex_t>;
 
+/// Which half of the nodal KS kernel below to run.
+enum class KsNodal { prescale, epilogue };
+
+/// The nodal (diagonal) part of the discrete Kohn-Sham operator of
+/// ks/hamiltonian.hpp, H~ x = (M^{-1/2} K M^{-1/2} x + v x) (1 - bmask), on
+/// rows [r0, r1) of one column. `ims`, `v` and `bm` are the inverse square
+/// root of the lumped mass, the effective potential and the boundary mask,
+/// indexed like the column pointers. ks::Hamiltonian::apply_fused calls it
+/// inside its column-parallel loops and each rank-engine lane per row range,
+/// so this is the one place the arithmetic is written. It opens no OpenMP
+/// region: a lane runs hundreds of row ranges per step.
+///   prescale: y = x M^{-1/2} (1 - bmask), the input of the cell apply
+///             (v, z, c, scale and zc are unused);
+///   epilogue: with y = K s on entry and h = (y M^{-1/2} + v x)(1 - bmask),
+///             y = h for a plain apply (z null, c = 0, scale = 1), else the
+///             fused Chebyshev step y = scale (h - c x) - zc z (z optional).
+template <class T>
+inline void ks_nodal_rows(KsNodal stage, const double* ims, const double* v, const double* bm,
+                          const T* x, T* y, const T* z, double c, double scale, double zc,
+                          index_t r0, index_t r1) {
+  if (stage == KsNodal::prescale) {
+    for (index_t i = r0; i < r1; ++i) y[i] = x[i] * T(ims[i] * (1.0 - bm[i]));
+  } else if (z == nullptr && c == 0.0 && scale == 1.0) {
+    for (index_t i = r0; i < r1; ++i)
+      y[i] = (y[i] * T(ims[i]) + T(v[i]) * x[i]) * T(1.0 - bm[i]);
+  } else if (z == nullptr) {
+    for (index_t i = r0; i < r1; ++i) {
+      const T h = (y[i] * T(ims[i]) + T(v[i]) * x[i]) * T(1.0 - bm[i]);
+      y[i] = T(scale) * (h - T(c) * x[i]);
+    }
+  } else {
+    for (index_t i = r0; i < r1; ++i) {
+      const T h = (y[i] * T(ims[i]) + T(v[i]) * x[i]) * T(1.0 - bm[i]);
+      y[i] = T(scale) * (h - T(c) * x[i]) - T(zc) * z[i];
+    }
+  }
+}
+
 }  // namespace dftfe::fe

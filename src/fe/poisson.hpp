@@ -33,11 +33,11 @@ class PoissonSolver {
   bool periodic() const { return periodic_; }
   const CellStiffness<double>& stiffness() const { return K_; }
 
-  /// Hand the CG of every solve to an external executor — a dd::ExecBackend
-  /// wrapping this solver's stiffness() — so the EP step runs under the same
-  /// execution model as the rest of the SCF. The right-hand side, the
-  /// Dirichlet lift and the periodic gauge stay here. An empty function
-  /// restores the built-in serial CG.
+  /// Hand the CG of every solve to an external executor — the lane-resident
+  /// pcg of a bare-stiffness dd::RankEngine on the same mesh — so a threaded
+  /// EP step runs under the same execution model as the rest of the SCF. The
+  /// right-hand side, the Dirichlet lift and the periodic gauge stay here. An
+  /// empty function restores the built-in serial CG.
   void set_cg(CgFn fn) { cg_ = std::move(fn); }
 
  private:

@@ -175,9 +175,9 @@ class ChebyshevFilteredSolver {
     for (index_t j0 = 0; j0 < N; j0 += Bf) {
       Timer block_timer;
       const index_t nb = std::min(Bf, N - j0);
-      // The backend runs the identical recurrence (serial: the same fused
-      // three-block rotation the solver used to inline; threaded: per slab
-      // lane with real halo exchange). `comm` is the *modeled* interconnect
+      // Both backends run la::chebyshev_filter (serial: over the fused
+      // Hamiltonian apply; threaded: per brick lane with real halo
+      // exchange). `comm` is the *modeled* interconnect
       // time of the exchanged packets (0 when serial) — the measured wall
       // time is the block timer, so overlap shows up as their gap.
       be->filter_block(X_, j0, nb, opt_.cheb_degree, a_, b_, a0_);

@@ -62,42 +62,27 @@ class Hamiltonian {
   /// The shift-scale-subtract update of the Chebyshev recurrence (Zhou et
   /// al.) is folded into the same epilogue sweep that applies the inverse
   /// mass scaling, the local potential, and the boundary projection — one
-  /// pass over Y instead of an apply followed by a separate copy sweep.
+  /// pass over Y instead of an apply followed by a separate copy sweep. The
+  /// per-element arithmetic is fe::ks_nodal_rows, shared with the rank-engine
+  /// lanes.
   void apply_fused(const la::Matrix<T>& X, la::Matrix<T>& Y, double c, double scale,
                    const la::Matrix<T>* Z, double zc) const {
     const index_t n = X.rows(), B = X.cols();
-    const auto& bmask = dofh_->boundary_mask();
+    const double* ims = inv_sqrt_mass_.data();
+    const double* v = v_eff_.data();
+    const double* bm = dofh_->boundary_mask().data();
     la::Matrix<T>& S = scaled_.acquire(n, B);
 #pragma omp parallel for
     for (index_t j = 0; j < B; ++j)
-      for (index_t i = 0; i < n; ++i)
-        S(i, j) = X(i, j) * T(inv_sqrt_mass_[i] * (1.0 - bmask[i]));
+      fe::ks_nodal_rows<T>(fe::KsNodal::prescale, ims, v, bm, X.col(j), S.col(j), nullptr, 0.0,
+                           1.0, 0.0, 0, n);
     Y.reshape(n, B);
     Y.zero();
     kinetic_.apply_add(S, Y);
-    if (Z == nullptr && c == 0.0 && scale == 1.0) {
 #pragma omp parallel for
-      for (index_t j = 0; j < B; ++j)
-        for (index_t i = 0; i < n; ++i)
-          Y(i, j) = (Y(i, j) * T(inv_sqrt_mass_[i]) + T(v_eff_[i]) * X(i, j)) *
-                    T(1.0 - bmask[i]);
-    } else if (Z == nullptr) {
-#pragma omp parallel for
-      for (index_t j = 0; j < B; ++j)
-        for (index_t i = 0; i < n; ++i) {
-          const T h = (Y(i, j) * T(inv_sqrt_mass_[i]) + T(v_eff_[i]) * X(i, j)) *
-                      T(1.0 - bmask[i]);
-          Y(i, j) = T(scale) * (h - T(c) * X(i, j));
-        }
-    } else {
-#pragma omp parallel for
-      for (index_t j = 0; j < B; ++j)
-        for (index_t i = 0; i < n; ++i) {
-          const T h = (Y(i, j) * T(inv_sqrt_mass_[i]) + T(v_eff_[i]) * X(i, j)) *
-                      T(1.0 - bmask[i]);
-          Y(i, j) = T(scale) * (h - T(c) * X(i, j)) - T(zc) * (*Z)(i, j);
-        }
-    }
+    for (index_t j = 0; j < B; ++j)
+      fe::ks_nodal_rows<T>(fe::KsNodal::epilogue, ims, v, bm, X.col(j), Y.col(j),
+                           Z != nullptr ? Z->col(j) : nullptr, c, scale, zc, 0, n);
   }
 
   /// y = H x for a single vector (Lanczos/MINRES path); allocation-free in

@@ -293,9 +293,9 @@ ScfResult KohnShamDFT<T>::solve() {
   // Build per-k Hamiltonians, solvers, and execution backends.
   hams_.clear();
   solvers_.clear();
-  poisson_.set_cg({});  // detach before the old backends die
+  poisson_.set_cg({});  // detach before the old engine dies
   backends_.clear();
-  es_backend_.reset();
+  es_engine_.reset();
   ChfesOptions copt;
   copt.cheb_degree = opt_.cheb_degree;
   copt.block_size = opt_.block_size;
@@ -321,20 +321,24 @@ ScfResult KohnShamDFT<T>::solve() {
         {}, kpts_[ik].k));
     solvers_[ik]->set_backend(backends_[ik].get());
   }
-  // Poisson stiffness backend: the EP step's CG runs under the same
-  // execution model as the eigensolver stages (threaded: one lane-resident
-  // job per solve), but with the wire pinned to FP64: a reduced-precision
-  // stiffness apply caps the achievable PCG residual near the wire's
-  // rounding floor (~1e-8 for FP32), above the 1e-9 Poisson tolerance — the
-  // solve would stagnate and burn its full iteration budget every EP step
-  // instead of converging.
-  dd::BackendOptions es_opt = opt_.backend;
-  es_opt.wire = dd::Wire::fp64;
-  es_backend_ = dd::make_stiffness_backend(*dofh_, es_opt, poisson_.stiffness());
-  poisson_.set_cg([be = es_backend_.get()](const std::vector<double>& b, std::vector<double>& x,
-                                           double tol, int maxit) {
-    return be->pcg(b, x, tol, maxit);
-  });
+  // The EP step's CG runs under the same execution model as the eigensolver
+  // stages. Serial keeps poisson_'s built-in la::jacobi_pcg; threaded runs
+  // one lane-resident pcg job per solve on a bare-stiffness engine, with the
+  // wire pinned to FP64: a reduced-precision stiffness apply caps the
+  // achievable PCG residual near the wire's rounding floor (~1e-8 for FP32),
+  // above the 1e-9 Poisson tolerance — the solve would stagnate and burn its
+  // full iteration budget every EP step instead of converging.
+  if (opt_.backend.kind == dd::BackendKind::threaded) {
+    dd::EngineOptions es_opt = dd::engine_options(opt_.backend);
+    es_opt.hamiltonian = false;
+    es_opt.wire = dd::Wire::fp64;
+    // lint: allow(hot-path-alloc): per-solve setup, outside the iteration loop
+    es_engine_ = std::make_unique<dd::RankEngine<double>>(*dofh_, es_opt);
+    poisson_.set_cg([eng = es_engine_.get()](const std::vector<double>& b,
+                                             std::vector<double>& x, double tol, int maxit) {
+      return eng->pcg(b, x, tol, maxit);
+    });
+  }
   obs::MetricsRegistry::global().gauge_set(
       "scf.backend.threaded", opt_.backend.kind == dd::BackendKind::threaded ? 1.0 : 0.0);
   obs::MetricsRegistry::global().gauge_set("scf.backend.nlanes",

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "dd/backend.hpp"
+#include "dd/engine.hpp"
 #include "fe/poisson.hpp"
 #include "ks/chfes.hpp"
 #include "ks/hamiltonian.hpp"
@@ -58,8 +59,8 @@ struct ScfOptions {
   bool verbose = false;
   unsigned seed = 42;
   // Execution backend for every solver stage (per-k ChFES cycles, density
-  // accumulation, Poisson stiffness applies): serial (bitwise-identical to
-  // the pre-backend code) or threaded slab-rank lanes.
+  // accumulation, the EP-step Poisson CG): serial (the ks-layer arithmetic)
+  // or threaded brick-rank lanes.
   dd::BackendOptions backend;
   // End-of-iteration hook, invoked on the driver thread after iteration
   // `completed` (1-based) has fully updated the solver state (mixed density,
@@ -176,11 +177,12 @@ class KohnShamDFT {
 
   std::vector<std::unique_ptr<Hamiltonian<T>>> hams_;
   std::vector<std::unique_ptr<ChebyshevFilteredSolver<T>>> solvers_;
-  // Execution backends, rebuilt by solve(): one per k-point Hamiltonian plus
-  // one for the Poisson stiffness (installed into poisson_ as its CG hook so
-  // the EP solve runs under the same execution model).
+  // Execution backends, rebuilt by solve(): one per k-point Hamiltonian.
+  // Threaded runs add a bare-stiffness engine whose lane-resident pcg is
+  // installed into poisson_ as its CG hook, so the EP solve runs under the
+  // same execution model; serial runs keep poisson_'s built-in CG.
   std::vector<std::unique_ptr<dd::ExecBackend<T>>> backends_;
-  std::unique_ptr<dd::ExecBackend<double>> es_backend_;
+  std::unique_ptr<dd::RankEngine<double>> es_engine_;
 
   double nelectrons_ = 0.0;
   index_t nstates_ = 0;

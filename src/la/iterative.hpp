@@ -7,7 +7,9 @@
 //    independently per column but every operator application is fused into a
 //    single block apply, which is what lets the FE cell-level batched GEMM
 //    kernels reach high arithmetic intensity,
-//  * a few Lanczos steps to bound the spectrum for Chebyshev filtering.
+//  * a few Lanczos steps to bound the spectrum for Chebyshev filtering,
+//  * the scaled-and-shifted Chebyshev filter recurrence itself, over a
+//    caller-supplied fused operator step (serial or one brick lane).
 
 #include <cmath>
 #include <functional>
@@ -269,6 +271,34 @@ double lanczos_upper_bound(const std::function<void(const std::vector<T>&, std::
     bound = std::max(bound, row);
   }
   return bound + std::abs(beta.back());
+}
+
+/// The degree-`degree` scaled-and-shifted Chebyshev filter recurrence (Zhou
+/// et al.) on the window [a, b] with wanted-edge estimate a0: it damps the
+/// spectrum inside [a, b] and amplifies everything below it. `*X` holds the
+/// input block; `Y` and `Z` are scratch blocks of the same shape. The three
+/// blocks rotate by pointer, so no step copies a block. `step(X, Y, Z, c,
+/// scale, zc, k)` must compute Y = scale * (op X - c X) - zc * Z (Z may be
+/// null) for recurrence step k = 0 .. degree-1; the shift-scale-subtract
+/// update thus fuses into the operator's epilogue. Returns the block holding
+/// the filtered result (one of X, Y, Z).
+template <class T, class FusedStep>
+Matrix<T>* chebyshev_filter(Matrix<T>* X, Matrix<T>* Y, Matrix<T>* Z, int degree, double a,
+                            double b, double a0, FusedStep&& step) {
+  const double e = (b - a) / 2.0, c = (b + a) / 2.0;
+  double sigma = e / (a0 - c);
+  const double sigma1 = sigma;
+  step(*X, *Y, nullptr, c, sigma1 / e, 0.0, 0);
+  for (int k = 2; k <= degree; ++k) {
+    const double sigma2 = 1.0 / (2.0 / sigma1 - sigma);
+    step(*Y, *Z, X, c, 2.0 * sigma2 / e, sigma * sigma2, k - 1);
+    Matrix<T>* t = X;
+    X = Y;
+    Y = Z;
+    Z = t;
+    sigma = sigma2;
+  }
+  return Y;
 }
 
 }  // namespace dftfe::la

@@ -1,11 +1,11 @@
-// Tests for the ExecBackend abstraction (dd/backend.hpp), the tentpole of
-// the multi-rank refactor: the serial backend must reproduce the direct
-// ks-layer arithmetic bitwise, the threaded backend must agree with it to
-// solver precision on every stage (apply, Chebyshev filter, Gram overlap,
-// density accumulation, the Poisson stiffness and its PCG solve), and a
-// *full SCF* run on the
-// threaded backend must land on the serial total energy to <= 1e-10 Ha —
-// the acceptance gate the CI engine-scf-equivalence leg enforces.
+// Tests for the ExecBackend abstraction (dd/backend.hpp): the serial backend
+// must reproduce the direct ks-layer arithmetic bitwise, the threaded
+// backend (a dd::RankEngine) must agree with it to solver precision on every
+// stage (apply, Chebyshev filter, Gram overlap, density accumulation), a
+// bare-stiffness engine's PCG must agree with the built-in Poisson CG, and
+// a *full SCF* run on the threaded backend must land on the serial total
+// energy to <= 1e-10 Ha — the acceptance gate the CI engine-scf-equivalence
+// leg enforces.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "dd/backend.hpp"
+#include "dd/engine.hpp"
 #include "fe/poisson.hpp"
 #include "ks/hamiltonian.hpp"
 #include "ks/scf.hpp"
@@ -197,60 +198,52 @@ TEST(BackendEquivalence, ComplexKpointStages) {
 }
 
 TEST(BackendStiffness, SerialIsBitwiseDirectAndThreadedAgrees) {
+  // The EP solve as ks::KohnShamDFT wires it: serial runs fe::PoissonSolver's
+  // built-in CG with no hook installed; threaded installs the lane-resident
+  // pcg of a bare-stiffness, FP64-wire engine through set_cg.
   const fe::Mesh mesh = fe::make_uniform_mesh(5.0, 4, false);
   const fe::DofHandler dofh(mesh, 2);
   fe::PoissonSolver poisson(dofh);
   const fe::CellStiffness<double>& K = poisson.stiffness();
 
-  BackendOptions sopt;
-  auto serial = make_stiffness_backend(dofh, sopt, K);
-  BackendOptions topt;
-  topt.kind = BackendKind::threaded;
-  topt.nlanes = 2;
-  topt.wire = Wire::fp64;  // 1e-12 gates: see AllStagesSerialVsThreaded
-  auto threaded = make_stiffness_backend(dofh, topt, K);
+  EngineOptions eopt;
+  eopt.nlanes = 2;
+  eopt.hamiltonian = false;
+  eopt.wire = Wire::fp64;  // 1e-12 gates: see AllStagesSerialVsThreaded
+  RankEngine<double> eng(dofh, eopt);
 
   std::vector<double> x(dofh.ndofs());
   for (index_t i = 0; i < dofh.ndofs(); ++i) x[i] = std::sin(0.29 * i);
-
-  // The serial stiffness backend is the pre-refactor vector path verbatim.
-  std::vector<double> yref(dofh.ndofs(), 0.0);
+  std::vector<double> yref(dofh.ndofs(), 0.0), yt;
   K.apply_add(x, yref);
-  std::vector<double> ys, yt;
-  serial->apply(x, ys);
-  ASSERT_EQ(ys.size(), yref.size());
-  for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_EQ(ys[i], yref[i]) << i;
-
-  threaded->apply(x, yt);
+  eng.apply(x, yt);
   ASSERT_EQ(yt.size(), yref.size());
   for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_NEAR(yt[i], yref[i], 1e-12) << i;
 
   // set_potential must be a no-op on a bare stiffness (no epilogue to feed).
-  ASSERT_NO_THROW(threaded->set_potential(std::vector<double>(dofh.ndofs(), 1.0)));
-  threaded->apply(x, yt);
+  ASSERT_NO_THROW(eng.set_potential(std::vector<double>(dofh.ndofs(), 1.0)));
+  eng.apply(x, yt);
   for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_NEAR(yt[i], yref[i], 1e-12) << i;
 
-  // The EP solve entry. Serial: the built-in fe::PoissonSolver CG bitwise,
-  // both on its own and behind the solver's CG hook. Threaded: the
-  // lane-resident pcg job, equal to solver precision.
+  // The EP solve entry: the engine's pcg behind the CG hook equals the
+  // built-in CG to solver precision, and detaching the hook gives back the
+  // built-in CG bitwise (the serial EP path).
   std::vector<double> rho(dofh.ndofs());
   for (index_t i = 0; i < dofh.ndofs(); ++i) rho[i] = 0.2 + std::cos(0.13 * i) * std::cos(0.13 * i);
-  std::vector<double> phi_builtin, phi_serial, phi_threaded;
+  std::vector<double> phi_builtin, phi_threaded, phi_detached;
   const la::SolveReport r0 = poisson.solve(rho, phi_builtin, 1e-10);
-  poisson.set_cg([&serial](const std::vector<double>& b, std::vector<double>& xx, double tol,
-                           int maxit) { return serial->pcg(b, xx, tol, maxit); });
-  const la::SolveReport r1 = poisson.solve(rho, phi_serial, 1e-10);
-  poisson.set_cg([&threaded](const std::vector<double>& b, std::vector<double>& xx, double tol,
-                             int maxit) { return threaded->pcg(b, xx, tol, maxit); });
+  poisson.set_cg([&eng](const std::vector<double>& b, std::vector<double>& xx, double tol,
+                        int maxit) { return eng.pcg(b, xx, tol, maxit); });
   const la::SolveReport r2 = poisson.solve(rho, phi_threaded, 1e-10);
   poisson.set_cg({});
+  const la::SolveReport r1 = poisson.solve(rho, phi_detached, 1e-10);
   ASSERT_TRUE(r0.converged && r1.converged && r2.converged);
   EXPECT_EQ(r1.iterations, r0.iterations);
   EXPECT_LE(std::abs(r2.iterations - r0.iterations), 1);
   double scale = 0.0;
   for (index_t i = 0; i < dofh.ndofs(); ++i) scale = std::max(scale, std::abs(phi_builtin[i]));
   for (index_t i = 0; i < dofh.ndofs(); ++i) {
-    ASSERT_EQ(phi_serial[i], phi_builtin[i]) << i;
+    ASSERT_EQ(phi_detached[i], phi_builtin[i]) << i;
     ASSERT_NEAR(phi_threaded[i], phi_builtin[i], 1e-8 * scale) << i;
   }
 }
@@ -327,9 +320,10 @@ TEST(BackendScf, NonInteractingTrapSerialVsThreadedEnergy) {
 }
 
 TEST(BackendScf, LdaAtomWithHartreeSerialVsThreadedEnergy) {
-  // Full physics — LDA + Hartree — so the threaded Poisson stiffness backend
-  // sits inside the EP step's PCG while the eigensolver stages run on the
-  // threaded lanes: the whole SCF executes under one distributed model.
+  // Full physics — LDA + Hartree — so the bare-stiffness engine's pcg runs
+  // the EP step while the eigensolver stages run on the threaded lanes: the
+  // whole SCF executes under one distributed model (and the serial pass runs
+  // the built-in Poisson CG).
   const double L = 12.0;
   const fe::Mesh mesh = fe::make_uniform_mesh(L, 4, false);
   const fe::DofHandler dofh(mesh, 3);
@@ -396,7 +390,7 @@ TEST(BackendThreaded, DriftBudgetHardFailsJobAndEngineRecovers) {
   eopt.nlanes = 2;
   eopt.wire = Wire::fp32;
   eopt.drift_budget = 1e-12;  // below FP32 rounding: every halo job overdrafts
-  ThreadedBackend<double> be(dofh, eopt);
+  RankEngine<double> be(dofh, eopt);
   be.set_potential(std::vector<double>(dofh.ndofs(), -0.3));
 
   la::Matrix<double> X(dofh.ndofs(), 3), Y;
@@ -413,7 +407,7 @@ TEST(BackendThreaded, DriftBudgetHardFailsJobAndEngineRecovers) {
   // the FP32 result still agrees with a FP64-wire reference to FP32 rounding.
   EngineOptions ok = eopt;
   ok.drift_budget = 0.0;
-  ThreadedBackend<double> be2(dofh, ok);
+  RankEngine<double> be2(dofh, ok);
   be2.set_potential(std::vector<double>(dofh.ndofs(), -0.3));
   ASSERT_NO_THROW(be2.apply(X, Y));
   for (index_t i = 0; i < Y.size(); ++i) ASSERT_TRUE(std::isfinite(Y.data()[i]));
@@ -435,7 +429,7 @@ TEST(BackendThreaded, SecondSubmitWhileJobInFlightIsDiagnosedLoudly) {
   eopt.mode = EngineMode::sync;
   eopt.inject_wire_delay = true;
   eopt.model.latency_s = 0.05;  // >= 50 ms exposed per halo packet
-  ThreadedBackend<double> be(dofh, eopt);
+  RankEngine<double> be(dofh, eopt);
   be.set_potential(v);
 
   la::Matrix<double> X(dofh.ndofs(), 3), A(dofh.ndofs(), 2), S;
@@ -453,7 +447,7 @@ TEST(BackendThreaded, SecondSubmitWhileJobInFlightIsDiagnosedLoudly) {
   while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   try {
-    be.engine().overlap(A, A, S, 8, false);
+    be.overlap(A, A, S, 8, false);
     ADD_FAILURE() << "second submit while a job was in flight did not throw";
   } catch (const std::logic_error& err) {
     const std::string what = err.what();

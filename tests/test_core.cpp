@@ -6,6 +6,7 @@
 
 #include "core/relax.hpp"
 #include "core/simulation.hpp"
+#include "obs/metrics.hpp"
 
 namespace dftfe::core {
 namespace {
@@ -137,7 +138,7 @@ TEST(Relax, DimerRelaxationReducesForces) {
   EXPECT_LT(d, 8.0);
 }
 
-TEST(Relax, SerialAndThreadedBackendsAgree) {
+TEST(Relax, SerialAndLaneBackendsAgree) {
   // Relaxation is SCF-in-the-loop: any backend divergence compounds through
   // the geometry updates. Pin the halo wire to fp64 so the threaded brick
   // lanes reproduce the serial trajectory to the 1e-10 Ha equivalence bar.
@@ -165,6 +166,21 @@ TEST(Relax, SerialAndThreadedBackendsAgree) {
   for (std::size_t a = 0; a < 2; ++a)
     for (int d = 0; d < 3; ++d)
       EXPECT_NEAR(serial.structure.atoms[a].pos[d], threaded.structure.atoms[a].pos[d], 1e-10);
+}
+
+TEST(Simulation, BackendGaugeCountsTheLanesOfAnExplicitGrid) {
+  // An explicit grid overrides nlanes: {2, 1, 2} with the default nlanes = 2
+  // runs 4 lanes, and scf.backend.nlanes, read off the backend the solve
+  // built, must say 4.
+  auto opt = fast_options();
+  opt.backend.kind = dd::BackendKind::threaded;
+  opt.backend.grid = {2, 1, 2};
+  ASSERT_EQ(opt.backend.nlanes, 2);
+  opt.scf.max_iterations = 1;
+  Simulation sim(single_atom(), opt);
+  sim.run();
+  EXPECT_EQ(obs::MetricsRegistry::global().gauge("scf.backend.threaded"), 1.0);
+  EXPECT_EQ(obs::MetricsRegistry::global().gauge("scf.backend.nlanes"), 4.0);
 }
 
 TEST(Simulation, GammaAndGammaKpointAgree) {

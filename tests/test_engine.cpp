@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "base/timer.hpp"
-#include "dd/backend.hpp"
 #include "dd/engine.hpp"
 #include "dd/pipeline.hpp"
 #include "fe/cell_ops.hpp"
@@ -150,12 +149,12 @@ TEST(SlabEngine, FilteredSubspaceMatchesReferenceP3P5) {
       EngineOptions opt;
       opt.nlanes = (degree_fe == 3) ? 4 : 3;
       opt.mode = mode;
-      ThreadedBackend<double> be(dofh, opt);
-      be.set_potential(H.potential());
+      RankEngine<double> eng(dofh, opt);
+      eng.set_potential(H.potential());
       ks::ChebyshevFilteredSolver<double> sol(H, 12, copt);
       sol.initialize_random(7);
       sol.set_bounds(a, b, a0);
-      sol.set_backend(&be);
+      sol.set_backend(&eng);
       sol.filter();
       EXPECT_LT(max_diff(sol.subspace(), ref.subspace()), 1e-12)
           << "p=" << degree_fe << " mode=" << (mode == EngineMode::sync ? "sync" : "async");
@@ -184,12 +183,12 @@ TEST(SlabEngine, ComplexKpointFilterMatchesReference) {
   EngineOptions opt;
   opt.nlanes = 3;
   opt.kpoint = kpt;
-  ThreadedBackend<complex_t> be(dofh, opt);
-  be.set_potential(H.potential());
+  RankEngine<complex_t> eng(dofh, opt);
+  eng.set_potential(H.potential());
   ks::ChebyshevFilteredSolver<complex_t> sol(H, 6, copt);
   sol.initialize_random(11);
   sol.set_bounds(a, b, a0);
-  sol.set_backend(&be);
+  sol.set_backend(&eng);
   sol.filter();
   EXPECT_LT(max_diff(sol.subspace(), ref.subspace()), 1e-12);
 }
@@ -258,7 +257,6 @@ TEST(SlabEngine, BareStiffnessModeMatchesPoissonOperator) {
   EngineOptions opt;
   opt.nlanes = 3;
   opt.hamiltonian = false;
-  opt.coef_lap = 1.0;
   RankEngine<double> eng(dofh, opt);
   la::Matrix<double> Y;
   eng.apply(X, Y);
@@ -379,7 +377,6 @@ TEST(SlabEngine, CommStatsCountBothDirectionsPerInterface) {
   opt.nlanes = 4;
   opt.grid = {1, 1, 4};  // pin the z-slab layout: the counts below are slab-exact
   opt.hamiltonian = false;
-  opt.coef_lap = 1.0;
   opt.model.bandwidth_bytes_per_s = 1e8;
   opt.model.latency_s = 1e-5;
   RankEngine<double> eng(dofh, opt);
@@ -457,12 +454,12 @@ TEST(BrickEngine, FilteredSubspaceMatchesReferenceP3P5) {
     EngineOptions opt;
     opt.grid = (degree_fe == 3) ? std::array<int, 3>{2, 2, 2} : std::array<int, 3>{3, 1, 1};
     opt.nlanes = opt.grid[0] * opt.grid[1] * opt.grid[2];
-    ThreadedBackend<double> be(dofh, opt);
-    be.set_potential(H.potential());
+    RankEngine<double> eng(dofh, opt);
+    eng.set_potential(H.potential());
     ks::ChebyshevFilteredSolver<double> sol(H, 12, copt);
     sol.initialize_random(7);
     sol.set_bounds(a, b, a0);
-    sol.set_backend(&be);
+    sol.set_backend(&eng);
     sol.filter();
     EXPECT_LT(max_diff(sol.subspace(), ref.subspace()), 1e-12) << "p=" << degree_fe;
   }
@@ -546,7 +543,6 @@ TEST(BrickEngine, GramTreeReductionMatchesSerialOverlap) {
   opt.grid = {2, 2, 2};
   opt.nlanes = 8;
   opt.hamiltonian = false;
-  opt.coef_lap = 1.0;
   RankEngine<double> eng(dofh, opt);
   la::Matrix<double> S;
   eng.overlap(A, B, S, 64, false);
@@ -602,7 +598,6 @@ EngineOptions stiffness_options(std::array<int, 3> grid, EngineMode mode) {
   opt.nlanes = grid[0] * grid[1] * grid[2];
   opt.mode = mode;
   opt.hamiltonian = false;
-  opt.coef_lap = 1.0;
   return opt;
 }
 

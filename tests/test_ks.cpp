@@ -5,8 +5,11 @@
 // model systems.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "fe/gradient.hpp"
 #include "ks/chfes.hpp"
@@ -53,6 +56,55 @@ TEST(NodalGradient, DivergenceOfGradientOfSmoothField) {
   for (index_t g = 0; g < dofh.ndofs(); ++g)
     maxerr = std::max(maxerr, std::abs(lap[g] + G * G * f[g]));
   EXPECT_LT(maxerr, 1e-3 * G * G);
+}
+
+// ---------- Hamiltonian apply on an OpenMP team ----------
+
+// The KS apply has no reductions: the nodal pre-scale and epilogue
+// (fe::ks_nodal_rows) and the assembly scatter run parallel over columns,
+// the batched cell GEMM over cells. So on a mesh above the 8192-dof size
+// where the la/ kernels open their parallel regions, a four-thread team
+// must reproduce the one-thread result bitwise, in every epilogue branch.
+template <class T>
+void expect_apply_fused_bitwise_on_four_threads(std::array<double, 3> kpt) {
+  const fe::Mesh m = fe::make_uniform_mesh(8.0, 7, true);
+  fe::DofHandler dofh(m, 3);
+  ASSERT_GT(dofh.ndofs(), 8192);
+  Hamiltonian<T> H(dofh, kpt);
+  std::vector<double> v(dofh.ndofs());
+  for (index_t g = 0; g < dofh.ndofs(); ++g) v[g] = -0.4 * std::cos(0.013 * g);
+  H.set_potential(v);
+  la::Matrix<T> X(dofh.ndofs(), 6), Z(dofh.ndofs(), 6);
+  for (index_t i = 0; i < X.size(); ++i) {
+    X.data()[i] = T(std::sin(0.21 * i));
+    Z.data()[i] = T(std::cos(0.17 * i));
+    if constexpr (scalar_traits<T>::is_complex) X.data()[i] += T(0.0, std::cos(0.31 * i));
+  }
+  struct Branch {
+    const char* name;
+    double c, scale;
+    const la::Matrix<T>* z;
+    double zc;
+  };
+  const Branch branches[] = {{"plain", 0.0, 1.0, nullptr, 0.0},
+                             {"shift-scale", 0.7, 1.9, nullptr, 0.0},
+                             {"with Z", 0.7, 1.9, &Z, 0.45}};
+  const int saved = omp_get_max_threads();
+  for (const Branch& br : branches) {
+    la::Matrix<T> Y1, Y4;
+    omp_set_num_threads(1);
+    H.apply_fused(X, Y1, br.c, br.scale, br.z, br.zc);
+    omp_set_num_threads(4);
+    H.apply_fused(X, Y4, br.c, br.scale, br.z, br.zc);
+    ASSERT_EQ(Y1.size(), Y4.size());
+    EXPECT_EQ(std::memcmp(Y1.data(), Y4.data(), sizeof(T) * Y1.size()), 0) << br.name;
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(OpenMpKsApply, ApplyFusedIsBitwiseOnFourThreads) {
+  expect_apply_fused_bitwise_on_four_threads<double>({0.0, 0.0, 0.0});
+  expect_apply_fused_bitwise_on_four_threads<complex_t>({0.1, 0.0, 0.05});
 }
 
 // ---------- ChFES on analytic spectra ----------

@@ -51,6 +51,11 @@ namespace {
 // Pinning OpenMP teams to one thread keeps this suite's std::thread
 // interleavings — the synchronization actually under test — noise-free.
 // See cmake/Sanitizers.cmake ("OpenMP-aware TSan handling").
+// omp_set_num_threads sets the calling thread's ICV only: the std::threads
+// the tests start and the svc workers still open default-size teams (engine
+// lanes pin themselves). Run the suite with OMP_NUM_THREADS=1 in the
+// environment (the CI tsan leg does), which every thread inherits; without
+// it RaceKernels.* reports libgomp false positives and RaceService.* crawls.
 struct PinOpenmpForTsan {
   PinOpenmpForTsan() { omp_set_num_threads(1); }
 } pin_openmp_for_tsan;
@@ -513,8 +518,8 @@ TEST(RaceEngine, LaneFaultPropagationUnderContention) {
   });
 }
 
-TEST(RaceBackend, ConcurrentThreadedBackendsAllStagesAgree) {
-  // Each thread owns a full ThreadedBackend (its own lanes, mailboxes, and
+TEST(RaceBackend, ConcurrentRankEnginesAllStagesAgree) {
+  // Each thread owns a full RankEngine backend (its own lanes, mailboxes, and
   // Gram/density job state) and sweeps every ExecBackend stage — apply,
   // filter, the slab-partial Gram reduction, and the disjoint-owned-rows
   // density accumulation — under whatever scheduling contention the other
@@ -548,7 +553,7 @@ TEST(RaceBackend, ConcurrentThreadedBackendsAllStagesAgree) {
   run_threads(kThreads, [&](int t) {
     dd::EngineOptions opt;
     opt.nlanes = 2 + t % 2;
-    dd::ThreadedBackend<double> be(dofh, opt);
+    dd::RankEngine<double> be(dofh, opt);
     be.set_potential(v);
     la::Matrix<double> Y, S;
     std::vector<double> rho(dofh.ndofs());
@@ -583,7 +588,7 @@ TEST(RaceBackend, SubmitGuardDiagnosesCrossThreadSubmit) {
   opt.mode = dd::EngineMode::sync;
   opt.inject_wire_delay = true;
   opt.model.latency_s = 0.02;  // >= 20 ms exposed per halo packet
-  dd::ThreadedBackend<double> be(dofh, opt);
+  dd::RankEngine<double> be(dofh, opt);
   be.set_potential(v);
 
   la::Matrix<double> X(dofh.ndofs(), 2), A(dofh.ndofs(), 2), S;
@@ -602,7 +607,7 @@ TEST(RaceBackend, SubmitGuardDiagnosesCrossThreadSubmit) {
   while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   try {
-    be.engine().overlap(A, A, S, 8, false);
+    be.overlap(A, A, S, 8, false);
   } catch (const std::logic_error&) {
     guard_throws.fetch_add(1, std::memory_order_relaxed);
   }

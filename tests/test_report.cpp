@@ -178,7 +178,6 @@ TEST(RunReport, CommLedgerMatchesHandComputedHaloBytes) {
   dd::EngineOptions opt;
   opt.nlanes = 2;
   opt.hamiltonian = false;
-  opt.coef_lap = 1.0;
   opt.wire = dd::Wire::fp32;
   dd::RankEngine<double> eng(dofh, opt);
 
@@ -250,7 +249,6 @@ TEST(RunReport, CommLedgerMatchesHandComputedBf16HaloBytes) {
   dd::EngineOptions opt;
   opt.nlanes = 2;
   opt.hamiltonian = false;
-  opt.coef_lap = 1.0;
   opt.wire = dd::Wire::bf16;
   opt.drift_budget = 1.0;  // BF16 drift is ~4e-3 RMS; keep headroom
   dd::RankEngine<double> eng(dofh, opt);
@@ -313,7 +311,6 @@ TEST(RunReport, ExposedWaitTracksInjectedWireDelay) {
   opt.nlanes = 2;
   opt.mode = dd::EngineMode::sync;  // no overlap: the wire wait is exposed
   opt.hamiltonian = false;
-  opt.coef_lap = 1.0;
   opt.inject_wire_delay = true;
   opt.model.bandwidth_bytes_per_s = 5e6;  // ~1 ms per 5-column halo packet
   opt.model.latency_s = 1e-4;

@@ -76,9 +76,6 @@ WHITELIST = [
      r"hermitian_eig<|lanczos_upper_bound<)", {"alloc", "throw"},
      "entry-time scratch sizing plus breakdown throw; once per call, "
      "outside the blocked inner loops"),
-    (r"void dftfe::la::gemm<", {"alloc"},
-     "thread-local packing panels grown by ensure_scratch (inlined at -O3) "
-     "on a thread's first call; allocation-free after that"),
     (r"dftfe::la::(gemm_low_precision<|overlap_hermitian_partial<)",
      {"alloc", "throw"},
      "mixed-precision wire scratch via ensure_scratch (inlined at -O3) and "
@@ -104,9 +101,6 @@ WHITELIST = [
     (r"dftfe::dd::RankEngine<.*>::(post_halo|recv_halo)", {"throw"},
      "drift-budget hard-fail and poison propagation — the very protocol "
      "paths tools/model_check explores; throws at most once per failed job"),
-    (r"dftfe::dd::RankEngine<.*>::(apply_segment|lane_gram|lane_filter)", {"alloc"},
-     "per-lane workspace lease acquire inlined at -O3; amortized to zero "
-     "after lane warmup"),
     (r"dftfe::dd::RankEngine<.*>::(lane_pcg|pcg_apply|lane_allreduce)", {"alloc", "throw"},
      "lane-resident PCG: per-lane workspace acquire inlined at -O3 (zero "
      "after the first solve, asserted by LanePcg.WarmSolveAllocatesNothing), "

@@ -83,6 +83,9 @@ HOT_PATH_FILES = [
     "src/la/iterative.hpp",
     "src/ks/hamiltonian.hpp",
     "src/ks/chfes.hpp",
+    # The nodal KS kernel (fe::ks_nodal_rows) runs per column in the
+    # Hamiltonian apply and per row range in every engine lane step.
+    "src/fe/cell_ops.hpp",
     # Threaded rank engine (RankEngine over the brick partition): everything
     # a lane touches after startup (the per-step filter/apply path, the
     # per-neighbor run-list copies, and the mailbox transport) must be
@@ -93,9 +96,10 @@ HOT_PATH_FILES = [
     "src/dd/mailbox.hpp",
     "src/dd/allreduce.hpp",
     "src/dd/partition.hpp",
-    # Execution backends: the inline stage methods (apply / filter_block /
-    # overlap / accumulate_density) run once per recurrence step or SCF
-    # stage; construction and factories live in dd/backend.cpp (cold).
+    # Execution seam and serial backend: the inline stage methods (apply /
+    # filter_block / overlap / accumulate_density) run once per recurrence
+    # step or SCF stage; construction and the factory live in dd/backend.cpp
+    # (cold).
     "src/dd/backend.hpp",
     # SCF driver: the per-iteration loop body (potential update, solver
     # cycles, density build, mixing) — per-solve setup needs waivers.

@@ -101,7 +101,7 @@ inline FilterBounds filter_bounds(const fe::DofHandler& dofh) {
 /// at degree `cheb_degree` on the real rank engine (`popt` fixes lanes, grid
 /// and schedule). With reps > 1 the steps of the fastest rep count (the
 /// minimum filters scheduler jitter).
-inline double probe_step_compute(const fe::DofHandler& dofh, const dd::EngineOptions& popt,
+inline double probe_step_compute(const fe::DofHandler& dofh, const dd::BackendOptions& popt,
                                  index_t ncols, int cheb_degree, int reps = 1) {
   const FilterBounds fb = filter_bounds(dofh);
   dd::RankEngine<double> probe(dofh, popt);

@@ -149,8 +149,8 @@ int main() {
       // FP32 plane packet per apply, `cheb_degree` applies.
       const std::int64_t wire = 2 * 2 * dd::halo_packet_bytes<double>(splane * bf, dd::Wire::fp32);
       std::vector<dd::BlockTiming> blocks;
-      for (const auto& bt : s.cf_block_timings())
-        blocks.push_back({bt.compute, sopt.cheb_degree * snet.time(wire, 4)});
+      for (const double block_s : s.cf_block_timings())
+        blocks.push_back({block_s, sopt.cheb_degree * snet.time(wire, 4)});
       const double sim_sync = dd::simulate_sync(blocks);
       const double sim_overlap = dd::simulate_overlap(blocks);
       double comm_total = 0.0;

@@ -100,7 +100,7 @@ BENCHMARK(BM_MixedPrecisionGemm)->Arg(256);
 
 static void BM_WirePack(benchmark::State& state) {
   // One halo packet round trip through the rank engine's mailbox, single
-  // threaded: claim a slot, pack a 64-column z-plane through the wire format,
+  // threaded: claim a slot, pack a 64-column z-plane through the wire codec,
   // publish, receive, unpack, release — the per-packet data path of
   // RankEngine's post/receive without the neighbor bookkeeping. Argument:
   // bits per value on the wire (64 = FP64, 32 = FP32, 16 = BF16).
@@ -109,37 +109,28 @@ static void BM_WirePack(benchmark::State& state) {
                                                : dd::Wire::fp64;
   static fe::Mesh mesh = fe::make_uniform_mesh(10.0, 4, true);
   static fe::DofHandler dofh(mesh, 4);
-  const index_t rows = dofh.naxis(0) * dofh.naxis(1), B = 64, u = la::bf16_units<double>;
-  std::vector<double> src(static_cast<std::size_t>(rows * B)), dst(src.size());
+  const index_t n = dofh.naxis(0) * dofh.naxis(1) * 64;
+  std::vector<double> src(static_cast<std::size_t>(n)), dst(src.size());
   for (std::size_t i = 0; i < src.size(); ++i) src[i] = std::sin(0.01 * static_cast<double>(i));
   dd::HaloChannel<double> ch;
-  ch.init(wire, rows * B);
+  ch.init(wire, n);
   for (auto _ : state) {
-    const int s = ch.begin_post();
-    for (index_t j = 0; j < B; ++j) {
-      const double* x = src.data() + j * rows;
-      switch (wire) {
-        case dd::Wire::fp32: la::demote<double>(x, ch.buf32(s) + j * rows, rows); break;
-        case dd::Wire::bf16: la::demote_bf16<double>(x, ch.bufbf(s) + j * rows * u, rows); break;
-        case dd::Wire::fp64: std::copy_n(x, rows, ch.buf64(s) + j * rows); break;
-      }
-    }
-    ch.finish_post(s, dd::HaloChannel<double>::Clock::now());
-    const int r = ch.wait_packet();
-    for (index_t j = 0; j < B; ++j) {
-      double* y = dst.data() + j * rows;
-      switch (wire) {
-        case dd::Wire::fp32: la::promote<double>(ch.cbuf32(r) + j * rows, y, rows); break;
-        case dd::Wire::bf16: la::promote_bf16<double>(ch.cbufbf(r) + j * rows * u, y, rows); break;
-        case dd::Wire::fp64: std::copy_n(ch.cbuf64(r) + j * rows, rows, y); break;
-      }
-    }
-    ch.release(r);
+    dd::with_codec<double>(wire, [&](auto codec) {
+      using Codec = decltype(codec);
+      const int s = ch.begin_post();
+      typename Codec::unit* w = ch.buf<Codec::wire>(s);
+      for (index_t i = 0; i < n; ++i) Codec::store(src[i], w + i * Codec::units);
+      ch.finish_post(s, dd::HaloChannel<double>::Clock::now());
+      const int r = ch.wait_packet();
+      const typename Codec::unit* c = ch.cbuf<Codec::wire>(r);
+      for (index_t i = 0; i < n; ++i) dst[i] = Codec::load(c + i * Codec::units);
+      ch.release(r);
+    });
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
   state.counters["GB/s"] = benchmark::Counter(
-      static_cast<double>(dd::halo_packet_bytes<double>(rows * B, wire)) *
+      static_cast<double>(dd::halo_packet_bytes<double>(n, wire)) *
           static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }

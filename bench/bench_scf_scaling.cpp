@@ -212,14 +212,15 @@ Gauges ablation_async(bool quick) {
   la::Matrix<double> X0(dofh.ndofs(), ncols), X(dofh.ndofs(), ncols);
   for (index_t i = 0; i < X0.size(); ++i) X0.data()[i] = std::sin(0.17 * i);
 
-  dd::EngineOptions popt;
+  dd::BackendOptions popt;
   popt.nlanes = lanes;
   popt.grid = {1, 1, lanes};  // pin z-slabs: the ablation is calibrated on slab packets
   popt.mode = dd::EngineMode::sync;
+  popt.wire = dd::Wire::fp64;
   const bench::InjectedWire wire = bench::calibrated_wire(
       bench::probe_step_compute(dofh, popt, ncols, cheb_degree, 2), 0.5,
       dd::halo_packet_bytes<double>(plane_size(dofh) * ncols, dd::Wire::fp64));
-  dd::EngineOptions opt = popt;
+  dd::BackendOptions opt = popt;
   opt.inject_wire_delay = true;
   opt.model = wire.model;
 
@@ -299,10 +300,11 @@ Gauges scf_strong(const fe::DofHandler& dofh, const std::vector<double>& vext, b
   // overlapped schedule can hide the wire completely while the synchronous
   // one pays it on every recurrence step. Packets are sized in the wire
   // format the SCF backend uses (the threaded default, FP32).
-  dd::EngineOptions popt;
+  dd::BackendOptions popt;
   popt.nlanes = 4;
   popt.grid = {1, 1, 4};
   popt.mode = dd::EngineMode::sync;
+  popt.wire = dd::Wire::fp64;
   step_compute = bench::probe_step_compute(dofh, popt, base.block_size, base.cheb_degree);
   const bench::InjectedWire wire = bench::calibrated_wire(
       step_compute, 0.8,
@@ -496,13 +498,14 @@ Gauges scf_brick(bool quick) {
     const std::array<int, 3> grids[2] = {slab_grid, brick_grid};
     TextTable bt({"partition", "grid", "halo bytes / apply", "messages"});
     for (int gi = 0; gi < 2; ++gi) {
-      dd::EngineOptions eopt;
+      dd::BackendOptions eopt;
       eopt.grid = grids[gi];
       eopt.nlanes = 8;
+      eopt.wire = dd::Wire::fp64;
       dd::RankEngine<double> eng(dofh, eopt);
       eng.set_potential(std::vector<double>(dofh.ndofs(), bench::kFilterPotential));
       eng.apply(X, Y);
-      halo_bytes[gi] = eng.comm_stats().bytes;
+      halo_bytes[gi] = eng.comm_stats().bytes();
       char gbuf[24];
       std::snprintf(gbuf, sizeof gbuf, "%dx%dx%d", grids[gi][0], grids[gi][1], grids[gi][2]);
       bt.add(gi == 0 ? "z-slab" : "brick", gbuf, static_cast<long long>(halo_bytes[gi]),
@@ -526,10 +529,11 @@ Gauges scf_brick(bool quick) {
   // Whole SCF at 8 lanes under the emulated wire.
   const ScfRun serial = run_scf(dofh, base, vext);
   const double e_ref = serial.res.energy.total;
-  dd::EngineOptions popt;
+  dd::BackendOptions popt;
   popt.nlanes = 8;
   popt.grid = slab_grid;
   popt.mode = dd::EngineMode::sync;
+  popt.wire = dd::Wire::fp64;
   const bench::InjectedWire wire = bench::calibrated_wire(
       bench::probe_step_compute(dofh, popt, base.block_size, base.cheb_degree), 4.0,
       dd::halo_packet_bytes<double>(plane_size(dofh) * base.block_size,
@@ -606,10 +610,11 @@ Gauges fig5_measured() {
   TextTable et({"lanes", "wall (s)", "speedup", "efficiency"});
   double wall1 = 0.0;
   for (const int lanes : {1, 2, 4}) {
-    dd::EngineOptions eopt;
+    dd::BackendOptions eopt;
     eopt.nlanes = lanes;
     eopt.grid = {1, 1, lanes};
     eopt.mode = dd::EngineMode::async;
+    eopt.wire = dd::Wire::fp64;
     dd::RankEngine<double> eng(dofh, eopt);
     eng.set_potential(std::vector<double>(dofh.ndofs(), bench::kFilterPotential));
     const double wall = run_filter(eng, X, X0, 10, fb, 3).wall;

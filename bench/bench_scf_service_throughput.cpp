@@ -92,9 +92,10 @@ int main(int argc, char** argv) {
   // hosts where the tiny sweep problem computes in the noise.
   auto probe_model = std::make_shared<const core::SharedModel>(family_parent(), mopt);
   const fe::DofHandler& dofh = probe_model->dofs();
-  dd::EngineOptions popt;
+  dd::BackendOptions popt;
   popt.nlanes = nlanes;
   popt.mode = dd::EngineMode::sync;
+  popt.wire = dd::Wire::fp64;
   const bench::InjectedWire wire = bench::calibrated_wire(
       bench::probe_step_compute(dofh, popt, scf.block_size, scf.cheb_degree), 4.0,
       dd::halo_packet_bytes<double>(dofh.naxis(0) * dofh.naxis(1) * scf.block_size,

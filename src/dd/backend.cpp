@@ -59,10 +59,10 @@ BackendOptions BackendOptions::from_env(BackendOptions base) {
       nl != nullptr && !parse_lanes(nl, base.nlanes, base.grid))
     reject_env("DFTFE_NLANES", nl, "a positive lane count N | a grid NX,NY,NZ");
   if (const char* w = std::getenv("DFTFE_WIRE"); w != nullptr) {
-    if (std::strcmp(w, "fp64") == 0) base.wire = Wire::fp64;
-    else if (std::strcmp(w, "fp32") == 0) base.wire = Wire::fp32;
-    else if (std::strcmp(w, "bf16") == 0) base.wire = Wire::bf16;
-    else reject_env("DFTFE_WIRE", w, "fp64 | fp32 | bf16");
+    const auto it = std::find_if(kWireNames.begin(), kWireNames.end(),
+                                 [w](const WireNames& n) { return std::strcmp(w, n.name) == 0; });
+    if (it == kWireNames.end()) reject_env("DFTFE_WIRE", w, "fp64 | fp32 | bf16");
+    base.wire = static_cast<Wire>(it - kWireNames.begin());
   }
   if (const char* m = std::getenv("DFTFE_ENGINE_MODE"); m != nullptr) {
     if (std::strcmp(m, "sync") == 0) base.mode = EngineMode::sync;
@@ -103,9 +103,7 @@ std::unique_ptr<ExecBackend<T>> make_backend(
   if (opt.kind == BackendKind::serial)
     return std::make_unique<SerialBackend<T>>(dofh, std::move(serial_apply),
                                               std::move(serial_set_potential));
-  EngineOptions eopt = engine_options(opt);
-  eopt.kpoint = kpoint;
-  return std::make_unique<RankEngine<T>>(dofh, eopt);
+  return std::make_unique<RankEngine<T>>(dofh, opt, Operator::hamiltonian, kpoint);
 }
 
 template class SerialBackend<double>;

@@ -52,17 +52,20 @@ enum class BackendKind { serial, threaded };
 /// every halo before the interior compute, async overlaps them.
 enum class EngineMode { sync, async };
 
-/// Options describing how a solver stack should execute. Owned by
-/// core::SimulationOptions / ks::ScfOptions; the ks layer builds one backend
-/// per k-point Hamiltonian from these (plus, when threaded, one stiffness
-/// engine for the Poisson CG).
+/// Options describing how a solver stack should execute — the one options
+/// struct of the threaded path. Owned by core::SimulationOptions /
+/// ks::ScfOptions; the ks layer builds one backend per k-point Hamiltonian
+/// from these (plus, when threaded, one stiffness engine for the Poisson
+/// CG), and a dd::RankEngine takes them directly.
 struct BackendOptions {
   BackendKind kind = BackendKind::serial;
   int nlanes = 2;                  // threaded: total rank lanes (factorized into a grid)
   // Explicit brick lane grid {nx, ny, nz} for the threaded backend. All-zero
   // (the default) derives the grid from `nlanes` via
-  // BrickPartition::factorize; {1, 1, N} pins the historical z-slab layout.
-  // DFTFE_NLANES accepts either form: a total ("8") or a grid ("2,2,2").
+  // BrickPartition::factorize; any other value is the grid, checked by
+  // BrickPartition::cell_aligned. {1, 1, N} pins the historical z-slab
+  // layout. DFTFE_NLANES accepts either form: a total ("8") or a grid
+  // ("2,2,2").
   std::array<int, 3> grid{0, 0, 0};
   EngineMode mode = EngineMode::async;
   // The halo wire defaults to FP32 under the threaded backend (Sec. 5.4.2:
@@ -73,7 +76,12 @@ struct BackendOptions {
   Wire wire = Wire::fp32;
   CommModel model{};               // interconnect model for stats / injection
   bool inject_wire_delay = false;  // sleep out the modeled wire time on receive
-  double drift_budget = 1e-2;      // per-job demotion error budget (see EngineOptions)
+  // Per-job demotion error budget: a job hard-fails when the relative L2
+  // drift of the values it packed through a reduced-precision wire exceeds
+  // this bound (<= 0 disables the check). The default admits FP32 halo drift
+  // (~1e-8) and BF16 drift (~1e-3) with a wide margin while still catching a
+  // numerically destroyed wire (NaN/Inf contamination, wrong scaling).
+  double drift_budget = 1e-2;
 
   /// Overlay the DFTFE_* execution environment onto `base` and return it —
   /// the one parser every driver binary (quickstart, sweep service, benches)
@@ -135,8 +143,6 @@ class ExecBackend {
   /// rho[i] += weight * sum_j occ[j] |X(i,j)|^2 / mass[i] (the DC step).
   virtual void accumulate_density(const la::Matrix<T>& X, const std::vector<double>& occ,
                                   double weight, std::vector<double>& rho) = 0;
-  /// Modeled interconnect seconds of the most recent job (0 when serial).
-  virtual double modeled_comm_last_job() const { return 0.0; }
 
  protected:
   explicit ExecBackend(index_t ndofs) : n_(ndofs) {}

@@ -38,34 +38,17 @@ void push_run(std::vector<RunT>& runs, index_t dst, index_t src, index_t len) {
 
 }  // namespace
 
-/// Forward the backend-level knobs onto the engine's lane protocol. Every
-/// field below lands on behavior the model checker verifies (tools/
-/// model_check): wire/model stamp the packets the mailbox publishes,
-/// drift_budget arms the mid-exchange hard-fail whose poison cascade the
-/// drift_fail scenario explores, and mode selects the sync/async bodies the
-/// checker proves bitwise-equal across all schedules.
-EngineOptions engine_options(const BackendOptions& opt) {
-  EngineOptions eopt;
-  eopt.nlanes = opt.nlanes;
-  eopt.grid = opt.grid;
-  eopt.mode = opt.mode;
-  eopt.wire = opt.wire;
-  eopt.model = opt.model;
-  eopt.inject_wire_delay = opt.inject_wire_delay;
-  eopt.drift_budget = opt.drift_budget;
-  return eopt;
-}
-
 template <class T>
-RankEngine<T>::RankEngine(const fe::DofHandler& dofh, EngineOptions opt)
+RankEngine<T>::RankEngine(const fe::DofHandler& dofh, const BackendOptions& opt, Operator op,
+                          std::array<double, 3> kpoint)
     : ExecBackend<T>(dofh.ndofs()),
       dofh_(&dofh),
       opt_(opt),
-      part_(BrickPartition::cell_aligned(
-          dofh, (opt.grid[0] > 0 && opt.grid[1] > 0 && opt.grid[2] > 0)
-                    ? opt.grid
-                    : BrickPartition::factorize(dofh, std::max(1, opt.nlanes)))) {
-  build_lanes();
+      op_(op),
+      part_(BrickPartition::cell_aligned(dofh, opt.grid != std::array<int, 3>{0, 0, 0}
+                                                   ? opt.grid
+                                                   : BrickPartition::factorize(dofh, opt.nlanes))) {
+  build_lanes(kpoint);
   start_lanes();
 }
 
@@ -83,7 +66,7 @@ RankEngine<T>::~RankEngine() {
 }
 
 template <class T>
-void RankEngine<T>::build_lanes() {
+void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
   const fe::Mesh& mesh = dofh_->mesh();
   const int R = part_.nranks();
   const int deg = dofh_->degree();
@@ -155,11 +138,6 @@ void RankEngine<T>::build_lanes() {
             ln.gmap[static_cast<std::size_t>(l)] = gi[0] + naxis[0] * (gi[1] + naxis[1] * gi[2]);
           }
     }
-    ln.grow0 = ln.gmap[0];
-    // On a {1, 1, N} grid the owned rows are one contiguous global range
-    // (full x/y extent per plane, consecutive planes) — the slab fast path
-    // for gram/density spans over the global blocks.
-    ln.contiguous_owned = (grid[0] == 1 && grid[1] == 1);
 
     // Run lists (maximal both-sides-contiguous row ranges). For slab-shaped
     // lanes these collapse to a handful of whole-plane-range runs, making the
@@ -185,7 +163,7 @@ void RankEngine<T>::build_lanes() {
       ln.bmask[static_cast<std::size_t>(l)] = bmask[g];
     }
     // The Jacobi preconditioner of the pcg job (bare-stiffness engines).
-    if (!opt_.hamiltonian) {
+    if (op_ == Operator::stiffness) {
       ln.kdiag.resize(static_cast<std::size_t>(ln.nloc));
       for (index_t l = 0; l < ln.nloc; ++l)
         ln.kdiag[static_cast<std::size_t>(l)] = kdiag[ln.gmap[static_cast<std::size_t>(l)]];
@@ -224,7 +202,7 @@ void RankEngine<T>::build_lanes() {
               bk.c_begin[1] + ry.s1, bk.c_begin[2] + rz.s0, bk.c_begin[2] + rz.s1));
           sg.dofh = std::make_unique<fe::DofHandler>(*sg.mesh, deg);
           sg.op = std::make_unique<fe::CellStiffness<T>>(
-              *sg.dofh, opt_.hamiltonian ? 0.5 : 1.0, opt_.kpoint);
+              *sg.dofh, op_ == Operator::hamiltonian ? 0.5 : 1.0, kpoint);
           sg.nrows = sg.dofh->ndofs();
           const index_t sm0 = (rx.s1 - rx.s0) * deg + 1;
           const index_t sm1 = (ry.s1 - ry.s0) * deg + 1;
@@ -366,10 +344,9 @@ void RankEngine<T>::run_job(int r, const Job& job) {
   Lane& ln = *lanes_[r];
   if (job.fault_lane == r && job.fault_iter < 0)
     throw std::runtime_error("dd::RankEngine: injected lane fault");
-  // Per-job demotion error budget: snapshot the drift accumulators so the
-  // check below sees exactly this job's wire traffic.
-  const double n32 = ln.wire.drift_num, d32 = ln.wire.drift_den;
-  const double nbf = ln.wire.bf16_drift_num, dbf = ln.wire.bf16_drift_den;
+  // Per-job demotion error budget: snapshot the ledger so the check below
+  // sees exactly this job's wire traffic.
+  const CommStats before = ln.comm;
   switch (job.kind) {
     case JobKind::apply: {
       obs::TraceSpan span("Engine-apply", "dd", ln.rank);
@@ -414,14 +391,7 @@ void RankEngine<T>::run_job(int r, const Job& job) {
     // poisoned wire (Inf/NaN contamination) must not pass silently. The
     // throw rides the existing failure cascade: mailboxes are poisoned,
     // every lane unblocks, and the driver rethrows after resetting.
-    const double r32 = (ln.wire.drift_den > d32)
-                           ? std::sqrt((ln.wire.drift_num - n32) / (ln.wire.drift_den - d32))
-                           : 0.0;
-    const double rbf =
-        (ln.wire.bf16_drift_den > dbf)
-            ? std::sqrt((ln.wire.bf16_drift_num - nbf) / (ln.wire.bf16_drift_den - dbf))
-            : 0.0;
-    const double worst = std::max(r32, rbf);
+    const double worst = ln.comm.since(before).worst_drift();
     if (!(worst <= opt_.drift_budget))
       throw std::runtime_error(std::string("dd::RankEngine lane ") + std::to_string(r) +
                                ": wire demotion drift " + std::to_string(worst) +
@@ -511,33 +481,19 @@ void RankEngine<T>::collect_step_stats(int nsteps) {
 template <class T>
 void RankEngine<T>::publish_job_metrics(int nsteps) {
   obs::MetricsRegistry& m = obs::MetricsRegistry::global();
-  std::int64_t d64b = 0, d32b = 0, d64m = 0, d32m = 0;
-  std::int64_t dbfb = 0, dbfm = 0;
-  double exposed = 0.0, modeled = 0.0, pack = 0.0;
-  double drift_num = 0.0, drift_den = 0.0;
-  double bf_num = 0.0, bf_den = 0.0;
+  CommStats job, total;  // this job's traffic, and all traffic since the last clear
+  double exposed = 0.0;
   for (auto& lp : lanes_) {
     Lane& ln = *lp;
-    const std::int64_t dbytes = ln.comm.bytes - ln.comm_pub.bytes;
-    const std::int64_t dmsgs = ln.comm.messages - ln.comm_pub.messages;
-    modeled += ln.comm.modeled_seconds - ln.comm_pub.modeled_seconds;
-    pack += ln.comm.pack_seconds - ln.comm_pub.pack_seconds;
-    d64b += ln.wire.fp64_bytes - ln.wire_pub.fp64_bytes;
-    d32b += ln.wire.fp32_bytes - ln.wire_pub.fp32_bytes;
-    d64m += ln.wire.fp64_messages - ln.wire_pub.fp64_messages;
-    d32m += ln.wire.fp32_messages - ln.wire_pub.fp32_messages;
-    dbfb += ln.wire.bf16_bytes - ln.wire_pub.bf16_bytes;
-    dbfm += ln.wire.bf16_messages - ln.wire_pub.bf16_messages;
-    drift_num += ln.wire.drift_num;
-    drift_den += ln.wire.drift_den;
-    bf_num += ln.wire.bf16_drift_num;
-    bf_den += ln.wire.bf16_drift_den;
+    const CommStats d = ln.comm.since(ln.comm_pub);
+    job += d;
+    total += ln.comm;
     double wait = 0.0;
     for (int k = 0; k < nsteps && k < static_cast<int>(ln.steps.size()); ++k)
       wait += ln.steps[static_cast<std::size_t>(k)].wait;
     exposed += wait;
-    m.counter_add(ln.metric_bytes, static_cast<double>(dbytes));
-    m.counter_add(ln.metric_messages, static_cast<double>(dmsgs));
+    m.counter_add(ln.metric_bytes, static_cast<double>(d.bytes()));
+    m.counter_add(ln.metric_messages, static_cast<double>(d.messages));
     m.counter_add(ln.metric_wait, wait);
     // Lane working-set high water: every persistent WorkMatrix the lane owns.
     std::int64_t hw = ln.sl.highwater_bytes() + ln.xb.highwater_bytes() +
@@ -548,30 +504,30 @@ void RankEngine<T>::publish_job_metrics(int nsteps) {
       hw += sg.xs.highwater_bytes() + sg.ys.highwater_bytes();
     m.gauge_set(ln.metric_highwater, static_cast<double>(hw));
     ln.comm_pub = ln.comm;
-    ln.wire_pub = ln.wire;
   }
-  m.counter_add("comm.wire.fp64.bytes", static_cast<double>(d64b));
-  m.counter_add("comm.wire.fp32.bytes", static_cast<double>(d32b));
-  m.counter_add("comm.wire.bf16.bytes", static_cast<double>(dbfb));
-  m.counter_add("comm.wire.fp64.messages", static_cast<double>(d64m));
-  m.counter_add("comm.wire.fp32.messages", static_cast<double>(d32m));
-  m.counter_add("comm.wire.bf16.messages", static_cast<double>(dbfm));
+  bool drifted = false;
+  for (std::size_t w = 0; w < kWireNames.size(); ++w) {
+    const WireNames& names = kWireNames[w];
+    m.counter_add(names.bytes, static_cast<double>(job.lines[w].bytes));
+    m.counter_add(names.messages, static_cast<double>(job.lines[w].messages));
+    // Drift gauges are cumulative: the RMS over every value packed so far.
+    if (names.drift_rms != nullptr && total.lines[w].drift_den > 0.0) {
+      m.gauge_set(names.drift_rms, total.lines[w].drift_rms());
+      drifted = true;
+    }
+  }
   m.counter_add("comm.halo.exposed_wait_s", exposed);
-  m.counter_add("comm.halo.modeled_s", modeled);
-  m.counter_add("comm.halo.pack_s", pack);
-  const double r32 = (drift_den > 0.0) ? std::sqrt(drift_num / drift_den) : 0.0;
-  const double rbf = (bf_den > 0.0) ? std::sqrt(bf_num / bf_den) : 0.0;
-  if (drift_den > 0.0) m.gauge_set("comm.wire.fp32.drift_rms", r32);
-  if (bf_den > 0.0) m.gauge_set("comm.wire.bf16.drift_rms", rbf);
+  m.counter_add("comm.halo.modeled_s", job.modeled_seconds);
+  m.counter_add("comm.halo.pack_s", job.pack_seconds);
   // Fraction of the configured error budget consumed by the worst cumulative
   // per-format drift (>= 1.0 would mean a job already hard-failed).
-  if (opt_.drift_budget > 0.0 && (drift_den > 0.0 || bf_den > 0.0))
-    m.gauge_set("comm.wire.drift_budget_used", std::max(r32, rbf) / opt_.drift_budget);
+  if (opt_.drift_budget > 0.0 && drifted)
+    m.gauge_set("comm.wire.drift_budget_used", total.worst_drift() / opt_.drift_budget);
 }
 
 template <class T>
 void RankEngine<T>::set_potential(const std::vector<double>& v_eff) {
-  if (!opt_.hamiltonian) return;  // the bare stiffness has no potential term
+  if (op_ == Operator::stiffness) return;  // the bare stiffness has no potential term
   if (static_cast<index_t>(v_eff.size()) < dofh_->ndofs())
     throw std::invalid_argument("RankEngine::set_potential: field too short");
   for (auto& lp : lanes_) {
@@ -639,33 +595,33 @@ void RankEngine<T>::overlap(const la::Matrix<T>& A, const la::Matrix<T>& B,
   collect_step_stats(1);
   const index_t N = A.cols();
   // Multi-lane mixed gram reduction over the FP32 gram wire: before the
-  // tree sum, each lane's strictly-upper off-diagonal tiles round-trip
-  // through FP32 storage — the values genuinely pass through the reduced
-  // precision whose bytes lane_gram accounts in the allreduce payload. The
-  // gram wire is FP32 even under a BF16 halo wire (the paper's
+  // tree sum, each entry of a lane's strictly-upper off-diagonal tiles
+  // round-trips through the FP32 codec — the values genuinely pass through
+  // the reduced precision whose bytes lane_gram accounts in the allreduce
+  // payload. The gram wire is FP32 even under a BF16 halo wire (the paper's
   // mixed-precision CholGS/RR communication is FP32); diagonal blocks travel
   // in full precision, preserving the FP64 completion. Single-lane and FP64
-  // runs keep today's bitwise path. Drift feeds the same FP32 error-budget
-  // accumulators as the halo wire (lanes are parked here, so the driver may
-  // write their stats), and is published with this job's metrics below.
+  // runs keep today's bitwise path. Drift feeds the lane's FP32 ledger line
+  // like the halo wire (lanes are parked here, so the driver may write their
+  // ledgers), and is published with this job's metrics below.
   if (mixed && opt_.wire != Wire::fp64 && lanes_.size() > 1) {
+    using Fp32 = WireCodec<Wire::fp32, T>;
     const index_t nb = std::max<index_t>(1, std::min(mp_block, N));
-    la::ensure_scratch(gram_wire_, static_cast<std::size_t>(nb) * nb);
     for (auto& lp : lanes_) {
-      Lane& ln = *lp;
-      la::Matrix<T>& G = ln.gram.get();
+      WireLine& line = lp->comm.line(Wire::fp32);
+      T* G = lp->gram.get().data();
       for (index_t J = 0; J < N; J += nb) {
         const index_t nj = std::min(nb, N - J);
         for (index_t I = 0; I < J; I += nb) {
           const index_t ni = std::min(nb, N - I);
-          T* tile = G.data() + I + J * N;
-          la::demote_panel(tile, N, ni, nj, gram_wire_.data());
           for (index_t jj = 0; jj < nj; ++jj)
             for (index_t ii = 0; ii < ni; ++ii) {
-              T& x = tile[ii + jj * N];
-              const T rt = static_cast<T>(gram_wire_[ii + jj * ni]);
-              ln.wire.drift_num += scalar_traits<T>::abs2(x - rt);
-              ln.wire.drift_den += scalar_traits<T>::abs2(x);
+              T& x = G[(I + ii) + (J + jj) * N];
+              typename Fp32::unit unit[Fp32::units];
+              Fp32::store(x, unit);
+              const T rt = Fp32::load(unit);
+              line.drift_num += scalar_traits<T>::abs2(x - rt);
+              line.drift_den += scalar_traits<T>::abs2(x);
               x = rt;
             }
         }
@@ -725,9 +681,9 @@ void RankEngine<T>::accumulate_density(const la::Matrix<T>& X,
 template <class T>
 la::SolveReport RankEngine<T>::pcg(const std::vector<T>& b, std::vector<T>& x, double tol,
                                    int maxit) {
-  if (opt_.hamiltonian)
+  if (op_ != Operator::stiffness)
     throw std::logic_error(
-        "RankEngine::pcg: needs a bare-stiffness engine (EngineOptions::hamiltonian = false)");
+        "RankEngine::pcg: needs a bare-stiffness engine (dd::Operator::stiffness)");
   const index_t n = dofh_->ndofs();
   if (static_cast<index_t>(b.size()) != n || static_cast<index_t>(x.size()) != n)
     throw std::invalid_argument("RankEngine::pcg: vector length != ndofs");
@@ -761,30 +717,7 @@ la::SolveReport RankEngine<T>::pcg(const std::vector<T>& b, std::vector<T>& x, d
 template <class T>
 CommStats RankEngine<T>::comm_stats() const {
   CommStats total;
-  for (const auto& ln : lanes_) {
-    total.bytes += ln->comm.bytes;
-    total.messages += ln->comm.messages;
-    total.modeled_seconds += ln->comm.modeled_seconds;
-    total.pack_seconds += ln->comm.pack_seconds;
-  }
-  return total;
-}
-
-template <class T>
-WireStats RankEngine<T>::wire_stats() const {
-  WireStats total;
-  for (const auto& ln : lanes_) {
-    total.fp64_bytes += ln->wire.fp64_bytes;
-    total.fp32_bytes += ln->wire.fp32_bytes;
-    total.bf16_bytes += ln->wire.bf16_bytes;
-    total.fp64_messages += ln->wire.fp64_messages;
-    total.fp32_messages += ln->wire.fp32_messages;
-    total.bf16_messages += ln->wire.bf16_messages;
-    total.drift_num += ln->wire.drift_num;
-    total.drift_den += ln->wire.drift_den;
-    total.bf16_drift_num += ln->wire.bf16_drift_num;
-    total.bf16_drift_den += ln->wire.bf16_drift_den;
-  }
+  for (const auto& ln : lanes_) total += ln->comm;
   return total;
 }
 
@@ -792,10 +725,8 @@ template <class T>
 void RankEngine<T>::clear_comm_stats() {
   for (auto& ln : lanes_) {
     ln->comm = CommStats{};
-    ln->wire = WireStats{};
     // Keep the registry deltas exact across the reset.
     ln->comm_pub = CommStats{};
-    ln->wire_pub = WireStats{};
   }
 }
 

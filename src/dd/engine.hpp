@@ -22,9 +22,11 @@
 // (dd/mailbox.hpp), one channel per (lane, direction): every lane posts to
 // and drains up to 26 neighbors — 6 faces, 12 edges, 8 corners — carrying the
 // closed-intersection *partial sums* of the kinetic apply in the exact
-// FP64/FP32/BF16 wire format of dd/exchange.hpp. Because cells are
-// partitioned disjointly, summing every sharer's partial assembles each
-// shared dof exactly: a face dof (2 sharers) adds 1 received partial, an
+// FP64/FP32/BF16 wire format of dd/exchange.hpp. post_halo and recv_halo are
+// one pack and one unpack loop over that header's WireCodec, and every lane
+// counts its traffic in one CommStats ledger (a line per format). Because
+// cells are partitioned disjointly, summing every sharer's partial assembles
+// each shared dof exactly: a face dof (2 sharers) adds 1 received partial, an
 // edge dof (4 sharers) adds 3 — two through face packets, one through the
 // edge packet — and a corner dof (8 sharers) adds 7. Both execution modes
 // run the same arithmetic in the same fixed neighbor order (dz-major
@@ -44,6 +46,10 @@
 // fe::ks_nodal_rows, the per-element kernel ks::Hamiltonian runs, called
 // once per (column, row range); a filter job runs la::chebyshev_filter, the
 // serial backend's recurrence, over the lane's fused step.
+//
+// Configuration is the backend's: a RankEngine takes the dd::BackendOptions
+// (lanes, grid, halo protocol, wire, interconnect model, drift budget) plus
+// the operator its lanes apply and the k-point.
 //
 // Numerics: with the FP64 wire, a 2-sharer face dof combines as a + b on one
 // side and b + a on the other (IEEE addition is commutative), so face ghosts
@@ -114,40 +120,15 @@
 #include "la/iterative.hpp"
 #include "la/matrix.hpp"
 #include "la/mixed.hpp"
-#include "la/view.hpp"
 #include "la/workspace.hpp"
 #include "obs/trace.hpp"
 
 namespace dftfe::dd {
 
-struct EngineOptions {
-  int nlanes = 2;
-  // Explicit lane grid {nx, ny, nz}. All-zero (the default) factorizes
-  // `nlanes` with BrickPartition::factorize; {1, 1, N} pins the historical
-  // z-slab decomposition.
-  std::array<int, 3> grid{0, 0, 0};
-  EngineMode mode = EngineMode::async;
-  Wire wire = Wire::fp64;
-  CommModel model{};              // interconnect model for stats / injection
-  bool inject_wire_delay = false; // sleep out the modeled wire time on receive
-  // Hamiltonian lanes: the kinetic operator (1/2 Laplacian) with the
-  // mass/potential/boundary epilogue. false: the bare Poisson stiffness
-  // (the Laplacian), the operator of the pcg job.
-  bool hamiltonian = true;
-  // Per-job demotion error budget: a job hard-fails when the relative L2
-  // drift of the values it packed through a reduced-precision wire exceeds
-  // this bound (<= 0 disables the check). The default admits FP32 halo drift
-  // (~1e-8) and BF16 drift (~1e-3) with a wide margin while still catching a
-  // numerically destroyed wire (NaN/Inf contamination, wrong scaling).
-  double drift_budget = 1e-2;
-  std::array<double, 3> kpoint{0.0, 0.0, 0.0};
-};
-
-/// The engine options a threaded BackendOptions describes: a Hamiltonian
-/// engine at the Gamma point with the backend's lanes, grid, halo protocol,
-/// wire, interconnect model and drift budget. Callers set kpoint, or
-/// hamiltonian = false for the Poisson stiffness, on top.
-EngineOptions engine_options(const BackendOptions& opt);
+/// What an engine's lanes apply: the Hamiltonian (the kinetic operator,
+/// 1/2 Laplacian, with the mass/potential/boundary epilogue) or the bare
+/// Poisson stiffness (the Laplacian), the operator of the pcg job.
+enum class Operator { hamiltonian, stiffness };
 
 /// Per-recurrence-step timing, reduced over lanes (max): `compute` excludes
 /// halo waits, `wait` is the exposed receive time, `modeled` the interconnect
@@ -158,27 +139,16 @@ struct EngineStepStats {
   double modeled = 0.0;
 };
 
-/// Wire traffic split by precision, plus the per-format demotion drift
-/// accumulators (sum |x - wire(x)|^2 / sum |x|^2 over every value packed
-/// through a reduced-precision wire slot) that feed the RunReport
-/// error-budget gauges and the per-job drift_budget hard-fail check.
-struct WireStats {
-  std::int64_t fp64_bytes = 0;
-  std::int64_t fp32_bytes = 0;
-  std::int64_t bf16_bytes = 0;
-  std::int64_t fp64_messages = 0;
-  std::int64_t fp32_messages = 0;
-  std::int64_t bf16_messages = 0;
-  double drift_num = 0.0;  // FP32 wire drift accumulators
-  double drift_den = 0.0;
-  double bf16_drift_num = 0.0;
-  double bf16_drift_den = 0.0;
-};
-
 template <class T>
 class RankEngine final : public ExecBackend<T> {
  public:
-  explicit RankEngine(const fe::DofHandler& dofh, EngineOptions opt = {});
+  /// Lanes, grid, halo protocol, wire, interconnect model and drift budget
+  /// come from `opt` (its `kind` is not read). Any grid other than {0, 0, 0}
+  /// goes to BrickPartition::cell_aligned as given, otherwise `nlanes` to
+  /// BrickPartition::factorize; both reject invalid input.
+  RankEngine(const fe::DofHandler& dofh, const BackendOptions& opt,
+             Operator op = Operator::hamiltonian,
+             std::array<double, 3> kpoint = {0.0, 0.0, 0.0});
   ~RankEngine() override;
   RankEngine(const RankEngine&) = delete;
   RankEngine& operator=(const RankEngine&) = delete;
@@ -196,7 +166,8 @@ class RankEngine final : public ExecBackend<T> {
 
   using ExecBackend<T>::apply;
   /// Y = op(X) across all lanes (op = scaled Hamiltonian or bare stiffness,
-  /// per EngineOptions). Blocks until every lane finished its brick.
+  /// per the constructor's Operator). Blocks until every lane finished its
+  /// brick.
   void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) override;
 
   /// Run la::chebyshev_filter on columns [col0, col0+ncols) of X, in place:
@@ -208,7 +179,7 @@ class RankEngine final : public ExecBackend<T> {
                     double b, double a0) override;
 
   /// Hermitian overlap S = A^H B distributed over lanes: each lane evaluates
-  /// the upper block triangle of its owned-row span (the brick-local partial
+  /// the upper block triangle of its owned rows (the brick-local partial
   /// Gram matrix, FP32 off-diagonal when `mixed`), the driver combines the
   /// partials with a stride-doubling tree — the deterministic log2-depth
   /// allreduce of a real distributed run — and applies the Hermitian
@@ -231,22 +202,14 @@ class RankEngine final : public ExecBackend<T> {
   /// b must vanish on the Dirichlet rows.
   la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol, int maxit);
 
-  /// Aggregated wire traffic over all lanes since construction /
-  /// clear_comm_stats(). Call between jobs.
+  /// The comm ledger summed over all lanes since construction /
+  /// clear_comm_stats(): per-format lines plus the logical message count.
+  /// Call between jobs.
   CommStats comm_stats() const;
-  /// Same traffic split by wire precision, with the FP32 drift accumulators.
-  WireStats wire_stats() const;
   void clear_comm_stats();
 
   /// Per-step timings of the most recent job (max over lanes).
   const std::vector<EngineStepStats>& last_step_stats() const { return step_stats_; }
-
-  /// Modeled interconnect seconds of the most recent job, summed over steps.
-  double modeled_comm_last_job() const override {
-    double s = 0.0;
-    for (const auto& st : step_stats_) s += st.modeled;
-    return s;
-  }
 
   /// Test hook: run a minimal halo round in which `lane` throws instead of
   /// posting — exercises failure cascade + engine reset. Rethrows the lane's
@@ -328,8 +291,6 @@ class RankEngine final : public ExecBackend<T> {
     std::array<index_t, 3> own{0, 0, 0};  // owned local extent per axis
     index_t nloc = 0;                  // local rows = m0 * m1 * m2
     index_t nown = 0;                  // owned rows = own0 * own1 * own2
-    index_t grow0 = 0;                 // first owned global row
-    bool contiguous_owned = false;     // owned rows globally contiguous ({1,1,N})
     std::vector<index_t> gmap;         // local dof -> global dof (wrap-aware)
     std::vector<Run> gather_runs;      // dst: lane-local row, src: global row
     std::vector<Run> owned_runs;       // dst: global row, src: lane-local row
@@ -347,11 +308,9 @@ class RankEngine final : public ExecBackend<T> {
     la::SolveReport pcg_rep;           // this lane's view of the last pcg job
     std::vector<EngineStepStats> steps;
     CommStats comm;
-    WireStats wire;
-    // Snapshots of comm/wire at the last publish_job_metrics call, so the
+    // Snapshot of comm at the last publish_job_metrics call, so the
     // registry counters receive exact per-job deltas.
     CommStats comm_pub;
-    WireStats wire_pub;
     // Per-lane registry keys, built once in build_lanes so publishing a
     // job's metrics builds no strings.
     std::string metric_bytes, metric_messages, metric_wait, metric_highwater;
@@ -359,7 +318,7 @@ class RankEngine final : public ExecBackend<T> {
   };
 
   // --- cold control plane (engine.cpp) ---------------------------------
-  void build_lanes();
+  void build_lanes(const std::array<double, 3>& kpoint);
   void start_lanes();
   void lane_main(int r);
   void run_job(int r, const Job& job);
@@ -380,65 +339,42 @@ class RankEngine final : public ExecBackend<T> {
   // --- hot data plane (runs on lane threads; allocation-free once warm) --
 
   /// Pack this lane's partial over the shared region with neighbor `nb`
-  /// through the wire and publish it, stamped with the modeled transfer time.
+  /// through the wire codec and publish it, stamped with the modeled
+  /// transfer time. A lossy codec's drift accumulates value by value, into
+  /// the ledger line the drift budget checks.
   void post_halo(Lane& ln, Neighbor& nb, const la::Matrix<T>& Yl) {
     if (!nb.active) return;
     Timer tp;
     const index_t B = Yl.cols(), C = nb.count;
     const std::int64_t bytes = wire_bytes(C, B);
     const int s = nb.send->begin_post();
-    if (opt_.wire == Wire::fp32) {
-      la::low_precision_t<T>* w = nb.send->buf32(s);
+    WireLine& line = ln.comm.line(opt_.wire);
+    with_codec<T>(opt_.wire, [&](auto codec) {
+      using Codec = decltype(codec);
+      constexpr index_t u = Codec::units;
+      typename Codec::unit* w = nb.send->template buf<Codec::wire>(s);
       for (index_t j = 0; j < B; ++j) {
         const T* y = Yl.col(j);
-        la::low_precision_t<T>* wj = w + j * C;
-        for (const Run& rn : nb.runs) {
-          la::demote(y + rn.src, wj + rn.dst, rn.len);
-          // Error budget: relative L2 drift of the demoted interface partials.
-          for (index_t i = 0; i < rn.len; ++i) {
-            ln.wire.drift_num +=
-                scalar_traits<T>::abs2(y[rn.src + i] - static_cast<T>(wj[rn.dst + i]));
-            ln.wire.drift_den += scalar_traits<T>::abs2(y[rn.src + i]);
-          }
-        }
-      }
-      ln.wire.fp32_bytes += bytes;
-      ln.wire.fp32_messages += 1;
-    } else if (opt_.wire == Wire::bf16) {
-      la::bf16_t* w = nb.send->bufbf(s);
-      const index_t u = la::bf16_units<T>;
-      for (index_t j = 0; j < B; ++j) {
-        const T* y = Yl.col(j);
-        la::bf16_t* wj = w + j * C * u;
-        for (const Run& rn : nb.runs) {
-          la::demote_bf16(y + rn.src, wj + rn.dst * u, rn.len);
-          for (index_t i = 0; i < rn.len; ++i) {
-            const T rt = la::bf16_load<T>(wj + (rn.dst + i) * u);
-            ln.wire.bf16_drift_num += scalar_traits<T>::abs2(y[rn.src + i] - rt);
-            ln.wire.bf16_drift_den += scalar_traits<T>::abs2(y[rn.src + i]);
-          }
-        }
-      }
-      ln.wire.bf16_bytes += bytes;
-      ln.wire.bf16_messages += 1;
-    } else {
-      T* w = nb.send->buf64(s);
-      for (index_t j = 0; j < B; ++j) {
-        const T* y = Yl.col(j);
-        T* wj = w + j * C;
+        typename Codec::unit* wj = w + j * C * u;
         for (const Run& rn : nb.runs)
-          std::copy(y + rn.src, y + rn.src + rn.len, wj + rn.dst);
+          for (index_t i = 0; i < rn.len; ++i) {
+            const T x = y[rn.src + i];
+            typename Codec::unit* wi = wj + (rn.dst + i) * u;
+            Codec::store(x, wi);
+            if constexpr (Codec::lossy) {
+              line.drift_num += scalar_traits<T>::abs2(x - Codec::load(wi));
+              line.drift_den += scalar_traits<T>::abs2(x);
+            }
+          }
       }
-      ln.wire.fp64_bytes += bytes;
-      ln.wire.fp64_messages += 1;
-    }
+    });
     const double modeled = opt_.model.time(bytes, 1);
     auto ready = HaloChannel<T>::Clock::now();
     if (opt_.inject_wire_delay)
       ready += std::chrono::duration_cast<typename HaloChannel<T>::Clock::duration>(
           std::chrono::duration<double>(modeled));
     nb.send->finish_post(s, ready);
-    ln.comm.bytes += bytes;
+    ln.comm.add(opt_.wire, bytes);
     ln.comm.messages += 1;
     ln.comm.pack_seconds += tp.seconds();
   }
@@ -454,43 +390,22 @@ class RankEngine final : public ExecBackend<T> {
     const int s = nb.recv->wait_packet();
     const double waited = tw.seconds();
     Timer tu;
-    if (nb.recv->wire() == Wire::fp32) {
-      const la::low_precision_t<T>* w = nb.recv->cbuf32(s);
+    const Wire wire = nb.recv->wire();
+    with_codec<T>(wire, [&](auto codec) {
+      using Codec = decltype(codec);
+      constexpr index_t u = Codec::units;
+      const typename Codec::unit* w = nb.recv->template cbuf<Codec::wire>(s);
       for (index_t j = 0; j < B; ++j) {
         T* y = Yl.col(j);
-        const la::low_precision_t<T>* wj = w + j * C;
+        const typename Codec::unit* wj = w + j * C * u;
         for (const Run& rn : nb.runs)
           for (index_t i = 0; i < rn.len; ++i)
-            y[rn.src + i] += static_cast<T>(wj[rn.dst + i]);
+            y[rn.src + i] += Codec::load(wj + (rn.dst + i) * u);
       }
-      ln.wire.fp32_bytes += wire_bytes(C, B);
-      ln.wire.fp32_messages += 1;
-    } else if (nb.recv->wire() == Wire::bf16) {
-      const la::bf16_t* w = nb.recv->cbufbf(s);
-      const index_t u = la::bf16_units<T>;
-      for (index_t j = 0; j < B; ++j) {
-        T* y = Yl.col(j);
-        const la::bf16_t* wj = w + j * C * u;
-        for (const Run& rn : nb.runs)
-          for (index_t i = 0; i < rn.len; ++i)
-            y[rn.src + i] += la::bf16_load<T>(wj + (rn.dst + i) * u);
-      }
-      ln.wire.bf16_bytes += wire_bytes(C, B);
-      ln.wire.bf16_messages += 1;
-    } else {
-      const T* w = nb.recv->cbuf64(s);
-      for (index_t j = 0; j < B; ++j) {
-        T* y = Yl.col(j);
-        const T* wj = w + j * C;
-        for (const Run& rn : nb.runs)
-          for (index_t i = 0; i < rn.len; ++i) y[rn.src + i] += wj[rn.dst + i];
-      }
-      ln.wire.fp64_bytes += wire_bytes(C, B);
-      ln.wire.fp64_messages += 1;
-    }
+    });
     nb.recv->release(s);
     const std::int64_t bytes = wire_bytes(C, B);
-    ln.comm.bytes += bytes;
+    ln.comm.add(wire, bytes);
     ln.comm.messages += 1;
     ln.comm.modeled_seconds += opt_.model.time(bytes, 1);
     ln.comm.pack_seconds += tu.seconds();
@@ -525,7 +440,7 @@ class RankEngine final : public ExecBackend<T> {
                      index_t r0, index_t r1) {
     if (r0 >= r1) return;
     const index_t B = Xl.cols();
-    if (opt_.hamiltonian) {
+    if (op_ == Operator::hamiltonian) {
       for (index_t j = 0; j < B; ++j)
         fe::ks_nodal_rows<T>(fe::KsNodal::epilogue, ln.ims.data(), ln.veff.data(),
                              ln.bmask.data(), Xl.col(j), Yl.col(j),
@@ -556,7 +471,7 @@ class RankEngine final : public ExecBackend<T> {
     const double modeled0 = ln.comm.modeled_seconds;
     const index_t nloc = ln.nloc, B = Xl.cols();
     la::Matrix<T>& S = ln.sl.acquire(nloc, B);
-    if (opt_.hamiltonian) {
+    if (op_ == Operator::hamiltonian) {
       for (index_t j = 0; j < B; ++j)
         fe::ks_nodal_rows<T>(fe::KsNodal::prescale, ln.ims.data(), ln.veff.data(),
                              ln.bmask.data(), Xl.col(j), S.col(j), nullptr, 0.0, 1.0, 0.0, 0,
@@ -635,11 +550,8 @@ class RankEngine final : public ExecBackend<T> {
   }
 
   /// Brick-local partial Gram block: the upper block triangle of
-  /// A_r^H B_r over this lane's owned rows, written into the lane's
-  /// persistent gram buffer. On a {1, 1, N} grid the owned rows are globally
-  /// contiguous and the inputs are spans over the *global* blocks (no gather
-  /// copy — the historical slab fast path, bitwise preserved); a true brick
-  /// gathers its owned rows into lane-local panels first. The FP32
+  /// A_r^H B_r over this lane's owned rows, gathered into lane-local panels
+  /// and written into the lane's persistent gram buffer. The FP32
   /// off-diagonal policy matches the undecomposed overlap. The modeled
   /// interconnect cost of the subsequent log2-depth tree allreduce is
   /// accounted per lane (stats only — the actual reduction is the driver's
@@ -649,31 +561,25 @@ class RankEngine final : public ExecBackend<T> {
     Timer tstep;
     const index_t N = job.X->cols();
     la::Matrix<T>& S = ln.gram.acquire_zeroed(N, N);
-    if (ln.contiguous_owned) {
-      la::overlap_hermitian_partial(la::cspan(*job.X).rows_range(ln.grow0, ln.nown),
-                                    la::cspan(*job.B2).rows_range(ln.grow0, ln.nown), S,
-                                    job.mp_block, job.mixed);
-    } else {
-      la::Matrix<T>& GA = ln.ga.acquire(ln.nown, N);
-      la::Matrix<T>& GB = ln.gb.acquire(ln.nown, N);
-      for (index_t j = 0; j < N; ++j) {
-        const T* a = job.X->col(j);
-        const T* b2 = job.B2->col(j);
-        T* ga = GA.col(j);
-        T* gb = GB.col(j);
-        index_t p = 0;
-        for (const Run& rn : ln.owned_runs) {
-          std::copy(a + rn.dst, a + rn.dst + rn.len, ga + p);
-          std::copy(b2 + rn.dst, b2 + rn.dst + rn.len, gb + p);
-          p += rn.len;
-        }
+    la::Matrix<T>& GA = ln.ga.acquire(ln.nown, N);
+    la::Matrix<T>& GB = ln.gb.acquire(ln.nown, N);
+    for (index_t j = 0; j < N; ++j) {
+      const T* a = job.X->col(j);
+      const T* b2 = job.B2->col(j);
+      T* ga = GA.col(j);
+      T* gb = GB.col(j);
+      index_t p = 0;
+      for (const Run& rn : ln.owned_runs) {
+        std::copy(a + rn.dst, a + rn.dst + rn.len, ga + p);
+        std::copy(b2 + rn.dst, b2 + rn.dst + rn.len, gb + p);
+        p += rn.len;
       }
-      la::overlap_hermitian_partial(la::cspan(GA), la::cspan(GB), S, job.mp_block,
-                                    job.mixed);
     }
-    // Allreduce payload: with the mixed policy the diagonal blocks travel in
-    // full precision and the off-diagonal triangle in FP32, mirroring the
-    // paper's mixed-precision CholGS/RR communication.
+    la::overlap_hermitian_partial(GA, GB, S, job.mp_block, job.mixed);
+    // Allreduce payload: one logical message. With the mixed policy the
+    // diagonal blocks travel in full precision and the off-diagonal triangle
+    // in FP32 (two ledger lines), mirroring the paper's mixed-precision
+    // CholGS/RR communication.
     std::int64_t elems64 = static_cast<std::int64_t>(N) * N, elems32 = 0;
     if (job.mixed) {
       std::int64_t diag = 0;
@@ -684,23 +590,18 @@ class RankEngine final : public ExecBackend<T> {
       elems32 = elems64 - diag;
       elems64 = diag;
     }
-    const std::int64_t bytes =
-        elems64 * static_cast<std::int64_t>(sizeof(T)) +
-        elems32 * static_cast<std::int64_t>(sizeof(la::low_precision_t<T>));
-    ln.wire.fp64_bytes += elems64 * static_cast<std::int64_t>(sizeof(T));
-    ln.wire.fp64_messages += 1;
-    if (elems32 > 0) {
-      ln.wire.fp32_bytes += elems32 * static_cast<std::int64_t>(sizeof(la::low_precision_t<T>));
-      ln.wire.fp32_messages += 1;
-    }
-    ln.comm.bytes += bytes;
+    const std::int64_t bytes64 = halo_packet_bytes<T>(elems64, Wire::fp64);
+    const std::int64_t bytes32 = halo_packet_bytes<T>(elems32, Wire::fp32);
+    ln.comm.add(Wire::fp64, bytes64);
+    if (elems32 > 0) ln.comm.add(Wire::fp32, bytes32);
     ln.comm.messages += 1;
-    ln.comm.modeled_seconds +=
-        opt_.model.allreduce_time(bytes, static_cast<int>(lanes_.size()));
+    const double modeled =
+        opt_.model.allreduce_time(bytes64 + bytes32, static_cast<int>(lanes_.size()));
+    ln.comm.modeled_seconds += modeled;
     EngineStepStats& st = ln.steps[0];
     st.wait = 0.0;
     st.compute = tstep.seconds();
-    st.modeled = opt_.model.allreduce_time(bytes, static_cast<int>(lanes_.size()));
+    st.modeled = modeled;
   }
 
   /// Brick-local density accumulation: rho[g] += weight * sum_j occ_j
@@ -712,14 +613,14 @@ class RankEngine final : public ExecBackend<T> {
   void lane_density(Lane& ln, const Job& job) {
     obs::TraceSpan span("DC-lane", "dd", ln.rank);
     Timer tstep;
-    const la::ConstSpan2D<T> X = la::cspan(*job.X);
+    const la::Matrix<T>& X = *job.X;
     const std::vector<double>& f = *job.occ;
     const double* mass = dofh_->mass().data();
     double* rho = job.rho->data();
     for (const Run& rn : ln.owned_runs)
       for (index_t i = rn.dst; i < rn.dst + rn.len; ++i) {
         double s = 0.0;
-        for (index_t j = 0; j < X.cols; ++j)
+        for (index_t j = 0; j < X.cols(); ++j)
           if (f[j] > 1e-12) s += f[j] * scalar_traits<T>::abs2(X(i, j));
         rho[i] += job.weight * s / mass[i];
       }
@@ -748,9 +649,7 @@ class RankEngine final : public ExecBackend<T> {
     reduce_.allreduce(ln.rank, in, out, width);
     const std::int64_t bytes = width * static_cast<std::int64_t>(sizeof(double));
     const double modeled = opt_.model.allreduce_time(bytes, static_cast<int>(lanes_.size()));
-    ln.wire.fp64_bytes += bytes;
-    ln.wire.fp64_messages += 1;
-    ln.comm.bytes += bytes;
+    ln.comm.add(Wire::fp64, bytes);
     ln.comm.messages += 1;
     ln.comm.modeled_seconds += modeled;
     ln.steps[0].modeled += modeled;
@@ -851,16 +750,14 @@ class RankEngine final : public ExecBackend<T> {
   }
 
   const fe::DofHandler* dofh_;
-  EngineOptions opt_;
+  BackendOptions opt_;
+  Operator op_;
   BrickPartition part_;
   std::vector<std::unique_ptr<HaloChannel<T>>> channels_;
   LaneAllreduce reduce_;  // in-job reduction plane of the pcg job
   std::vector<std::unique_ptr<Lane>> lanes_;
   int pcg_fault_lane_ = -1, pcg_fault_iter_ = -1;  // debug_fault_pcg arming
   std::vector<EngineStepStats> step_stats_;
-  // Driver-side FP32 gram wire buffer for the multi-lane mixed reduction
-  // (grow-only; sized once per overlap shape in engine.cpp).
-  std::vector<la::low_precision_t<T>> gram_wire_;
 
   // Job broadcast protocol: the driver publishes a Job under mu_ and bumps
   // job_seq_; parked lanes copy it and run; the driver sleeps on cv_done_

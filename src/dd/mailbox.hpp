@@ -3,10 +3,12 @@
 // Double-buffered halo mailbox: the transport of the threaded rank engine
 // (dd/engine.hpp). One HaloChannel is a single-producer/single-consumer FIFO
 // of fixed-size packets between two lanes (mutex + condition variable, two
-// slots). The payload passes through typed FP64, FP32, or BF16 wire storage
-// (dd::Wire of dd/exchange.hpp), so the numerical effect of reduced-precision
-// boundary communication is real: a receiver adds exactly the values that
-// survived the sender's demotion.
+// slots). The payload passes through typed wire storage in the channel's
+// format: each slot holds one vector of WireCodec<W, T>::unit
+// (dd/exchange.hpp), sized through the codec and handed out by the
+// buf<W>/cbuf<W> pair, so the numerical effect of reduced-precision boundary
+// communication is real: a receiver adds exactly the values that survived
+// the sender's demotion.
 //
 // Wire time: a packet carries a `ready` timestamp chosen by the sender
 // (steady clock "now" plus the modeled interconnect time when delay
@@ -50,13 +52,14 @@
 // release never touch the heap (enforced by tools/lint_invariants.py).
 
 #include <chrono>
+#include <cstddef>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "base/defs.hpp"
 #include "dd/exchange.hpp"
 #include "dd/schedule.hpp"
-#include "la/mixed.hpp"
 #include "la/workspace.hpp"
 
 #if DFTFE_MODEL_CHECK
@@ -69,8 +72,9 @@ namespace dftfe::dd {
 template <class T>
 class HaloChannel {
  public:
-  using L = la::low_precision_t<T>;
   using Clock = std::chrono::steady_clock;
+  template <Wire W>
+  using Unit = typename WireCodec<W, T>::unit;
 
   /// Size both slots for packets of up to `max_count` values and select the
   /// wire format. Cold path: called once at lane startup (and again only if
@@ -78,15 +82,15 @@ class HaloChannel {
   void init(Wire wire, index_t max_count) {
     sched::LockGuard lk(mu_);
     wire_ = wire;
-    for (Slot& s : slots_) {
-      if (wire == Wire::fp32)
-        la::ensure_scratch(s.w32, static_cast<std::size_t>(max_count));
-      else if (wire == Wire::bf16)
-        la::ensure_scratch(s.wbf,
-                           static_cast<std::size_t>(max_count) * la::bf16_units<T>);
-      else
-        la::ensure_scratch(s.w64, static_cast<std::size_t>(max_count));
-    }
+    with_codec<T>(wire, [&](auto codec) {
+      using Codec = decltype(codec);
+      constexpr std::size_t w = static_cast<std::size_t>(Codec::wire);
+      for (Slot& s : slots_) {
+        if (s.units.index() != w) s.units.template emplace<w>();
+        la::ensure_scratch(*std::get_if<w>(&s.units),
+                           static_cast<std::size_t>(max_count * Codec::units));
+      }
+    });
   }
 
   Wire wire() const { return wire_; }
@@ -124,9 +128,11 @@ class HaloChannel {
     if (closed_) throw std::runtime_error("dd::HaloChannel: closed (peer lane failed)");
     return tail_;
   }
-  T* buf64(int s) { return slots_[s].w64.data(); }
-  L* buf32(int s) { return slots_[s].w32.data(); }
-  la::bf16_t* bufbf(int s) { return slots_[s].wbf.data(); }
+  /// Sender: slot `s`'s wire storage in format W (the channel's wire()).
+  template <Wire W>
+  Unit<W>* buf(int s) {
+    return std::get_if<static_cast<std::size_t>(W)>(&slots_[s].units)->data();
+  }
 
   /// Publish a packed slot; it becomes receivable once the steady clock
   /// passes `ready` (the sender stamps now + modeled wire time).
@@ -180,9 +186,11 @@ class HaloChannel {
     if (ready > Clock::now()) sched::sleep_until(ready);
     return s;
   }
-  const T* cbuf64(int s) const { return slots_[s].w64.data(); }
-  const L* cbuf32(int s) const { return slots_[s].w32.data(); }
-  const la::bf16_t* cbufbf(int s) const { return slots_[s].wbf.data(); }
+  /// Receiver: the published slot's wire storage in format W.
+  template <Wire W>
+  const Unit<W>* cbuf(int s) const {
+    return std::get_if<static_cast<std::size_t>(W)>(&slots_[s].units)->data();
+  }
 
   /// Receiver: hand the slot back to the sender.
   void release(int s) {
@@ -214,9 +222,10 @@ class HaloChannel {
  private:
   static constexpr int kSlots = 2;
   struct Slot {
-    std::vector<T> w64;
-    std::vector<L> w32;
-    std::vector<la::bf16_t> wbf;
+    // Typed storage of the channel's format, indexed like Wire.
+    std::variant<std::vector<Unit<Wire::fp64>>, std::vector<Unit<Wire::fp32>>,
+                 std::vector<Unit<Wire::bf16>>>
+        units;
     Clock::time_point ready{};
     bool full = false;
 #if DFTFE_MODEL_CHECK

@@ -22,7 +22,6 @@
 #include "base/rng.hpp"
 #include "base/timer.hpp"
 #include "dd/backend.hpp"
-#include "dd/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "ks/hamiltonian.hpp"
@@ -59,7 +58,8 @@ class ChebyshevFilteredSolver {
   la::Matrix<T>& subspace() { return X_; }
   const la::Matrix<T>& subspace() const { return X_; }
   const std::vector<double>& eigenvalues() const { return evals_; }
-  const std::vector<dd::BlockTiming>& cf_block_timings() const { return cf_timings_; }
+  /// Wall seconds of each CF block of the last filter().
+  const std::vector<double>& cf_block_timings() const { return cf_timings_; }
 
   void initialize_random(unsigned seed = 42) {
     Rng rng(seed);
@@ -177,12 +177,10 @@ class ChebyshevFilteredSolver {
       const index_t nb = std::min(Bf, N - j0);
       // Both backends run la::chebyshev_filter (serial: over the fused
       // Hamiltonian apply; threaded: per brick lane with real halo
-      // exchange). `comm` is the *modeled* interconnect
-      // time of the exchanged packets (0 when serial) — the measured wall
-      // time is the block timer, so overlap shows up as their gap.
+      // exchange).
       be->filter_block(X_, j0, nb, opt_.cheb_degree, a_, b_, a0_);
       // lint: allow(hot-path-alloc): clear() retains capacity, appends stop allocating after the first filter()
-      cf_timings_.push_back({block_timer.seconds(), be->modeled_comm_last_job()});
+      cf_timings_.push_back(block_timer.seconds());
     }
   }
 
@@ -283,7 +281,7 @@ class ChebyshevFilteredSolver {
   ChfesOptions opt_;
   la::Matrix<T> X_;
   std::vector<double> evals_;
-  std::vector<dd::BlockTiming> cf_timings_;
+  std::vector<double> cf_timings_;
   double a_ = 0.0, b_ = 0.0, a0_ = 0.0;
   bool have_bounds_ = false;
   // Fallback execution backend wrapping H_ directly; owns the Chebyshev

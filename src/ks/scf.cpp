@@ -329,11 +329,11 @@ ScfResult KohnShamDFT<T>::solve() {
   // above the 1e-9 Poisson tolerance — the solve would stagnate and burn its
   // full iteration budget every EP step instead of converging.
   if (opt_.backend.kind == dd::BackendKind::threaded) {
-    dd::EngineOptions es_opt = dd::engine_options(opt_.backend);
-    es_opt.hamiltonian = false;
+    dd::BackendOptions es_opt = opt_.backend;
     es_opt.wire = dd::Wire::fp64;
     // lint: allow(hot-path-alloc): per-solve setup, outside the iteration loop
-    es_engine_ = std::make_unique<dd::RankEngine<double>>(*dofh_, es_opt);
+    es_engine_ = std::make_unique<dd::RankEngine<double>>(*dofh_, es_opt,
+                                                         dd::Operator::stiffness);
     poisson_.set_cg([eng = es_engine_.get()](const std::vector<double>& b,
                                              std::vector<double>& x, double tol, int maxit) {
       return eng->pcg(b, x, tol, maxit);

@@ -1,15 +1,16 @@
 #pragma once
 
-// Mixed-precision helpers (Sec. 5.4.2 of the paper). Two uses:
-//  * FP32 wire format for FE partition-boundary communication (src/dd packs
-//    ghost values through these converters);
-//  * FP32 evaluation of the off-diagonal blocks of S = X^H X and of the
-//    Rayleigh-Ritz projection, with FP64 kept on the diagonal blocks. As the
-//    SCF converges the filtered vectors approach eigenvectors and the
-//    off-diagonal entries go to zero, so single precision there does not
-//    perturb the result beyond the discretization error.
+// Mixed-precision kernels (Sec. 5.4.2 of the paper): FP32 evaluation of the
+// off-diagonal blocks of S = X^H X and of the Rayleigh-Ritz projection, with
+// FP64 kept on the diagonal blocks. As the SCF converges the filtered vectors
+// approach eigenvectors and the off-diagonal entries go to zero, so single
+// precision there does not perturb the result beyond the discretization
+// error. The reduced-precision scalars themselves (low_precision_t, the BF16
+// bit conversions) live here too; how a halo value is stored on the wire is
+// dd::WireCodec's job (dd/exchange.hpp).
 
 #include <algorithm>
+#include <cassert>
 #include <complex>
 #include <cstdint>
 #include <cstring>
@@ -18,7 +19,6 @@
 #include "base/defs.hpp"
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
-#include "la/view.hpp"
 #include "la/workspace.hpp"
 
 namespace dftfe::la {
@@ -39,22 +39,10 @@ struct low_precision<std::complex<double>> {
 template <class T>
 using low_precision_t = typename low_precision<T>::type;
 
-template <class T>
-void demote(const T* src, low_precision_t<T>* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
-  for (index_t i = 0; i < n; ++i) dst[i] = static_cast<low_precision_t<T>>(src[i]);
-}
-
-template <class T>
-void promote(const low_precision_t<T>* src, T* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
-  for (index_t i = 0; i < n; ++i) dst[i] = static_cast<T>(src[i]);
-}
-
 /// BF16 wire scalar: the top 16 bits of an IEEE-754 binary32, stored in a
-/// uint16 (typed storage, same rationale as the FP32 wire buffers — no raw
-/// byte reinterpretation). BF16 keeps FP32's 8-bit exponent, so the dynamic
-/// range of boundary values survives; only the mantissa shrinks to 7 bits.
+/// uint16 (typed storage — no raw byte reinterpretation). BF16 keeps FP32's
+/// 8-bit exponent, so the dynamic range of boundary values survives; only
+/// the mantissa shrinks to 7 bits.
 using bf16_t = std::uint16_t;
 
 /// Round-to-nearest-even demotion on the float bit pattern. NaNs are quieted
@@ -73,48 +61,6 @@ inline float bf16_to_float(bf16_t h) {
   float x;
   std::memcpy(&x, &u, sizeof(x));
   return x;
-}
-
-/// BF16 units per wire value: real scalars travel as one uint16, complex as
-/// two (re, im) — 2 bytes/double and 4 bytes/complex<double> on the wire.
-template <class T>
-inline constexpr index_t bf16_units = scalar_traits<T>::is_complex ? 2 : 1;
-
-template <class T>
-void demote_bf16(const T* src, bf16_t* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
-  for (index_t i = 0; i < n; ++i) {
-    if constexpr (scalar_traits<T>::is_complex) {
-      dst[2 * i] = bf16_from_float(static_cast<float>(src[i].real()));
-      dst[2 * i + 1] = bf16_from_float(static_cast<float>(src[i].imag()));
-    } else {
-      dst[i] = bf16_from_float(static_cast<float>(src[i]));
-    }
-  }
-}
-
-/// Load one value of T from its bf16 wire units (re[, im]).
-template <class T>
-inline T bf16_load(const bf16_t* src) {
-  if constexpr (scalar_traits<T>::is_complex) {
-    using R = typename scalar_traits<T>::real_type;
-    return T(static_cast<R>(bf16_to_float(src[0])), static_cast<R>(bf16_to_float(src[1])));
-  } else {
-    return static_cast<T>(bf16_to_float(src[0]));
-  }
-}
-
-template <class T>
-void promote_bf16(const bf16_t* src, T* dst, index_t n) {
-#pragma omp parallel for if (n > 8192)
-  for (index_t i = 0; i < n; ++i) {
-    if constexpr (scalar_traits<T>::is_complex) {
-      dst[i] = T(static_cast<typename scalar_traits<T>::real_type>(bf16_to_float(src[2 * i])),
-                 static_cast<typename scalar_traits<T>::real_type>(bf16_to_float(src[2 * i + 1])));
-    } else {
-      dst[i] = static_cast<T>(bf16_to_float(src[i]));
-    }
-  }
 }
 
 /// Demote a rows x cols panel with leading dimension ld into a compact
@@ -161,20 +107,20 @@ void gemm_low_precision(char transa, char transb, index_t m, index_t n, index_t 
     for (index_t i = 0; i < m; ++i) C[i + j * ldc] = static_cast<T>(cf[i + j * m]);
 }
 
-/// Upper-block-triangle of S = A^H B over the rows covered by the spans —
-/// the distributable half of the Hermitian overlap (Algorithm 1). Each slab
-/// rank calls this on the span of rows it owns, producing a partial Gram
-/// matrix; summing the partials over ranks (in rank order, for determinism)
-/// and then calling overlap_hermitian_complete reproduces the undecomposed
-/// overlap_hermitian_mixed arithmetic bitwise when there is a single span
-/// covering every row. Only blocks I <= J are written — FP64 on the
+/// Upper-block-triangle of S = A^H B over the rows of A and B — the
+/// distributable half of the Hermitian overlap (Algorithm 1). Each brick
+/// rank calls this on the rows it owns (gathered into compact panels),
+/// producing a partial Gram matrix; summing the partials over ranks (in a
+/// fixed order, for determinism) and then calling overlap_hermitian_complete
+/// reproduces the undecomposed overlap_hermitian_mixed arithmetic bitwise
+/// when one rank owns every row. Only blocks I <= J are written — FP64 on the
 /// diagonal, reduced precision off the diagonal when `mixed` (Sec. 5.4.2);
 /// the strict-lower block triangle of S is left untouched.
 template <class T>
-void overlap_hermitian_partial(ConstSpan2D<T> A, ConstSpan2D<T> B, Matrix<T>& S,
+void overlap_hermitian_partial(const Matrix<T>& A, const Matrix<T>& B, Matrix<T>& S,
                                index_t mp_block, bool mixed) {
-  assert(A.rows == B.rows && A.cols == B.cols);
-  const index_t n = A.rows, N = A.cols;
+  assert(A.rows() == B.rows() && A.cols() == B.cols());
+  const index_t n = A.rows(), N = A.cols();
   S.reshape(N, N);
   const index_t nb = std::max<index_t>(1, std::min(mp_block, N));
   const index_t nblk = (N + nb - 1) / nb;
@@ -182,12 +128,12 @@ void overlap_hermitian_partial(ConstSpan2D<T> A, ConstSpan2D<T> B, Matrix<T>& S,
     const index_t I = bi * nb, ni = std::min(nb, N - I);
     const index_t J = bj * nb, nj = std::min(nb, N - J);
     if (bi == bj || !mixed) {
-      gemm<T>('C', 'N', ni, nj, n, T(1), A.col(I), A.ld, B.col(J), B.ld, T(0),
+      gemm<T>('C', 'N', ni, nj, n, T(1), A.col(I), A.ld(), B.col(J), B.ld(), T(0),
               S.data() + I + J * N, N);
     } else {
       // The inner FP32 GEMM self-counts at the full analytic rate
       // (Sec. 6.3 does not discount reduced-precision FLOPs).
-      gemm_low_precision<T>('C', 'N', ni, nj, n, A.col(I), A.ld, B.col(J), B.ld,
+      gemm_low_precision<T>('C', 'N', ni, nj, n, A.col(I), A.ld(), B.col(J), B.ld(),
                             S.data() + I + J * N, N);
     }
   };
@@ -228,15 +174,14 @@ void overlap_hermitian_complete(Matrix<T>& S, index_t mp_block) {
 }
 
 /// S = A^H B computed blockwise for a Hermitian result (A == B, or B = H A
-/// with H Hermitian — both overlap uses of Algorithm 1). Single-span partial
+/// with H Hermitian — both overlap uses of Algorithm 1). Whole-matrix partial
 /// evaluation plus Hermitian completion, halving the CholGS-S / RR-P GEMM
 /// work; entries inside diagonal blocks are averaged with their mirror so
 /// the returned S is Hermitian to the last bit.
 template <class T>
 void overlap_hermitian_mixed(const Matrix<T>& A, const Matrix<T>& B, Matrix<T>& S,
                              index_t mp_block, bool mixed) {
-  assert(A.rows() == B.rows() && A.cols() == B.cols());
-  overlap_hermitian_partial(cspan(A), cspan(B), S, mp_block, mixed);
+  overlap_hermitian_partial(A, B, S, mp_block, mixed);
   overlap_hermitian_complete(S, mp_block);
 }
 

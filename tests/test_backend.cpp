@@ -60,7 +60,6 @@ TEST(BackendSerial, ApplyAndFilterAreBitwiseTheHamiltonianPath) {
   auto be = serial_for(H);
   EXPECT_STREQ(be->name(), "serial");
   EXPECT_EQ(be->nlanes(), 1);
-  EXPECT_EQ(be->modeled_comm_last_job(), 0.0);
 
   la::Matrix<double> X(dofh.ndofs(), 5);
   for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.21 * i);
@@ -134,7 +133,6 @@ TEST(BackendEquivalence, AllStagesSerialVsThreaded) {
   serial->filter_block(Xs, 1, 4, 8, -0.2, 2.5, -1.1);
   threaded->filter_block(Xt, 1, 4, 8, -0.2, 2.5, -1.1);
   EXPECT_LT(la::max_abs_diff(Xt, Xs), 1e-12 * max_abs(Xs));
-  EXPECT_GE(threaded->modeled_comm_last_job(), 0.0);
 
   // Gram overlap, FP64 and the FP32-off-diagonal policy. The threaded
   // reduction sums slab-local partials in lane order, so agreement is to
@@ -206,11 +204,10 @@ TEST(BackendStiffness, SerialIsBitwiseDirectAndThreadedAgrees) {
   fe::PoissonSolver poisson(dofh);
   const fe::CellStiffness<double>& K = poisson.stiffness();
 
-  EngineOptions eopt;
+  BackendOptions eopt;
   eopt.nlanes = 2;
-  eopt.hamiltonian = false;
   eopt.wire = Wire::fp64;  // 1e-12 gates: see AllStagesSerialVsThreaded
-  RankEngine<double> eng(dofh, eopt);
+  RankEngine<double> eng(dofh, eopt, Operator::stiffness);
 
   std::vector<double> x(dofh.ndofs());
   for (index_t i = 0; i < dofh.ndofs(); ++i) x[i] = std::sin(0.29 * i);
@@ -386,7 +383,7 @@ TEST(BackendThreaded, DriftBudgetHardFailsJobAndEngineRecovers) {
   // same recovery contract as debug_fault).
   const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 4, true);
   const fe::DofHandler dofh(mesh, 2);
-  EngineOptions eopt;
+  BackendOptions eopt;
   eopt.nlanes = 2;
   eopt.wire = Wire::fp32;
   eopt.drift_budget = 1e-12;  // below FP32 rounding: every halo job overdrafts
@@ -405,12 +402,36 @@ TEST(BackendThreaded, DriftBudgetHardFailsJobAndEngineRecovers) {
 
   // Disabling the budget on a fresh engine with the same wire succeeds, and
   // the FP32 result still agrees with a FP64-wire reference to FP32 rounding.
-  EngineOptions ok = eopt;
+  BackendOptions ok = eopt;
   ok.drift_budget = 0.0;
   RankEngine<double> be2(dofh, ok);
   be2.set_potential(std::vector<double>(dofh.ndofs(), -0.3));
   ASSERT_NO_THROW(be2.apply(X, Y));
   for (index_t i = 0; i < Y.size(); ++i) ASSERT_TRUE(std::isfinite(Y.data()[i]));
+}
+
+TEST(BackendThreaded, WireOverflowTripsDriftBudgetOnEveryLossyFormat) {
+  // Halo partials beyond the FP32 range overflow either lossy wire to Inf,
+  // so their drift is NaN. A NaN drift must fail the job under the default
+  // budget whichever ledger line it lands on.
+  const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 4, false);
+  const fe::DofHandler dofh(mesh, 2);
+  la::Matrix<double> X(dofh.ndofs(), 2), Y;
+  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = 1e300 * std::sin(0.37 * i);
+  for (const Wire wire : {Wire::fp32, Wire::bf16}) {
+    BackendOptions eopt;
+    eopt.nlanes = 2;
+    eopt.wire = wire;
+    RankEngine<double> be(dofh, eopt, Operator::stiffness);
+    try {
+      be.apply(X, Y);
+      ADD_FAILURE() << "overflowed " << kWireNames[static_cast<int>(wire)].name
+                    << " wire did not fail the job";
+    } catch (const std::runtime_error& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("drift_budget"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(BackendThreaded, SecondSubmitWhileJobInFlightIsDiagnosedLoudly) {
@@ -424,9 +445,10 @@ TEST(BackendThreaded, SecondSubmitWhileJobInFlightIsDiagnosedLoudly) {
   const fe::DofHandler dofh(mesh, 2);
   std::vector<double> v(dofh.ndofs(), -0.3);
 
-  EngineOptions eopt;
+  BackendOptions eopt;
   eopt.nlanes = 2;
   eopt.mode = EngineMode::sync;
+  eopt.wire = Wire::fp64;
   eopt.inject_wire_delay = true;
   eopt.model.latency_s = 0.05;  // >= 50 ms exposed per halo packet
   RankEngine<double> be(dofh, eopt);

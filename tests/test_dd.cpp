@@ -207,10 +207,10 @@ TEST(Pipeline, OverlapNeverSlowerThanSyncNorFasterThanBounds) {
 /// Post one packet carrying `v` and consume it, asserting the payload.
 void roundtrip_packet(HaloChannel<double>& ch, double v) {
   const int s = ch.begin_post();
-  ch.buf64(s)[0] = v;
+  ch.buf<Wire::fp64>(s)[0] = v;
   ch.finish_post(s, HaloChannel<double>::Clock::now());
   const int r = ch.wait_packet();
-  EXPECT_EQ(ch.cbuf64(r)[0], v);
+  EXPECT_EQ(ch.cbuf<Wire::fp64>(r)[0], v);
   ch.release(r);
 }
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -80,9 +82,10 @@ TEST(SlabEngine, ApplyMatchesReferenceAcrossLaneCounts) {
     la::Matrix<double> Yref;
     H.apply(X, Yref);
     for (const int lanes : {1, 2, 4}) {
-      EngineOptions opt;
+      BackendOptions opt;
       opt.nlanes = lanes;
       opt.mode = EngineMode::async;
+      opt.wire = Wire::fp64;
       RankEngine<double> eng(dofh, opt);
       eng.set_potential(H.potential());
       la::Matrix<double> Y;
@@ -108,9 +111,10 @@ TEST(SlabEngine, SyncAndAsyncAreBitwiseIdentical) {
   const double b = filter_bounds(H, &a, &a0);
 
   auto run = [&](EngineMode mode, la::Matrix<double>& X) {
-    EngineOptions opt;
+    BackendOptions opt;
     opt.nlanes = 4;
     opt.mode = mode;
+    opt.wire = Wire::fp64;
     RankEngine<double> eng(dofh, opt);
     eng.set_potential(H.potential());
     eng.filter_block(X, 0, X.cols(), 8, a, b, a0);
@@ -146,9 +150,10 @@ TEST(SlabEngine, FilteredSubspaceMatchesReferenceP3P5) {
     ref.filter();
 
     for (const auto mode : {EngineMode::sync, EngineMode::async}) {
-      EngineOptions opt;
+      BackendOptions opt;
       opt.nlanes = (degree_fe == 3) ? 4 : 3;
       opt.mode = mode;
+      opt.wire = Wire::fp64;
       RankEngine<double> eng(dofh, opt);
       eng.set_potential(H.potential());
       ks::ChebyshevFilteredSolver<double> sol(H, 12, copt);
@@ -180,10 +185,10 @@ TEST(SlabEngine, ComplexKpointFilterMatchesReference) {
   ref.set_bounds(a, b, a0);
   ref.filter();
 
-  EngineOptions opt;
+  BackendOptions opt;
   opt.nlanes = 3;
-  opt.kpoint = kpt;
-  RankEngine<complex_t> eng(dofh, opt);
+  opt.wire = Wire::fp64;
+  RankEngine<complex_t> eng(dofh, opt, Operator::hamiltonian, kpt);
   eng.set_potential(H.potential());
   ks::ChebyshevFilteredSolver<complex_t> sol(H, 6, copt);
   sol.initialize_random(11);
@@ -212,11 +217,10 @@ void expect_fp32_wire_drift(std::array<double, 3> kpt) {
   la::Matrix<T> Yref;
   H.apply(X, Yref);
 
-  EngineOptions opt;
+  BackendOptions opt;
   opt.nlanes = 4;
   opt.wire = Wire::fp32;
-  opt.kpoint = kpt;
-  RankEngine<T> eng(dofh, opt);
+  RankEngine<T> eng(dofh, opt, Operator::hamiltonian, kpt);
   eng.set_potential(H.potential());
   la::Matrix<T> Y;
   eng.apply(X, Y);
@@ -230,12 +234,12 @@ void expect_fp32_wire_drift(std::array<double, 3> kpt) {
     scale = std::max(scale, std::abs(Yref.data()[i]));
   EXPECT_LT(d, 1e-5 * scale);
   // Wire bytes on the wire are half the FP64 payload for the same traffic.
-  EngineOptions o64 = opt;
+  BackendOptions o64 = opt;
   o64.wire = Wire::fp64;
-  RankEngine<T> eng64(dofh, o64);
+  RankEngine<T> eng64(dofh, o64, Operator::hamiltonian, kpt);
   eng64.set_potential(H.potential());
   eng64.apply(X, Y);
-  EXPECT_EQ(2 * eng.comm_stats().bytes, eng64.comm_stats().bytes);
+  EXPECT_EQ(2 * eng.comm_stats().bytes(), eng64.comm_stats().bytes());
 }
 
 TEST(SlabEngine, Fp32WireDriftsAtSinglePrecisionOnly) {
@@ -254,10 +258,10 @@ TEST(SlabEngine, BareStiffnessModeMatchesPoissonOperator) {
   Yref.zero();
   A.apply_add(X, Yref);
 
-  EngineOptions opt;
+  BackendOptions opt;
   opt.nlanes = 3;
-  opt.hamiltonian = false;
-  RankEngine<double> eng(dofh, opt);
+  opt.wire = Wire::fp64;
+  RankEngine<double> eng(dofh, opt, Operator::stiffness);
   la::Matrix<double> Y;
   eng.apply(X, Y);
   EXPECT_LT(max_diff(Y, Yref), 1e-12);
@@ -277,9 +281,10 @@ TEST(SlabEngine, MeasuredWallRespectsSimulatorBounds) {
   double a = 0.0, a0 = 0.0;
   const double b = filter_bounds(H, &a, &a0);
 
-  EngineOptions opt;
+  BackendOptions opt;
   opt.nlanes = 2;
   opt.mode = EngineMode::sync;
+  opt.wire = Wire::fp64;
   opt.inject_wire_delay = true;
   opt.model.bandwidth_bytes_per_s = 5e6;  // ~2 ms per 8-column halo packet
   opt.model.latency_s = 1e-4;
@@ -323,8 +328,9 @@ TEST(SlabEngine, LaneFaultPropagatesAndEngineRecovers) {
   fe::DofHandler dofh(mesh, 3);
   ks::Hamiltonian<double> H(dofh);
   H.set_potential(std::vector<double>(dofh.ndofs(), -0.5));
-  EngineOptions opt;
+  BackendOptions opt;
   opt.nlanes = 4;
+  opt.wire = Wire::fp64;
   RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
 
@@ -349,8 +355,9 @@ TEST(SlabEngine, SteadyStateAllocatesNothing) {
   double a = 0.0, a0 = 0.0;
   const double b = filter_bounds(H, &a, &a0);
 
-  EngineOptions opt;
+  BackendOptions opt;
   opt.nlanes = 4;
+  opt.wire = Wire::fp64;
   RankEngine<double> eng(dofh, opt);
   eng.set_potential(H.potential());
   la::Matrix<double> X(dofh.ndofs(), 6);
@@ -373,20 +380,20 @@ TEST(SlabEngine, SteadyStateAllocatesNothing) {
 TEST(SlabEngine, CommStatsCountBothDirectionsPerInterface) {
   const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
   fe::DofHandler dofh(mesh, 3);
-  EngineOptions opt;
+  BackendOptions opt;
   opt.nlanes = 4;
   opt.grid = {1, 1, 4};  // pin the z-slab layout: the counts below are slab-exact
-  opt.hamiltonian = false;
+  opt.wire = Wire::fp64;
   opt.model.bandwidth_bytes_per_s = 1e8;
   opt.model.latency_s = 1e-5;
-  RankEngine<double> eng(dofh, opt);
+  RankEngine<double> eng(dofh, opt, Operator::stiffness);
   la::Matrix<double> X(dofh.ndofs(), 5), Y;
   eng.apply(X, Y);
   const auto st = eng.comm_stats();
   // 3 interfaces, each: 2 sends + 2 receives of one 5-column plane packet.
   const index_t plane = dofh.naxis(0) * dofh.naxis(1);
   EXPECT_EQ(st.messages, 3 * 4);
-  EXPECT_EQ(st.bytes, 3 * 4 * static_cast<std::int64_t>(plane) * 5 * 8);
+  EXPECT_EQ(st.bytes(), 3 * 4 * static_cast<std::int64_t>(plane) * 5 * 8);
   // The modeled wire time is CommModel's per-packet charge, paid once per
   // received packet (3 interfaces x 2 directions).
   const std::int64_t packet = halo_packet_bytes<double>(plane * 5, Wire::fp64);
@@ -416,10 +423,11 @@ TEST(BrickEngine, ApplyMatchesReferenceOn3DGrids) {
                                           std::array<int, 3>{2, 1, 2},
                                           std::array<int, 3>{2, 2, 2}}) {
       for (const auto mode : {EngineMode::sync, EngineMode::async}) {
-        EngineOptions opt;
+        BackendOptions opt;
         opt.grid = grid;
         opt.nlanes = grid[0] * grid[1] * grid[2];
         opt.mode = mode;
+        opt.wire = Wire::fp64;
         RankEngine<double> eng(dofh, opt);
         EXPECT_EQ(eng.nlanes(), opt.nlanes);
         eng.set_potential(H.potential());
@@ -451,9 +459,10 @@ TEST(BrickEngine, FilteredSubspaceMatchesReferenceP3P5) {
     ref.set_bounds(a, b, a0);
     ref.filter();
 
-    EngineOptions opt;
+    BackendOptions opt;
     opt.grid = (degree_fe == 3) ? std::array<int, 3>{2, 2, 2} : std::array<int, 3>{3, 1, 1};
     opt.nlanes = opt.grid[0] * opt.grid[1] * opt.grid[2];
+    opt.wire = Wire::fp64;
     RankEngine<double> eng(dofh, opt);
     eng.set_potential(H.potential());
     ks::ChebyshevFilteredSolver<double> sol(H, 12, copt);
@@ -475,10 +484,11 @@ TEST(BrickEngine, SyncAndAsyncAreBitwiseIdenticalOn2x2x1) {
   const double b = filter_bounds(H, &a, &a0);
 
   auto run = [&](EngineMode mode, la::Matrix<double>& X) {
-    EngineOptions opt;
+    BackendOptions opt;
     opt.grid = {2, 2, 1};
     opt.nlanes = 4;
     opt.mode = mode;
+    opt.wire = Wire::fp64;
     RankEngine<double> eng(dofh, opt);
     eng.set_potential(H.potential());
     eng.filter_block(X, 0, X.cols(), 8, a, b, a0);
@@ -504,17 +514,19 @@ TEST(BrickEngine, DegenerateGridMatchesSlabEngineBitwise) {
   la::Matrix<double> X(dofh.ndofs(), 5);
   for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.29 * i);
 
-  EngineOptions oa;
+  BackendOptions oa;
   oa.nlanes = 4;  // factorize(4) on an elongated-free cube keeps all 4 lanes
   oa.grid = {1, 1, 4};
+  oa.wire = Wire::fp64;
   RankEngine<double> slab(dofh, oa);
   slab.set_potential(H.potential());
   la::Matrix<double> Ys;
   slab.apply(X, Ys);
 
-  EngineOptions ob;
+  BackendOptions ob;
   ob.grid = {2, 2, 1};
   ob.nlanes = 4;
+  ob.wire = Wire::fp64;
   RankEngine<double> brick(dofh, ob);
   brick.set_potential(H.potential());
   la::Matrix<double> Yb;
@@ -524,7 +536,7 @@ TEST(BrickEngine, DegenerateGridMatchesSlabEngineBitwise) {
   EXPECT_LT(max_diff(Ys, Yb), 1e-12);
   // ...and the brick moves strictly fewer halo bytes than the slab at the
   // same lane count on this cube (the surface-minimization payoff).
-  EXPECT_LT(brick.comm_stats().bytes, slab.comm_stats().bytes);
+  EXPECT_LT(brick.comm_stats().bytes(), slab.comm_stats().bytes());
 }
 
 TEST(BrickEngine, GramTreeReductionMatchesSerialOverlap) {
@@ -539,11 +551,11 @@ TEST(BrickEngine, GramTreeReductionMatchesSerialOverlap) {
   la::Matrix<double> Sref;
   la::overlap_hermitian_mixed(A, B, Sref, 64, false);
 
-  EngineOptions opt;
+  BackendOptions opt;
   opt.grid = {2, 2, 2};
   opt.nlanes = 8;
-  opt.hamiltonian = false;
-  RankEngine<double> eng(dofh, opt);
+  opt.wire = Wire::fp64;
+  RankEngine<double> eng(dofh, opt, Operator::stiffness);
   la::Matrix<double> S;
   eng.overlap(A, B, S, 64, false);
   // Brick-local partials + log2-depth tree sum reassociate the row sums:
@@ -551,6 +563,28 @@ TEST(BrickEngine, GramTreeReductionMatchesSerialOverlap) {
   for (index_t j = 0; j < nst; ++j)
     for (index_t i = 0; i < nst; ++i)
       EXPECT_NEAR(S(i, j), Sref(i, j), 1e-11 * n) << i << "," << j;
+}
+
+TEST(BrickEngine, RejectsNonPositiveLaneCountsAndPartialGrids) {
+  // The engine hands its options to the partition unchanged: a lane count
+  // below one and a grid with an unset or negative axis are invalid input,
+  // never silently replaced by one lane or by factorize(nlanes).
+  const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
+  fe::DofHandler dofh(mesh, 2);
+  for (const int nlanes : {0, -3}) {
+    BackendOptions opt;
+    opt.nlanes = nlanes;
+    EXPECT_THROW(RankEngine<double>(dofh, opt), std::invalid_argument) << nlanes;
+  }
+  for (const std::array<int, 3> grid : {std::array<int, 3>{2, 0, 2},
+                                        std::array<int, 3>{0, 0, 4},
+                                        std::array<int, 3>{2, -1, 2}}) {
+    BackendOptions opt;
+    opt.nlanes = 4;
+    opt.grid = grid;
+    EXPECT_THROW(RankEngine<double>(dofh, opt), std::invalid_argument)
+        << grid[0] << "x" << grid[1] << "x" << grid[2];
+  }
 }
 
 // --- lane-resident PCG -----------------------------------------------------
@@ -592,12 +626,12 @@ la::SolveReport serial_pcg(const fe::DofHandler& dofh, const std::vector<double>
                                 maxit);
 }
 
-EngineOptions stiffness_options(std::array<int, 3> grid, EngineMode mode) {
-  EngineOptions opt;
+BackendOptions stiffness_options(std::array<int, 3> grid, EngineMode mode) {
+  BackendOptions opt;
   opt.grid = grid;
   opt.nlanes = grid[0] * grid[1] * grid[2];
   opt.mode = mode;
-  opt.hamiltonian = false;
+  opt.wire = Wire::fp64;
   return opt;
 }
 
@@ -635,7 +669,7 @@ TEST(LanePcg, MatchesSerialPcgOnBrickGridsInBothModes) {
         SCOPED_TRACE(testing::Message() << "periodic=" << periodic << " grid=" << grid[0] << "x"
                                         << grid[1] << "x" << grid[2] << " mode="
                                         << (mode == EngineMode::sync ? "sync" : "async"));
-        RankEngine<double> eng(dofh, stiffness_options(grid, mode));
+        RankEngine<double> eng(dofh, stiffness_options(grid, mode), Operator::stiffness);
         std::vector<double> x(dofh.ndofs(), 0.0);
         la::SolveReport rep;
         ASSERT_NO_THROW(rep = eng.pcg(b, x, tol, 4000));
@@ -660,7 +694,8 @@ TEST(LanePcg, MaxitReturnsUnconvergedWithoutDeadlock) {
   for (const int maxit : {0, 1, 5}) {
     std::vector<double> xref(dofh.ndofs(), 0.0), x(dofh.ndofs(), 0.0);
     const la::SolveReport ref = serial_pcg(dofh, b, xref, 1e-14, maxit);
-    RankEngine<double> eng(dofh, stiffness_options({2, 2, 1}, EngineMode::async));
+    RankEngine<double> eng(dofh, stiffness_options({2, 2, 1}, EngineMode::async),
+                           Operator::stiffness);
     const la::SolveReport rep = eng.pcg(b, x, 1e-14, maxit);
     EXPECT_FALSE(rep.converged) << "maxit=" << maxit;
     EXPECT_EQ(rep.iterations, ref.iterations) << "maxit=" << maxit;
@@ -676,7 +711,7 @@ TEST(LanePcg, MidSolveLaneFaultIsRethrownAndEngineSolvesAgain) {
   std::vector<double> xref(dofh.ndofs(), 0.0);
   const la::SolveReport ref = serial_pcg(dofh, b, xref, 1e-10, 2000);
   for (const auto mode : {EngineMode::sync, EngineMode::async}) {
-    RankEngine<double> eng(dofh, stiffness_options({2, 1, 2}, mode));
+    RankEngine<double> eng(dofh, stiffness_options({2, 1, 2}, mode), Operator::stiffness);
     for (const auto& [lane, iter] : {std::pair<int, int>{0, 0}, {3, 7}, {1, 20}}) {
       eng.debug_fault_pcg(lane, iter);
       std::vector<double> x(dofh.ndofs(), 0.0);
@@ -701,7 +736,8 @@ TEST(LanePcg, WarmSolveAllocatesNothing) {
   const auto mesh = fe::make_uniform_mesh(L, 4, true);
   fe::DofHandler dofh(mesh, 3);
   const std::vector<double> b = poisson_rhs(dofh, L);
-  RankEngine<double> eng(dofh, stiffness_options({2, 2, 1}, EngineMode::async));
+  RankEngine<double> eng(dofh, stiffness_options({2, 2, 1}, EngineMode::async),
+                         Operator::stiffness);
   std::vector<double> x(dofh.ndofs(), 0.0);
   ASSERT_TRUE(eng.pcg(b, x, 1e-10, 2000).converged);  // warm: sizes every lane buffer
   la::WorkspaceCounters::reset();
@@ -715,9 +751,12 @@ TEST(LanePcg, RejectsHamiltonianEnginesAndDirichletLoads) {
   const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
   fe::DofHandler dofh(mesh, 3);
   std::vector<double> b(dofh.ndofs(), 0.0), x(dofh.ndofs(), 0.0);
-  RankEngine<double> ham(dofh, EngineOptions{});
+  BackendOptions hopt;
+  hopt.wire = Wire::fp64;
+  RankEngine<double> ham(dofh, hopt);
   EXPECT_THROW(ham.pcg(b, x, 1e-10, 10), std::logic_error);
-  RankEngine<double> eng(dofh, stiffness_options({2, 1, 1}, EngineMode::sync));
+  RankEngine<double> eng(dofh, stiffness_options({2, 1, 1}, EngineMode::sync),
+                         Operator::stiffness);
   b[static_cast<std::size_t>(dofh.boundary_dofs().front())] = 1.0;
   EXPECT_THROW(eng.pcg(b, x, 1e-10, 10), std::invalid_argument);
 }

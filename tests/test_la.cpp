@@ -11,6 +11,7 @@
 
 #include "base/flops.hpp"
 #include "base/rng.hpp"
+#include "dd/exchange.hpp"
 #include "la/batched.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
@@ -570,15 +571,36 @@ TEST(Lanczos, UpperBoundsSpectrum) {
 
 // ---------- mixed precision ----------
 
+/// Store every value through format W's codec into typed wire units, then
+/// load it back.
+template <dd::Wire W, class T>
+std::vector<T> wire_round_trip(const std::vector<T>& x) {
+  using Codec = dd::WireCodec<W, T>;
+  std::vector<typename Codec::unit> w(x.size() * Codec::units);
+  for (std::size_t i = 0; i < x.size(); ++i) Codec::store(x[i], w.data() + i * Codec::units);
+  std::vector<T> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = Codec::load(w.data() + i * Codec::units);
+  return y;
+}
+
 TEST(Mixed, DemotePromoteRoundTrip) {
   Rng rng(95);
   const index_t n = 1000;
-  std::vector<double> x(n), y(n);
-  std::vector<float> f(n);
+  std::vector<double> x(n);
   for (auto& v : x) v = rng.uniform(-10, 10);
-  demote<double>(x.data(), f.data(), n);
-  promote<double>(f.data(), y.data(), n);
+  const std::vector<double> y = wire_round_trip<dd::Wire::fp32>(x);
   for (index_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], y[i], 2e-6 * std::abs(x[i]) + 1e-12);
+  // Complex values demote component-wise to complex<float>.
+  std::vector<complex_t> z(n);
+  for (auto& v : z) v = complex_t(rng.uniform(-10, 10), rng.uniform(-10, 10));
+  const std::vector<complex_t> zr = wire_round_trip<dd::Wire::fp32>(z);
+  for (index_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(z[i].real(), zr[i].real(), 2e-6 * std::abs(z[i].real()) + 1e-12);
+    EXPECT_NEAR(z[i].imag(), zr[i].imag(), 2e-6 * std::abs(z[i].imag()) + 1e-12);
+  }
+  // The fp64 wire is lossless: bitwise round trips.
+  EXPECT_EQ(wire_round_trip<dd::Wire::fp64>(x), x);
+  EXPECT_EQ(wire_round_trip<dd::Wire::fp64>(z), z);
 }
 
 TEST(Mixed, LowPrecisionGemmCloseToFp64) {

@@ -1,7 +1,8 @@
-// Tests for the reduced-precision kernels of la/mixed.hpp, with emphasis on
-// the BF16 wire scalar (tentpole satellite): round-to-nearest-even demotion
-// accuracy bounds, exact representability, special values, the complex
-// two-unit packing, and the per-format wire byte counts.
+// Tests for the reduced-precision scalars of la/mixed.hpp and the wire codecs
+// of dd/exchange.hpp, with emphasis on the BF16 wire scalar:
+// round-to-nearest-even demotion accuracy bounds, exact representability,
+// special values, the complex two-unit packing, and the per-format wire byte
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -61,27 +62,56 @@ TEST(Bf16, DemotionRoundsToNearestEven) {
   EXPECT_EQ(bf16_from_float(1.0f + std::ldexp(1.2f, -8)), 0x3F81);
 }
 
+/// Store every value through format W's codec into typed wire units, then
+/// load it back; `w` receives the units.
+template <dd::Wire W, class T>
+std::vector<T> wire_round_trip(const std::vector<T>& x,
+                               std::vector<typename dd::WireCodec<W, T>::unit>& w) {
+  using Codec = dd::WireCodec<W, T>;
+  w.assign(x.size() * Codec::units, {});
+  for (std::size_t i = 0; i < x.size(); ++i) Codec::store(x[i], w.data() + i * Codec::units);
+  std::vector<T> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = Codec::load(w.data() + i * Codec::units);
+  return y;
+}
+
 TEST(Bf16, PanelDemotePromoteRealAndComplex) {
+  using dd::Wire;
   const index_t n = 257;  // odd, larger than any vector unroll
-  std::vector<double> x(n), xr(n);
+  std::vector<double> x(n);
   for (index_t i = 0; i < n; ++i) x[i] = std::ldexp(std::sin(0.37 * i + 0.1), i % 21 - 10);
-  std::vector<bf16_t> w(n);
-  demote_bf16(x.data(), w.data(), n);
-  promote_bf16(w.data(), xr.data(), n);
+  std::vector<bf16_t> w;
+  const std::vector<double> xr = wire_round_trip<Wire::bf16>(x, w);
   const double bound = std::ldexp(1.0, -8);
   for (index_t i = 0; i < n; ++i)
     EXPECT_LE(std::abs(xr[i] - x[i]), bound * std::abs(x[i]) + 1e-300) << i;
 
-  std::vector<std::complex<double>> z(n), zr(n);
+  std::vector<std::complex<double>> z(n);
   for (index_t i = 0; i < n; ++i)
     z[i] = std::complex<double>(std::cos(0.23 * i), -std::sin(0.31 * i));
-  std::vector<bf16_t> wz(2 * n);  // two units per complex value
-  demote_bf16(z.data(), wz.data(), n);
-  promote_bf16(wz.data(), zr.data(), n);
+  std::vector<bf16_t> wz;
+  const std::vector<std::complex<double>> zr = wire_round_trip<Wire::bf16>(z, wz);
+  ASSERT_EQ(wz.size(), static_cast<std::size_t>(2 * n));  // two units per complex value
   for (index_t i = 0; i < n; ++i) {
     EXPECT_LE(std::abs(zr[i].real() - z[i].real()), bound * std::abs(z[i].real()) + 1e-300);
     EXPECT_LE(std::abs(zr[i].imag() - z[i].imag()), bound * std::abs(z[i].imag()) + 1e-300);
-    EXPECT_EQ(zr[i], bf16_load<std::complex<double>>(wz.data() + 2 * i)) << i;
+    EXPECT_EQ(zr[i], (dd::WireCodec<Wire::bf16, std::complex<double>>::load(wz.data() + 2 * i)))
+        << i;
+  }
+
+  // The fp64 format is lossless (bitwise), and fp32 carries a complex value
+  // as one complex<float> unit within FP32 rounding.
+  std::vector<double> w64;
+  EXPECT_EQ(wire_round_trip<Wire::fp64>(x, w64), x);
+  std::vector<std::complex<double>> wz64;
+  EXPECT_EQ(wire_round_trip<Wire::fp64>(z, wz64), z);
+  std::vector<std::complex<float>> wz32;
+  const std::vector<std::complex<double>> zr32 = wire_round_trip<Wire::fp32>(z, wz32);
+  ASSERT_EQ(wz32.size(), static_cast<std::size_t>(n));
+  const double bound32 = std::ldexp(1.0, -24);
+  for (index_t i = 0; i < n; ++i) {
+    EXPECT_LE(std::abs(zr32[i].real() - z[i].real()), bound32 * std::abs(z[i].real())) << i;
+    EXPECT_LE(std::abs(zr32[i].imag() - z[i].imag()), bound32 * std::abs(z[i].imag())) << i;
   }
 }
 

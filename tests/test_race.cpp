@@ -325,14 +325,14 @@ TEST(RaceEngine, MailboxHandoffUnderContention) {
   std::thread producer([&] {
     for (int i = 0; i < kPackets; ++i) {
       const int s = ch.begin_post();
-      double* w = ch.buf64(s);
+      double* w = ch.buf<dd::Wire::fp64>(s);
       for (index_t e = 0; e < kCount; ++e) w[e] = i + 0.25 * e;
       ch.finish_post(s, dd::HaloChannel<double>::Clock::now());
     }
   });
   for (int i = 0; i < kPackets; ++i) {
     const int s = ch.wait_packet();
-    const double* w = ch.cbuf64(s);
+    const double* w = ch.cbuf<dd::Wire::fp64>(s);
     for (index_t e = 0; e < kCount; ++e)
       ASSERT_EQ(w[e], i + 0.25 * e) << "packet " << i << " corrupted or reordered";
     ch.release(s);
@@ -403,9 +403,10 @@ TEST(RaceEngine, ConcurrentLaneStartupShutdown) {
 
   run_threads(kThreads, [&](int t) {
     for (int i = 0; i < 6; ++i) {
-      dd::EngineOptions opt;
+      dd::BackendOptions opt;
       opt.nlanes = 2 + (i + t) % 3;
       opt.mode = (i % 2 == 0) ? dd::EngineMode::async : dd::EngineMode::sync;
+      opt.wire = dd::Wire::fp64;
       dd::RankEngine<double> eng(dofh, opt);
       if (i % 3 == 2) continue;  // startup immediately followed by shutdown
       eng.set_potential(v);
@@ -438,7 +439,7 @@ TEST(RaceEngine, Bf16WireLaneChurn) {
 
   run_threads(kThreads, [&](int t) {
     for (int i = 0; i < 6; ++i) {
-      dd::EngineOptions opt;
+      dd::BackendOptions opt;
       opt.nlanes = 2 + (i + t) % 3;
       opt.mode = (i % 2 == 0) ? dd::EngineMode::async : dd::EngineMode::sync;
       opt.wire = dd::Wire::bf16;
@@ -448,7 +449,7 @@ TEST(RaceEngine, Bf16WireLaneChurn) {
       la::Matrix<double> Y;
       eng.apply(X, Y);
       ASSERT_LT(la::max_abs_diff(Y, Yref), 0.02 * ymax);
-      ASSERT_GT(eng.wire_stats().bf16_bytes, 0);
+      ASSERT_GT(eng.comm_stats().line(dd::Wire::bf16).bytes, 0);
     }
   });
 }
@@ -474,10 +475,11 @@ TEST(RaceEngine, BrickLaneChurn26NeighborMailboxes) {
   const std::array<int, 3> grids[] = {{2, 2, 2}, {2, 2, 1}, {2, 1, 2}, {1, 2, 2}};
   run_threads(kThreads, [&](int t) {
     for (int i = 0; i < 6; ++i) {
-      dd::EngineOptions opt;
+      dd::BackendOptions opt;
       opt.grid = grids[(i + t) % 4];
       opt.nlanes = opt.grid[0] * opt.grid[1] * opt.grid[2];
       opt.mode = (i % 2 == 0) ? dd::EngineMode::async : dd::EngineMode::sync;
+      opt.wire = dd::Wire::fp64;
       dd::RankEngine<double> eng(dofh, opt);
       if (i % 3 == 2) continue;  // startup immediately followed by shutdown
       eng.set_potential(v);
@@ -505,8 +507,9 @@ TEST(RaceEngine, LaneFaultPropagationUnderContention) {
   href.apply(X, Yref);
 
   run_threads(kThreads, [&](int t) {
-    dd::EngineOptions opt;
+    dd::BackendOptions opt;
     opt.nlanes = 4;
+    opt.wire = dd::Wire::fp64;
     dd::RankEngine<double> eng(dofh, opt);
     eng.set_potential(v);
     la::Matrix<double> Y;
@@ -551,8 +554,9 @@ TEST(RaceBackend, ConcurrentRankEnginesAllStagesAgree) {
   }
 
   run_threads(kThreads, [&](int t) {
-    dd::EngineOptions opt;
+    dd::BackendOptions opt;
     opt.nlanes = 2 + t % 2;
+    opt.wire = dd::Wire::fp64;
     dd::RankEngine<double> be(dofh, opt);
     be.set_potential(v);
     la::Matrix<double> Y, S;
@@ -583,9 +587,10 @@ TEST(RaceBackend, SubmitGuardDiagnosesCrossThreadSubmit) {
   const fe::DofHandler dofh(mesh, 2);
   std::vector<double> v(dofh.ndofs(), -0.4);
 
-  dd::EngineOptions opt;
+  dd::BackendOptions opt;
   opt.nlanes = 2;
   opt.mode = dd::EngineMode::sync;
+  opt.wire = dd::Wire::fp64;
   opt.inject_wire_delay = true;
   opt.model.latency_s = 0.02;  // >= 20 ms exposed per halo packet
   dd::RankEngine<double> be(dofh, opt);

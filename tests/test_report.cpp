@@ -175,11 +175,10 @@ TEST(RunReport, ProfileAndHistogramSectionsAgree) {
 TEST(RunReport, CommLedgerMatchesHandComputedHaloBytes) {
   const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
   fe::DofHandler dofh(mesh, 3);
-  dd::EngineOptions opt;
+  dd::BackendOptions opt;
   opt.nlanes = 2;
-  opt.hamiltonian = false;
   opt.wire = dd::Wire::fp32;
-  dd::RankEngine<double> eng(dofh, opt);
+  dd::RankEngine<double> eng(dofh, opt, dd::Operator::stiffness);
 
   auto& m = obs::MetricsRegistry::global();
   m.clear();
@@ -193,13 +192,13 @@ TEST(RunReport, CommLedgerMatchesHandComputedHaloBytes) {
   // ncols-column plane packet and receives one -> 4 messages, all FP32.
   const std::int64_t plane = dofh.naxis(0) * dofh.naxis(1);
   const std::int64_t bytes = 4 * plane * ncols * static_cast<std::int64_t>(sizeof(float));
-  const auto ws = eng.wire_stats();
-  EXPECT_EQ(ws.fp32_bytes, bytes);
-  EXPECT_EQ(ws.fp32_messages, 4);
-  EXPECT_EQ(ws.fp64_bytes, 0);
-  EXPECT_EQ(ws.fp64_messages, 0);
-  EXPECT_EQ(eng.comm_stats().bytes, bytes);
-  EXPECT_GT(ws.drift_num, 0.0);  // FP32 demotion of nonzero planes drifts
+  const dd::CommStats ws = eng.comm_stats();
+  EXPECT_EQ(ws.line(dd::Wire::fp32).bytes, bytes);
+  EXPECT_EQ(ws.line(dd::Wire::fp32).messages, 4);
+  EXPECT_EQ(ws.line(dd::Wire::fp64).bytes, 0);
+  EXPECT_EQ(ws.line(dd::Wire::fp64).messages, 0);
+  EXPECT_EQ(eng.comm_stats().bytes(), bytes);
+  EXPECT_GT(ws.line(dd::Wire::fp32).drift_num, 0.0);  // FP32 demotion of nonzero planes drifts
 
   // The published counters agree with the engine's own ledgers, per lane
   // and globally.
@@ -219,18 +218,19 @@ TEST(RunReport, CommLedgerMatchesHandComputedHaloBytes) {
   la::Matrix<double> A(dofh.ndofs(), N), S;
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = std::cos(0.23 * i);
   eng.overlap(A, A, S, /*mp_block=*/2, /*mixed=*/true);
-  const auto ws2 = eng.wire_stats();
+  const dd::CommStats ws2 = eng.comm_stats();
   const std::int64_t diag = 3 * 2 * 2;
   const std::int64_t off = N * N - diag;
-  EXPECT_EQ(ws2.fp64_bytes, 2 * diag * static_cast<std::int64_t>(sizeof(double)));
-  EXPECT_EQ(ws2.fp64_messages, 2);
-  EXPECT_EQ(ws2.fp32_bytes, bytes + 2 * off * static_cast<std::int64_t>(sizeof(float)));
-  EXPECT_EQ(ws2.fp32_messages, 6);
+  EXPECT_EQ(ws2.line(dd::Wire::fp64).bytes, 2 * diag * static_cast<std::int64_t>(sizeof(double)));
+  EXPECT_EQ(ws2.line(dd::Wire::fp64).messages, 2);
+  EXPECT_EQ(ws2.line(dd::Wire::fp32).bytes,
+            bytes + 2 * off * static_cast<std::int64_t>(sizeof(float)));
+  EXPECT_EQ(ws2.line(dd::Wire::fp32).messages, 6);
 
   // The built report's comm ledger reproduces the same numbers.
   const obs::RunReport r = obs::build_run_report("ledger");
-  EXPECT_DOUBLE_EQ(r.comm.fp32.bytes, static_cast<double>(ws2.fp32_bytes));
-  EXPECT_DOUBLE_EQ(r.comm.fp64.bytes, static_cast<double>(ws2.fp64_bytes));
+  EXPECT_DOUBLE_EQ(r.comm.fp32.bytes, static_cast<double>(ws2.line(dd::Wire::fp32).bytes));
+  EXPECT_DOUBLE_EQ(r.comm.fp64.bytes, static_cast<double>(ws2.line(dd::Wire::fp64).bytes));
   EXPECT_DOUBLE_EQ(r.comm.fp64.messages, 2.0);
   EXPECT_GT(r.comm.fp32_drift_rms, 0.0);
   ASSERT_EQ(r.comm.lanes.size(), 2u);
@@ -246,12 +246,11 @@ TEST(RunReport, CommLedgerMatchesHandComputedBf16HaloBytes) {
   // + FP32 off-diagonal payloads (the gram wire stays FP32 under BF16 halos).
   const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
   fe::DofHandler dofh(mesh, 3);
-  dd::EngineOptions opt;
+  dd::BackendOptions opt;
   opt.nlanes = 2;
-  opt.hamiltonian = false;
   opt.wire = dd::Wire::bf16;
   opt.drift_budget = 1.0;  // BF16 drift is ~4e-3 RMS; keep headroom
-  dd::RankEngine<double> eng(dofh, opt);
+  dd::RankEngine<double> eng(dofh, opt, dd::Operator::stiffness);
 
   auto& m = obs::MetricsRegistry::global();
   m.clear();
@@ -264,13 +263,13 @@ TEST(RunReport, CommLedgerMatchesHandComputedBf16HaloBytes) {
   const std::int64_t plane = dofh.naxis(0) * dofh.naxis(1);
   const std::int64_t bytes =
       4 * plane * ncols * dd::wire_value_bytes<double>(dd::Wire::bf16);
-  const auto ws = eng.wire_stats();
-  EXPECT_EQ(ws.bf16_bytes, bytes);
-  EXPECT_EQ(ws.bf16_messages, 4);
-  EXPECT_EQ(ws.fp32_bytes, 0);
-  EXPECT_EQ(ws.fp64_bytes, 0);
-  EXPECT_EQ(eng.comm_stats().bytes, bytes);
-  EXPECT_GT(ws.bf16_drift_num, 0.0);
+  const dd::CommStats ws = eng.comm_stats();
+  EXPECT_EQ(ws.line(dd::Wire::bf16).bytes, bytes);
+  EXPECT_EQ(ws.line(dd::Wire::bf16).messages, 4);
+  EXPECT_EQ(ws.line(dd::Wire::fp32).bytes, 0);
+  EXPECT_EQ(ws.line(dd::Wire::fp64).bytes, 0);
+  EXPECT_EQ(eng.comm_stats().bytes(), bytes);
+  EXPECT_GT(ws.line(dd::Wire::bf16).drift_num, 0.0);
 
   EXPECT_DOUBLE_EQ(m.counter("comm.wire.bf16.bytes"), static_cast<double>(bytes));
   EXPECT_DOUBLE_EQ(m.counter("comm.wire.bf16.messages"), 4.0);
@@ -287,15 +286,15 @@ TEST(RunReport, CommLedgerMatchesHandComputedBf16HaloBytes) {
   la::Matrix<double> A(dofh.ndofs(), N), S;
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = std::cos(0.23 * i);
   eng.overlap(A, A, S, /*mp_block=*/2, /*mixed=*/true);
-  const auto ws2 = eng.wire_stats();
+  const dd::CommStats ws2 = eng.comm_stats();
   const std::int64_t diag = 3 * 2 * 2;
   const std::int64_t off = N * N - diag;
-  EXPECT_EQ(ws2.fp64_bytes, 2 * diag * static_cast<std::int64_t>(sizeof(double)));
-  EXPECT_EQ(ws2.fp32_bytes, 2 * off * static_cast<std::int64_t>(sizeof(float)));
-  EXPECT_EQ(ws2.bf16_bytes, bytes);  // halo traffic unchanged by the overlap
+  EXPECT_EQ(ws2.line(dd::Wire::fp64).bytes, 2 * diag * static_cast<std::int64_t>(sizeof(double)));
+  EXPECT_EQ(ws2.line(dd::Wire::fp32).bytes, 2 * off * static_cast<std::int64_t>(sizeof(float)));
+  EXPECT_EQ(ws2.line(dd::Wire::bf16).bytes, bytes);  // halo traffic unchanged by the overlap
 
   const obs::RunReport r = obs::build_run_report("bf16-ledger");
-  EXPECT_DOUBLE_EQ(r.comm.bf16.bytes, static_cast<double>(ws2.bf16_bytes));
+  EXPECT_DOUBLE_EQ(r.comm.bf16.bytes, static_cast<double>(ws2.line(dd::Wire::bf16).bytes));
   EXPECT_DOUBLE_EQ(r.comm.bf16.messages, 4.0);
   EXPECT_GT(r.comm.bf16_drift_rms, 0.0);
   EXPECT_GT(r.comm.drift_budget_used, 0.0);
@@ -307,14 +306,14 @@ TEST(RunReport, CommLedgerMatchesHandComputedBf16HaloBytes) {
 TEST(RunReport, ExposedWaitTracksInjectedWireDelay) {
   const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
   fe::DofHandler dofh(mesh, 3);
-  dd::EngineOptions opt;
+  dd::BackendOptions opt;
   opt.nlanes = 2;
   opt.mode = dd::EngineMode::sync;  // no overlap: the wire wait is exposed
-  opt.hamiltonian = false;
+  opt.wire = dd::Wire::fp64;
   opt.inject_wire_delay = true;
   opt.model.bandwidth_bytes_per_s = 5e6;  // ~1 ms per 5-column halo packet
   opt.model.latency_s = 1e-4;
-  dd::RankEngine<double> eng(dofh, opt);
+  dd::RankEngine<double> eng(dofh, opt, dd::Operator::stiffness);
 
   auto& m = obs::MetricsRegistry::global();
   m.clear();

@@ -99,8 +99,12 @@ WHITELIST = [
      "driver-side job entry points: precondition throws plus failure "
      "propagation (rethrow of a lane's job error); at most once per job"),
     (r"dftfe::dd::RankEngine<.*>::(post_halo|recv_halo)", {"throw"},
-     "drift-budget hard-fail and poison propagation — the very protocol "
+     "mailbox poison propagation (a peer lane failed) — the very protocol "
      "paths tools/model_check explores; throws at most once per failed job"),
+    (r"dftfe::dd::RankEngine<.*>::lane_gram\(", {"alloc"},
+     "brick gram: the per-lane gathered-panel and partial-Gram WorkMatrix "
+     "acquires, inlined at -O3; grow-only, so zero after the first overlap "
+     "of each shape"),
     (r"dftfe::dd::RankEngine<.*>::(lane_pcg|pcg_apply|lane_allreduce)", {"alloc", "throw"},
      "lane-resident PCG: per-lane workspace acquire inlined at -O3 (zero "
      "after the first solve, asserted by LanePcg.WarmSolveAllocatesNothing), "

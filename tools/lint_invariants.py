@@ -94,6 +94,9 @@ HOT_PATH_FILES = [
     # inline neighbor/coords lookups ride along.
     "src/dd/engine.hpp",
     "src/dd/mailbox.hpp",
+    # The wire codec runs per value in every halo pack/unpack, and the
+    # ledger's CommStats per packet.
+    "src/dd/exchange.hpp",
     "src/dd/allreduce.hpp",
     "src/dd/partition.hpp",
     # Execution seam and serial backend: the inline stage methods (apply /

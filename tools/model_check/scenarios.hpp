@@ -64,7 +64,7 @@ inline double packet_sum(int tid, int step) {
 
 inline void post_packet(Channel& ch, int tid, int step) {
   const int s = ch.begin_post();
-  double* b = ch.buf64(s);
+  double* b = ch.buf<dd::Wire::fp64>(s);
   for (int k = 0; k < kPlane; ++k) b[k] = lane_value(tid, step, k);
   ch.finish_post(s, Channel::Clock::now());
 }
@@ -86,7 +86,7 @@ struct RecvCheck {
       throw InvariantViolation(os.str());
     }
 #endif
-    const double* b = ch.cbuf64(s);
+    const double* b = ch.cbuf<dd::Wire::fp64>(s);
     double sum = 0.0;
     for (int k = 0; k < kPlane; ++k) {
       if (b[k] != lane_value(from_tid, step, k))
@@ -349,12 +349,12 @@ inline Scenario drift_fail_scenario() {
         st.dn.reset();
         for (Channel* ch : {&st.up, &st.dn}) {
           const int s = ch->begin_post();
-          double* b = ch->buf64(s);
+          double* b = ch->buf<dd::Wire::fp64>(s);
           for (int k = 0; k < kPlane; ++k) b[k] = lane_value(9, 9, k);
           ch->finish_post(s, Channel::Clock::now());
           const int r = ch->wait_packet();
           for (int k = 0; k < kPlane; ++k)
-            if (ch->cbuf64(r)[k] != lane_value(9, 9, k))
+            if (ch->cbuf<dd::Wire::fp64>(r)[k] != lane_value(9, 9, k))
               throw InvariantViolation("reset() recovery delivered a corrupted packet");
           ch->release(r);
         }

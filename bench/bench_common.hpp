@@ -3,12 +3,13 @@
 // Shared bench-harness utilities.
 //
 // "% of peak" methodology: the paper divides measured FLOP counts by the
-// hardware's theoretical FP64 peak (Sec. 6.3). This machine exposes a single
-// CPU core with no published peak, so the harness *calibrates* a peak as the
-// best sustained GEMM throughput achieved by this library's own kernels on
-// large matrices — every efficiency number is then "fraction of the best
-// this machine + these kernels can do", the same normalization role the
-// theoretical peak plays in the paper.
+// hardware's theoretical FP64 peak (Sec. 6.3). The harness reports against
+// two peaks. The hardware peak is this core's FMA throughput, measured by an
+// in-process probe on the ISA the GEMM kernel dispatched to (the paper's
+// normalization). The calibrated peak is the best sustained GEMM throughput
+// of this library's own kernels on large matrices ("fraction of the best
+// this machine + these kernels can do"); tools/check_bench_regression.py
+// normalizes wall times by it across hosts.
 //
 // Scaling has one real data path and one modeled extrapolation (DESIGN.md,
 // "Hardware gates and substitutions"). Measured benches run the threaded
@@ -36,6 +37,7 @@
 #include "ks/hamiltonian.hpp"
 #include "la/batched.hpp"
 #include "la/blas.hpp"
+#include "la/gemm_kernel.hpp"
 #include "la/iterative.hpp"
 #include "la/workspace_metrics.hpp"
 #include "obs/export.hpp"
@@ -77,6 +79,33 @@ inline double calibrated_peak_gflops() {
     return best;
   }();
   return peak;
+}
+
+/// This core's FMA-throughput peak in GFLOP/s, FP64 (or FP32 with `fp32`),
+/// on the vector ISA the GEMM kernel dispatched to: the best of five probe
+/// runs of independent FMA chains, each a few tens of milliseconds. Measured
+/// on first use, so only benches pay for it.
+inline double hw_peak_gflops(bool fp32 = false) {
+  auto probe = [](bool single) {
+    const la::kernel::Table& kt = la::kernel::active();
+    constexpr std::int64_t kIters = std::int64_t{1} << 21;
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      double sink_d = 0.0;
+      float sink_s = 0.0f;
+      Timer t;
+      const double flops = single ? kt.fma_probe_s(kIters, &sink_s)
+                                  : kt.fma_probe_d(kIters, &sink_d);
+      best = std::max(best, flops / t.seconds() / 1e9);
+    }
+    return best;
+  };
+  if (fp32) {
+    static const double peak32 = probe(true);
+    return peak32;
+  }
+  static const double peak64 = probe(false);
+  return peak64;
 }
 
 /// The filter benches' operator: the Hamiltonian over a constant -0.3 Ha
@@ -148,6 +177,8 @@ inline void print_preamble(const char* what) {
   std::printf("calibrated machine peak: %.2f GFLOPS (best large-GEMM throughput;\n"
               "see bench_common.hpp for the normalization methodology)\n",
               calibrated_peak_gflops());
+  std::printf("hardware FP64 peak: %.2f GFLOPS (%s FMA probe, one core)\n", hw_peak_gflops(),
+              la::kernel::active().name);
   std::printf("================================================================\n");
 }
 
@@ -163,10 +194,11 @@ inline std::string pct_of_peak(double gflops) {
 /// subsequent bench run in the same process (ctest smoke runs, scripts that
 /// chain benches).
 ///
-/// Every artifact carries the host's calibrated GEMM peak and thread count
-/// as `machine.*` gauges: the checker uses the peak to normalize wall times
-/// when the committed baseline was recorded on a different machine than the
-/// CI runner comparing against it.
+/// Every artifact carries the host's calibrated GEMM peak, thread count,
+/// dispatched SIMD width and FP64 hardware peak as `machine.*` gauges: the
+/// checker uses the calibrated peak to normalize wall times when the
+/// committed baseline was recorded on a different machine than the CI
+/// runner comparing against it, and refuses pairs whose thread counts differ.
 inline void emit_bench_artifact(const std::string& name, const std::string& prefix = "",
                                 const std::vector<std::pair<std::string, double>>& gauges = {}) {
   auto& m = obs::MetricsRegistry::global();
@@ -175,6 +207,8 @@ inline void emit_bench_artifact(const std::string& name, const std::string& pref
   m.gauge_set("machine.peak_gflops", calibrated_peak_gflops());
   m.gauge_set("machine.hw_threads",
               static_cast<double>(std::thread::hardware_concurrency()));
+  m.gauge_set("machine.simd_bits", static_cast<double>(la::kernel::active().isa));
+  m.gauge_set("machine.hw_peak_fp64_gflops", hw_peak_gflops());
   la::publish_workspace_metrics();
   const std::string path = "RUNREPORT_" + name + ".json";
   if (obs::write_run_report(path, obs::build_run_report(name)))

@@ -8,12 +8,15 @@
 // reporter that mirrors every finished benchmark into the metrics registry
 // (wall time per iteration, user counters such as GFLOPS/GB/s, workspace
 // allocation counts) and writes RUNREPORT_kernels.json on exit, so kernel
-// throughput is trackable across commits like the table benches.
+// throughput is trackable across commits like the table benches. Every
+// GFLOPS counter has a hw_peak_pct beside it: its share of this core's FMA
+// peak (bench::hw_peak_gflops).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -28,13 +31,22 @@
 
 using namespace dftfe;
 
+/// GFLOPS and its share of this core's FMA peak (hw_peak_pct; the FP32 peak
+/// for FP32 work), as rate counters over `flops_per_iter` per iteration.
+static void set_flop_counters(benchmark::State& state, double flops_per_iter,
+                              bool fp32 = false) {
+  const double gflop = flops_per_iter * static_cast<double>(state.iterations()) / 1e9;
+  state.counters["GFLOPS"] = benchmark::Counter(gflop, benchmark::Counter::kIsRate);
+  state.counters["hw_peak_pct"] = benchmark::Counter(
+      100.0 * gflop / bench::hw_peak_gflops(fp32), benchmark::Counter::kIsRate);
+}
+
 static void BM_Gemm(benchmark::State& state) {
   const index_t n = state.range(0);
   la::MatrixD A(n, n), B(n, n), C(n, n);
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = B.data()[i] = 0.5 + 1e-6 * i;
   for (auto _ : state) la::gemm('N', 'N', 1.0, A, B, 0.0, C);
-  state.counters["GFLOPS"] =
-      benchmark::Counter(2.0 * n * n * n * state.iterations() / 1e9, benchmark::Counter::kIsRate);
+  set_flop_counters(state, 2.0 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512);
 
@@ -43,8 +55,7 @@ static void BM_GemmComplex(benchmark::State& state) {
   la::MatrixZ A(n, n), B(n, n), C(n, n);
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = B.data()[i] = complex_t(0.5, 0.1);
   for (auto _ : state) la::gemm('C', 'N', complex_t(1), A, B, complex_t(0), C);
-  state.counters["GFLOPS"] =
-      benchmark::Counter(8.0 * n * n * n * state.iterations() / 1e9, benchmark::Counter::kIsRate);
+  set_flop_counters(state, 8.0 * n * n * n);
 }
 BENCHMARK(BM_GemmComplex)->Arg(128)->Arg(256);
 
@@ -59,8 +70,7 @@ static void BM_BatchedCellGemm(benchmark::State& state) {
   for (auto _ : state)
     la::gemm_strided_batched<double>('N', 'N', nd, B, nd, 1.0, A.data(), nd, 0, X.data(), nd,
                                      nd * B, 0.0, Y.data(), nd, nd * B, batch);
-  state.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * nd * nd * B * batch * state.iterations() / 1e9, benchmark::Counter::kIsRate);
+  set_flop_counters(state, 2.0 * nd * nd * B * batch);
 }
 BENCHMARK(BM_BatchedCellGemm)->Arg(4)->Arg(6)->Arg(8);
 
@@ -82,8 +92,7 @@ static void BM_HamiltonianApply(benchmark::State& state) {
   // to stay 0 (also asserted by tests/test_workspace.cpp).
   state.counters["ws_allocs"] =
       benchmark::Counter(static_cast<double>(la::WorkspaceCounters::allocations()));
-  state.counters["GFLOPS"] = benchmark::Counter(
-      H.kinetic().flops_per_apply(bf) * state.iterations() / 1e9, benchmark::Counter::kIsRate);
+  set_flop_counters(state, H.kinetic().flops_per_apply(bf));
 }
 BENCHMARK(BM_HamiltonianApply)->Arg(16)->Arg(64)->Arg(128);
 
@@ -93,8 +102,7 @@ static void BM_MixedPrecisionGemm(benchmark::State& state) {
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = B.data()[i] = 0.5;
   for (auto _ : state)
     la::gemm_low_precision<double>('N', 'N', n, n, n, A.data(), n, B.data(), n, C.data(), n);
-  state.counters["GFLOPS"] =
-      benchmark::Counter(2.0 * n * n * n * state.iterations() / 1e9, benchmark::Counter::kIsRate);
+  set_flop_counters(state, 2.0 * n * n * n, /*fp32=*/true);
 }
 BENCHMARK(BM_MixedPrecisionGemm)->Arg(256);
 
@@ -164,6 +172,9 @@ class MetricsReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Probe this core's peaks before any timed loop, not inside the first one.
+  std::printf("hardware peak (%s FMA probe): FP64 %.1f GFLOPS, FP32 %.1f GFLOPS\n",
+              la::kernel::active().name, bench::hw_peak_gflops(), bench::hw_peak_gflops(true));
   MetricsReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   bench::emit_bench_artifact("kernels");

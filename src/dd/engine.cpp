@@ -344,9 +344,7 @@ void RankEngine<T>::run_job(int r, const Job& job) {
   Lane& ln = *lanes_[r];
   if (job.fault_lane == r && job.fault_iter < 0)
     throw std::runtime_error("dd::RankEngine: injected lane fault");
-  // Per-job demotion error budget: snapshot the ledger so the check below
-  // sees exactly this job's wire traffic.
-  const CommStats before = ln.comm;
+  ln.job_drift = {};
   switch (job.kind) {
     case JobKind::apply: {
       obs::TraceSpan span("Engine-apply", "dd", ln.rank);
@@ -388,15 +386,20 @@ void RankEngine<T>::run_job(int r, const Job& job) {
   if (opt_.drift_budget > 0.0) {
     // Hard-fail the job when the relative L2 drift of this job's demoted
     // wire values exceeds the budget. `!(x <= b)` also trips on NaN — a
-    // poisoned wire (Inf/NaN contamination) must not pass silently. The
-    // throw rides the existing failure cascade: mailboxes are poisoned,
-    // every lane unblocks, and the driver rethrows after resetting.
-    const double worst = ln.comm.since(before).worst_drift();
+    // poisoned wire (a NaN value, or one that overflows the wire) must not
+    // pass silently. The throw rides the existing failure cascade: mailboxes
+    // are poisoned, every lane unblocks, and the driver rethrows after
+    // resetting. A failed job's drift never reaches the ledger.
+    const double worst = worst_drift(ln.job_drift);
     if (!(worst <= opt_.drift_budget))
       throw std::runtime_error(std::string("dd::RankEngine lane ") + std::to_string(r) +
                                ": wire demotion drift " + std::to_string(worst) +
                                " exceeds drift_budget " + std::to_string(opt_.drift_budget) +
                                " in job '" + job_name(job.kind) + "'");
+  }
+  for (std::size_t w = 0; w < ln.job_drift.size(); ++w) {
+    ln.comm.lines[w].drift_num += ln.job_drift[w].drift_num;
+    ln.comm.lines[w].drift_den += ln.job_drift[w].drift_den;
   }
 }
 

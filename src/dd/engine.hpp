@@ -308,6 +308,11 @@ class RankEngine final : public ExecBackend<T> {
     la::SolveReport pcg_rep;           // this lane's view of the last pcg job
     std::vector<EngineStepStats> steps;
     CommStats comm;
+    // This job's halo demotion drift, per wire format: checked against the
+    // drift budget when the job ends, then folded into `comm`. The ledger is
+    // cumulative, so a check on its deltas would carry one job's NaN into
+    // every later job.
+    std::array<WireLine, kWires> job_drift{};
     // Snapshot of comm at the last publish_job_metrics call, so the
     // registry counters receive exact per-job deltas.
     CommStats comm_pub;
@@ -341,14 +346,14 @@ class RankEngine final : public ExecBackend<T> {
   /// Pack this lane's partial over the shared region with neighbor `nb`
   /// through the wire codec and publish it, stamped with the modeled
   /// transfer time. A lossy codec's drift accumulates value by value, into
-  /// the ledger line the drift budget checks.
+  /// the lane's per-job line the drift budget checks.
   void post_halo(Lane& ln, Neighbor& nb, const la::Matrix<T>& Yl) {
     if (!nb.active) return;
     Timer tp;
     const index_t B = Yl.cols(), C = nb.count;
     const std::int64_t bytes = wire_bytes(C, B);
     const int s = nb.send->begin_post();
-    WireLine& line = ln.comm.line(opt_.wire);
+    WireLine& line = ln.job_drift[static_cast<std::size_t>(opt_.wire)];
     with_codec<T>(opt_.wire, [&](auto codec) {
       using Codec = decltype(codec);
       constexpr index_t u = Codec::units;

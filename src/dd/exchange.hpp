@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "base/defs.hpp"
 #include "la/mixed.hpp"
@@ -147,9 +148,24 @@ struct WireLine {
   double drift_num = 0.0;
   double drift_den = 0.0;
 
-  /// Relative L2 drift of the packed values (0 when nothing drifted).
-  double drift_rms() const { return (drift_den > 0.0) ? std::sqrt(drift_num / drift_den) : 0.0; }
+  /// Relative L2 drift of the packed values: 0 when nothing was packed,
+  /// NaN once a NaN value was.
+  double drift_rms() const {
+    if (drift_den > 0.0) return std::sqrt(drift_num / drift_den);
+    return drift_den == 0.0 ? 0.0 : std::numeric_limits<double>::quiet_NaN();
+  }
 };
+
+/// The worst per-format drift of `lines`. NaN sticks: a poisoned wire must
+/// never compare as within budget.
+inline double worst_drift(const std::array<WireLine, kWires>& lines) {
+  double worst = 0.0;
+  for (const WireLine& l : lines) {
+    const double r = l.drift_rms();
+    if (std::isnan(r) || r > worst) worst = r;
+  }
+  return worst;
+}
 
 /// The comm ledger of one lane, or of an engine summed over its lanes.
 struct CommStats {
@@ -176,16 +192,7 @@ struct CommStats {
     return b;
   }
 
-  /// The worst per-format drift. NaN sticks: a poisoned wire must never
-  /// compare as within budget.
-  double worst_drift() const {
-    double worst = 0.0;
-    for (const WireLine& l : lines) {
-      const double r = l.drift_rms();
-      if (std::isnan(r) || r > worst) worst = r;
-    }
-    return worst;
-  }
+  double worst_drift() const { return dd::worst_drift(lines); }
 
   CommStats& operator+=(const CommStats& o) {
     for (std::size_t w = 0; w < lines.size(); ++w) {

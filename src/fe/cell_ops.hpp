@@ -114,24 +114,26 @@ enum class KsNodal { prescale, epilogue };
 ///   epilogue: with y = K s on entry and h = (y M^{-1/2} + v x)(1 - bmask),
 ///             y = h for a plain apply (z null, c = 0, scale = 1), else the
 ///             fused Chebyshev step y = scale (h - c x) - zc z (z optional).
+///
+/// Every factor is real and multiplies T as a double: a complex T scales its
+/// two parts, never forming a full complex product.
 template <class T>
 inline void ks_nodal_rows(KsNodal stage, const double* ims, const double* v, const double* bm,
                           const T* x, T* y, const T* z, double c, double scale, double zc,
                           index_t r0, index_t r1) {
   if (stage == KsNodal::prescale) {
-    for (index_t i = r0; i < r1; ++i) y[i] = x[i] * T(ims[i] * (1.0 - bm[i]));
+    for (index_t i = r0; i < r1; ++i) y[i] = x[i] * (ims[i] * (1.0 - bm[i]));
   } else if (z == nullptr && c == 0.0 && scale == 1.0) {
-    for (index_t i = r0; i < r1; ++i)
-      y[i] = (y[i] * T(ims[i]) + T(v[i]) * x[i]) * T(1.0 - bm[i]);
+    for (index_t i = r0; i < r1; ++i) y[i] = (y[i] * ims[i] + x[i] * v[i]) * (1.0 - bm[i]);
   } else if (z == nullptr) {
     for (index_t i = r0; i < r1; ++i) {
-      const T h = (y[i] * T(ims[i]) + T(v[i]) * x[i]) * T(1.0 - bm[i]);
-      y[i] = T(scale) * (h - T(c) * x[i]);
+      const T h = (y[i] * ims[i] + x[i] * v[i]) * (1.0 - bm[i]);
+      y[i] = (h - x[i] * c) * scale;
     }
   } else {
     for (index_t i = r0; i < r1; ++i) {
-      const T h = (y[i] * T(ims[i]) + T(v[i]) * x[i]) * T(1.0 - bm[i]);
-      y[i] = T(scale) * (h - T(c) * x[i]) - T(zc) * z[i];
+      const T h = (y[i] * ims[i] + x[i] * v[i]) * (1.0 - bm[i]);
+      y[i] = (h - x[i] * c) * scale - z[i] * zc;
     }
   }
 }

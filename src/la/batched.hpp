@@ -6,12 +6,14 @@
 // is a batch of many small dense GEMMs, one per finite-element cell. On GPUs
 // these saturate the device via fine-grained parallelism; here each batch
 // member is small enough to stay in cache, and OpenMP parallelizes across
-// batch members.
+// batch members. The 'N','N' path runs the register-blocked micro-kernel of
+// la/gemm_kernel.hpp directly on each member's operands.
 
 #include <omp.h>
 
 #include "base/defs.hpp"
 #include "base/flops.hpp"
+#include "la/gemm_kernel.hpp"
 #include "la/matrix.hpp"
 
 namespace dftfe::la {
@@ -31,6 +33,18 @@ void gemm_strided_batched(char transa, char transb, index_t m, index_t n, index_
   if (!degenerate)
     FlopCounter::global().add(2.0 * m * n * k * batch * scalar_traits<T>::flop_factor);
 
+  // 'N','N' (every cell apply): the micro-kernel straight on each member's
+  // operands, one batch member per call.
+  if (!degenerate && transa == 'N' && transb == 'N') {
+    const kernel::GemmFn<T> tile = kernel::get<T>(kernel::active());
+#pragma omp parallel for schedule(static)
+    for (index_t b = 0; b < batch; ++b)
+      tile(m, n, k, alpha, A + b * strideA, lda, B + b * strideB, ldb, beta, C + b * strideC,
+           ldc);
+    return;
+  }
+
+  // Transposed operands and degenerate calls: the reference loop.
   const bool ta = (transa == 'T' || transa == 'C');
   const bool ca = (transa == 'C');
   const bool tb = (transb == 'T' || transb == 'C');
@@ -60,44 +74,6 @@ void gemm_strided_batched(char transa, char transb, index_t m, index_t n, index_
       }
     }
     if (degenerate) continue;
-    // Fast path 'N','N': 4-column micro-kernel so each loaded A column
-    // feeds four outputs (this is where the block-size-dependent arithmetic
-    // intensity of the cell-level GEMMs comes from).
-    if (!ta && !tb) {
-      index_t j = 0;
-      for (; j + 3 < n; j += 4) {
-        T* c0 = Cb + j * ldc;
-        T* c1 = c0 + ldc;
-        T* c2 = c1 + ldc;
-        T* c3 = c2 + ldc;
-        const T* b0 = Bb + j * ldb;
-        for (index_t kk = 0; kk < k; ++kk) {
-          const T* a = Ab + kk * lda;
-          const T v0 = alpha * b0[kk], v1 = alpha * b0[kk + ldb],
-                  v2 = alpha * b0[kk + 2 * ldb], v3 = alpha * b0[kk + 3 * ldb];
-#pragma omp simd
-          for (index_t i = 0; i < m; ++i) {
-            const T ai = a[i];
-            c0[i] += ai * v0;
-            c1[i] += ai * v1;
-            c2[i] += ai * v2;
-            c3[i] += ai * v3;
-          }
-        }
-      }
-      for (; j < n; ++j) {
-        T* c = Cb + j * ldc;
-        const T* bj = Bb + j * ldb;
-        for (index_t kk = 0; kk < k; ++kk) {
-          const T* a = Ab + kk * lda;
-          const T bv = alpha * bj[kk];
-#pragma omp simd
-          for (index_t i = 0; i < m; ++i) c[i] += a[i] * bv;
-        }
-      }
-      continue;
-    }
-    // General path.
     for (index_t j = 0; j < n; ++j) {
       T* c = Cb + j * ldc;
       for (index_t kk = 0; kk < k; ++kk) {

@@ -1,6 +1,7 @@
 #include "la/cholesky.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "base/defs.hpp"
 #include "base/flops.hpp"
@@ -11,10 +12,15 @@ template <class T>
 bool cholesky_lower(Matrix<T>& A) {
   const index_t n = A.rows();
   FlopCounter::global().add(n * n * n / 3.0 * scalar_traits<T>::flop_factor);
+  // A pivot no larger than the rounding error of its own elimination (n ulps
+  // of the diagonal entry) means column j is dependent on the ones before it
+  // to working precision: report the breakdown instead of dividing by noise.
+  const double tol = static_cast<double>(n) * std::numeric_limits<double>::epsilon();
   for (index_t j = 0; j < n; ++j) {
-    double djj = scalar_traits<T>::real(A(j, j));
+    const double ajj = scalar_traits<T>::real(A(j, j));
+    double djj = ajj;
     for (index_t k = 0; k < j; ++k) djj -= scalar_traits<T>::abs2(A(j, k));
-    if (!(djj > 0.0)) return false;
+    if (!(djj > tol * ajj)) return false;
     const double ljj = std::sqrt(djj);
     A(j, j) = T(ljj);
     const double inv = 1.0 / ljj;

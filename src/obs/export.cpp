@@ -93,13 +93,15 @@ bool write_chrome_trace(const std::string& path, const TraceRecorder& rec) {
   return static_cast<bool>(f);
 }
 
-TextTable step_breakdown_table(double total_wall, double peak_gflops,
+TextTable step_breakdown_table(double total_wall, const std::vector<PeakColumn>& peaks,
                                const ProfileRegistry& profile, const FlopCounter& flops) {
   std::vector<std::string> header = {"step", "wall (s)", "GFLOP", "GFLOPS"};
-  if (peak_gflops > 0.0) header.push_back("% of calibrated peak");
+  for (const PeakColumn& p : peaks) header.push_back(p.header);
   TextTable t(header);
-  auto pct = [&](double gflops) {
-    return TextTable::num(100.0 * gflops / peak_gflops, 1) + "%";
+  // One cell per peak column: the rate's share of that peak, or `blank`.
+  auto add_pcts = [&](std::vector<std::string>& row, double gflops, bool blank) {
+    for (const PeakColumn& p : peaks)
+      row.push_back(blank ? "-" : TextTable::num(100.0 * gflops / p.gflops, 1) + "%");
   };
   double accounted = 0.0, gflop_total = 0.0;
   for (const auto& step : canonical_steps()) {
@@ -111,20 +113,20 @@ TextTable step_breakdown_table(double total_wall, double peak_gflops,
     std::vector<std::string> row = {step.name, TextTable::num(wall, 3),
                                     step.minor ? "-" : TextTable::num(gf, 2),
                                     step.minor ? "-" : TextTable::num(rate, 2)};
-    if (peak_gflops > 0.0) row.push_back(step.minor ? "-" : pct(rate));
+    add_pcts(row, rate, step.minor);
     t.add_row(std::move(row));
   }
   const double others = std::max(total_wall - accounted, 0.0);
   {
     std::vector<std::string> row = {"DH+EP+Others", TextTable::num(others, 3), "-", "-"};
-    if (peak_gflops > 0.0) row.push_back("-");
+    add_pcts(row, 0.0, true);
     t.add_row(std::move(row));
   }
   {
     const double rate = gflop_total / std::max(total_wall, 1e-9);
     std::vector<std::string> row = {"TOTAL", TextTable::num(total_wall, 3),
                                     TextTable::num(gflop_total, 2), TextTable::num(rate, 2)};
-    if (peak_gflops > 0.0) row.push_back(pct(rate));
+    add_pcts(row, rate, false);
     t.add_row(std::move(row));
   }
   return t;

@@ -36,10 +36,18 @@ std::string chrome_trace_json(const TraceRecorder& rec = TraceRecorder::global()
 bool write_chrome_trace(const std::string& path,
                         const TraceRecorder& rec = TraceRecorder::global());
 
+/// A %-of-peak column of step_breakdown_table: its header and the peak
+/// (GFLOP/s) each rate is divided by.
+struct PeakColumn {
+  std::string header;
+  double gflops = 0.0;
+};
+
 /// Table-3-layout breakdown of the canonical steps plus a "DH+EP+Others"
 /// remainder row and a TOTAL row. `total_wall` is the measured wall time the
-/// remainder is computed against; `peak_gflops > 0` adds a %-of-peak column.
-TextTable step_breakdown_table(double total_wall, double peak_gflops = 0.0,
+/// remainder is computed against; each entry of `peaks` adds a %-of-peak
+/// column.
+TextTable step_breakdown_table(double total_wall, const std::vector<PeakColumn>& peaks = {},
                                const ProfileRegistry& profile = ProfileRegistry::global(),
                                const FlopCounter& flops = FlopCounter::global());
 

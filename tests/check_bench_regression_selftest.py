@@ -5,7 +5,8 @@ Works on temporary copies of bench/baselines/RUNREPORT_*.json and asserts:
   * every baseline compared with itself exits 0;
   * a copy with one gated `*wall_s` gauge raised 20% exits 1 and names the key;
   * a --min-gauge key that is absent exits 1;
-  * a document of the retired flat metrics-snapshot schema exits 2.
+  * a document of the retired flat metrics-snapshot schema exits 2;
+  * a pair whose machine.hw_threads differ exits 2 and names both values.
 
 Usage: check_bench_regression_selftest.py <check_bench_regression.py> <baselines dir>
 """
@@ -65,6 +66,17 @@ def main() -> int:
         metrics.write_text(json.dumps({"schema": retired, "gauges": {"x.wall_s": 1.0}}))
         proc = run(checker, f"{metrics}={metrics}")
         assert proc.returncode == 2, f"{retired} exited {proc.returncode}:\n{proc.stdout}"
+
+        # 5. Baselines from another host class are refused, not compared.
+        other = json.loads(base.read_text())
+        threads = other["gauges"]["machine.hw_threads"]
+        other["gauges"]["machine.hw_threads"] = threads + 60
+        foreign = tmp / f"foreign_{base.name}"
+        foreign.write_text(json.dumps(other))
+        proc = run(checker, f"{base}={foreign}")
+        assert proc.returncode == 2, f"hw_threads mismatch exited {proc.returncode}:\n{proc.stdout}"
+        for value in (threads, threads + 60):
+            assert f"{value}" in proc.stderr, f"refusal does not name {value}:\n{proc.stderr}"
 
     print("check_bench_regression_selftest OK")
     return 0

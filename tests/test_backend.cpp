@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -431,6 +432,44 @@ TEST(BackendThreaded, WireOverflowTripsDriftBudgetOnEveryLossyFormat) {
       const std::string what = err.what();
       EXPECT_NE(what.find("drift_budget"), std::string::npos) << what;
     }
+  }
+}
+
+TEST(BackendThreaded, NanHaloTripsDriftBudgetAndNextJobRuns) {
+  // One NaN input at the domain centre lands in the halo partials of both
+  // lanes (the centre node lies on every axis's interface). Its drift is
+  // NaN, so the job must fail under the default budget on either lossy
+  // wire; the next finite job on the same engine must run, because the
+  // check reads this job's own drift, not the cumulative ledger.
+  const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 4, false);
+  const fe::DofHandler dofh(mesh, 2);
+  index_t centre = 0;
+  double best = 1e300;
+  for (index_t g = 0; g < dofh.ndofs(); ++g) {
+    const auto p = dofh.dof_point(g);
+    const double d2 = (p[0] - 2.0) * (p[0] - 2.0) + (p[1] - 2.0) * (p[1] - 2.0) +
+                      (p[2] - 2.0) * (p[2] - 2.0);
+    if (d2 < best) best = d2, centre = g;
+  }
+  la::Matrix<double> X(dofh.ndofs(), 2), Xnan, Y;
+  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.37 * i);
+  Xnan = X;
+  Xnan(centre, 1) = std::numeric_limits<double>::quiet_NaN();
+  for (const Wire wire : {Wire::fp32, Wire::bf16}) {
+    BackendOptions eopt;
+    eopt.nlanes = 2;
+    eopt.wire = wire;
+    RankEngine<double> be(dofh, eopt, Operator::stiffness);
+    const char* name = kWireNames[static_cast<int>(wire)].name;
+    try {
+      be.apply(Xnan, Y);
+      ADD_FAILURE() << "NaN on the " << name << " wire did not fail the job";
+    } catch (const std::runtime_error& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find("drift"), std::string::npos) << what;
+    }
+    EXPECT_NO_THROW(be.apply(X, Y)) << name;
+    for (index_t i = 0; i < Y.size(); ++i) ASSERT_TRUE(std::isfinite(Y.data()[i])) << name;
   }
 }
 

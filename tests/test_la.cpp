@@ -5,9 +5,17 @@
 
 #include <gtest/gtest.h>
 #include <omp.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "base/flops.hpp"
 #include "base/rng.hpp"
@@ -16,6 +24,7 @@
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eig.hpp"
+#include "la/gemm_kernel.hpp"
 #include "la/iterative.hpp"
 #include "la/mixed.hpp"
 
@@ -155,6 +164,203 @@ TEST(Gemm, CountsAnalyticFlops) {
   gemm('N', 'N', complex_t(1), Az, Az, complex_t(0), Cz);
   EXPECT_DOUBLE_EQ(fc.total(), 4.0 * 2.0 * 4 * 4 * 4);
   fc.clear();
+}
+
+// ---------- GEMM micro-kernel: every variant this host runs ----------
+
+/// `capacity` elements of T whose tail ends at a PROT_NONE page: an operand
+/// placed with tail() faults on any access past its final element.
+template <class T>
+class GuardedBuffer {
+ public:
+  explicit GuardedBuffer(std::size_t capacity) {
+    page_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    bytes_ = (capacity * sizeof(T) + page_ - 1) / page_ * page_ + page_;
+    void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::runtime_error("GuardedBuffer: mmap failed");
+    base_ = static_cast<char*>(p);
+    if (mprotect(base_ + bytes_ - page_, page_, PROT_NONE) != 0)
+      throw std::runtime_error("GuardedBuffer: mprotect failed");
+  }
+  ~GuardedBuffer() { munmap(base_, bytes_); }
+  GuardedBuffer(const GuardedBuffer&) = delete;
+  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+
+  /// `count` elements ending at the guard page.
+  T* tail(std::size_t count) { return reinterpret_cast<T*>(base_ + bytes_ - page_) - count; }
+
+ private:
+  char* base_ = nullptr;
+  std::size_t bytes_ = 0, page_ = 0;
+};
+
+template <class T>
+using Wide = std::conditional_t<scalar_traits<T>::is_complex, complex_t, double>;
+
+/// re + i im, or re for a real T.
+template <class T>
+T scalar_of(double re, double im) {
+  if constexpr (scalar_traits<T>::is_complex) {
+    return T(re, im);
+  } else {
+    (void)im;
+    return T(re);
+  }
+}
+
+/// One kernel call against a triple loop in double precision, with every
+/// operand ending at a guard page, NaN in the lda/ldb gaps (a gap read into
+/// a stored row would surface as NaN), NaN in C when beta == 0 (C must not be
+/// read), and a sentinel in the ldc gap (which must survive).
+template <class T>
+void check_kernel(kernel::GemmFn<T> fn, index_t m, index_t n, index_t k, T alpha, T beta,
+                  Rng& rng) {
+  using R = typename scalar_traits<T>::real_type;
+  const index_t lda = m + 3, ldb = k + 2, ldc = m + 1;
+  const std::size_t na = k > 0 ? static_cast<std::size_t>(lda * (k - 1) + m) : 0;
+  const std::size_t nb = static_cast<std::size_t>(ldb * (n - 1) + k);
+  const std::size_t nc = static_cast<std::size_t>(ldc * (n - 1) + m);
+  GuardedBuffer<T> ga(na), gb(nb), gc(nc);
+  T* A = ga.tail(na);
+  T* B = gb.tail(nb);
+  T* C = gc.tail(nc);
+  const T nan = T(std::numeric_limits<R>::quiet_NaN());
+  const T sentinel = T(R(7));
+  std::fill(A, A + na, nan);
+  std::fill(B, B + nb, nan);
+  std::fill(C, C + nc, sentinel);
+  for (index_t p = 0; p < k; ++p)
+    for (index_t i = 0; i < m; ++i) A[i + p * lda] = random_scalar<T>(rng);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t p = 0; p < k; ++p) B[p + j * ldb] = random_scalar<T>(rng);
+  std::vector<T> C0(nc);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i)
+      C[i + j * ldc] = (beta == T{}) ? nan : random_scalar<T>(rng);
+  std::copy(C, C + nc, C0.begin());
+
+  fn(m, n, k, alpha, A, lda, B, ldb, beta, C, ldc);
+
+  const double eps = std::numeric_limits<R>::epsilon();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      Wide<T> s{};
+      double mag = 0.0;
+      for (index_t p = 0; p < k; ++p) {
+        const Wide<T> a(A[i + p * lda]), b(B[p + j * ldb]);
+        s += a * b;
+        mag += std::abs(a) * std::abs(b);
+      }
+      Wide<T> ref = Wide<T>(alpha) * s;
+      mag *= std::abs(Wide<T>(alpha));
+      if (beta != T{}) {
+        ref += Wide<T>(beta) * Wide<T>(C0[i + j * ldc]);
+        mag += std::abs(Wide<T>(beta)) * std::abs(Wide<T>(C0[i + j * ldc]));
+      }
+      const double err = std::abs(Wide<T>(C[i + j * ldc]) - ref);
+      ASSERT_LE(err, 8.0 * (static_cast<double>(k) + 2.0) * eps * mag + 1e-300)
+          << "m=" << m << " n=" << n << " k=" << k << " i=" << i << " j=" << j;
+    }
+  for (index_t j = 0; j + 1 < n; ++j)
+    for (index_t i = m; i < ldc; ++i)
+      ASSERT_EQ(C[i + j * ldc], sentinel) << "ldc gap written, m=" << m << " n=" << n;
+}
+
+template <class T>
+void sweep_kernel(kernel::GemmFn<T> fn) {
+  Rng rng(scalar_traits<T>::is_complex ? 31 : 32);
+  const T other_a = scalar_of<T>(0.75, -0.5);
+  const T other_b = scalar_of<T>(-1.25, 0.5);
+  // m and n run one past the largest tile of any variant (AVX-512 FP32 rows
+  // 2 x 16, columns 6), so every row and column remainder of every tile
+  // shape is hit.
+  for (const index_t k : {index_t{0}, index_t{1}, index_t{7}, index_t{125}, index_t{203}})
+    for (index_t n = 1; n <= 7; ++n)
+      for (index_t m = 1; m <= 33; ++m) {
+        check_kernel<T>(fn, m, n, k, other_a, other_b, rng);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+  for (const T alpha : {T(0), T(1), other_a})
+    for (const T beta : {T(0), T(1), other_b})
+      for (const auto& [m, n, k] : {std::tuple<index_t, index_t, index_t>{13, 5, 7}, {33, 7, 125}}) {
+        check_kernel<T>(fn, m, n, k, alpha, beta, rng);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+}
+
+TEST(GemmKernel, DispatchPicksTheWidestIsaThisHostRuns) {
+  __builtin_cpu_init();
+  kernel::Isa widest = kernel::Isa::sse2;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    widest = kernel::Isa::avx2;
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma"))
+    widest = kernel::Isa::avx512;
+  EXPECT_EQ(kernel::active().isa, widest) << kernel::active().name;
+  ASSERT_EQ(kernel::variants().size(), 3u);
+  for (const kernel::Table* t : kernel::variants())
+    EXPECT_EQ(kernel::host_supports(t->isa), static_cast<int>(t->isa) <= static_cast<int>(widest))
+        << t->name;
+}
+
+TEST(GemmKernel, EveryHostVariantMatchesTripleLoop) {
+  for (const kernel::Table* t : kernel::variants()) {
+    if (!kernel::host_supports(t->isa)) continue;
+    SCOPED_TRACE(t->name);
+    sweep_kernel<double>(t->d);
+    sweep_kernel<float>(t->s);
+    sweep_kernel<complex_t>(t->z);
+    sweep_kernel<std::complex<float>>(t->c);
+  }
+}
+
+template <class T>
+void check_gemm_ops(const kernel::Table& t) {
+  Rng rng(33);
+  const T alpha = scalar_of<T>(1.3, -0.4);
+  const T beta = scalar_of<T>(-0.7, 0.9);
+  const double eps = std::numeric_limits<typename scalar_traits<T>::real_type>::epsilon();
+  // Shapes inside one packed panel and across the 96-row, 96-column and
+  // 192-deep panel edges.
+  for (const auto& [m, n, k] : {std::tuple<index_t, index_t, index_t>{1, 1, 1},
+                                {13, 7, 9},
+                                {100, 7, 203},
+                                {9, 98, 13}})
+    for (const char ta : {'N', 'T', 'C'})
+      for (const char tb : {'N', 'T', 'C'}) {
+        Matrix<T> A = random_matrix<T>(ta == 'N' ? m : k, ta == 'N' ? k : m, rng);
+        Matrix<T> B = random_matrix<T>(tb == 'N' ? k : n, tb == 'N' ? n : k, rng);
+        Matrix<T> C = random_matrix<T>(m, n, rng);
+        Matrix<T> Cref = C;
+        gemm(t, ta, tb, m, n, k, alpha, A.data(), A.ld(), B.data(), B.ld(), beta, C.data(),
+             C.ld());
+        gemm_ref(ta, tb, alpha, A, B, beta, Cref);
+        EXPECT_LT(max_abs_diff(C, Cref), 16.0 * eps * static_cast<double>(k + 2))
+            << t.name << " " << ta << tb << " m=" << m << " n=" << n << " k=" << k;
+      }
+}
+
+TEST(GemmKernel, EveryHostVariantServesEveryGemmOp) {
+  for (const kernel::Table* t : kernel::variants()) {
+    if (!kernel::host_supports(t->isa)) continue;
+    check_gemm_ops<double>(*t);
+    check_gemm_ops<float>(*t);
+    check_gemm_ops<complex_t>(*t);
+    check_gemm_ops<std::complex<float>>(*t);
+  }
+}
+
+TEST(GemmKernel, BatchedSharedOperandWithTails) {
+  // The cell-apply shape: one shared A (stride 0), row and column tails.
+  Rng rng(34);
+  const index_t m = 13, n = 7, k = 125, batch = 5;
+  Matrix<double> A = random_matrix<double>(m, k, rng);
+  Matrix<double> B = random_matrix<double>(k, n * batch, rng);
+  Matrix<double> C(m, n * batch);
+  gemm_strided_batched<double>('N', 'N', m, n, k, 1.0, A.data(), m, 0, B.data(), k, k * n, 0.0,
+                               C.data(), m, m * n, batch);
+  Matrix<double> Cref(m, n * batch);
+  gemm_ref('N', 'N', 1.0, A, B, 0.0, Cref);
+  EXPECT_LT(max_abs_diff(C, Cref), 1e-13 * k);
 }
 
 // ---------- level-1 helpers ----------

@@ -218,7 +218,7 @@ TEST(StepBreakdown, TableCoversCanonicalStepsAndRemainder) {
   fc.add(4e9);
   fc.set_step("");
   std::ostringstream os;
-  obs::step_breakdown_table(3.0, 0.0, reg, fc).print(os);
+  obs::step_breakdown_table(3.0, {}, reg, fc).print(os);
   const std::string table = os.str();
   for (const auto& step : obs::canonical_steps())
     EXPECT_NE(table.find(step.name), std::string::npos) << step.name;

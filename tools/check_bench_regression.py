@@ -27,7 +27,9 @@ Machine normalization
   machine-independent "work" units  wall * peak_gflops, which cancels a
   uniform host speed difference while still catching real slowdowns of the
   code. With --normalize none, raw seconds are compared (use when baseline
-  and current come from the same machine).
+  and current come from the same machine). A pair whose
+  `machine.hw_threads` differ is refused (exit 2), as bench/e2e/compare.py
+  refuses one: thread-parallel walls do not scale with the GEMM peak.
 
 Floors
   --min-gauge KEY=VALUE asserts a non-time gauge is at least VALUE (e.g.
@@ -158,9 +160,16 @@ def main() -> int:
         base_s, cur_s = pair.split("=", 1)
         base_path, cur_path = Path(base_s), Path(cur_s)
         print(f"comparing {cur_path} against {base_path}")
-        cur = load_gauges(cur_path)
-        pair_failures = compare_pair(load_gauges(base_path), cur, args.threshold,
-                                     args.min_seconds, args.normalize)
+        base, cur = load_gauges(base_path), load_gauges(cur_path)
+        bt, ct = base.get("machine.hw_threads"), cur.get("machine.hw_threads")
+        if bt != ct:
+            print(f"error: {cur_path} ran on a host with machine.hw_threads {ct}, "
+                  f"{base_path} on one with {bt}: walls from different host classes "
+                  "are not comparable; record a baseline on this host class",
+                  file=sys.stderr)
+            return 2
+        pair_failures = compare_pair(base, cur, args.threshold, args.min_seconds,
+                                     args.normalize)
         if pair_failures:
             regressed.append((base_path, cur_path))
         failures += pair_failures

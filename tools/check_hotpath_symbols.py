@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Binary-level hot-path verification: no unreviewed allocation or throw.
 
+The per-ISA GEMM kernel objects are held to more: no allocation, throw or
+libgcc complex product/quotient (__mul[sd]c3, __div[sd]c3) at all.
+
 The source-level hot-path-alloc lint rule (tools/lint_invariants.py) polices
 what the code *says*; this check polices what the compiler *emitted*. It
 disassembles the designated hot-path translation units of a Release build and
@@ -33,18 +36,28 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+# The per-ISA GEMM micro-kernel objects (la/gemm_kernel.hpp). No whitelist
+# entry covers them, and they must not call the libgcc complex product or
+# quotient either: their complex arithmetic is split real/imaginary lanes.
+KERNEL_TUS = [
+    ("la/gemm_sse2.cpp", "dftfe_la.dir/la/gemm_sse2.cpp.o"),
+    ("la/gemm_avx2.cpp", "dftfe_la.dir/la/gemm_avx2.cpp.o"),
+    ("la/gemm_avx512.cpp", "dftfe_la.dir/la/gemm_avx512.cpp.o"),
+]
+
 # Hot-path translation units: object path fragment under <build>/src.
 HOT_TUS = [
     ("la/cholesky.cpp", "dftfe_la.dir/la/cholesky.cpp.o"),
     ("la/eig.cpp", "dftfe_la.dir/la/eig.cpp.o"),
     ("ks/scf.cpp", "dftfe_ks.dir/ks/scf.cpp.o"),
     ("dd/engine.cpp", "dftfe_dd.dir/dd/engine.cpp.o"),
-]
+] + KERNEL_TUS
 
 # Symbols whose presence in a hot function needs a reviewed justification.
 ALLOC_SYMS = re.compile(
     r"^(_Znwm|_Znam|_ZnwmSt11align_val_t|_ZnamSt11align_val_t|malloc|calloc|realloc)$")
 THROW_SYMS = re.compile(r"^(__cxa_throw|__cxa_rethrow|__cxa_allocate_exception)$")
+COMPLEX_SYMS = re.compile(r"^__(mul|div)[sd]c3$")
 
 FUNC_HEADER = re.compile(r"^[0-9a-f]+ <(.+)>:$")
 RELOC = re.compile(r"R_X86_64_(?:PLT32|PC32|32S?|64|GOTPCRELX?|REX_GOTPCRELX)"
@@ -127,8 +140,9 @@ def demangle(names: list[str]) -> dict[str, str]:
     return dict(zip(names, out.splitlines()))
 
 
-def scan_object(obj: Path) -> dict[str, set[str]]:
-    """Map mangled function name -> set of banned symbols it references."""
+def scan_object(obj: Path, banned: re.Pattern | None = None) -> dict[str, set[str]]:
+    """Map mangled function name -> set of banned symbols it references
+    (allocation and throw symbols, plus any that match `banned`)."""
     out = subprocess.run(["objdump", "-dr", "--no-show-raw-insn", str(obj)],
                          capture_output=True, text=True, check=True).stdout
     refs: dict[str, set[str]] = defaultdict(set)
@@ -141,7 +155,8 @@ def scan_object(obj: Path) -> dict[str, set[str]]:
         m = RELOC.search(line)
         if m and current:
             sym = m.group(1)
-            if ALLOC_SYMS.match(sym) or THROW_SYMS.match(sym):
+            if (ALLOC_SYMS.match(sym) or THROW_SYMS.match(sym)
+                    or (banned is not None and banned.match(sym))):
                 refs[current].add(sym)
     return refs
 
@@ -167,11 +182,16 @@ def main() -> int:
         if not obj.is_file():
             print(f"error: missing object for {tu}: {obj}", file=sys.stderr)
             return 2
-        refs = scan_object(obj)
+        kernel = (tu, frag) in KERNEL_TUS
+        refs = scan_object(obj, COMPLEX_SYMS if kernel else None)
         names = demangle(sorted(refs))
         checked += 1
         for mangled in sorted(refs):
             dem = re.sub(r"\s*\[clone [^\]]*\]$", "", names[mangled])
+            if kernel:
+                violations.append(f"{tu}: {dem}\n      references "
+                                  f"{', '.join(sorted(refs[mangled]))} (GEMM kernel object)")
+                continue
             need = {classify(s) for s in refs[mangled]}
             covered: set[str] = set()
             for idx, (pat, syms, _reason) in enumerate(COMPILED):
@@ -204,7 +224,9 @@ def main() -> int:
         print("\nEither move the allocation/throw out of the hot function, "
               "route scratch through la/workspace.hpp, or add a reviewed "
               "WHITELIST entry in tools/check_hotpath_symbols.py with the "
-              "reason the reference is cold or amortized.", file=sys.stderr)
+              "reason the reference is cold or amortized. GEMM kernel objects take "
+              "no whitelist entry: keep their complex arithmetic in split real and "
+              "imaginary lanes.", file=sys.stderr)
         return 1
     print(f"check_hotpath_symbols: OK ({checked} hot-path objects verified)")
     return 0

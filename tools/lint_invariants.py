@@ -79,6 +79,12 @@ from pathlib import Path
 HOT_PATH_FILES = [
     "src/la/blas.hpp",
     "src/la/batched.hpp",
+    # The GEMM micro-kernel: one source, built once per ISA by the wrappers.
+    "src/la/gemm_kernel.hpp",
+    "src/la/gemm_tile.hpp",
+    "src/la/gemm_sse2.cpp",
+    "src/la/gemm_avx2.cpp",
+    "src/la/gemm_avx512.cpp",
     "src/la/mixed.hpp",
     "src/la/iterative.hpp",
     "src/ks/hamiltonian.hpp",

@@ -119,8 +119,10 @@ struct FilterBounds {
 inline FilterBounds filter_bounds(const fe::DofHandler& dofh) {
   ks::Hamiltonian<double> H(dofh);
   H.set_potential(std::vector<double>(dofh.ndofs(), kFilterPotential));
-  auto op = [&H](const std::vector<double>& x, std::vector<double>& y) { H.apply(x, y); };
-  const double b = la::lanczos_upper_bound<double>(op, H.n(), 14);
+  la::Matrix<double> v(H.n(), 1), vprev(H.n(), 1), w(H.n(), 1);
+  const double b = la::lanczos_upper_bound<double>(
+      [&H](const la::Matrix<double>& X, la::Matrix<double>& Y) { H.apply(X, Y); }, v, vprev, w,
+      14);
   const double a0 = -1.3;
   return {a0 + 0.15 * (b - a0), b, a0};
 }

@@ -48,7 +48,8 @@ class LaneAllreduce {
   }
 
   /// Lane `rank` contributes in[0, width); returns once every lane has
-  /// contributed to this round, with out[k] the tree sum over lanes.
+  /// contributed to this round, with out[k] the tree sum over lanes. `in` is
+  /// read before `out` is written, so the two may alias.
   /// Throws std::runtime_error when the barrier is (or gets) poisoned.
   void allreduce(int rank, const double* in, double* out, int width) {
     std::uint64_t g = 0;

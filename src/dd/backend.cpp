@@ -88,8 +88,7 @@ BackendOptions BackendOptions::from_env(BackendOptions base) {
 template <class T>
 SerialBackend<T>::SerialBackend(const fe::DofHandler& dofh, FusedApplyFn<T> apply_fused,
                                 std::function<void(const std::vector<double>&)> set_potential)
-    : ExecBackend<T>(dofh.ndofs()),
-      dofh_(&dofh),
+    : dofh_(&dofh),
       fused_(std::move(apply_fused)),
       set_potential_(std::move(set_potential)) {
   if (!fused_) throw std::invalid_argument("dd::SerialBackend: apply_fused hook is empty");

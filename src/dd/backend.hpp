@@ -16,19 +16,20 @@
 //     (overlap), and disjoint owned-row density accumulation.
 //
 // Each kernel the two run is written once: the Chebyshev recurrence is
-// la::chebyshev_filter over each model's fused operator step, the nodal
-// epilogue of that step is fe::ks_nodal_rows, and the single-vector apply
-// (Lanczos bounds) is the non-virtual ExecBackend::apply below, over the
-// block apply.
+// la::chebyshev_filter over each model's fused operator step, and the nodal
+// epilogue of that step is fe::ks_nodal_rows. ExecBackend is a pure
+// interface: the Lanczos bounds run la::lanczos_upper_bound over the block
+// apply on n x 1 blocks their caller owns.
 //
 // Layering: dd sits below ks, so the backend cannot name ks::Hamiltonian;
 // the serial backend borrows it through the hook, and the engine rebuilds
 // the operator brick-locally from the DofHandler. The EP-step Poisson CG is
-// not a backend stage: a serial solve runs fe::PoissonSolver's built-in
-// la::jacobi_pcg, and the threaded one a bare-stiffness RankEngine's
-// lane-resident pcg job, installed by ks::KohnShamDFT through
-// PoissonSolver::set_cg. Hot entry points are inline in this header so the
-// invariant linter's no-allocation rule covers the per-iteration code.
+// not a backend stage: both runs execute la::pcg, a serial solve through
+// fe::PoissonSolver's built-in policy, and a threaded one as a
+// bare-stiffness RankEngine's lane-resident pcg job, installed by
+// ks::KohnShamDFT through PoissonSolver::set_cg. Hot entry points are inline
+// in this header so the invariant linter's no-allocation rule covers the
+// per-iteration code.
 
 #include <algorithm>
 #include <array>
@@ -119,20 +120,8 @@ class ExecBackend {
 
   /// Refresh the effective potential (no-op for operators without one).
   virtual void set_potential(const std::vector<double>& v_eff) = 0;
-  /// Y = op X (block apply).
+  /// Y = op X (block apply; the Lanczos bounds pass n x 1 blocks).
   virtual void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) = 0;
-  /// y = op x for a single vector (the Lanczos bounds): the block apply on
-  /// persistent one-column buffers. Exactly ndofs entries are read, since
-  /// callers may hand capacity-reused scratch longer than the operator.
-  void apply(const std::vector<T>& x, std::vector<T>& y) {
-    la::Matrix<T>& X = vec_in_.acquire(n_, 1);
-    std::copy(x.begin(), x.begin() + n_, X.data());
-    la::Matrix<T>& Y = vec_out_.acquire(n_, 1);
-    apply(X, Y);
-    // lint: allow(hot-path-alloc): grow-only output sizing; solver callers reuse persistent vectors
-    y.resize(static_cast<std::size_t>(n_));
-    std::copy(Y.data(), Y.data() + n_, y.begin());
-  }
   /// Scaled-shifted Chebyshev recurrence on columns [col0, col0+ncols) of X.
   virtual void filter_block(la::Matrix<T>& X, index_t col0, index_t ncols, int degree,
                             double a, double b, double a0) = 0;
@@ -143,13 +132,6 @@ class ExecBackend {
   /// rho[i] += weight * sum_j occ[j] |X(i,j)|^2 / mass[i] (the DC step).
   virtual void accumulate_density(const la::Matrix<T>& X, const std::vector<double>& occ,
                                   double weight, std::vector<double>& rho) = 0;
-
- protected:
-  explicit ExecBackend(index_t ndofs) : n_(ndofs) {}
-
- private:
-  index_t n_;                              // operator dimension
-  la::WorkMatrix<T> vec_in_, vec_out_;     // single-vector apply buffers
 };
 
 /// Single-image backend: executes every stage with the statements of the ks
@@ -170,7 +152,6 @@ class SerialBackend final : public ExecBackend<T> {
     if (set_potential_) set_potential_(v_eff);
   }
 
-  using ExecBackend<T>::apply;
   void apply(const la::Matrix<T>& X, la::Matrix<T>& Y) override {
     fused_(X, Y, 0.0, 1.0, nullptr, 0.0);
   }

@@ -41,8 +41,7 @@ void push_run(std::vector<RunT>& runs, index_t dst, index_t src, index_t len) {
 template <class T>
 RankEngine<T>::RankEngine(const fe::DofHandler& dofh, const BackendOptions& opt, Operator op,
                           std::array<double, 3> kpoint)
-    : ExecBackend<T>(dofh.ndofs()),
-      dofh_(&dofh),
+    : dofh_(&dofh),
       opt_(opt),
       op_(op),
       part_(BrickPartition::cell_aligned(dofh, opt.grid != std::array<int, 3>{0, 0, 0}
@@ -367,7 +366,7 @@ void RankEngine<T>::run_job(int r, const Job& job) {
       lane_density(ln, job);
       break;
     case JobKind::pcg:
-      lane_pcg(ln, job);
+      lane_cg(ln, job);
       break;
     case JobKind::pulse: {
       // Minimal halo round: every lane posts to and receives from each

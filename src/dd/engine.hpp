@@ -68,16 +68,16 @@
 //
 // The EP-step Poisson solve runs lane-resident (pcg, bare-stiffness engines
 // only): ONE job runs the whole Jacobi-preconditioned CG, so the lanes never
-// park between iterations. Each lane gathers its slices of b and x once;
-// every iteration applies the stiffness with the same lane_fused_step (halo
-// exchange and sync/async schedules unchanged), masks the Dirichlet rows
-// with its bmask slice, and does the axpys, the preconditioner and the
-// p-update on its own local rows. Dot products are partial sums over owned
-// rows, combined by the in-job lane allreduce of dd/allreduce.hpp — a
-// generation barrier over per-lane slots, double-buffered by parity, whose
-// slots every lane sums itself in the Gram-tree stride-doubling order. Every
-// lane therefore holds bitwise-identical alpha, beta and ||r||, takes the
-// same exit branch, and cannot strand its peers in a barrier. (r.z, r.r) are
+// park between iterations. Each lane gathers its slices of b and x once and
+// runs la::pcg, the serial solve's CG, over its local rows with the LaneCg
+// policy: the stiffness apply is the same lane_fused_step (halo exchange and
+// sync/async schedules unchanged) with the Dirichlet rows masked by the
+// lane's bmask slice, and dot products are partial sums over owned rows,
+// combined by the in-job lane allreduce of dd/allreduce.hpp — a generation
+// barrier over per-lane slots, double-buffered by parity, whose slots every
+// lane sums itself in the Gram-tree stride-doubling order. Every lane
+// therefore holds bitwise-identical alpha, beta and ||r||, takes the same
+// exit branch, and cannot strand its peers in a barrier. (r.z, r.r) are
 // fused into one reduction, so an iteration costs two barrier rounds
 // ("PCG-reduce" spans) plus one halo round; the job ends with each lane
 // scattering its owned rows of x. A failing lane poisons the barrier along
@@ -164,7 +164,6 @@ class RankEngine final : public ExecBackend<T> {
   /// bare-stiffness engine, which has no potential).
   void set_potential(const std::vector<double>& v_eff) override;
 
-  using ExecBackend<T>::apply;
   /// Y = op(X) across all lanes (op = scaled Hamiltonian or bare stiffness,
   /// per the constructor's Operator). Blocks until every lane finished its
   /// brick.
@@ -195,11 +194,11 @@ class RankEngine final : public ExecBackend<T> {
                           double weight, std::vector<double>& rho) override;
 
   /// Jacobi-preconditioned CG for K x = b on a bare-stiffness engine, as one
-  /// lane-resident job (see the header comment): the statements of la::pcg
-  /// with z = r / laplacian_diagonal and the Dirichlet rows held fixed, i.e.
-  /// la::jacobi_pcg on the undecomposed stiffness up to the association
-  /// order of the dot products. x is the initial guess and is overwritten;
-  /// b must vanish on the Dirichlet rows.
+  /// lane-resident job (see the header comment): la::pcg with
+  /// z = r / laplacian_diagonal and the Dirichlet rows held fixed, i.e.
+  /// fe::PoissonSolver::serial_cg up to the association order of the dot
+  /// products. x is the initial guess and is overwritten; b must vanish on
+  /// the Dirichlet rows.
   la::SolveReport pcg(const std::vector<T>& b, std::vector<T>& x, double tol, int maxit);
 
   /// The comm ledger summed over all lanes since construction /
@@ -660,98 +659,58 @@ class RankEngine final : public ExecBackend<T> {
     ln.steps[0].modeled += modeled;
   }
 
-  /// Ap = K p on the lane's brick with the Dirichlet rows zeroed; the step's
+  /// la::pcg's lane policy: the stiffness on the lane's brick (halo
+  /// exchange included) with the Dirichlet rows of input and output zeroed,
+  /// dot products over owned rows, completed by lane_allreduce. Each apply's
   /// timings accumulate into steps[0] (steps[1] is the per-apply scratch).
-  void pcg_apply(Lane& ln, const la::Matrix<T>& P, la::Matrix<T>& AP, EngineMode mode) {
-    lane_fused_step(ln, P, AP, nullptr, 0.0, 1.0, 0.0, mode, 1);
-    const EngineStepStats& st = ln.steps[1];
-    EngineStepStats& acc = ln.steps[0];
-    acc.compute += st.compute;
-    acc.wait += st.wait;
-    acc.modeled += st.modeled;
-    const double* bm = ln.bmask.data();
-    T* ap = AP.data();
-    for (index_t i = 0; i < ln.nloc; ++i)
-      if (bm[i] != 0.0) ap[i] = T{};
-  }
+  /// Ghost rows run the same elementwise updates with the same alpha and
+  /// beta, so they track their owners' values and the next apply sees a
+  /// consistent p.
+  struct LaneCg {
+    RankEngine& eng;
+    Lane& ln;
+    const Job& job;
+    int iteration = -1;  // CG iteration of the next apply (-1: the initial residual)
 
-  /// The whole Jacobi-PCG of one EP solve on the lane's local rows (owned +
-  /// ghost): la::jacobi_pcg statement for statement, with every dot product
-  /// a partial over owned rows completed by lane_allreduce. Ghost rows run
-  /// the same elementwise updates with the same alpha/beta, so they track
-  /// their owners' values and the next halo apply sees a consistent p.
-  void lane_pcg(Lane& ln, const Job& job) {
+    void apply(la::Matrix<T>& P, la::Matrix<T>& AP) {
+      if (iteration == job.fault_iter && ln.rank == job.fault_lane)
+        throw std::runtime_error("dd::RankEngine: injected lane fault in pcg");
+      ++iteration;
+      const double* bm = ln.bmask.data();
+      T* p = P.data();
+      T* ap = AP.data();
+      for (index_t i = 0; i < ln.nloc; ++i)
+        if (bm[i] != 0.0) p[i] = T{};
+      eng.lane_fused_step(ln, P, AP, nullptr, 0.0, 1.0, 0.0, job.mode, 1);
+      const EngineStepStats& st = ln.steps[1];
+      EngineStepStats& acc = ln.steps[0];
+      acc.compute += st.compute;
+      acc.wait += st.wait;
+      acc.modeled += st.modeled;
+      for (index_t i = 0; i < ln.nloc; ++i)
+        if (bm[i] != 0.0) ap[i] = T{};
+    }
+    double dot(const T* a, const T* b) const { return owned_dot(ln, a, b); }
+    void reduce(double* v, int width) { eng.lane_allreduce(ln, v, v, width); }
+    index_t owned_rows() const { return ln.nown; }
+  };
+
+  /// The pcg job on one lane: gather its rows of b and x, run la::pcg over
+  /// its local rows (owned + ghost) with the lane policy, scatter its owned
+  /// rows of x.
+  void lane_cg(Lane& ln, const Job& job) {
     obs::TraceSpan span("EP-lane", "dd", ln.rank);
     const index_t n = ln.nloc;
     la::Matrix<T>& V = ln.cg.acquire(n, 4);
     T* b = V.col(0);
     T* x = V.col(1);
-    T* r = V.col(2);
-    T* z = V.col(3);
-    la::Matrix<T>& P = ln.xb.acquire(n, 1);
-    la::Matrix<T>& AP = ln.yb.acquire(n, 1);
-    T* p = P.data();
-    const T* ap = AP.data();
-    const double* bm = ln.bmask.data();
-    const double* kd = ln.kdiag.data();
     gather_rows(ln, job.vb->data(), b);
     gather_rows(ln, job.vx->data(), x);
     ln.steps[0] = EngineStepStats{};
-
-    // r = b - K x (the operator sees x with its Dirichlet rows zeroed),
-    // z = r / diag, p = z; one fused reduction for (b.b, r.z, r.r).
-    for (index_t i = 0; i < n; ++i) p[i] = (bm[i] != 0.0) ? T{} : x[i];
-    pcg_apply(ln, P, AP, job.mode);
-    for (index_t i = 0; i < n; ++i) {
-      r[i] = b[i] - ap[i];
-      z[i] = r[i] / kd[i];
-      p[i] = z[i];
-    }
-    double part[3] = {owned_dot(ln, b, b), owned_dot(ln, r, z), owned_dot(ln, r, r)};
-    double tot[3];
-    lane_allreduce(ln, part, tot, 3);
-    const double bnorm = std::max(std::sqrt(tot[0]), 1e-300);
-    double rz = tot[1], rr = tot[2];
-
-    la::SolveReport rep;
-    int done = 0;  // full iterations, for the FLOP ledger
-    for (int it = 0; it < job.maxit; ++it) {
-      rep.iterations = it;
-      rep.residual = std::sqrt(rr) / bnorm;
-      if (rep.residual < job.tol) {
-        rep.converged = true;
-        break;
-      }
-      if (it == job.fault_iter && ln.rank == job.fault_lane)
-        throw std::runtime_error("dd::RankEngine: injected lane fault in pcg");
-      pcg_apply(ln, P, AP, job.mode);
-      part[0] = owned_dot(ln, p, ap);
-      lane_allreduce(ln, part, tot, 1);
-      const double alpha = rz / tot[0];
-      for (index_t i = 0; i < n; ++i) {
-        x[i] += alpha * p[i];
-        r[i] -= alpha * ap[i];
-        z[i] = r[i] / kd[i];
-      }
-      part[0] = owned_dot(ln, r, z);
-      part[1] = owned_dot(ln, r, r);
-      lane_allreduce(ln, part, tot, 2);
-      const double beta = tot[0] / rz;
-      rz = tot[0];
-      rr = tot[1];
-      for (index_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-      ++done;
-    }
-    if (!rep.converged) {
-      rep.residual = std::sqrt(rr) / bnorm;
-      rep.converged = rep.residual < job.tol;
-    }
-    ln.pcg_rep = rep;
+    LaneCg pol{*this, ln, job};
+    ln.pcg_rep = la::pcg(pol, ln.kdiag.data(), b, x, V.col(2), V.col(3), ln.xb.acquire(n, 1),
+                         ln.yb.acquire(n, 1), job.tol, job.maxit);
     scatter_rows(ln, x, job.vx->data());
-    // The vector work of la::pcg's ledger (dotc + 2 axpy + dotc per
-    // iteration, one initial dotc), over this lane's share of the rows.
-    FlopCounter::global().add((2.0 + 8.0 * done) * static_cast<double>(ln.nown) *
-                              scalar_traits<T>::flop_factor);
   }
 
   const fe::DofHandler* dofh_;

@@ -290,9 +290,9 @@ void CellStiffness<T>::apply_add_sumfac_scalar(const la::Matrix<T>& X, la::Matri
 
 template <class T>
 void CellStiffness<T>::apply_add(const std::vector<T>& x, std::vector<T>& y) const {
-  // Allocation-free in steady state: this overload sits inside the Poisson
-  // CG and Lanczos bound iterations, which call it hundreds of times per SCF
-  // step.
+  // Allocation-free in steady state (persistent one-column buffers). Its
+  // callers apply one vector once: the Poisson solve's Dirichlet lift and
+  // the stiffness probes of the benches.
   const index_t n = dofh_->ndofs();
   la::Matrix<T>& X = xv_.acquire(n, 1);
   la::Matrix<T>& Y = yv_.acquire_zeroed(n, 1);

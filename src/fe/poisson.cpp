@@ -11,15 +11,18 @@ namespace dftfe::fe {
 PoissonSolver::PoissonSolver(const DofHandler& dofh)
     : dofh_(&dofh), K_(dofh, 1.0), periodic_(dofh.boundary_dofs().empty()) {}
 
+la::SolveReport PoissonSolver::serial_cg(const std::vector<double>& b, std::vector<double>& x,
+                                         double tol, int maxit) const {
+  const index_t n = dofh_->ndofs();
+  SerialCg pol{K_, dofh_->boundary_dofs(), n};
+  return la::pcg(pol, dofh_->laplacian_diagonal().data(), b.data(), x.data(),
+                 r_.acquire(n, 1).data(), z_.acquire(n, 1).data(), p_.acquire(n, 1),
+                 ap_.acquire(n, 1), tol, maxit);
+}
+
 la::SolveReport PoissonSolver::run_cg(const std::vector<double>& b, std::vector<double>& x,
                                       double tol, int maxit) const {
-  if (cg_) return cg_(b, x, tol, maxit);
-  auto op = [this](const std::vector<double>& v, std::vector<double>& y) {
-    y.assign(v.size(), 0.0);
-    K_.apply_add(v, y);
-  };
-  return la::jacobi_pcg<double>(op, dofh_->laplacian_diagonal(), dofh_->boundary_dofs(), b, x,
-                                tol, maxit);
+  return cg_ ? cg_(b, x, tol, maxit) : serial_cg(b, x, tol, maxit);
 }
 
 la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector<double>& phi,

@@ -3,8 +3,12 @@
 // FE Poisson solver for the electrostatic ("EP") step: -lap(phi) = 4 pi rho.
 // Periodic boxes solve the zero-mean problem (the compensating-background
 // gauge); isolated boxes impose Dirichlet values from the monopole moment of
-// the charge on the outer boundary. Jacobi-preconditioned CG on the
-// cell-level stiffness operator.
+// the charge on the outer boundary. The solve is la::pcg, the one
+// Jacobi-preconditioned CG, on the cell-level stiffness operator: serially
+// through the SerialCg policy below, or in a threaded run on the lanes of a
+// bare-stiffness dd::RankEngine installed through set_cg. The policy's
+// per-iteration code lives in this header and allocates nothing; its Krylov
+// vectors are members of the solver.
 
 #include <functional>
 #include <vector>
@@ -12,6 +16,8 @@
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
 #include "la/iterative.hpp"
+#include "la/matrix.hpp"
+#include "la/workspace.hpp"
 
 namespace dftfe::fe {
 
@@ -33,6 +39,13 @@ class PoissonSolver {
   bool periodic() const { return periodic_; }
   const CellStiffness<double>& stiffness() const { return K_; }
 
+  /// The built-in serial CG of every solve without a set_cg hook: la::pcg
+  /// on the whole stiffness with z = r / laplacian_diagonal and the
+  /// Dirichlet rows (boundary_dofs) held fixed. x is the initial guess and is
+  /// overwritten; b must vanish on the Dirichlet rows.
+  la::SolveReport serial_cg(const std::vector<double>& b, std::vector<double>& x, double tol,
+                            int maxit) const;
+
   /// Hand the CG of every solve to an external executor — the lane-resident
   /// pcg of a bare-stiffness dd::RankEngine on the same mesh — so a threaded
   /// EP step runs under the same execution model as the rest of the SCF. The
@@ -41,6 +54,31 @@ class PoissonSolver {
   void set_cg(CgFn fn) { cg_ = std::move(fn); }
 
  private:
+  /// la::pcg's serial policy: the whole stiffness on n x 1 blocks with the
+  /// Dirichlet rows zeroed, and dot products over every row.
+  struct SerialCg {
+    const CellStiffness<double>& K;
+    const std::vector<index_t>& fixed;
+    index_t n;
+
+    void apply(la::Matrix<double>& P, la::Matrix<double>& AP) const {
+      double* p = P.data();
+      double* ap = AP.data();
+      for (const index_t i : fixed) p[i] = 0.0;
+      AP.zero();
+      K.apply_add(P, AP);
+      for (const index_t i : fixed) ap[i] = 0.0;
+    }
+    double dot(const double* a, const double* c) const {
+      double s = 0.0;
+#pragma omp parallel for reduction(+ : s) if (n > 8192)
+      for (index_t i = 0; i < n; ++i) s += a[i] * c[i];
+      return s;
+    }
+    void reduce(double*, int) const {}
+    index_t owned_rows() const { return n; }
+  };
+
   la::SolveReport run_cg(const std::vector<double>& b, std::vector<double>& x, double tol,
                          int maxit) const;
 
@@ -48,6 +86,9 @@ class PoissonSolver {
   CellStiffness<double> K_;  // coef_lap = 1
   bool periodic_;
   CgFn cg_;
+  // The serial CG's vectors r, z and its n x 1 blocks P, AP. The solve is
+  // const but reuses them, so one solver runs one solve at a time.
+  mutable la::WorkMatrix<double> r_, z_, p_, ap_;
 };
 
 }  // namespace dftfe::fe

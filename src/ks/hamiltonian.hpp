@@ -19,6 +19,9 @@
 // subspace. No penalty shift is needed — important, because a large penalty
 // would inflate the Chebyshev filter's spectrum bound and destroy its
 // convergence rate.
+//
+// Every apply is a block apply: a single vector (the Lanczos bounds) is an
+// n x 1 block its caller owns.
 
 #include <cmath>
 #include <vector>
@@ -85,20 +88,6 @@ class Hamiltonian {
                            Z != nullptr ? Z->col(j) : nullptr, c, scale, zc, 0, n);
   }
 
-  /// y = H x for a single vector (Lanczos/MINRES path); allocation-free in
-  /// steady state via persistent single-column workspace buffers.
-  void apply(const std::vector<T>& x, std::vector<T>& y) const {
-    la::Matrix<T>& X = vec_in_.acquire(n(), 1);
-    // Copy exactly n entries: callers may hand persistent scratch vectors
-    // whose capacity-reused size exceeds the operator dimension.
-    std::copy(x.begin(), x.begin() + n(), X.data());
-    la::Matrix<T>& Y = vec_out_.acquire(n(), 1);
-    apply(X, Y);
-    // lint: allow(hot-path-alloc): grow-only output sizing; solver callers reuse persistent vectors
-    y.resize(static_cast<std::size_t>(n()));
-    std::copy(Y.data(), Y.data() + n(), y.begin());
-  }
-
   /// Diagonal of the scaled Laplacian part plus potential: the Jacobi-style
   /// preconditioner used by the invDFT adjoint MINRES solve (Sec. 5.3.1 uses
   /// the inverse diagonal of the discrete Laplacian).
@@ -121,7 +110,6 @@ class Hamiltonian {
   // concurrent applies on one Hamiltonian are not supported (each k-point /
   // thread owns its own instance, as the SCF driver already arranges).
   mutable la::WorkMatrix<T> scaled_;
-  mutable la::WorkMatrix<T> vec_in_, vec_out_;
 };
 
 }  // namespace dftfe::ks

@@ -322,12 +322,13 @@ ScfResult KohnShamDFT<T>::solve() {
     solvers_[ik]->set_backend(backends_[ik].get());
   }
   // The EP step's CG runs under the same execution model as the eigensolver
-  // stages. Serial keeps poisson_'s built-in la::jacobi_pcg; threaded runs
-  // one lane-resident pcg job per solve on a bare-stiffness engine, with the
-  // wire pinned to FP64: a reduced-precision stiffness apply caps the
-  // achievable PCG residual near the wire's rounding floor (~1e-8 for FP32),
-  // above the 1e-9 Poisson tolerance — the solve would stagnate and burn its
-  // full iteration budget every EP step instead of converging.
+  // stages: la::pcg either way. Serial keeps poisson_'s built-in serial_cg;
+  // threaded runs one lane-resident pcg job per solve on a bare-stiffness
+  // engine, with the wire pinned to FP64: a reduced-precision stiffness
+  // apply caps the achievable PCG residual near the wire's rounding floor
+  // (~1e-8 for FP32), above the 1e-9 Poisson tolerance — the solve would
+  // stagnate and burn its full iteration budget every EP step instead of
+  // converging.
   if (opt_.backend.kind == dd::BackendKind::threaded) {
     dd::BackendOptions es_opt = opt_.backend;
     es_opt.wire = dd::Wire::fp64;

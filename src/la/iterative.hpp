@@ -1,7 +1,9 @@
 #pragma once
 
 // Iterative Krylov solvers:
-//  * Jacobi-preconditioned conjugate gradients (Hartree/Poisson solves),
+//  * Jacobi-preconditioned conjugate gradients (the Hartree/Poisson solve),
+//    written once over a small execution policy: the serial solve and every
+//    brick lane of a dd::RankEngine instantiate the same statements,
 //  * block MINRES with per-column shifts and an SPD diagonal preconditioner —
 //    the adjoint solver of invDFT (Sec. 5.3.1): the Krylov recurrences run
 //    independently per column but every operator application is fused into a
@@ -10,7 +12,11 @@
 //  * a few Lanczos steps to bound the spectrum for Chebyshev filtering,
 //  * the scaled-and-shifted Chebyshev filter recurrence itself, over a
 //    caller-supplied fused operator step (serial or one brick lane).
+//
+// CG, Lanczos and the filter keep no scratch of their own: they work on
+// blocks their caller owns and reach the operator through a block apply.
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -18,9 +24,9 @@
 #include <vector>
 
 #include "base/defs.hpp"
+#include "base/flops.hpp"
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
-#include "la/workspace.hpp"
 
 namespace dftfe::la {
 
@@ -30,86 +36,81 @@ struct SolveReport {
   bool converged = false;
 };
 
-/// Preconditioned conjugate gradients for SPD operators.
-/// `op(x, y)` computes y = A x; `prec(r, z)` computes z = M^{-1} r (pass
-/// identity copy for unpreconditioned CG).
-template <class T>
-SolveReport pcg(const std::function<void(const std::vector<T>&, std::vector<T>&)>& op,
-                const std::function<void(const std::vector<T>&, std::vector<T>&)>& prec,
-                const std::vector<T>& b, std::vector<T>& x, double tol = 1e-10,
-                int maxit = 2000) {
-  const index_t n = static_cast<index_t>(b.size());
-  // Thread-local persistent Krylov scratch: the Poisson solve runs every SCF
-  // iteration, so per-call allocation here would break the steady-state
-  // zero-allocation invariant of the hot path.
-  static thread_local std::vector<T> r, z, p, Ap;
-  ensure_scratch(r, static_cast<std::size_t>(n));
-  ensure_scratch(z, static_cast<std::size_t>(n));
-  ensure_scratch(p, static_cast<std::size_t>(n));
-  ensure_scratch(Ap, static_cast<std::size_t>(n));
-  op(x, Ap);
-  for (index_t i = 0; i < n; ++i) r[i] = b[i] - Ap[i];
-  const double bnorm = std::max(nrm2(n, b.data()), 1e-300);
-  prec(r, z);
-  p = z;
-  T rz = dotc(n, r.data(), z.data());
+/// Jacobi-preconditioned conjugate gradients for an SPD system A x = b,
+/// written once for every execution model: a serial solve and each brick lane
+/// of a dd::RankEngine run these statements and differ only in the policy:
+///
+///   pol.apply(P, AP)  AP = A P on n x 1 blocks, with the Dirichlet rows (the
+///                     rows the system holds fixed) of P and of AP zeroed;
+///   pol.dot(a, c)     the real part of sum conj(a_i) c_i over the rows this
+///                     image owns (a lane's partial sum);
+///   pol.reduce(v, w)  completes the w partial sums in v in place (serial:
+///                     nothing to do; a lane: the in-job allreduce);
+///   pol.owned_rows()  the rows this image owns (its share of the FLOPs).
+///
+/// The preconditioner is z = r / diag. The caller owns every vector: b, the
+/// initial guess x (overwritten by the solution), the scratch r and z (n
+/// entries each) and the n x 1 blocks P and AP. b must vanish on the
+/// Dirichlet rows, whose residual could never fall. An iteration is one
+/// apply and two reductions: p.Ap, then (r.z, r.r) fused.
+template <class T, class Policy>
+SolveReport pcg(Policy& pol, const double* diag, const T* b, T* x, T* r, T* z, Matrix<T>& P,
+                Matrix<T>& AP, double tol, int maxit) {
+  const index_t n = P.rows();
+  T* p = P.data();
+  const T* ap = AP.data();
+  // r = b - A x, z = r / diag, p = z; one reduction for (b.b, r.z, r.r).
+  std::copy(x, x + n, p);
+  pol.apply(P, AP);
+#pragma omp parallel for if (n > 8192)
+  for (index_t i = 0; i < n; ++i) {
+    r[i] = b[i] - ap[i];
+    z[i] = r[i] / diag[i];
+    p[i] = z[i];
+  }
+  double v[3] = {pol.dot(b, b), pol.dot(r, z), pol.dot(r, r)};
+  pol.reduce(v, 3);
+  const double bnorm = std::max(std::sqrt(v[0]), 1e-300);
+  double rz = v[1], rr = v[2];
+
   SolveReport rep;
+  int done = 0;  // full iterations, for the FLOP ledger
   for (int it = 0; it < maxit; ++it) {
     rep.iterations = it;
-    rep.residual = nrm2(n, r.data()) / bnorm;
+    rep.residual = std::sqrt(rr) / bnorm;
     if (rep.residual < tol) {
       rep.converged = true;
-      return rep;
+      break;
     }
-    op(p, Ap);
-    const T pAp = dotc(n, p.data(), Ap.data());
-    const T alpha = rz / pAp;
-    axpy(n, alpha, p.data(), x.data());
-    axpy(n, -alpha, Ap.data(), r.data());
-    prec(r, z);
-    const T rz_new = dotc(n, r.data(), z.data());
-    const T beta = rz_new / rz;
-    rz = rz_new;
-    // Raw pointers, not the thread_local names: inside the parallel region an
-    // OpenMP worker would resolve `p` / `z` to its own (empty) scratch.
-    T* pp = p.data();
-    const T* zp = z.data();
+    pol.apply(P, AP);
+    v[0] = pol.dot(p, ap);
+    pol.reduce(v, 1);
+    const double alpha = rz / v[0];
 #pragma omp parallel for if (n > 8192)
-    for (index_t i = 0; i < n; ++i) pp[i] = zp[i] + beta * pp[i];
+    for (index_t i = 0; i < n; ++i) {
+      x[i] += alpha * p[i];
+      r[i] -= alpha * ap[i];
+      z[i] = r[i] / diag[i];
+    }
+    v[0] = pol.dot(r, z);
+    v[1] = pol.dot(r, r);
+    pol.reduce(v, 2);
+    const double beta = v[0] / rz;
+    rz = v[0];
+    rr = v[1];
+#pragma omp parallel for if (n > 8192)
+    for (index_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    ++done;
   }
-  rep.residual = nrm2(n, r.data()) / bnorm;
-  rep.converged = rep.residual < tol;
+  if (!rep.converged) {
+    rep.residual = std::sqrt(rr) / bnorm;
+    rep.converged = rep.residual < tol;
+  }
+  // The vector work: one dot product before the loop, two dot products and
+  // two axpys per iteration, over this image's rows.
+  FlopCounter::global().add((2.0 + 8.0 * done) * static_cast<double>(pol.owned_rows()) *
+                            scalar_traits<T>::flop_factor);
   return rep;
-}
-
-/// Jacobi-preconditioned CG (z = r / diag) with the `fixed` rows held: the
-/// operator sees its input with those rows zeroed and has its output zeroed
-/// on them — the homogeneous-Dirichlet interior system of the FE Poisson
-/// solve. With `fixed` empty it is plain PCG on `op`. `b` must vanish on the
-/// fixed rows (their residual could never fall).
-template <class T>
-SolveReport jacobi_pcg(const std::function<void(const std::vector<T>&, std::vector<T>&)>& op,
-                       const std::vector<double>& diag, const std::vector<index_t>& fixed,
-                       const std::vector<T>& b, std::vector<T>& x, double tol, int maxit) {
-  const index_t n = static_cast<index_t>(b.size());
-  auto prec = [&](const std::vector<T>& r, std::vector<T>& z) {
-    const T* rp = r.data();
-    T* zp = z.data();
-    const double* d = diag.data();
-#pragma omp parallel for
-    for (index_t i = 0; i < n; ++i) zp[i] = rp[i] / d[i];
-  };
-  if (fixed.empty()) return pcg<T>(op, prec, b, x, tol, maxit);
-  // Hoisted masked copy: the operator runs once per CG iteration.
-  static thread_local std::vector<T> xm;
-  ensure_scratch(xm, static_cast<std::size_t>(n));
-  auto masked = [&](const std::vector<T>& v, std::vector<T>& y) {
-    std::copy(v.begin(), v.begin() + n, xm.begin());
-    for (const index_t i : fixed) xm[i] = T{};
-    op(xm, y);
-    for (const index_t i : fixed) y[i] = T{};
-  };
-  return pcg<T>(masked, prec, b, x, tol, maxit);
 }
 
 /// Block MINRES for symmetric (possibly indefinite) systems A_j x_j = b_j,
@@ -221,56 +222,47 @@ SolveReport block_minres(const std::function<void(const Matrix<T>&, Matrix<T>&)>
 }
 
 /// A few Lanczos steps to estimate the largest eigenvalue of a Hermitian
-/// operator; returns a safe upper bound (max Ritz value + residual norm),
-/// used to build the Chebyshev filter's [a, b] interval (Sec. 5.3.2).
-template <class T>
-double lanczos_upper_bound(const std::function<void(const std::vector<T>&, std::vector<T>&)>& op,
-                           index_t n, int steps = 12, unsigned seed = 1234) {
-  // Persistent scratch: called once per SCF iteration to rebound the
-  // Chebyshev interval, so it must not allocate in steady state.
-  static thread_local std::vector<T> v, vprev, w;
-  ensure_scratch(v, static_cast<std::size_t>(n));
-  ensure_scratch(vprev, static_cast<std::size_t>(n));
-  ensure_scratch(w, static_cast<std::size_t>(n));
-  std::fill(vprev.begin(), vprev.end(), T{});
+/// operator; returns a safe upper bound (the Gershgorin bound of the Lanczos
+/// tridiagonal plus the last residual norm), used to build the Chebyshev
+/// filter's [a, b] interval (Sec. 5.3.2). `apply(V, W)` computes W = op V on
+/// n x 1 blocks, like la::chebyshev_filter's step; V, Vprev and W are the
+/// caller's n x 1 blocks, left holding unspecified values. Allocates nothing.
+template <class T, class Apply>
+double lanczos_upper_bound(Apply&& apply, Matrix<T>& V, Matrix<T>& Vprev, Matrix<T>& W,
+                           int steps = 12, unsigned seed = 1234) {
+  const index_t n = V.rows();
+  Matrix<T>* v = &V;
+  Matrix<T>* vprev = &Vprev;
   std::mt19937_64 gen(seed);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (index_t i = 0; i < n; ++i) v[i] = T(dist(gen));
-  const double nv = nrm2(n, v.data());
-  scal(n, T(1.0 / nv), v.data());
+  for (index_t i = 0; i < n; ++i) v->data()[i] = T(dist(gen));
+  const double nv = nrm2(n, v->data());
+  scal(n, T(1.0 / nv), v->data());
 
-  std::vector<double> alpha, beta;  // tridiagonal entries
-  double b = 0.0;
-  for (int s = 0; s < steps; ++s) {
-    op(v, w);
-    if (s > 0) axpy(n, T(-b), vprev.data(), w.data());
-    const double a = scalar_traits<T>::real(dotc(n, v.data(), w.data()));
-    axpy(n, T(-a), v.data(), w.data());
-    // lint: allow(hot-path-alloc): O(steps~14) tridiagonal entries once per SCF, amortized vs O(n) applies
-    alpha.push_back(a);
-    b = nrm2(n, w.data());
-    beta.push_back(b);  // lint: allow(hot-path-alloc): same O(steps) bound as alpha
-
-    if (b < 1e-12) break;
-    vprev = v;
-    for (index_t i = 0; i < n; ++i) v[i] = w[i] * T(1.0 / b);
-  }
-  // Largest Ritz value of the small tridiagonal matrix via dense eig on it.
-  const index_t k = static_cast<index_t>(alpha.size());
-  Matrix<double> Tm(k, k);
-  for (index_t i = 0; i < k; ++i) {
-    Tm(i, i) = alpha[i];
-    if (i + 1 < k) Tm(i, i + 1) = Tm(i + 1, i) = beta[i];
-  }
-  // Gershgorin bound on the tridiagonal (cheap, safe).
+  // Gershgorin row i of the tridiagonal is alpha_i + |beta_{i-1}| + |beta_i|,
+  // the last term only if step i + 1 ran: `row` holds the newest row without
+  // it, and `bound` the maximum over the closed rows.
   double bound = -std::numeric_limits<double>::infinity();
-  for (index_t i = 0; i < k; ++i) {
-    double row = Tm(i, i);
-    if (i > 0) row += std::abs(Tm(i, i - 1));
-    if (i + 1 < k) row += std::abs(Tm(i, i + 1));
-    bound = std::max(bound, row);
+  double row = 0.0;
+  double b = 0.0;  // beta of the newest step
+  for (int s = 0; s < steps; ++s) {
+    apply(*v, W);
+    T* w = W.data();
+    if (s > 0) axpy(n, T(-b), vprev->data(), w);
+    const double a = scalar_traits<T>::real(dotc(n, v->data(), w));
+    axpy(n, T(-a), v->data(), w);
+    if (s > 0) bound = std::max(bound, row + std::abs(b));
+    row = a + std::abs(b);  // b = 0 before the first step
+    b = nrm2(n, w);
+    if (b < 1e-12) break;
+    // The next Lanczos vector w / b goes into vprev's storage, and the
+    // current one becomes vprev.
+    T* vn = vprev->data();
+    for (index_t i = 0; i < n; ++i) vn[i] = w[i] * T(1.0 / b);
+    std::swap(v, vprev);
   }
-  return bound + std::abs(beta.back());
+  bound = std::max(bound, row);
+  return bound + std::abs(b);
 }
 
 /// The degree-`degree` scaled-and-shifted Chebyshev filter recurrence (Zhou

@@ -6,7 +6,8 @@ Works on temporary copies of bench/baselines/RUNREPORT_*.json and asserts:
   * a copy with one gated `*wall_s` gauge raised 20% exits 1 and names the key;
   * a --min-gauge key that is absent exits 1;
   * a document of the retired flat metrics-snapshot schema exits 2;
-  * a pair whose machine.hw_threads differ exits 2 and names both values.
+  * a pair whose machine.hw_threads differ exits 2 and names both values;
+  * so does a pair whose machine.simd_bits differ.
 
 Usage: check_bench_regression_selftest.py <check_bench_regression.py> <baselines dir>
 """
@@ -76,6 +77,20 @@ def main() -> int:
         proc = run(checker, f"{base}={foreign}")
         assert proc.returncode == 2, f"hw_threads mismatch exited {proc.returncode}:\n{proc.stdout}"
         for value in (threads, threads + 60):
+            assert f"{value}" in proc.stderr, f"refusal does not name {value}:\n{proc.stderr}"
+
+        # 6. So are baselines from a host of another vector ISA (the GEMM
+        #    kernel is picked per ISA at run time).
+        other = json.loads(base.read_text())
+        bits = other["gauges"]["machine.simd_bits"]
+        narrower = 256 if bits != 256 else 128
+        other["gauges"]["machine.simd_bits"] = narrower
+        foreign = tmp / f"foreign_isa_{base.name}"
+        foreign.write_text(json.dumps(other))
+        proc = run(checker, f"{base}={foreign}")
+        assert proc.returncode == 2, f"simd_bits mismatch exited {proc.returncode}:\n{proc.stdout}"
+        assert "machine.simd_bits" in proc.stderr, f"refusal does not name the key:\n{proc.stderr}"
+        for value in (bits, narrower):
             assert f"{value}" in proc.stderr, f"refusal does not name {value}:\n{proc.stderr}"
 
     print("check_bench_regression_selftest OK")

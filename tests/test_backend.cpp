@@ -70,14 +70,15 @@ TEST(BackendSerial, ApplyAndFilterAreBitwiseTheHamiltonianPath) {
   be->apply(X, Y);
   EXPECT_EQ(la::max_abs_diff(Y, Yref), 0.0);
 
-  // Vector apply (the Lanczos-bound / PCG path) against the Hamiltonian's
-  // own single-vector apply.
-  std::vector<double> x(dofh.ndofs()), yref, y;
-  for (index_t i = 0; i < dofh.ndofs(); ++i) x[i] = std::cos(0.07 * i);
+  // One-column apply (the Lanczos-bound path: n x 1 blocks) against the
+  // Hamiltonian's own.
+  la::Matrix<double> x(dofh.ndofs(), 1), yref, y;
+  for (index_t i = 0; i < dofh.ndofs(); ++i) x(i, 0) = std::cos(0.07 * i);
   H.apply(x, yref);
   be->apply(x, y);
-  ASSERT_EQ(y.size(), yref.size());
-  for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_EQ(y[i], yref[i]) << i;
+  ASSERT_EQ(y.rows(), yref.rows());
+  ASSERT_EQ(y.cols(), 1);
+  for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_EQ(y(i, 0), yref(i, 0)) << i;
 
   // Overlap: the serial backend is exactly la::overlap_hermitian_mixed.
   la::Matrix<double> Sref, S;
@@ -119,13 +120,14 @@ TEST(BackendEquivalence, AllStagesSerialVsThreaded) {
   threaded->apply(X0, Yt);
   EXPECT_LT(la::max_abs_diff(Yt, Ys), 1e-12);
 
-  // Vector apply.
-  std::vector<double> x(dofh.ndofs()), ys, yt;
-  for (index_t i = 0; i < dofh.ndofs(); ++i) x[i] = std::cos(0.11 * i);
+  // One-column apply (n x 1 blocks, the Lanczos-bound path).
+  la::Matrix<double> x(dofh.ndofs(), 1), ys, yt;
+  for (index_t i = 0; i < dofh.ndofs(); ++i) x(i, 0) = std::cos(0.11 * i);
   serial->apply(x, ys);
   threaded->apply(x, yt);
-  ASSERT_EQ(yt.size(), ys.size());
-  for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_NEAR(yt[i], ys[i], 1e-12) << i;
+  ASSERT_EQ(yt.rows(), ys.rows());
+  ASSERT_EQ(yt.cols(), 1);
+  for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_NEAR(yt(i, 0), ys(i, 0), 1e-12) << i;
 
   // Chebyshev filter on a column sub-range. The out-of-window modes are
   // amplified exponentially by design, so compare relative to the filtered
@@ -210,18 +212,19 @@ TEST(BackendStiffness, SerialIsBitwiseDirectAndThreadedAgrees) {
   eopt.wire = Wire::fp64;  // 1e-12 gates: see AllStagesSerialVsThreaded
   RankEngine<double> eng(dofh, eopt, Operator::stiffness);
 
-  std::vector<double> x(dofh.ndofs());
-  for (index_t i = 0; i < dofh.ndofs(); ++i) x[i] = std::sin(0.29 * i);
-  std::vector<double> yref(dofh.ndofs(), 0.0), yt;
+  la::Matrix<double> x(dofh.ndofs(), 1), yref(dofh.ndofs(), 1), yt;
+  for (index_t i = 0; i < dofh.ndofs(); ++i) x(i, 0) = std::sin(0.29 * i);
+  yref.zero();
   K.apply_add(x, yref);
   eng.apply(x, yt);
-  ASSERT_EQ(yt.size(), yref.size());
-  for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_NEAR(yt[i], yref[i], 1e-12) << i;
+  ASSERT_EQ(yt.rows(), yref.rows());
+  ASSERT_EQ(yt.cols(), 1);
+  for (index_t i = 0; i < dofh.ndofs(); ++i) EXPECT_NEAR(yt(i, 0), yref(i, 0), 1e-12) << i;
 
   // set_potential must be a no-op on a bare stiffness (no epilogue to feed).
   ASSERT_NO_THROW(eng.set_potential(std::vector<double>(dofh.ndofs(), 1.0)));
   eng.apply(x, yt);
-  for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_NEAR(yt[i], yref[i], 1e-12) << i;
+  for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_NEAR(yt(i, 0), yref(i, 0), 1e-12) << i;
 
   // The EP solve entry: the engine's pcg behind the CG hook equals the
   // built-in CG to solver precision, and detaching the hook gives back the

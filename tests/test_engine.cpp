@@ -6,6 +6,7 @@
 // lane-resident PCG job against the serial Jacobi-PCG.
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <array>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
 #include "fe/mesh.hpp"
+#include "fe/poisson.hpp"
 #include "ks/chfes.hpp"
 #include "ks/hamiltonian.hpp"
 #include "la/iterative.hpp"
@@ -53,8 +55,9 @@ template <class T>
 double filter_bounds(const ks::Hamiltonian<T>& H, double* a, double* a0) {
   // Same recipe as the solver's first-cycle bound update, pinned explicitly
   // so reference and engine runs share the exact interval.
-  auto op = [&H](const std::vector<T>& x, std::vector<T>& y) { H.apply(x, y); };
-  const double b = la::lanczos_upper_bound<T>(op, H.n(), 14);
+  la::Matrix<T> v(H.n(), 1), vprev(H.n(), 1), w(H.n(), 1);
+  const double b = la::lanczos_upper_bound<T>(
+      [&H](const la::Matrix<T>& X, la::Matrix<T>& Y) { H.apply(X, Y); }, v, vprev, w, 14);
   double vmin = 0.0;
   for (index_t i = 0; i < H.n(); ++i) vmin = std::min(vmin, H.potential()[i]);
   *a0 = vmin - 1.0;
@@ -614,16 +617,11 @@ std::vector<double> poisson_rhs(const fe::DofHandler& dofh, double L) {
   return b;
 }
 
-/// The serial reference: fe::PoissonSolver's built-in CG.
+/// The serial reference: fe::PoissonSolver's built-in CG itself.
 la::SolveReport serial_pcg(const fe::DofHandler& dofh, const std::vector<double>& b,
                            std::vector<double>& x, double tol, int maxit) {
-  fe::CellStiffness<double> K(dofh, 1.0);
-  auto op = [&K](const std::vector<double>& v, std::vector<double>& y) {
-    y.assign(v.size(), 0.0);
-    K.apply_add(v, y);
-  };
-  return la::jacobi_pcg<double>(op, dofh.laplacian_diagonal(), dofh.boundary_dofs(), b, x, tol,
-                                maxit);
+  const fe::PoissonSolver poisson(dofh);
+  return poisson.serial_cg(b, x, tol, maxit);
 }
 
 BackendOptions stiffness_options(std::array<int, 3> grid, EngineMode mode) {
@@ -645,7 +643,7 @@ double rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // The tentpole equivalence criterion: one lane-resident pcg job per solve
-// agrees with serial la::jacobi_pcg (solution to 1e-10 relative, iteration
+// agrees with the serial CG (solution to 1e-10 relative, iteration
 // count within +-1) on isolated and periodic meshes above the OpenMP
 // parallel thresholds, on slab and brick grids; sync and async are bitwise
 // identical; and every lane leaves the loop at the same iteration (pcg()
@@ -684,6 +682,33 @@ TEST(LanePcg, MatchesSerialPcgOnBrickGridsInBothModes) {
       for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_EQ(xs[i], xa[i]) << i;
     }
   }
+}
+
+// The CG is written once: a one-lane engine's pcg job and the serial solve
+// run the same la::pcg statements over the same rows in the same order, so
+// at one OpenMP thread (the serial dot products then add in row order, as a
+// lane's do) iterations, residual and every entry of x are bitwise equal.
+// The mesh is isolated: on a periodic one the lane's self-exchange adds the
+// wrapped partials in another order.
+TEST(LanePcg, OneLaneIsBitwiseTheSerialCg) {
+  const double L = 8.0, tol = 1e-12;
+  const auto mesh = fe::make_uniform_mesh(L, 5, false);
+  fe::DofHandler dofh(mesh, 4);
+  ASSERT_GT(dofh.ndofs(), 8192);
+  const std::vector<double> b = poisson_rhs(dofh, L);
+  std::vector<double> xref(dofh.ndofs(), 0.0), x(dofh.ndofs(), 0.0);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const la::SolveReport ref = serial_pcg(dofh, b, xref, tol, 4000);
+  RankEngine<double> eng(dofh, stiffness_options({1, 1, 1}, EngineMode::async),
+                         Operator::stiffness);
+  const la::SolveReport rep = eng.pcg(b, x, tol, 4000);
+  omp_set_num_threads(saved);
+  ASSERT_TRUE(ref.converged);
+  EXPECT_TRUE(rep.converged);
+  EXPECT_EQ(rep.iterations, ref.iterations);
+  EXPECT_EQ(rep.residual, ref.residual);
+  for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_EQ(x[i], xref[i]) << i;
 }
 
 TEST(LanePcg, MaxitReturnsUnconvergedWithoutDeadlock) {

@@ -583,25 +583,45 @@ TEST(SymmetricEig, TraceAndDeterminantInvariants) {
 
 // ---------- iterative solvers ----------
 
+/// la::pcg's policy for a test operator on one image: `op(in, out)` computes
+/// out = A in over n entries; no rows are held fixed.
+template <class Op>
+struct DenseCg {
+  Op op;
+  index_t n;
+  void apply(Matrix<double>& P, Matrix<double>& AP) { op(P.data(), AP.data()); }
+  double dot(const double* a, const double* c) const { return dotc(n, a, c); }
+  void reduce(double*, int) const {}
+  index_t owned_rows() const { return n; }
+};
+
+/// Solve A x = b by la::pcg with z = r / diag, on vectors this call owns.
+template <class Op>
+SolveReport dense_pcg(Op op, const std::vector<double>& diag, const std::vector<double>& b,
+                      std::vector<double>& x, double tol, int maxit) {
+  const index_t n = static_cast<index_t>(b.size());
+  std::vector<double> r(n), z(n);
+  Matrix<double> P(n, 1), AP(n, 1);
+  DenseCg<Op> pol{op, n};
+  return pcg(pol, diag.data(), b.data(), x.data(), r.data(), z.data(), P, AP, tol, maxit);
+}
+
 TEST(Pcg, SolvesSpdSystem) {
   Rng rng(71);
   const index_t n = 80;
   Matrix<double> A = random_spd<double>(n, rng);
-  std::vector<double> b(n), x(n, 0.0);
+  std::vector<double> b(n), x(n, 0.0), diag(n);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  auto op = [&](const std::vector<double>& in, std::vector<double>& out) {
-    out.assign(n, 0.0);
+  auto op = [&](const double* in, double* out) {
+    for (index_t i = 0; i < n; ++i) out[i] = 0.0;
     for (index_t j = 0; j < n; ++j)
       for (index_t i = 0; i < n; ++i) out[i] += A(i, j) * in[j];
   };
-  auto prec = [&](const std::vector<double>& in, std::vector<double>& out) {
-    out.resize(n);
-    for (index_t i = 0; i < n; ++i) out[i] = in[i] / A(i, i);
-  };
-  auto rep = pcg<double>(op, prec, b, x, 1e-12, 500);
+  for (index_t i = 0; i < n; ++i) diag[i] = A(i, i);
+  auto rep = dense_pcg(op, diag, b, x, 1e-12, 500);
   EXPECT_TRUE(rep.converged);
-  std::vector<double> Ax;
-  op(x, Ax);
+  std::vector<double> Ax(n);
+  op(x.data(), Ax.data());
   double err = 0.0;
   for (index_t i = 0; i < n; ++i) err = std::max(err, std::abs(Ax[i] - b[i]));
   EXPECT_LT(err, 1e-8);
@@ -615,30 +635,27 @@ TEST(Pcg, JacobiPreconditionerReducesIterations) {
   for (index_t i = 0; i < n; ++i) A(i, i) = 1.0 + 1000.0 * rng.uniform(0, 1);
   for (index_t i = 0; i + 1 < n; ++i) A(i, i + 1) = A(i + 1, i) = 0.3;
   std::vector<double> b(n, 1.0), x0(n, 0.0), x1(n, 0.0);
-  auto op = [&](const std::vector<double>& in, std::vector<double>& out) {
-    out.assign(n, 0.0);
+  auto op = [&](const double* in, double* out) {
     for (index_t i = 0; i < n; ++i) {
-      out[i] += A(i, i) * in[i];
+      out[i] = A(i, i) * in[i];
       if (i > 0) out[i] += A(i, i - 1) * in[i - 1];
       if (i + 1 < n) out[i] += A(i, i + 1) * in[i + 1];
     }
   };
-  auto ident = [&](const std::vector<double>& in, std::vector<double>& out) { out = in; };
-  auto jac = [&](const std::vector<double>& in, std::vector<double>& out) {
-    out.resize(n);
-    for (index_t i = 0; i < n; ++i) out[i] = in[i] / A(i, i);
-  };
-  auto rep_plain = pcg<double>(op, ident, b, x0, 1e-10, 5000);
-  auto rep_jac = pcg<double>(op, jac, b, x1, 1e-10, 5000);
+  std::vector<double> ident(n, 1.0), jac(n);
+  for (index_t i = 0; i < n; ++i) jac[i] = A(i, i);
+  auto rep_plain = dense_pcg(op, ident, b, x0, 1e-10, 5000);
+  auto rep_jac = dense_pcg(op, jac, b, x1, 1e-10, 5000);
   EXPECT_TRUE(rep_plain.converged);
   EXPECT_TRUE(rep_jac.converged);
   EXPECT_LT(rep_jac.iterations, rep_plain.iterations);
 }
 
-// OpenMP > 1 regression: parallel loops in la::pcg and gemm_low_precision
-// once named their static thread_local scratch, which an OpenMP worker
-// resolves to its own empty vector — a crash as soon as the loop really runs
-// on a team. Run both above their parallel thresholds on four threads.
+// OpenMP > 1 regression: the parallel loops of la::pcg and
+// gemm_low_precision once named static thread_local scratch, which an OpenMP
+// worker resolves to its own empty vector — a crash as soon as the loop
+// really runs on a team. la::pcg now works on its caller's vectors; run both
+// above their parallel thresholds on four threads.
 TEST(OpenMpScratch, PcgAndLowPrecisionGemmOnFourThreads) {
   const int saved = omp_get_max_threads();
   omp_set_num_threads(4);
@@ -646,18 +663,14 @@ TEST(OpenMpScratch, PcgAndLowPrecisionGemmOnFourThreads) {
   std::vector<double> b(n), x(n, 0.0);
   for (index_t i = 0; i < n; ++i) b[i] = std::sin(0.001 * static_cast<double>(i)) + 0.5;
   // Diagonally dominant tridiagonal SPD operator, Jacobi preconditioner.
-  auto op = [n](const std::vector<double>& in, std::vector<double>& out) {
-    out.assign(n, 0.0);
+  auto op = [n](const double* in, double* out) {
     for (index_t i = 0; i < n; ++i)
       out[i] = 4.0 * in[i] - (i > 0 ? in[i - 1] : 0.0) - (i + 1 < n ? in[i + 1] : 0.0);
   };
-  auto prec = [n](const std::vector<double>& in, std::vector<double>& out) {
-    for (index_t i = 0; i < n; ++i) out[i] = in[i] / 4.0;
-  };
-  const SolveReport rep = pcg<double>(op, prec, b, x, 1e-12, 200);
+  const SolveReport rep = dense_pcg(op, std::vector<double>(n, 4.0), b, x, 1e-12, 200);
   EXPECT_TRUE(rep.converged);
-  std::vector<double> Ax;
-  op(x, Ax);
+  std::vector<double> Ax(n);
+  op(x.data(), Ax.data());
   double err = 0.0;
   for (index_t i = 0; i < n; ++i) err = std::max(err, std::abs(Ax[i] - b[i]));
   EXPECT_LT(err, 1e-9);
@@ -765,12 +778,13 @@ TEST(Lanczos, UpperBoundsSpectrum) {
   std::vector<double> ev;
   Matrix<double> V;
   symmetric_eig(A, ev, V);
-  auto op = [&](const std::vector<double>& in, std::vector<double>& out) {
-    out.assign(n, 0.0);
+  auto op = [&](const Matrix<double>& in, Matrix<double>& out) {
+    out.zero();
     for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < n; ++i) out[i] += A(i, j) * in[j];
+      for (index_t i = 0; i < n; ++i) out(i, 0) += A(i, j) * in(j, 0);
   };
-  const double ub = lanczos_upper_bound<double>(op, n, 15);
+  Matrix<double> v(n, 1), vprev(n, 1), w(n, 1);
+  const double ub = lanczos_upper_bound<double>(op, v, vprev, w, 15);
   EXPECT_GE(ub, ev.back() - 1e-9);
   EXPECT_LT(ub, ev.back() + 0.5 * (ev.back() - ev.front()) + 10.0);
 }

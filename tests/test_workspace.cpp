@@ -29,6 +29,7 @@
 #include "ks/hamiltonian.hpp"
 #include "la/batched.hpp"
 #include "la/blas.hpp"
+#include "la/iterative.hpp"
 #include "la/mixed.hpp"
 #include "la/workspace.hpp"
 #include "obs/metrics.hpp"
@@ -322,7 +323,8 @@ TEST(Workspace, HamiltonianApplyIsAllocationFreeAfterWarmup) {
   const index_t n = dofh.ndofs();
   la::MatrixD X(n, 6), Y;
   for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.02 * i);
-  std::vector<double> xv(n, 0.5), yv;
+  la::MatrixD xv(n, 1), yv;  // one column: the Lanczos-bound apply
+  xv.fill(0.5);
 
   H.apply(X, Y);  // warmup: persistent buffers size themselves
   H.apply(xv, yv);
@@ -356,9 +358,40 @@ TEST(Workspace, ChfesCycleIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(la::WorkspaceCounters::allocations(), 0)
       << "steady-state ChFES cycles must check out zero fresh heap buffers";
   EXPECT_GT(la::WorkspaceCounters::checkouts(), 0);
-  // The CholGS/RR scratch is one n x N block plus two N x N matrices.
+  // The CholGS/RR scratch is one n x N block plus two N x N matrices, and
+  // the Lanczos bound's three n x 1 blocks.
   EXPECT_EQ(solver.scratch_highwater_bytes(),
-            static_cast<std::int64_t>((n * N + 2 * N * N) * sizeof(double)));
+            static_cast<std::int64_t>((n * N + 2 * N * N + 3 * n) * sizeof(double)));
+}
+
+TEST(Workspace, LanczosBoundAllocatesNothingWhenWarm) {
+#if !DFTFE_COUNT_GLOBAL_NEW
+  GTEST_SKIP() << "global operator new counting disabled under sanitizers";
+#else
+  // A dense symmetric operator applied on n x 1 blocks by plain loops.
+  const index_t n = 96;
+  la::MatrixD A(n, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i <= j; ++i) A(i, j) = A(j, i) = std::sin(0.37 * (i + 1) * (j + 2));
+  auto apply = [&A, n](const la::MatrixD& X, la::MatrixD& Y) {
+    for (index_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (index_t j = 0; j < n; ++j) s += A(i, j) * X(j, 0);
+      Y(i, 0) = s;
+    }
+  };
+  la::MatrixD V(n, 1), Vprev(n, 1), W(n, 1);
+  const double warm = la::lanczos_upper_bound<double>(apply, V, Vprev, W, 14);
+  const std::int64_t before = g_global_new_calls.load(std::memory_order_relaxed);
+  const double bound = la::lanczos_upper_bound<double>(apply, V, Vprev, W, 14);
+  const std::int64_t after = g_global_new_calls.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0) << "a warm Lanczos bound must not touch the heap";
+  EXPECT_EQ(bound, warm);  // same seed, same operator: the same bound
+  // Still a bound: the diagonal entries are Rayleigh quotients of A.
+  double rq = 0.0;
+  for (index_t i = 0; i < n; ++i) rq = std::max(rq, A(i, i));
+  EXPECT_GE(bound, rq);
+#endif
 }
 
 // ---------- metrics and profile registries: zero-alloc string_view lookups ----------

@@ -29,7 +29,9 @@ Machine normalization
   code. With --normalize none, raw seconds are compared (use when baseline
   and current come from the same machine). A pair whose
   `machine.hw_threads` differ is refused (exit 2), as bench/e2e/compare.py
-  refuses one: thread-parallel walls do not scale with the GEMM peak.
+  refuses one: thread-parallel walls do not scale with the GEMM peak. So is
+  a pair whose `machine.simd_bits` differ: the GEMM kernel is picked per ISA
+  at run time, so hosts of another vector width run other kernels.
 
 Floors
   --min-gauge KEY=VALUE asserts a non-time gauge is at least VALUE (e.g.
@@ -161,13 +163,14 @@ def main() -> int:
         base_path, cur_path = Path(base_s), Path(cur_s)
         print(f"comparing {cur_path} against {base_path}")
         base, cur = load_gauges(base_path), load_gauges(cur_path)
-        bt, ct = base.get("machine.hw_threads"), cur.get("machine.hw_threads")
-        if bt != ct:
-            print(f"error: {cur_path} ran on a host with machine.hw_threads {ct}, "
-                  f"{base_path} on one with {bt}: walls from different host classes "
-                  "are not comparable; record a baseline on this host class",
-                  file=sys.stderr)
-            return 2
+        for host_key in ("machine.hw_threads", "machine.simd_bits"):
+            bv, cv = base.get(host_key), cur.get(host_key)
+            if bv != cv:
+                print(f"error: {cur_path} ran on a host with {host_key} {cv}, "
+                      f"{base_path} on one with {bv}: walls from different host classes "
+                      "are not comparable; record a baseline on this host class",
+                      file=sys.stderr)
+                return 2
         pair_failures = compare_pair(base, cur, args.threshold, args.min_seconds,
                                      args.normalize)
         if pair_failures:

@@ -86,9 +86,14 @@ WHITELIST = [
      "flop ledger map insert; amortized after the first step of each kind"),
     # -- LAPACK-style factorization/eig kernels --------------------------
     (r"dftfe::la::(cholesky_lower<|invert_lower_triangular<|symmetric_eig|"
-     r"hermitian_eig<|lanczos_upper_bound<)", {"alloc", "throw"},
+     r"hermitian_eig<)", {"alloc", "throw"},
      "entry-time scratch sizing plus breakdown throw; once per call, "
      "outside the blocked inner loops"),
+    (r"dftfe::la::gemm<", {"alloc"},
+     "first use of the per-thread GEMM packing panels (la/blas.hpp "
+     "pack_panel_a/b, ensure_scratch inlined at -O3): once per thread and "
+     "scalar type, zero in steady state; emitted out of line wherever the "
+     "caller does not inline the GEMM driver"),
     (r"dftfe::la::(gemm_low_precision<|overlap_hermitian_partial<)",
      {"alloc", "throw"},
      "mixed-precision wire scratch via ensure_scratch (inlined at -O3) and "
@@ -118,12 +123,14 @@ WHITELIST = [
      "brick gram: the per-lane gathered-panel and partial-Gram WorkMatrix "
      "acquires, inlined at -O3; grow-only, so zero after the first overlap "
      "of each shape"),
-    (r"dftfe::dd::RankEngine<.*>::(lane_pcg|pcg_apply|lane_allreduce)", {"alloc", "throw"},
-     "lane-resident PCG: per-lane workspace acquire inlined at -O3 (zero "
-     "after the first solve, asserted by LanePcg.WarmSolveAllocatesNothing), "
-     "the reduction barrier's poison throw — a peer lane failed, the cascade "
-     "the allreduce model-check scenarios explore — and the injected-fault "
-     "test hook; each throws at most once per failed job"),
+    (r"dftfe::dd::RankEngine<.*>::(lane_cg|LaneCg::apply|lane_allreduce)|"
+     r"dftfe::la::pcg<.*RankEngine<.*>::LaneCg>", {"alloc", "throw"},
+     "lane-resident PCG (la::pcg over the LaneCg policy): per-lane workspace "
+     "acquire inlined at -O3 (zero after the first solve, asserted by "
+     "LanePcg.WarmSolveAllocatesNothing), the reduction barrier's poison "
+     "throw — a peer lane failed, the cascade the allreduce model-check "
+     "scenarios explore — and the injected-fault test hook in the policy's "
+     "apply; each throws at most once per failed job"),
     (r"dftfe::dd::LaneAllreduce::(allreduce|init)", {"alloc", "throw"},
      "lane allreduce barrier: poison throw when a peer lane failed (at most "
      "once per failed job) and the cold slot sizing in init()"),

@@ -92,6 +92,10 @@ HOT_PATH_FILES = [
     # The nodal KS kernel (fe::ks_nodal_rows) runs per column in the
     # Hamiltonian apply and per row range in every engine lane step.
     "src/fe/cell_ops.hpp",
+    # The serial policy of la::pcg (fe::PoissonSolver::SerialCg): its apply
+    # and dot product run every CG iteration of a serial EP solve. The
+    # per-solve rhs / lift vectors live in fe/poisson.cpp, not listed.
+    "src/fe/poisson.hpp",
     # Threaded rank engine (RankEngine over the brick partition): everything
     # a lane touches after startup (the per-step filter/apply path, the
     # per-neighbor run-list copies, and the mailbox transport) must be

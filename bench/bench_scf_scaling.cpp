@@ -87,12 +87,13 @@ double dense_span_seconds() {
 /// Best-of-`reps` SCF wall (the minimum filters scheduler jitter; every rep
 /// computes identical results, so the kept ScfResult is rep-independent).
 ScfRun run_scf(const fe::DofHandler& dofh, const ks::ScfOptions& opt,
-               const std::vector<double>& vext, int reps = 1) {
+               const dd::BackendOptions& backend, const std::vector<double>& vext,
+               int reps = 1) {
   ScfRun out;
   for (int rep = 0; rep < reps; ++rep) {
     obs::TraceRecorder::global().clear();
     const double dense0 = dense_span_seconds();
-    ks::KohnShamDFT<double> dft(dofh, std::make_shared<xc::LdaPW92>(), {}, opt);
+    ks::KohnShamDFT<double> dft(dofh, std::make_shared<xc::LdaPW92>(), {}, opt, backend);
     dft.set_external_potential(vext, kNelec);
     Timer t;
     auto res = dft.solve();
@@ -141,19 +142,20 @@ ks::ScfOptions fixed_work_scf(bool quick) {
   return base;
 }
 
-/// `opt` on threaded lanes over `grid` under `mode`; with `wire`, behind the
-/// emulated interconnect.
-ks::ScfOptions on_lanes(ks::ScfOptions opt, std::array<int, 3> grid, dd::EngineMode mode,
-                        const bench::InjectedWire* wire = nullptr) {
-  opt.backend.kind = dd::BackendKind::threaded;
-  opt.backend.nlanes = grid[0] * grid[1] * grid[2];
-  opt.backend.grid = grid;
-  opt.backend.mode = mode;
+/// Threaded lanes over `grid` under `mode`; with `wire`, behind the emulated
+/// interconnect.
+dd::BackendOptions on_lanes(std::array<int, 3> grid, dd::EngineMode mode,
+                            const bench::InjectedWire* wire = nullptr) {
+  dd::BackendOptions backend;
+  backend.kind = dd::BackendKind::threaded;
+  backend.nlanes = grid[0] * grid[1] * grid[2];
+  backend.grid = grid;
+  backend.mode = mode;
   if (wire != nullptr) {
-    opt.backend.inject_wire_delay = true;
-    opt.backend.model = wire->model;
+    backend.inject_wire_delay = true;
+    backend.model = wire->model;
   }
-  return opt;
+  return backend;
 }
 
 index_t plane_size(const fe::DofHandler& dofh) { return dofh.naxis(0) * dofh.naxis(1); }
@@ -268,7 +270,7 @@ Gauges scf_strong(const fe::DofHandler& dofh, const std::vector<double>& vext, b
 
   // Free wire: serial backend vs threaded lanes {1, 2, 4}. Scaling tops out
   // at the physical core count of the host.
-  const ScfRun serial = run_scf(dofh, base, vext);
+  const ScfRun serial = run_scf(dofh, base, {}, vext);
   const double e_ref = serial.res.energy.total;
   TextTable st({"backend", "lanes", "SCF wall (s)", "speedup", "efficiency", "|dE| (Ha)"});
   st.add("serial", 1, TextTable::num(serial.wall, 3), "1.00", "100.0%", "0");
@@ -278,7 +280,7 @@ Gauges scf_strong(const fe::DofHandler& dofh, const std::vector<double>& vext, b
   for (int li = 0; li < 3; ++li) {
     // z-slabs; bricks are section 4's job.
     const ScfRun r =
-        run_scf(dofh, on_lanes(base, {1, 1, lane_counts[li]}, dd::EngineMode::async), vext);
+        run_scf(dofh, base, on_lanes({1, 1, lane_counts[li]}, dd::EngineMode::async), vext);
     wall_lanes[li] = r.wall;
     const double de = std::abs(r.res.energy.total - e_ref);
     energy_diff = std::max(energy_diff, de);
@@ -313,9 +315,9 @@ Gauges scf_strong(const fe::DofHandler& dofh, const std::vector<double>& vext, b
   print_wire(wire, "16-col FP32 halo packet");
 
   const ScfRun sync =
-      run_scf(dofh, on_lanes(base, {1, 1, 4}, dd::EngineMode::sync, &wire), vext, 2);
+      run_scf(dofh, base, on_lanes({1, 1, 4}, dd::EngineMode::sync, &wire), vext, 2);
   const ScfRun async =
-      run_scf(dofh, on_lanes(base, {1, 1, 4}, dd::EngineMode::async, &wire), vext, 2);
+      run_scf(dofh, base, on_lanes({1, 1, 4}, dd::EngineMode::async, &wire), vext, 2);
   energy_diff = std::max(energy_diff, std::abs(sync.res.energy.total - e_ref));
   energy_diff = std::max(energy_diff, std::abs(async.res.energy.total - e_ref));
   const double speedup = sync.wall / async.wall;
@@ -380,10 +382,11 @@ Gauges scf_mixed(const fe::DofHandler& dofh, const std::vector<double>& vext, bo
   TextTable ft({"variant", "lanes", "SCF wall (s)", "CholGS-S + RR-P (s)", "|dE| (Ha)"});
   for (const int lanes : {1, 4}) {
     for (const Variant& var : kVariants) {
-      ks::ScfOptions opt = on_lanes(base, {1, 1, lanes}, dd::EngineMode::async);
-      opt.backend.wire = var.wire;
+      dd::BackendOptions backend = on_lanes({1, 1, lanes}, dd::EngineMode::async);
+      backend.wire = var.wire;
+      ks::ScfOptions opt = base;
       opt.mixed_precision = var.mixed;
-      const ScfRun r = run_scf(dofh, opt, vext);
+      const ScfRun r = run_scf(dofh, opt, backend, vext);
       if (lanes == 1 && var.wire == dd::Wire::fp64) {
         e_ref = r.res.energy.total;
         dense64_s = r.dense_s;
@@ -409,10 +412,11 @@ Gauges scf_mixed(const fe::DofHandler& dofh, const std::vector<double>& vext, bo
   TextTable dt({"variant [emulated wire]", "SCF wall (s)", "speedup vs fp64", "|dE| (Ha)"});
   for (int vi = 0; vi < 3; ++vi) {
     const Variant& var = kVariants[vi];
-    ks::ScfOptions opt = on_lanes(base, {1, 1, 4}, dd::EngineMode::sync, &wire);
-    opt.backend.wire = var.wire;
+    dd::BackendOptions backend = on_lanes({1, 1, 4}, dd::EngineMode::sync, &wire);
+    backend.wire = var.wire;
+    ks::ScfOptions opt = base;
     opt.mixed_precision = var.mixed;
-    const ScfRun r = run_scf(dofh, opt, vext, 2);
+    const ScfRun r = run_scf(dofh, opt, backend, vext, 2);
     wall[vi] = r.wall;
     dt.add(var.name, TextTable::num(r.wall, 3),
            vi == 0 ? "1.00" : TextTable::num(wall[0] / r.wall, 2),
@@ -431,14 +435,16 @@ Gauges scf_mixed(const fe::DofHandler& dofh, const std::vector<double>& vext, bo
   // run to a reachable density tolerance instead of the fixed-work cap.
   base.max_iterations = 40;
   base.density_tol = quick ? 1e-6 : 1e-7;
-  ks::ScfOptions conv = on_lanes(base, {1, 1, 1}, dd::EngineMode::async);
-  conv.backend.wire = dd::Wire::fp64;
+  ks::ScfOptions conv = base;
   conv.mixed_precision = false;
-  const ScfRun c64 = run_scf(dofh, conv, vext);
-  ks::ScfOptions conv32 = on_lanes(base, {1, 1, 4}, dd::EngineMode::async);
-  conv32.backend.wire = dd::Wire::fp32;
+  dd::BackendOptions conv_backend = on_lanes({1, 1, 1}, dd::EngineMode::async);
+  conv_backend.wire = dd::Wire::fp64;
+  const ScfRun c64 = run_scf(dofh, conv, conv_backend, vext);
+  ks::ScfOptions conv32 = base;
   conv32.mixed_precision = true;
-  const ScfRun c32 = run_scf(dofh, conv32, vext);
+  dd::BackendOptions conv32_backend = on_lanes({1, 1, 4}, dd::EngineMode::async);
+  conv32_backend.wire = dd::Wire::fp32;
+  const ScfRun c32 = run_scf(dofh, conv32, conv32_backend, vext);
   const double energy_diff = std::abs(c32.res.energy.total - c64.res.energy.total);
   const bool converged = c64.res.converged && c32.res.converged;
   std::printf("converged accuracy gate (density_tol %.0e, %d + %d iterations):\n"
@@ -527,7 +533,7 @@ Gauges scf_brick(bool quick) {
               static_cast<int>(base.nstates), 1e6 * flat_s, 1e6 * tree_s, flat_s / tree_s);
 
   // Whole SCF at 8 lanes under the emulated wire.
-  const ScfRun serial = run_scf(dofh, base, vext);
+  const ScfRun serial = run_scf(dofh, base, {}, vext);
   const double e_ref = serial.res.energy.total;
   dd::BackendOptions popt;
   popt.nlanes = 8;
@@ -546,11 +552,11 @@ Gauges scf_brick(bool quick) {
                 "|dE| (Ha)"});
   for (int gi = 0; gi < 2; ++gi) {
     for (int mi = 0; mi < 2; ++mi) {
-      const ScfRun r = run_scf(
-          dofh,
-          on_lanes(base, gi == 0 ? slab_grid : brick_grid,
-                   mi == 0 ? dd::EngineMode::sync : dd::EngineMode::async, &wire),
-          vext, quick ? 1 : 2);
+      const ScfRun r = run_scf(dofh, base,
+                               on_lanes(gi == 0 ? slab_grid : brick_grid,
+                                        mi == 0 ? dd::EngineMode::sync : dd::EngineMode::async,
+                                        &wire),
+                               vext, quick ? 1 : 2);
       walls[gi][mi] = r.wall;
       const double de = std::abs(r.res.energy.total - e_ref);
       energy_diff = std::max(energy_diff, de);

@@ -29,12 +29,11 @@ void JobState::set_resume_state(ks::ScfState st) { resume_ = std::move(st); }
 template <class T>
 ks::ScfResult JobState::run_solver(std::vector<ks::KPointSample> kpts) {
   ks::ScfOptions scf = opt_.scf;
-  scf.backend = opt_.backend;
   if (opt_.on_iteration) {
     scf.on_iteration = [this](int completed) { opt_.on_iteration(*this, completed); };
   }
   auto solver = std::make_unique<ks::KohnShamDFT<T>>(model_->dofs(), model_->functional(),
-                                                     std::move(kpts), scf);
+                                                     std::move(kpts), scf, opt_.backend);
   solver->set_nuclei(nuclei_, nelectrons_);
   if (resume_) {
     resumed_from_ = resume_->iterations;

@@ -37,9 +37,9 @@ struct JobOptions {
   /// report_path directory mode, and keys checkpoints in the svc layer.
   std::string name = "job";
   std::vector<ks::KPointSample> kpoints;  // empty -> Gamma point
-  /// Execution backend for the whole solver stack; run() copies it into
-  /// scf.backend, so a scf.backend set on a job is ignored. Per-job: two
-  /// tenants of one SharedModel may run serial and threaded side by side.
+  /// Execution backend for the whole solver stack, handed to the solver
+  /// run() builds. Per-job: two tenants of one SharedModel may run serial
+  /// and threaded side by side.
   dd::BackendOptions backend;
   /// Family-sibling structure override: same box/periodicity as the shared
   /// model, perturbed atoms (defect separations, solute swaps). Nuclei and

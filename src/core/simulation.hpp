@@ -40,8 +40,7 @@ struct SimulationOptions {
   std::map<atoms::Species, double> z_override;
   /// Execution backend for the whole solver stack (eigensolver stages,
   /// density accumulation, the EP-step Poisson CG): serial single-image
-  /// or threaded brick-rank lanes. run() copies it into scf.backend, so
-  /// scf.backend itself is ignored under a Simulation.
+  /// or threaded brick-rank lanes.
   dd::BackendOptions backend;
   /// When non-empty, run() writes the RunReport flight-recorder artifact
   /// (schema dftfe.runreport.v1, see obs/report.hpp) to this path. A path

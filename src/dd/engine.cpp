@@ -1,9 +1,10 @@
-// Cold control plane of the threaded rank engine: lane construction (brick
-// sub-meshes, segment operators, field slices, run lists, mailbox wiring),
-// the job broadcast protocol, failure cascade/reset, the tree allreduce of
-// the gram partials, and stats collection. The hot per-step data plane lives
-// inline in engine.hpp so the invariant linter's no-allocation rule covers
-// exactly the code that runs per recurrence step.
+// Cold control plane of the threaded rank engine: lane construction (the
+// brick sub-mesh and its interface and interior cell operators, field
+// slices, run lists, mailbox wiring), the job broadcast protocol, failure
+// cascade/reset, the tree allreduce of the gram partials, and stats
+// collection. The hot per-step data plane lives inline in engine.hpp so the
+// invariant linter's no-allocation rule covers exactly the code that runs
+// per recurrence step.
 
 #include "dd/engine.hpp"
 
@@ -168,52 +169,26 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
         ln.kdiag[static_cast<std::size_t>(l)] = kdiag[ln.gmap[static_cast<std::size_t>(l)]];
     }
 
-    // Segment the brick's cells: per axis, one boundary cell layer per
-    // active interface plus the interior bulk; the cross product gives up to
-    // 27 segments per lane. Boundary segments (any axis on an interface
-    // layer) are computed first in lane_fused_step so the halo partials
-    // leave as early as possible.
-    struct AxisRange {
-      index_t s0, s1;
-      bool boundary;
-    };
-    std::array<std::vector<AxisRange>, 3> ranges;
-    for (int a = 0; a < 3; ++a) {
-      const bool lb = lo_act[a], ub = hi_act[a];
-      if (nc[a] == 1) {
-        ranges[a].push_back({0, 1, lb || ub});
-      } else {
-        if (lb) ranges[a].push_back({0, 1, true});
-        if (ub) ranges[a].push_back({nc[a] - 1, nc[a], true});
-        const index_t i0 = lb ? 1 : 0, i1 = nc[a] - (ub ? 1 : 0);
-        if (i0 < i1) ranges[a].push_back({i0, i1, false});
-      }
+    // One sub-mesh for the whole brick: its DofHandler numbers the closed
+    // dof box x fastest, the lane-local row order. The interface cells (any
+    // axis on an active interface layer) and the rest form one operator each.
+    ln.mesh = std::make_unique<fe::Mesh>(fe::make_brick_mesh(
+        mesh, bk.c_begin[0], bk.c_end[0], bk.c_begin[1], bk.c_end[1], bk.c_begin[2],
+        bk.c_end[2]));
+    ln.dofh = std::make_unique<fe::DofHandler>(*ln.mesh, deg);
+    if (ln.dofh->ndofs() != ln.nloc)
+      throw std::logic_error("RankEngine: brick dof layout mismatch");
+    std::vector<index_t> iface_cells, inner_cells;
+    for (index_t cell = 0; cell < ln.mesh->ncells_total(); ++cell) {
+      const std::array<index_t, 3> cc = ln.mesh->cell_coords(cell);
+      bool on_iface = false;
+      for (int a = 0; a < 3; ++a)
+        on_iface = on_iface || (lo_act[a] && cc[a] == 0) || (hi_act[a] && cc[a] == nc[a] - 1);
+      (on_iface ? iface_cells : inner_cells).push_back(cell);
     }
-    ln.segments.resize(ranges[0].size() * ranges[1].size() * ranges[2].size());
-    std::size_t si = 0;
-    for (const AxisRange& rz : ranges[2])
-      for (const AxisRange& ry : ranges[1])
-        for (const AxisRange& rx : ranges[0]) {
-          Segment& sg = ln.segments[si++];
-          sg.boundary = rx.boundary || ry.boundary || rz.boundary;
-          sg.mesh = std::make_unique<fe::Mesh>(fe::make_brick_mesh(
-              mesh, bk.c_begin[0] + rx.s0, bk.c_begin[0] + rx.s1, bk.c_begin[1] + ry.s0,
-              bk.c_begin[1] + ry.s1, bk.c_begin[2] + rz.s0, bk.c_begin[2] + rz.s1));
-          sg.dofh = std::make_unique<fe::DofHandler>(*sg.mesh, deg);
-          sg.op = std::make_unique<fe::CellStiffness<T>>(
-              *sg.dofh, op_ == Operator::hamiltonian ? 0.5 : 1.0, kpoint);
-          sg.nrows = sg.dofh->ndofs();
-          const index_t sm0 = (rx.s1 - rx.s0) * deg + 1;
-          const index_t sm1 = (ry.s1 - ry.s0) * deg + 1;
-          const index_t sm2 = (rz.s1 - rz.s0) * deg + 1;
-          if (sg.nrows != sm0 * sm1 * sm2)
-            throw std::logic_error("RankEngine: segment dof layout mismatch");
-          for (index_t sk = 0; sk < sm2; ++sk)
-            for (index_t sj = 0; sj < sm1; ++sj)
-              push_run(sg.runs, sm0 * (sj + sm1 * sk),
-                       rx.s0 * deg + m0 * ((ry.s0 * deg + sj) + m1 * (rz.s0 * deg + sk)),
-                       sm0);
-        }
+    const double coef_lap = op_ == Operator::hamiltonian ? 0.5 : 1.0;
+    ln.iface_op = std::make_unique<fe::CellStiffness<T>>(*ln.dofh, iface_cells, coef_lap, kpoint);
+    ln.inner_op = std::make_unique<fe::CellStiffness<T>>(*ln.dofh, inner_cells, coef_lap, kpoint);
 
     // Mailbox wiring + shared-region run lists for all 26 directions. The
     // send region in direction d is this brick's closed boundary layer
@@ -497,13 +472,13 @@ void RankEngine<T>::publish_job_metrics(int nsteps) {
     m.counter_add(ln.metric_bytes, static_cast<double>(d.bytes()));
     m.counter_add(ln.metric_messages, static_cast<double>(d.messages));
     m.counter_add(ln.metric_wait, wait);
-    // Lane working-set high water: every persistent WorkMatrix the lane owns.
+    // Lane working-set high water: every persistent WorkMatrix the lane owns,
+    // and the gather/scatter chunks of its two cell operators.
     std::int64_t hw = ln.sl.highwater_bytes() + ln.xb.highwater_bytes() +
                       ln.yb.highwater_bytes() + ln.zb.highwater_bytes() +
                       ln.ga.highwater_bytes() + ln.gb.highwater_bytes() +
                       ln.gram.highwater_bytes() + ln.cg.highwater_bytes();
-    for (const Segment& sg : ln.segments)
-      hw += sg.xs.highwater_bytes() + sg.ys.highwater_bytes();
+    hw += ln.iface_op->scratch_highwater_bytes() + ln.inner_op->scratch_highwater_bytes();
     m.gauge_set(ln.metric_highwater, static_cast<double>(hw));
     ln.comm_pub = ln.comm;
   }

@@ -8,10 +8,13 @@
 // nx x ny x nz lane grid; a 1 x 1 x N grid is exactly the historical z-slab
 // layout) becomes a std::thread "lane" that owns one brick of the operator:
 //
-//   * its own sub-mesh DofHandler and CellStiffness segments (one-layer
-//     boundary segments along every active face plus the interior bulk), so
-//     the cell-level batched-GEMM kernels of fe/cell_ops.hpp run unchanged on
-//     the brick;
+//   * one sub-mesh and DofHandler for the whole brick, whose dof numbering
+//     is the lane's local row order, and two fe::CellStiffness operators
+//     built over its cell lists: the interface cells (any axis on an active
+//     interface layer), applied before the halo posts, and the interior
+//     cells, applied after. Both read the lane's scaled block and add
+//     straight into its result rows with the cell-level batched-GEMM
+//     kernels of fe/cell_ops.hpp;
 //   * lane-local slices of the global mass / potential / boundary-mask nodal
 //     fields (sliced from the *global* DofHandler — a brick-local assembly
 //     would be wrong on interface layers);
@@ -268,15 +271,6 @@ class RankEngine final : public ExecBackend<T> {
     index_t src = 0;
     index_t len = 0;
   };
-  struct Segment {
-    std::unique_ptr<fe::Mesh> mesh;    // sub-mesh must outlive its DofHandler
-    std::unique_ptr<fe::DofHandler> dofh;
-    std::unique_ptr<fe::CellStiffness<T>> op;
-    index_t nrows = 0;                 // rows covered (= dofh->ndofs())
-    bool boundary = false;             // touches an interface (computed first)
-    std::vector<Run> runs;             // dst: segment-local row, src: lane-local row
-    la::WorkMatrix<T> xs, ys;          // gather / local-result chunks
-  };
   struct Neighbor {
     HaloChannel<T>* send = nullptr;
     HaloChannel<T>* recv = nullptr;
@@ -295,7 +289,9 @@ class RankEngine final : public ExecBackend<T> {
     std::vector<Run> owned_runs;       // dst: global row, src: lane-local row
     std::vector<double> ims, veff, bmask;  // slices of the global nodal fields
     std::vector<double> kdiag;         // Laplacian diagonal slice (bare stiffness only)
-    std::vector<Segment> segments;     // boundary layers first, interior bulk
+    std::unique_ptr<fe::Mesh> mesh;    // the brick; outlives its DofHandler
+    std::unique_ptr<fe::DofHandler> dofh;  // numbers the lane-local rows
+    std::unique_ptr<fe::CellStiffness<T>> iface_op, inner_op;  // interface cells, the rest
     std::array<Neighbor, kDirs> nb;    // fixed dz-major neighbor order
     // Epilogue row ranges: interior rows touch no shared region (safe before
     // the async receives); shell rows are epilogued after every receive.
@@ -416,26 +412,6 @@ class RankEngine final : public ExecBackend<T> {
     return waited;
   }
 
-  /// Yl[rows of sg] += A_seg * S[rows of sg] via the segment's cell kernels.
-  void apply_segment(Segment& sg, const la::Matrix<T>& S, la::Matrix<T>& Yl) {
-    const index_t B = S.cols();
-    la::Matrix<T>& Xs = sg.xs.acquire(sg.nrows, B);
-    la::Matrix<T>& Ys = sg.ys.acquire_zeroed(sg.nrows, B);
-    for (index_t j = 0; j < B; ++j) {
-      const T* s = S.col(j);
-      T* xs = Xs.col(j);
-      for (const Run& rn : sg.runs)
-        std::copy(s + rn.src, s + rn.src + rn.len, xs + rn.dst);
-    }
-    sg.op->apply_add(Xs, Ys);
-    for (index_t j = 0; j < B; ++j) {
-      T* y = Yl.col(j);
-      const T* ys = Ys.col(j);
-      for (const Run& rn : sg.runs)
-        for (index_t i = 0; i < rn.len; ++i) y[rn.src + i] += ys[rn.dst + i];
-    }
-  }
-
   /// The fused epilogue on rows [r0, r1): a Hamiltonian lane runs
   /// fe::ks_nodal_rows on each column (the arithmetic of
   /// ks::Hamiltonian::apply_fused, on the lane's field slices).
@@ -484,17 +460,15 @@ class RankEngine final : public ExecBackend<T> {
       for (index_t j = 0; j < B; ++j) std::copy(Xl.col(j), Xl.col(j) + nloc, S.col(j));
     }
     Yl.zero();
-    // Interface-adjacent cell layers first, so the halo partials leave as
-    // early as possible... (interior segments never touch a shared region,
-    // so every posted packet already carries this lane's full partial)
-    for (Segment& sg : ln.segments)
-      if (sg.boundary) apply_segment(sg, S, Yl);
+    // Interface cells first, so the halo partials leave as early as
+    // possible... (interior cells never touch a shared row, so every posted
+    // packet already carries this lane's full partial)
+    ln.iface_op->apply_add(S, Yl);
     for (Neighbor& nb : ln.nb) post_halo(ln, nb, Yl);
     if (mode == EngineMode::sync)
       for (Neighbor& nb : ln.nb) waited += recv_halo(ln, nb, Yl);
-    // ...then the interior bulk computes while the wire is busy.
-    for (Segment& sg : ln.segments)
-      if (!sg.boundary) apply_segment(sg, S, Yl);
+    // ...then the interior cells compute while the wire is busy.
+    ln.inner_op->apply_add(S, Yl);
     for (const auto& [r0, r1] : ln.interior_rows)
       epilogue_rows(ln, Xl, Yl, Zl, c, scale, zc, r0, r1);
     if (mode == EngineMode::async)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
 namespace dftfe::fe {
@@ -22,11 +23,22 @@ GeomKey quantize(const std::array<double, 3>& h) {
   return {q(h[0]), q(h[1]), q(h[2])};
 }
 
+std::vector<index_t> all_cells(const Mesh& mesh) {
+  std::vector<index_t> cells(static_cast<std::size_t>(mesh.ncells_total()));
+  std::iota(cells.begin(), cells.end(), index_t{0});
+  return cells;
+}
+
 }  // namespace
 
 template <class T>
 CellStiffness<T>::CellStiffness(const DofHandler& dofh, double coef_lap,
                                 std::array<double, 3> kpoint)
+    : CellStiffness(dofh, all_cells(dofh.mesh()), coef_lap, kpoint) {}
+
+template <class T>
+CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_t>& cells,
+                                double coef_lap, std::array<double, 3> kpoint)
     : dofh_(&dofh) {
   const bool has_k = (kpoint[0] != 0.0 || kpoint[1] != 0.0 || kpoint[2] != 0.0);
   has_bloch_ = has_k;
@@ -45,25 +57,29 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, double coef_lap,
   const auto D = gll_derivative_matrix(dofh.ref_nodes());
   const auto& w = dofh.ref_weights();
 
-  // Precompute cell -> dof map and group cells by geometry.
+  // Precompute the slot -> dof map (slot s holds cells[s]) and group the
+  // slots by geometry.
   const Mesh& mesh = dofh.mesh();
-  const index_t nc = mesh.ncells_total();
+  const index_t nc = static_cast<index_t>(cells.size());
   cell_dof_map_.resize(nc * nd);
   std::map<GeomKey, index_t> group_of;
   std::vector<index_t> dofs;
-  for (index_t c = 0; c < nc; ++c) {
+  for (index_t s = 0; s < nc; ++s) {
+    const index_t c = cells[static_cast<std::size_t>(s)];
+    if (c < 0 || c >= mesh.ncells_total())
+      throw std::invalid_argument("CellStiffness: cell id outside the mesh");
     dofh.cell_dofs(c, dofs);
-    std::copy(dofs.begin(), dofs.end(), cell_dof_map_.begin() + c * nd);
+    std::copy(dofs.begin(), dofs.end(), cell_dof_map_.begin() + s * nd);
     const GeomKey key = quantize(mesh.cell_sizes(c));
     auto [it, inserted] = group_of.try_emplace(key, static_cast<index_t>(groups_.size()));
     if (inserted) groups_.push_back({});
-    groups_[it->second].cells.push_back(c);
+    groups_[it->second].cells.push_back(s);
   }
 
   // Build one dense cell matrix per geometry group.
   for (auto& [key, gi] : group_of) {
     Group& g = groups_[gi];
-    const auto h = mesh.cell_sizes(g.cells.front());
+    const auto h = mesh.cell_sizes(cells[static_cast<std::size_t>(g.cells.front())]);
     const double hx = h[0], hy = h[1], hz = h[2];
     const double cxx = coef_lap * (2.0 / hx) * (hy / 2.0) * (hz / 2.0);
     const double cyy = coef_lap * (hx / 2.0) * (2.0 / hy) * (hz / 2.0);
@@ -119,6 +135,7 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, double coef_lap,
 
 template <class T>
 void CellStiffness<T>::apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const {
+  if (groups_.empty()) return;  // no cells: no scratch either
   const index_t nd = dofh_->ndofs_per_cell();
   const index_t B = X.cols();
   la::Matrix<T>& Xc = xc_.acquire(nd, chunk_cells_ * B);
@@ -251,8 +268,7 @@ void CellStiffness<T>::apply_add_sumfac_scalar(const la::Matrix<T>& X, la::Matri
            static_cast<index_t>(n) * (static_cast<index_t>(j) + static_cast<index_t>(n) * k);
   };
   // Analytic FLOPs: three n^4 contractions + weighting per cell per column.
-  FlopCounter::global().add((6.0 * n * nd + 4.0 * nd) *
-                            static_cast<double>(dofh_->mesh().ncells_total()) * B *
+  FlopCounter::global().add((6.0 * n * nd + 4.0 * nd) * static_cast<double>(ncells()) * B *
                             scalar_traits<T>::flop_factor);
 
 #pragma omp parallel
@@ -263,8 +279,8 @@ void CellStiffness<T>::apply_add_sumfac_scalar(const la::Matrix<T>& X, la::Matri
 #pragma omp for schedule(static)
     for (index_t jcol = 0; jcol < B; ++jcol) {
       for (const Group& g : groups_) {
-        for (const index_t cell : g.cells) {
-          const index_t* dofs = cell_dof_map_.data() + cell * nd;
+        for (const index_t slot : g.cells) {
+          const index_t* dofs = cell_dof_map_.data() + slot * nd;
           const T* src = X.col(jcol);
           for (index_t a = 0; a < nd; ++a) u[a] = src[dofs[a]];
           // y = cxx (K1 (x) M (x) M) u + cyy (M (x) K1 (x) M) u + czz (...).
@@ -291,8 +307,8 @@ void CellStiffness<T>::apply_add_sumfac_scalar(const la::Matrix<T>& X, la::Matri
 template <class T>
 void CellStiffness<T>::apply_add(const std::vector<T>& x, std::vector<T>& y) const {
   // Allocation-free in steady state (persistent one-column buffers). Its
-  // callers apply one vector once: the Poisson solve's Dirichlet lift and
-  // the stiffness probes of the benches.
+  // callers apply one vector once: the stiffness probes of the benches and
+  // tests.
   const index_t n = dofh_->ndofs();
   la::Matrix<T>& X = xv_.acquire(n, 1);
   la::Matrix<T>& Y = yv_.acquire_zeroed(n, 1);
@@ -306,8 +322,7 @@ void CellStiffness<T>::apply_add(const std::vector<T>& x, std::vector<T>& y) con
 template <class T>
 double CellStiffness<T>::flops_per_apply(index_t ncols) const {
   const double nd = static_cast<double>(dofh_->ndofs_per_cell());
-  const double nc = static_cast<double>(dofh_->mesh().ncells_total());
-  return 2.0 * nd * nd * ncols * nc * scalar_traits<T>::flop_factor;
+  return 2.0 * nd * nd * ncols * static_cast<double>(ncells()) * scalar_traits<T>::flop_factor;
 }
 
 template class CellStiffness<double>;

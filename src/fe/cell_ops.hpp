@@ -19,6 +19,7 @@
 // +|k|^2/2 diagonal to the cell matrices.
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "base/defs.hpp"
@@ -35,7 +36,13 @@ namespace dftfe::fe {
 template <class T>
 class CellStiffness {
  public:
+  /// The operator over every cell of the mesh.
   CellStiffness(const DofHandler& dofh, double coef_lap,
+                std::array<double, 3> kpoint = {0.0, 0.0, 0.0});
+  /// The operator over `cells` (cell ids of dofh's mesh) only, applied group
+  /// by group in list order, with their FLOPs. Operators over a split of the
+  /// cells add up to the whole; a rank-engine lane holds two.
+  CellStiffness(const DofHandler& dofh, const std::vector<index_t>& cells, double coef_lap,
                 std::array<double, 3> kpoint = {0.0, 0.0, 0.0});
 
   /// Y += A X for a block of column vectors (Y must be sized like X).
@@ -66,7 +73,16 @@ class CellStiffness {
   /// Analytic FLOP count of one block apply with `ncols` columns.
   double flops_per_apply(index_t ncols) const;
 
+  index_t ncells() const {
+    return static_cast<index_t>(cell_dof_map_.size()) / dofh_->ndofs_per_cell();
+  }
   index_t ngroups() const { return static_cast<index_t>(groups_.size()); }
+  /// Bytes of persistent scratch the applies have grown so far.
+  std::int64_t scratch_highwater_bytes() const {
+    return xc_.highwater_bytes() + yc_.highwater_bytes() + sf_u_.highwater_bytes() +
+           sf_x_.highwater_bytes() + sf_y_.highwater_bytes() + sf_z_.highwater_bytes() +
+           xv_.highwater_bytes() + yv_.highwater_bytes();
+  }
   const DofHandler& dofs() const { return *dofh_; }
 
   /// Maximum number of cells gathered at once (workspace bound); exposed so
@@ -76,13 +92,13 @@ class CellStiffness {
  private:
   struct Group {
     la::Matrix<T> A;              // dense cell matrix, ndofc x ndofc
-    std::vector<index_t> cells;   // member cell ids
+    std::vector<index_t> cells;   // member slots (rows of cell_dof_map_)
     double cxx = 0, cyy = 0, czz = 0;  // per-direction sum-factorization scales
   };
 
   const DofHandler* dofh_;
   std::vector<Group> groups_;
-  std::vector<index_t> cell_dof_map_;  // ncells * ndofc global dof ids
+  std::vector<index_t> cell_dof_map_;  // ndofc global dof ids per slot (cell list order)
   la::Matrix<double> k1_;              // 1D reference stiffness (sum factorization)
   la::Matrix<T> k1s_;                  // same, in the operator scalar type (GEMM operand)
   bool has_bloch_ = false;

@@ -9,7 +9,8 @@
 namespace dftfe::fe {
 
 PoissonSolver::PoissonSolver(const DofHandler& dofh)
-    : dofh_(&dofh), K_(dofh, 1.0), periodic_(dofh.boundary_dofs().empty()) {}
+    : dofh_(&dofh), K_(dofh, 1.0), periodic_(dofh.boundary_dofs().empty()),
+      rhs_(dofh.ndofs()), u_(dofh.ndofs()), g_(dofh.ndofs(), 1), kg_(dofh.ndofs(), 1) {}
 
 la::SolveReport PoissonSolver::serial_cg(const std::vector<double>& b, std::vector<double>& x,
                                          double tol, int maxit) const {
@@ -34,7 +35,7 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
   const auto& bmask = dofh_->boundary_mask();
   if (static_cast<index_t>(phi.size()) != n) phi.assign(n, 0.0);
 
-  std::vector<double> rhs(n);
+  std::vector<double>& rhs = rhs_;
   const double volume = dofh_->mesh().volume();
 
   if (periodic_) {
@@ -68,7 +69,9 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
   const double cy = 0.5 * (mesh.axis(1).nodes.front() + mesh.axis(1).nodes.back());
   const double cz = 0.5 * (mesh.axis(2).nodes.front() + mesh.axis(2).nodes.back());
 
-  std::vector<double> g(n, 0.0);
+  // The lift g: zero on the interior (never written), the monopole far
+  // field on the boundary rows.
+  double* g = g_.data();
   for (const index_t b : dofh_->boundary_dofs()) {
     const auto p = dofh_->dof_point(b);
     const double r = std::sqrt((p[0] - cx) * (p[0] - cx) + (p[1] - cy) * (p[1] - cy) +
@@ -76,14 +79,15 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
     g[b] = q / std::max(r, 1e-6);
   }
   // rhs = 4 pi M rho - K g on the interior; boundary handled by masking.
-  std::vector<double> Kg(n, 0.0);
-  K_.apply_add(g, Kg);
+  kg_.zero();
+  K_.apply_add(g_, kg_);
+  const double* Kg = kg_.data();
 #pragma omp parallel for
   for (index_t i = 0; i < n; ++i)
     rhs[i] = (bmask[i] != 0.0) ? 0.0 : 4.0 * kPi * mass[i] * rho[i] - Kg[i];
 
   // Interior solve with homogeneous boundary, then add the lift g.
-  std::vector<double> u(n, 0.0);
+  std::vector<double>& u = u_;
 #pragma omp parallel for
   for (index_t i = 0; i < n; ++i) u[i] = (bmask[i] != 0.0) ? 0.0 : phi[i] - g[i];
   auto rep = run_cg(rhs, u, tol, maxit);

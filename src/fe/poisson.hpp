@@ -8,7 +8,8 @@
 // through the SerialCg policy below, or in a threaded run on the lanes of a
 // bare-stiffness dd::RankEngine installed through set_cg. The policy's
 // per-iteration code lives in this header and allocates nothing; its Krylov
-// vectors are members of the solver.
+// vectors, like the solve's right-hand side and Dirichlet lift, are members
+// of the solver.
 
 #include <functional>
 #include <vector>
@@ -86,9 +87,13 @@ class PoissonSolver {
   CellStiffness<double> K_;  // coef_lap = 1
   bool periodic_;
   CgFn cg_;
-  // The serial CG's vectors r, z and its n x 1 blocks P, AP. The solve is
-  // const but reuses them, so one solver runs one solve at a time.
+  // The serial CG's vectors r, z and its n x 1 blocks P, AP, and the
+  // solve's right-hand side, CG unknown, Dirichlet lift g and K g, sized
+  // once at construction. The solve is const but reuses them, so one solver
+  // runs one solve at a time.
   mutable la::WorkMatrix<double> r_, z_, p_, ap_;
+  mutable std::vector<double> rhs_, u_;
+  mutable la::Matrix<double> g_, kg_;
 };
 
 }  // namespace dftfe::fe

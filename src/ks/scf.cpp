@@ -34,8 +34,10 @@ std::array<double, 3> min_image(const fe::Mesh& mesh, const std::array<double, 3
 
 template <class T>
 KohnShamDFT<T>::KohnShamDFT(const fe::DofHandler& dofh, std::shared_ptr<xc::XCFunctional> xcf,
-                            std::vector<KPointSample> kpts, ScfOptions opt)
-    : dofh_(&dofh), xcf_(std::move(xcf)), kpts_(std::move(kpts)), opt_(opt), poisson_(dofh) {
+                            std::vector<KPointSample> kpts, ScfOptions opt,
+                            dd::BackendOptions backend)
+    : dofh_(&dofh), xcf_(std::move(xcf)), kpts_(std::move(kpts)), opt_(opt),
+      backend_opt_(backend), poisson_(dofh) {
   // lint: allow(hot-path-alloc): one-time construction, not the SCF loop
   if (kpts_.empty()) kpts_.push_back({});
   double wsum = 0.0;
@@ -315,7 +317,7 @@ ScfResult KohnShamDFT<T>::solve() {
     Hamiltonian<T>* h = hams_[ik].get();
     // lint: allow(hot-path-alloc): per-solve setup, outside the iteration loop
     backends_.push_back(dd::make_backend<T>(
-        *dofh_, opt_.backend,
+        *dofh_, backend_opt_,
         [h](const la::Matrix<T>& A, la::Matrix<T>& B, double c, double s,
             const la::Matrix<T>* Z, double zc) { h->apply_fused(A, B, c, s, Z, zc); },
         {}, kpts_[ik].k));
@@ -329,8 +331,8 @@ ScfResult KohnShamDFT<T>::solve() {
   // (~1e-8 for FP32), above the 1e-9 Poisson tolerance — the solve would
   // stagnate and burn its full iteration budget every EP step instead of
   // converging.
-  if (opt_.backend.kind == dd::BackendKind::threaded) {
-    dd::BackendOptions es_opt = opt_.backend;
+  if (backend_opt_.kind == dd::BackendKind::threaded) {
+    dd::BackendOptions es_opt = backend_opt_;
     es_opt.wire = dd::Wire::fp64;
     // lint: allow(hot-path-alloc): per-solve setup, outside the iteration loop
     es_engine_ = std::make_unique<dd::RankEngine<double>>(*dofh_, es_opt,
@@ -341,7 +343,7 @@ ScfResult KohnShamDFT<T>::solve() {
     });
   }
   obs::MetricsRegistry::global().gauge_set(
-      "scf.backend.threaded", opt_.backend.kind == dd::BackendKind::threaded ? 1.0 : 0.0);
+      "scf.backend.threaded", backend_opt_.kind == dd::BackendKind::threaded ? 1.0 : 0.0);
   obs::MetricsRegistry::global().gauge_set("scf.backend.nlanes",
                                            static_cast<double>(backends_[0]->nlanes()));
 

@@ -58,10 +58,6 @@ struct ScfOptions {
   // true: per-iteration diagnostics log at info; false: at trace (obs/log.hpp)
   bool verbose = false;
   unsigned seed = 42;
-  // Execution backend for every solver stage (per-k ChFES cycles, density
-  // accumulation, the EP-step Poisson CG): serial (the ks-layer arithmetic)
-  // or threaded brick-rank lanes.
-  dd::BackendOptions backend;
   // End-of-iteration hook, invoked on the driver thread after iteration
   // `completed` (1-based) has fully updated the solver state (mixed density,
   // Anderson history, subspaces). save_state() is valid inside; the svc
@@ -115,8 +111,12 @@ struct ScfResult {
 template <class T>
 class KohnShamDFT {
  public:
+  /// `backend` runs every solver stage (per-k ChFES cycles, density
+  /// accumulation, the EP-step Poisson CG): serial (the ks-layer arithmetic,
+  /// the default) or threaded brick-rank lanes.
   KohnShamDFT(const fe::DofHandler& dofh, std::shared_ptr<xc::XCFunctional> xcf,
-              std::vector<KPointSample> kpts, ScfOptions opt = {});
+              std::vector<KPointSample> kpts, ScfOptions opt = {},
+              dd::BackendOptions backend = {});
 
   /// Analytic external potential mode (validation / model problems).
   void set_external_potential(std::vector<double> v_ext, double n_electrons);
@@ -173,6 +173,7 @@ class KohnShamDFT {
   std::shared_ptr<xc::XCFunctional> xcf_;
   std::vector<KPointSample> kpts_;
   ScfOptions opt_;
+  dd::BackendOptions backend_opt_;
   fe::PoissonSolver poisson_;
 
   std::vector<std::unique_ptr<Hamiltonian<T>>> hams_;

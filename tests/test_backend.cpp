@@ -263,13 +263,13 @@ ScfPair run_scf_pair(const fe::DofHandler& dofh, const ks::ScfOptions& base,
                      Wire wire = Wire::fp64) {
   ScfPair out;
   for (int pass = 0; pass < 2; ++pass) {
-    ks::ScfOptions opt = base;
+    BackendOptions backend;
     if (pass == 1) {
-      opt.backend.kind = BackendKind::threaded;
-      opt.backend.nlanes = nlanes;
-      opt.backend.wire = wire;
+      backend.kind = BackendKind::threaded;
+      backend.nlanes = nlanes;
+      backend.wire = wire;
     }
-    ks::KohnShamDFT<double> dft(dofh, xcf, {}, opt);
+    ks::KohnShamDFT<double> dft(dofh, xcf, {}, base, backend);
     if (!nuclei.empty())
       dft.set_nuclei(nuclei, nelec);
     else

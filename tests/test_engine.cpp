@@ -444,6 +444,66 @@ TEST(BrickEngine, ApplyMatchesReferenceOn3DGrids) {
   }
 }
 
+// Every other engine test runs on a uniform mesh, where each lane operator
+// holds a single geometry group. Graded on every axis, the mesh gives the
+// lanes' interface and interior cell lists up to 8 groups each, gathered in
+// another order than the serial operator's; engine apply and filter_block
+// must still match the serial Hamiltonian. On {1,1,4} the 6 z-cells split
+// into bricks of 2, 2, 1 and 1 cells: the 1-cell lanes have no interior
+// cells at all.
+TEST(BrickEngine, ApplyMatchesReferenceOnGradedMesh) {
+  const double L = 8.0;
+  auto max_abs = [](const la::Matrix<double>& A) {
+    double m = 0.0;
+    for (index_t i = 0; i < A.size(); ++i) m = std::max(m, std::abs(A.data()[i]));
+    return m;
+  };
+  for (const bool periodic : {false, true}) {
+    // Three 1-bohr cells, then three of 5/3 bohr, on each axis.
+    const fe::Axis ax = fe::make_graded_axis(L, 1.5, 1.5, 1.0, 1.7, periodic);
+    const fe::Mesh mesh(ax, ax, ax);
+    fe::DofHandler dofh(mesh, 3);
+    ASSERT_EQ(mesh.ncells_total(), 216);
+    ASSERT_EQ(fe::CellStiffness<double>(dofh, 0.5).ngroups(), 8);
+    ks::Hamiltonian<double> H(dofh);
+    H.set_potential(mg_like_potential(dofh, L));
+    la::Matrix<double> X(dofh.ndofs(), 5);
+    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.13 * i) + 0.2;
+    la::Matrix<double> Yref;
+    H.apply(X, Yref);
+    double a = 0.0, a0 = 0.0;
+    const double b = filter_bounds(H, &a, &a0);
+    SerialBackend<double> serial(
+        dofh, [&H](const la::Matrix<double>& A, la::Matrix<double>& B, double c, double sc,
+                   const la::Matrix<double>* Z, double zc) { H.apply_fused(A, B, c, sc, Z, zc); });
+    la::Matrix<double> Fref = X;
+    serial.filter_block(Fref, 0, Fref.cols(), 6, a, b, a0);
+    for (const std::array<int, 3> grid : {std::array<int, 3>{2, 1, 2},
+                                          std::array<int, 3>{1, 1, 4},
+                                          std::array<int, 3>{2, 2, 2}}) {
+      for (const auto mode : {EngineMode::sync, EngineMode::async}) {
+        BackendOptions opt;
+        opt.grid = grid;
+        opt.nlanes = grid[0] * grid[1] * grid[2];
+        opt.mode = mode;
+        opt.wire = Wire::fp64;
+        RankEngine<double> eng(dofh, opt);
+        eng.set_potential(H.potential());
+        la::Matrix<double> Y;
+        eng.apply(X, Y);
+        la::Matrix<double> F = X;
+        eng.filter_block(F, 0, F.cols(), 6, a, b, a0);
+        const std::string where = "periodic=" + std::to_string(periodic) + " grid=" +
+                                  std::to_string(grid[0]) + "x" + std::to_string(grid[1]) +
+                                  "x" + std::to_string(grid[2]) +
+                                  (mode == EngineMode::sync ? " sync" : " async");
+        EXPECT_LT(max_diff(Y, Yref), 1e-12 * max_abs(Yref)) << where;
+        EXPECT_LT(max_diff(F, Fref), 1e-12 * max_abs(Fref)) << where;
+      }
+    }
+  }
+}
+
 TEST(BrickEngine, FilteredSubspaceMatchesReferenceP3P5) {
   const double L = 8.0;
   for (const int degree_fe : {3, 5}) {

@@ -343,6 +343,44 @@ TEST(CellStiffness, ComplexKpointOperatorIsHermitianAndShiftsConstants) {
   EXPECT_NEAR(xTy.imag(), -yTx.imag(), 1e-8);
 }
 
+TEST(CellStiffness, OperatorsOverASplitOfTheCellsAddUpToTheWhole) {
+  // A graded, partly periodic mesh, its cells dealt out of order to two
+  // operators: together they must apply the whole-mesh operator (real, and
+  // complex with Bloch terms) and count its FLOPs.
+  const Mesh m(make_graded_axis(3.0, 1.0, 0.5, 0.4, 1.0), make_uniform_axis(2.0, 2, true),
+               make_graded_axis(2.5, 1.5, 0.5, 0.5, 1.0, true));
+  DofHandler dofh(m, 3);
+  std::vector<index_t> first, second;
+  for (index_t c = m.ncells_total() - 1; c >= 0; --c) (c % 3 == 1 ? first : second).push_back(c);
+  auto check = [&](auto scalar, std::array<double, 3> kpt) {
+    using T = decltype(scalar);
+    CellStiffness<T> whole(dofh, 0.5, kpt), A(dofh, first, 0.5, kpt), B(dofh, second, 0.5, kpt);
+    EXPECT_EQ(A.ncells() + B.ncells(), whole.ncells());
+    EXPECT_DOUBLE_EQ(A.flops_per_apply(4) + B.flops_per_apply(4), whole.flops_per_apply(4));
+    const index_t n = dofh.ndofs();
+    la::Matrix<T> X(n, 4), Y(n, 4), Ysplit(n, 4);
+    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = T(std::sin(0.07 * i) + 0.3);
+    whole.apply_add(X, Y);
+    A.apply_add(X, Ysplit);
+    B.apply_add(X, Ysplit);
+    double scale = 0.0;
+    for (index_t i = 0; i < Y.size(); ++i) scale = std::max(scale, std::abs(Y.data()[i]));
+    EXPECT_LT(la::max_abs_diff(Y, Ysplit), 1e-13 * scale);
+  };
+  check(0.0, {0.0, 0.0, 0.0});
+  check(complex_t{}, {0.3, -0.2, 0.1});
+  // No cells: an apply that adds nothing.
+  CellStiffness<double> none(dofh, std::vector<index_t>{}, 1.0);
+  EXPECT_EQ(none.ngroups(), 0);
+  la::Matrix<double> X(dofh.ndofs(), 2), Y(dofh.ndofs(), 2);
+  X.fill(1.0);
+  none.apply_add(X, Y);
+  EXPECT_EQ(la::max_abs_diff(Y, la::Matrix<double>(dofh.ndofs(), 2)), 0.0);
+  EXPECT_EQ(none.scratch_highwater_bytes(), 0);
+  EXPECT_THROW(CellStiffness<double>(dofh, std::vector<index_t>{m.ncells_total()}, 1.0),
+               std::invalid_argument);
+}
+
 TEST(CellStiffness, GroupsCollapseOnUniformMesh) {
   const Mesh m = make_uniform_mesh(2.0, 4, true);
   DofHandler dofh(m, 2);

@@ -3,7 +3,8 @@
 //
 //  * WorkMatrix / ensure_scratch allocation accounting,
 //  * the steady-state zero-allocation invariant of the SCF hot path
-//    (Hamiltonian applies and full ChFES cycles after warmup),
+//    (Hamiltonian applies, full ChFES cycles and Poisson solves after
+//    warmup), and the rank-engine lanes' working-set gauge,
 //  * equivalence of the fused Chebyshev apply epilogue with the plain apply,
 //  * equivalence of the public pointer-rotating filter() with a reference
 //    three-term recurrence built from plain applies,
@@ -19,12 +20,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "base/flops.hpp"
 #include "base/timer.hpp"
+#include "dd/engine.hpp"
 #include "fe/cell_ops.hpp"
+#include "fe/poisson.hpp"
 #include "ks/chfes.hpp"
 #include "ks/hamiltonian.hpp"
 #include "la/batched.hpp"
@@ -392,6 +396,70 @@ TEST(Workspace, LanczosBoundAllocatesNothingWhenWarm) {
   for (index_t i = 0; i < n; ++i) rq = std::max(rq, A(i, i));
   EXPECT_GE(bound, rq);
 #endif
+}
+
+TEST(Workspace, PoissonSolveAllocatesNothingWhenWarm) {
+#if !DFTFE_COUNT_GLOBAL_NEW
+  GTEST_SKIP() << "global operator new counting disabled under sanitizers";
+#else
+  // The right-hand side, the CG unknown and the Dirichlet lift live in the
+  // solver. The fewest calls over four warm solves must be 0: a solve may
+  // still grow the metrics series or the trace buffer geometrically.
+  for (const bool periodic : {false, true}) {
+    const fe::Mesh mesh = fe::make_uniform_mesh(10.0, 5, periodic);
+    const fe::DofHandler dofh(mesh, 4);
+    const fe::PoissonSolver poisson(dofh);
+    std::vector<double> rho(static_cast<std::size_t>(dofh.ndofs())), phi;
+    for (index_t i = 0; i < dofh.ndofs(); ++i) {
+      const auto p = dofh.dof_point(i);
+      const double r2 = (p[0] - 4.0) * (p[0] - 4.0) + (p[1] - 5.0) * (p[1] - 5.0) +
+                        (p[2] - 6.0) * (p[2] - 6.0);
+      rho[static_cast<std::size_t>(i)] = std::exp(-r2);
+    }
+    poisson.solve(rho, phi);  // sizes phi and the CG's blocks
+    std::int64_t fewest = -1;
+    for (int it = 0; it < 4; ++it) {
+      for (double& v : rho) v *= 1.05;  // a new charge: the CG iterates again
+      const std::int64_t before = g_global_new_calls.load(std::memory_order_relaxed);
+      const la::SolveReport rep = poisson.solve(rho, phi);
+      const std::int64_t calls = g_global_new_calls.load(std::memory_order_relaxed) - before;
+      EXPECT_TRUE(rep.converged);
+      EXPECT_GT(rep.iterations, 0);
+      fewest = fewest < 0 ? calls : std::min(fewest, calls);
+    }
+    EXPECT_EQ(fewest, 0) << (periodic ? "periodic" : "isolated")
+                         << " warm Poisson solve touched the heap";
+  }
+#endif
+}
+
+TEST(Workspace, LaneHighwaterCountsBothCellOperators) {
+  // An isolated 4^3-cell mesh on a {2,1,1} grid: each lane's brick is 2 x 4
+  // x 4 cells, one layer of interface cells and one of interior cells, so
+  // both of its cell operators hold cells.
+  const fe::Mesh mesh = fe::make_uniform_mesh(6.0, 4, false);
+  const fe::DofHandler dofh(mesh, 2);
+  dd::BackendOptions opt;
+  opt.grid = {2, 1, 1};
+  opt.nlanes = 2;
+  opt.wire = dd::Wire::fp64;
+  dd::RankEngine<double> eng(dofh, opt);
+  eng.set_potential(std::vector<double>(static_cast<std::size_t>(dofh.ndofs()), -0.5));
+  const index_t B = 6;
+  la::MatrixD X(dofh.ndofs(), B), Y;
+  X.fill(0.25);
+  eng.apply(X, Y);
+  // Per lane: the scaled input, the gathered input and the result
+  // (nloc x B each), and the gather and scatter chunks of the interface and
+  // the interior operator (nd x 16 cells x B each).
+  const index_t nloc = 5 * 9 * 9, nd = 27, chunk_cells = 16;
+  const std::int64_t expect =
+      static_cast<std::int64_t>((3 * nloc * B + 2 * 2 * nd * chunk_cells * B) * sizeof(double));
+  for (int r = 0; r < eng.nlanes(); ++r)
+    EXPECT_EQ(obs::MetricsRegistry::global().gauge("mem.lane" + std::to_string(r) +
+                                                   ".highwater_bytes"),
+              static_cast<double>(expect))
+        << "lane " << r;
 }
 
 // ---------- metrics and profile registries: zero-alloc string_view lookups ----------

@@ -93,9 +93,10 @@ HOT_PATH_FILES = [
     # Hamiltonian apply and per row range in every engine lane step.
     "src/fe/cell_ops.hpp",
     # The serial policy of la::pcg (fe::PoissonSolver::SerialCg): its apply
-    # and dot product run every CG iteration of a serial EP solve. The
-    # per-solve rhs / lift vectors live in fe/poisson.cpp, not listed.
+    # and dot product run every CG iteration of a serial EP solve; the solve
+    # itself runs once per SCF iteration on vectors sized at construction.
     "src/fe/poisson.hpp",
+    "src/fe/poisson.cpp",
     # Threaded rank engine (RankEngine over the brick partition): everything
     # a lane touches after startup (the per-step filter/apply path, the
     # per-neighbor run-list copies, and the mailbox transport) must be

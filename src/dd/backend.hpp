@@ -109,6 +109,20 @@ using FusedApplyFn =
     std::function<void(const la::Matrix<T>&, la::Matrix<T>&, double, double,
                        const la::Matrix<T>*, double)>;
 
+/// The DC row loop, the one both backends run: rho[i] += weight * sum_j
+/// occ[j] |X(i,j)|^2 / mass[i] on rows [r0, r1) (occupations at or below
+/// 1e-12 skipped).
+template <class T>
+inline void density_rows(const la::Matrix<T>& X, const double* occ, double weight,
+                         const double* mass, double* rho, index_t r0, index_t r1) {
+  for (index_t i = r0; i < r1; ++i) {
+    double s = 0.0;
+    for (index_t j = 0; j < X.cols(); ++j)
+      if (occ[j] > 1e-12) s += occ[j] * scalar_traits<T>::abs2(X(i, j));
+    rho[i] += weight * s / mass[i];
+  }
+}
+
 /// Execution backend for one k-point Hamiltonian. All methods must be called
 /// from one thread at a time, mirroring the engine's threading contract.
 template <class T>
@@ -184,12 +198,7 @@ class SerialBackend final : public ExecBackend<T> {
     const index_t n = X.rows();
     const double* mass = dofh_->mass().data();
 #pragma omp parallel for
-    for (index_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (index_t j = 0; j < X.cols(); ++j)
-        if (occ[j] > 1e-12) s += occ[j] * scalar_traits<T>::abs2(X(i, j));
-      rho[i] += weight * s / mass[i];
-    }
+    for (index_t i = 0; i < n; ++i) density_rows(X, occ.data(), weight, mass, rho.data(), i, i + 1);
   }
 
  private:

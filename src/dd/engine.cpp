@@ -1,10 +1,10 @@
 // Cold control plane of the threaded rank engine: lane construction (the
 // brick sub-mesh and its interface and interior cell operators, field
-// slices, run lists, mailbox wiring), the job broadcast protocol, failure
-// cascade/reset, the tree allreduce of the gram partials, and stats
-// collection. The hot per-step data plane lives inline in engine.hpp so the
-// invariant linter's no-allocation rule covers exactly the code that runs
-// per recurrence step.
+// slices, run lists, mailbox wiring), run_lanes and the job broadcast
+// protocol under it, failure cascade/reset, the tree allreduce of the gram
+// partials, and each stage: its input checks and the body it hands its
+// lanes. The per-step data plane those bodies call lives inline in
+// engine.hpp so the invariant linter's no-allocation rule covers it.
 
 #include "dd/engine.hpp"
 
@@ -56,8 +56,7 @@ template <class T>
 RankEngine<T>::~RankEngine() {
   {
     sched::LockGuard lk(mu_);
-    job_ = Job{};
-    job_.kind = JobKind::stop;
+    job_ = LaneJob{};
     ++job_seq_;
   }
   cv_job_.notify_all();
@@ -273,18 +272,38 @@ void RankEngine<T>::lane_main(int r) {
   // num_threads is a per-thread ICV, so this pins only this lane.
   omp_set_num_threads(1);
 #endif
+  Lane& ln = *lanes_[r];
   std::uint64_t seen = 0;
   for (;;) {
-    Job job;
+    LaneJob job;
     {
       sched::UniqueLock lk(mu_);
       cv_job_.wait(lk, [&] { return job_seq_ != seen; });
       seen = job_seq_;
       job = job_;
     }
-    if (job.kind == JobKind::stop) return;
+    if (job.run == nullptr) return;
     try {
-      run_job(r, job);
+      ln.job_drift = {};
+      job.run(job.body, ln);
+      if (opt_.drift_budget > 0.0) {
+        // Hard-fail the job when the relative L2 drift of this job's demoted
+        // wire values exceeds the budget. `!(x <= b)` also trips on NaN — a
+        // poisoned wire (a NaN value, or one that overflows the wire) must
+        // not pass silently. The throw rides the failure cascade below; a
+        // failed job's drift never reaches the ledger.
+        const double worst = worst_drift(ln.job_drift);
+        if (!(worst <= opt_.drift_budget))
+          throw std::runtime_error(std::string("dd::RankEngine lane ") + std::to_string(r) +
+                                   ": wire demotion drift " + std::to_string(worst) +
+                                   " exceeds drift_budget " +
+                                   std::to_string(opt_.drift_budget) + " in job '" + job.name +
+                                   "'");
+      }
+      for (std::size_t w = 0; w < ln.job_drift.size(); ++w) {
+        ln.comm.lines[w].drift_num += ln.job_drift[w].drift_num;
+        ln.comm.lines[w].drift_den += ln.job_drift[w].drift_den;
+      }
     } catch (...) {
       {
         sched::LockGuard lk(mu_);
@@ -294,7 +313,7 @@ void RankEngine<T>::lane_main(int r) {
       // blocked on us unblock and fail too — the failure cascades
       // lane-to-lane instead of deadlocking, and every lane still checks in
       // below.
-      close_lane_channels(*lanes_[r]);
+      close_lane_channels(ln);
       reduce_.close();
     }
     {
@@ -314,94 +333,41 @@ void RankEngine<T>::close_lane_channels(Lane& ln) {
 }
 
 template <class T>
-void RankEngine<T>::run_job(int r, const Job& job) {
-  Lane& ln = *lanes_[r];
-  if (job.fault_lane == r && job.fault_iter < 0)
-    throw std::runtime_error("dd::RankEngine: injected lane fault");
-  ln.job_drift = {};
-  switch (job.kind) {
-    case JobKind::apply: {
-      obs::TraceSpan span("Engine-apply", "dd", ln.rank);
-      const index_t B = job.X->cols();
-      la::Matrix<T>& Xl = ln.xb.acquire(ln.nloc, B);
-      gather_block(ln, *job.X, 0, B, Xl);
-      la::Matrix<T>& Yl = ln.yb.acquire(ln.nloc, B);
-      lane_fused_step(ln, Xl, Yl, nullptr, 0.0, 1.0, 0.0, job.mode, 0);
-      scatter_owned(ln, Yl, *job.Y, 0, B);
-      break;
+template <class Body>
+void RankEngine<T>::run_lanes(const char* name, index_t wire_cols, int nsteps,
+                              const Body& body) {
+  // Per-direction packet sizes: a face carries a full boundary plane, an
+  // edge a line, a corner a single dof — each channel is sized for exactly
+  // its shared region.
+  if (wire_cols > 0)
+    for (auto& lp : lanes_)
+      for (Neighbor& nb : lp->nb)
+        if (nb.active) nb.send->init(opt_.wire, nb.count * wire_cols);
+  for (auto& lp : lanes_)
+    if (lp->steps.size() < static_cast<std::size_t>(nsteps))
+      lp->steps.resize(static_cast<std::size_t>(nsteps));
+  submit({name, &body, [](const void* b, Lane& ln) { (*static_cast<const Body*>(b))(ln); }});
+  step_stats_.assign(static_cast<std::size_t>(nsteps), EngineStepStats{});
+  for (std::size_t k = 0; k < step_stats_.size(); ++k) {
+    EngineStepStats& st = step_stats_[k];
+    for (auto& lp : lanes_) {
+      st.compute = std::max(st.compute, lp->steps[k].compute);
+      st.wait = std::max(st.wait, lp->steps[k].wait);
+      st.modeled = std::max(st.modeled, lp->steps[k].modeled);
     }
-    case JobKind::filter:
-      lane_filter(ln, *job.Xf, job.col0, job.ncols, job.degree, job.a, job.b, job.a0,
-                  job.mode);
-      break;
-    case JobKind::gram:
-      lane_gram(ln, job);
-      break;
-    case JobKind::density:
-      lane_density(ln, job);
-      break;
-    case JobKind::pcg:
-      lane_cg(ln, job);
-      break;
-    case JobKind::pulse: {
-      // Minimal halo round: every lane posts to and receives from each
-      // active neighbor once, in the fixed direction order. Used by the
-      // fault-propagation stress tests.
-      la::Matrix<T>& Yl = ln.yb.acquire_zeroed(ln.nloc, 1);
-      for (Neighbor& nb : ln.nb) post_halo(ln, nb, Yl);
-      double waited = 0.0;
-      for (Neighbor& nb : ln.nb) waited += recv_halo(ln, nb, Yl);
-      ln.steps[0].wait = waited;
-      break;
-    }
-    default:
-      break;
   }
-  if (opt_.drift_budget > 0.0) {
-    // Hard-fail the job when the relative L2 drift of this job's demoted
-    // wire values exceeds the budget. `!(x <= b)` also trips on NaN — a
-    // poisoned wire (a NaN value, or one that overflows the wire) must not
-    // pass silently. The throw rides the existing failure cascade: mailboxes
-    // are poisoned, every lane unblocks, and the driver rethrows after
-    // resetting. A failed job's drift never reaches the ledger.
-    const double worst = worst_drift(ln.job_drift);
-    if (!(worst <= opt_.drift_budget))
-      throw std::runtime_error(std::string("dd::RankEngine lane ") + std::to_string(r) +
-                               ": wire demotion drift " + std::to_string(worst) +
-                               " exceeds drift_budget " + std::to_string(opt_.drift_budget) +
-                               " in job '" + job_name(job.kind) + "'");
-  }
-  for (std::size_t w = 0; w < ln.job_drift.size(); ++w) {
-    ln.comm.lines[w].drift_num += ln.job_drift[w].drift_num;
-    ln.comm.lines[w].drift_den += ln.job_drift[w].drift_den;
-  }
+  publish_job_metrics(nsteps);
 }
 
 template <class T>
-const char* RankEngine<T>::job_name(JobKind kind) {
-  switch (kind) {
-    case JobKind::apply: return "apply";
-    case JobKind::filter: return "filter";
-    case JobKind::gram: return "gram";
-    case JobKind::density: return "density";
-    case JobKind::pcg: return "pcg";
-    case JobKind::pulse: return "pulse";
-    case JobKind::stop: return "stop";
-    default: return "none";
-  }
-}
-
-template <class T>
-void RankEngine<T>::submit(Job job) {
-  job.mode = opt_.mode;
+void RankEngine<T>::submit(const LaneJob& job) {
   sched::UniqueLock lk(mu_);
   if (job_active_) {
     // A second submit while a job is in flight would overwrite job_ and
     // done_count_ under the lanes, turning into a silent mailbox deadlock.
     // Fail loudly instead, naming both jobs; the in-flight job is untouched.
-    throw std::logic_error(std::string("dd::RankEngine::submit: job '") +
-                           job_name(job.kind) + "' submitted while job '" +
-                           job_name(job_.kind) +
+    throw std::logic_error(std::string("dd::RankEngine::submit: job '") + job.name +
+                           "' submitted while job '" + job_.name +
                            "' is in flight (public entry points must be called "
                            "from one driver thread at a time)");
   }
@@ -426,36 +392,6 @@ void RankEngine<T>::submit(Job job) {
 }
 
 template <class T>
-void RankEngine<T>::ensure_wire_capacity(index_t ncols) {
-  // Per-direction packet sizes: a face carries a full boundary plane, an
-  // edge a line, a corner a single dof — each channel is sized for exactly
-  // its shared region.
-  for (auto& lp : lanes_)
-    for (Neighbor& nb : lp->nb)
-      if (nb.active) nb.send->init(opt_.wire, nb.count * ncols);
-}
-
-template <class T>
-void RankEngine<T>::ensure_step_storage(int nsteps) {
-  for (auto& ln : lanes_)
-    if (ln->steps.size() < static_cast<std::size_t>(nsteps))
-      ln->steps.resize(static_cast<std::size_t>(nsteps));
-}
-
-template <class T>
-void RankEngine<T>::collect_step_stats(int nsteps) {
-  step_stats_.assign(static_cast<std::size_t>(nsteps), EngineStepStats{});
-  for (int k = 0; k < nsteps; ++k) {
-    EngineStepStats& st = step_stats_[static_cast<std::size_t>(k)];
-    for (auto& ln : lanes_) {
-      st.compute = std::max(st.compute, ln->steps[static_cast<std::size_t>(k)].compute);
-      st.wait = std::max(st.wait, ln->steps[static_cast<std::size_t>(k)].wait);
-      st.modeled = std::max(st.modeled, ln->steps[static_cast<std::size_t>(k)].modeled);
-    }
-  }
-}
-
-template <class T>
 void RankEngine<T>::publish_job_metrics(int nsteps) {
   obs::MetricsRegistry& m = obs::MetricsRegistry::global();
   CommStats job, total;  // this job's traffic, and all traffic since the last clear
@@ -466,8 +402,7 @@ void RankEngine<T>::publish_job_metrics(int nsteps) {
     job += d;
     total += ln.comm;
     double wait = 0.0;
-    for (int k = 0; k < nsteps && k < static_cast<int>(ln.steps.size()); ++k)
-      wait += ln.steps[static_cast<std::size_t>(k)].wait;
+    for (int k = 0; k < nsteps; ++k) wait += ln.steps[static_cast<std::size_t>(k)].wait;
     exposed += wait;
     m.counter_add(ln.metric_bytes, static_cast<double>(d.bytes()));
     m.counter_add(ln.metric_messages, static_cast<double>(d.messages));
@@ -518,40 +453,32 @@ template <class T>
 void RankEngine<T>::apply(const la::Matrix<T>& X, la::Matrix<T>& Y) {
   if (X.rows() != dofh_->ndofs())
     throw std::invalid_argument("RankEngine::apply: row count mismatch");
-  Y.reshape(X.rows(), X.cols());
-  ensure_wire_capacity(X.cols());
-  ensure_step_storage(1);
-  Job j;
-  j.kind = JobKind::apply;
-  j.X = &X;
-  j.Y = &Y;
-  submit(j);
-  collect_step_stats(1);
-  publish_job_metrics(1);
+  const index_t B = X.cols();
+  Y.reshape(X.rows(), B);
+  if (B == 0) return;  // nothing to apply (and a wire width of 0 sizes nothing)
+  run_lanes("apply", B, 1, [&](Lane& ln) {
+    obs::TraceSpan span("Engine-apply", "dd", ln.rank);
+    la::Matrix<T>& Xl = ln.xb.acquire(ln.nloc, B);
+    gather_block(ln, X, 0, B, Xl);
+    la::Matrix<T>& Yl = ln.yb.acquire(ln.nloc, B);
+    ln.steps[0] = lane_fused_step(ln, Xl, Yl, nullptr, 0.0, 1.0, 0.0);
+    scatter_owned(ln, Yl, Y, 0, B);
+  });
 }
 
 template <class T>
 void RankEngine<T>::filter_block(la::Matrix<T>& X, index_t col0, index_t ncols,
                                  int degree, double a, double b, double a0) {
+  if (op_ != Operator::hamiltonian)
+    throw std::logic_error(
+        "RankEngine::filter_block: needs a Hamiltonian engine (dd::Operator::hamiltonian)");
   if (X.rows() != dofh_->ndofs())
     throw std::invalid_argument("RankEngine::filter_block: row count mismatch");
   if (col0 < 0 || ncols < 1 || col0 + ncols > X.cols())
     throw std::invalid_argument("RankEngine::filter_block: bad column range");
   if (degree < 1) throw std::invalid_argument("RankEngine::filter_block: degree >= 1");
-  ensure_wire_capacity(ncols);
-  ensure_step_storage(degree);
-  Job j;
-  j.kind = JobKind::filter;
-  j.Xf = &X;
-  j.col0 = col0;
-  j.ncols = ncols;
-  j.degree = degree;
-  j.a = a;
-  j.b = b;
-  j.a0 = a0;
-  submit(j);
-  collect_step_stats(degree);
-  publish_job_metrics(degree);
+  run_lanes("filter", ncols, degree,
+            [&](Lane& ln) { lane_filter(ln, X, col0, ncols, degree, a, b, a0); });
 }
 
 template <class T>
@@ -561,51 +488,8 @@ void RankEngine<T>::overlap(const la::Matrix<T>& A, const la::Matrix<T>& B,
     throw std::invalid_argument("RankEngine::overlap: row count mismatch");
   if (A.cols() != B.cols())
     throw std::invalid_argument("RankEngine::overlap: column count mismatch");
-  ensure_step_storage(1);
-  Job j;
-  j.kind = JobKind::gram;
-  j.X = &A;
-  j.B2 = &B;
-  j.mp_block = mp_block;
-  j.mixed = mixed;
-  submit(j);
-  collect_step_stats(1);
+  run_lanes("gram", 0, 1, [&](Lane& ln) { lane_gram(ln, A, B, mp_block, mixed); });
   const index_t N = A.cols();
-  // Multi-lane mixed gram reduction over the FP32 gram wire: before the
-  // tree sum, each entry of a lane's strictly-upper off-diagonal tiles
-  // round-trips through the FP32 codec — the values genuinely pass through
-  // the reduced precision whose bytes lane_gram accounts in the allreduce
-  // payload. The gram wire is FP32 even under a BF16 halo wire (the paper's
-  // mixed-precision CholGS/RR communication is FP32); diagonal blocks travel
-  // in full precision, preserving the FP64 completion. Single-lane and FP64
-  // runs keep today's bitwise path. Drift feeds the lane's FP32 ledger line
-  // like the halo wire (lanes are parked here, so the driver may write their
-  // ledgers), and is published with this job's metrics below.
-  if (mixed && opt_.wire != Wire::fp64 && lanes_.size() > 1) {
-    using Fp32 = WireCodec<Wire::fp32, T>;
-    const index_t nb = std::max<index_t>(1, std::min(mp_block, N));
-    for (auto& lp : lanes_) {
-      WireLine& line = lp->comm.line(Wire::fp32);
-      T* G = lp->gram.get().data();
-      for (index_t J = 0; J < N; J += nb) {
-        const index_t nj = std::min(nb, N - J);
-        for (index_t I = 0; I < J; I += nb) {
-          const index_t ni = std::min(nb, N - I);
-          for (index_t jj = 0; jj < nj; ++jj)
-            for (index_t ii = 0; ii < ni; ++ii) {
-              T& x = G[(I + ii) + (J + jj) * N];
-              typename Fp32::unit unit[Fp32::units];
-              Fp32::store(x, unit);
-              const T rt = Fp32::load(unit);
-              line.drift_num += scalar_traits<T>::abs2(x - rt);
-              line.drift_den += scalar_traits<T>::abs2(x);
-              x = rt;
-            }
-        }
-      }
-    }
-  }
-  publish_job_metrics(1);
   // Tree allreduce of the brick partials: stride-doubling pairwise sums over
   // the lane grid — the deterministic log2-depth association order a real
   // recursive-doubling allreduce pins down (and the one
@@ -643,16 +527,16 @@ void RankEngine<T>::accumulate_density(const la::Matrix<T>& X,
     throw std::invalid_argument("RankEngine::accumulate_density: occupations too short");
   if (static_cast<index_t>(rho.size()) != dofh_->ndofs())
     throw std::invalid_argument("RankEngine::accumulate_density: rho size mismatch");
-  ensure_step_storage(1);
-  Job j;
-  j.kind = JobKind::density;
-  j.X = &X;
-  j.occ = &occ;
-  j.weight = weight;
-  j.rho = &rho;
-  submit(j);
-  collect_step_stats(1);
-  publish_job_metrics(1);
+  // Each lane runs the serial DC row loop over its owned (disjoint) rows of
+  // the global density, so the threaded density is bitwise the serial one.
+  run_lanes("density", 0, 1, [&](Lane& ln) {
+    obs::TraceSpan span("DC-lane", "dd", ln.rank);
+    Timer tstep;
+    for (const Run& rn : ln.owned_runs)
+      density_rows(X, occ.data(), weight, dofh_->mass().data(), rho.data(), rn.dst,
+                   rn.dst + rn.len);
+    ln.steps[0] = {tstep.seconds(), 0.0, 0.0};
+  });
 }
 
 template <class T>
@@ -667,20 +551,22 @@ la::SolveReport RankEngine<T>::pcg(const std::vector<T>& b, std::vector<T>& x, d
   for (const index_t i : dofh_->boundary_dofs())
     if (b[static_cast<std::size_t>(i)] != T{})
       throw std::invalid_argument("RankEngine::pcg: b must vanish on the Dirichlet rows");
-  ensure_wire_capacity(1);
-  ensure_step_storage(2);  // steps[0]: job totals, steps[1]: per-apply scratch
-  Job j;
-  j.kind = JobKind::pcg;
-  j.vb = &b;
-  j.vx = &x;
-  j.tol = tol;
-  j.maxit = maxit;
-  j.fault_lane = pcg_fault_lane_;
-  j.fault_iter = pcg_fault_iter_;
+  const int fault_lane = pcg_fault_lane_, fault_iter = pcg_fault_iter_;
   pcg_fault_lane_ = pcg_fault_iter_ = -1;
-  submit(j);
-  collect_step_stats(1);
-  publish_job_metrics(1);
+  // Each lane gathers its rows of b and x, runs la::pcg over its local rows
+  // (owned + ghost) with the lane policy, and scatters its owned rows of x.
+  run_lanes("pcg", 1, 1, [&](Lane& ln) {
+    obs::TraceSpan span("EP-lane", "dd", ln.rank);
+    const index_t nl = ln.nloc;
+    la::Matrix<T>& V = ln.cg.acquire(nl, 4);
+    gather_rows(ln, b.data(), V.col(0));
+    gather_rows(ln, x.data(), V.col(1));
+    ln.steps[0] = EngineStepStats{};
+    LaneCg pol{*this, ln, fault_lane, fault_iter};
+    ln.pcg_rep = la::pcg(pol, ln.kdiag.data(), V.col(0), V.col(1), V.col(2), V.col(3),
+                         ln.xb.acquire(nl, 1), ln.yb.acquire(nl, 1), tol, maxit);
+    scatter_rows(ln, V.col(1), x.data());
+  });
   // Every lane exits on the same bitwise-identical reduced residual; a
   // disagreement would mean the reduction plane is broken.
   const la::SolveReport rep = lanes_[0]->pcg_rep;
@@ -711,12 +597,14 @@ template <class T>
 void RankEngine<T>::debug_fault(int lane) {
   if (lane < 0 || lane >= nlanes())
     throw std::invalid_argument("RankEngine::debug_fault: bad lane");
-  ensure_wire_capacity(1);
-  ensure_step_storage(1);
-  Job j;
-  j.kind = JobKind::pulse;
-  j.fault_lane = lane;
-  submit(j);
+  // A minimal halo round: every lane but `lane` posts to and receives from
+  // each active neighbor once, in the fixed direction order.
+  run_lanes("debug_fault", 1, 1, [&](Lane& ln) {
+    if (ln.rank == lane) throw std::runtime_error("dd::RankEngine: injected lane fault");
+    la::Matrix<T>& Yl = ln.yb.acquire_zeroed(ln.nloc, 1);
+    for (Neighbor& nb : ln.nb) post_halo(ln, nb, Yl);
+    for (Neighbor& nb : ln.nb) recv_halo(ln, nb, Yl);
+  });
 }
 
 template <class T>

@@ -67,7 +67,9 @@
 // Gram reductions (CholGS/RR) combine the per-lane partial Gram blocks with
 // a stride-doubling *tree* allreduce — log2-depth pairwise sums over the
 // lane grid, the association order CommModel::allreduce_time charges for —
-// instead of a flat all-to-lane-0 sum.
+// instead of a flat all-to-lane-0 sum. With more than one lane on a lossy
+// halo wire, a mixed overlap's off-diagonal tiles travel the FP32 gram wire,
+// drift budget-checked on the lane like a halo value's.
 //
 // The EP-step Poisson solve runs lane-resident (pcg, bare-stiffness engines
 // only): ONE job runs the whole Jacobi-preconditioned CG, so the lanes never
@@ -85,6 +87,12 @@
 // ("PCG-reduce" spans) plus one halo round; the job ends with each lane
 // scattering its owned rows of x. A failing lane poisons the barrier along
 // with its mailboxes, so the failure cascades through both planes.
+//
+// Every stage is its input checks plus one run_lanes call, the one path to
+// the lanes: it sizes the wire and the step storage, hands each lane the
+// stage's body as a LaneJob (a borrowed pointer and a function-pointer
+// trampoline, so a job allocates nothing), checks each lane's wire drift
+// against the budget, collects the step stats and publishes the metrics.
 //
 // Threading contract: lanes pin their OpenMP team to one thread (the GEMM
 // kernels' inner `parallel for` would otherwise oversubscribe), so
@@ -240,29 +248,6 @@ class RankEngine final : public ExecBackend<T> {
     return opp < 13 ? opp : opp - 1;
   }
 
-  enum class JobKind { none, apply, filter, gram, density, pcg, pulse, stop };
-  struct Job {
-    JobKind kind = JobKind::none;
-    EngineMode mode = EngineMode::sync;
-    const la::Matrix<T>* X = nullptr;  // apply / gram / density input
-    la::Matrix<T>* Y = nullptr;        // apply output
-    la::Matrix<T>* Xf = nullptr;       // filter in/out
-    const la::Matrix<T>* B2 = nullptr;           // gram second factor
-    index_t mp_block = 64;                       // gram mixed-precision tile
-    bool mixed = false;                          // gram FP32 off-diagonal
-    const std::vector<double>* occ = nullptr;    // density occupations
-    double weight = 1.0;                         // density k-point weight
-    std::vector<double>* rho = nullptr;          // density accumulator
-    const std::vector<T>* vb = nullptr;          // pcg right-hand side
-    std::vector<T>* vx = nullptr;                // pcg initial guess / solution
-    double tol = 0.0;                            // pcg relative residual target
-    int maxit = 0;                               // pcg iteration cap
-    index_t col0 = 0, ncols = 0;
-    int degree = 0;
-    double a = 0.0, b = 0.0, a0 = 0.0;
-    int fault_lane = -1;
-    int fault_iter = -1;  // >= 0: pcg iteration at which fault_lane throws
-  };
   /// A maximal row range that is contiguous on both of its sides (copy /
   /// packet / global indices advance in lockstep). Built cold in engine.cpp;
   /// the hot path only walks the lists.
@@ -278,6 +263,8 @@ class RankEngine final : public ExecBackend<T> {
     index_t count = 0;                 // shared-region values per column
     std::vector<Run> runs;             // dst: packet offset, src: lane-local row
   };
+  /// One brick rank. During a job only its own thread touches it, running
+  /// the job's body; the engine's owning thread reads it between jobs.
   struct Lane {
     int rank = 0;                      // brick rank (= lane index, trace dim)
     std::array<index_t, 3> m{0, 0, 0};    // local dof extent per axis (closed box)
@@ -301,12 +288,12 @@ class RankEngine final : public ExecBackend<T> {
     la::WorkMatrix<T> gram;            // brick-local partial Gram block (N x N)
     la::WorkMatrix<T> cg;              // pcg vectors b, x, r, z (p, Ap live in xb, yb)
     la::SolveReport pcg_rep;           // this lane's view of the last pcg job
-    std::vector<EngineStepStats> steps;
+    std::vector<EngineStepStats> steps;  // this job's per-step timings
     CommStats comm;
-    // This job's halo demotion drift, per wire format: checked against the
-    // drift budget when the job ends, then folded into `comm`. The ledger is
-    // cumulative, so a check on its deltas would carry one job's NaN into
-    // every later job.
+    // This job's demotion drift on the halo and gram wires, per format:
+    // checked against the drift budget when the job ends, then folded into
+    // `comm`. The ledger is cumulative, so a check on its deltas would carry
+    // one job's NaN into every later job.
     std::array<WireLine, kWires> job_drift{};
     // Snapshot of comm at the last publish_job_metrics call, so the
     // registry counters receive exact per-job deltas.
@@ -317,16 +304,25 @@ class RankEngine final : public ExecBackend<T> {
     std::thread th;
   };
 
+  /// One job as the lanes see it: the stage's body, borrowed from the
+  /// stage's stack frame for the length of the job, and a plain trampoline
+  /// that runs it on one lane. `name` labels the job in the submit-guard and
+  /// drift-budget messages; a null `run` stops the lanes.
+  struct LaneJob {
+    const char* name = nullptr;
+    const void* body = nullptr;
+    void (*run)(const void* body, Lane& ln) = nullptr;
+  };
+
   // --- cold control plane (engine.cpp) ---------------------------------
   void build_lanes(const std::array<double, 3>& kpoint);
   void start_lanes();
   void lane_main(int r);
-  void run_job(int r, const Job& job);
-  void submit(Job job);
-  static const char* job_name(JobKind kind);
-  void ensure_wire_capacity(index_t ncols);
-  void ensure_step_storage(int nsteps);
-  void collect_step_stats(int nsteps);
+  /// Run `body(lane)` on every lane as one job (see the header comment);
+  /// `wire_cols` 0 leaves the wire as it is.
+  template <class Body>
+  void run_lanes(const char* name, index_t wire_cols, int nsteps, const Body& body);
+  void submit(const LaneJob& job);
   /// Push this job's comm/memory deltas into MetricsRegistry::global() under
   /// the RunReport ledger vocabulary (driver thread, after the job synced).
   void publish_job_metrics(int nsteps);
@@ -414,41 +410,29 @@ class RankEngine final : public ExecBackend<T> {
 
   /// The fused epilogue on rows [r0, r1): a Hamiltonian lane runs
   /// fe::ks_nodal_rows on each column (the arithmetic of
-  /// ks::Hamiltonian::apply_fused, on the lane's field slices).
+  /// ks::Hamiltonian::apply_fused, on the lane's field slices). The bare
+  /// stiffness has none: filter_block rejects its engines.
   void epilogue_rows(Lane& ln, const la::Matrix<T>& Xl, la::Matrix<T>& Yl,
                      const la::Matrix<T>* Zl, double c, double scale, double zc,
                      index_t r0, index_t r1) {
-    if (r0 >= r1) return;
-    const index_t B = Xl.cols();
-    if (op_ == Operator::hamiltonian) {
-      for (index_t j = 0; j < B; ++j)
-        fe::ks_nodal_rows<T>(fe::KsNodal::epilogue, ln.ims.data(), ln.veff.data(),
-                             ln.bmask.data(), Xl.col(j), Yl.col(j),
-                             Zl != nullptr ? Zl->col(j) : nullptr, c, scale, zc, r0, r1);
-      return;
-    }
-    // Bare stiffness: identity epilogue for a plain apply, shift-scale
-    // otherwise (so the filter recurrence still works on e.g. the Poisson
-    // operator).
-    if (Zl == nullptr && c == 0.0 && scale == 1.0) return;
-    for (index_t j = 0; j < B; ++j)
-      for (index_t i = r0; i < r1; ++i) {
-        const T zterm = (Zl != nullptr) ? T(zc) * (*Zl)(i, j) : T{};
-        Yl(i, j) = T(scale) * (Yl(i, j) - T(c) * Xl(i, j)) - zterm;
-      }
+    if (op_ != Operator::hamiltonian) return;
+    for (index_t j = 0; j < Xl.cols(); ++j)
+      fe::ks_nodal_rows<T>(fe::KsNodal::epilogue, ln.ims.data(), ln.veff.data(),
+                           ln.bmask.data(), Xl.col(j), Yl.col(j),
+                           Zl != nullptr ? Zl->col(j) : nullptr, c, scale, zc, r0, r1);
   }
 
   /// One fused operator step Yl = scale*(op Xl - c Xl) - zc Zl on the lane's
   /// brick, including the halo exchange of interface partial sums with every
   /// active neighbor. Sync and async modes execute identical arithmetic in
   /// the same fixed neighbor order; only the receive position differs (see
-  /// the schedule in the header comment).
-  void lane_fused_step(Lane& ln, const la::Matrix<T>& Xl, la::Matrix<T>& Yl,
-                       const la::Matrix<T>* Zl, double c, double scale, double zc,
-                       EngineMode mode, int step) {
+  /// the schedule in the header comment). Returns the step's timings.
+  EngineStepStats lane_fused_step(Lane& ln, const la::Matrix<T>& Xl, la::Matrix<T>& Yl,
+                                  const la::Matrix<T>* Zl, double c, double scale, double zc) {
     Timer tstep;
     double waited = 0.0;
     const double modeled0 = ln.comm.modeled_seconds;
+    const EngineMode mode = opt_.mode;
     const index_t nloc = ln.nloc, B = Xl.cols();
     la::Matrix<T>& S = ln.sl.acquire(nloc, B);
     if (op_ == Operator::hamiltonian) {
@@ -475,10 +459,7 @@ class RankEngine final : public ExecBackend<T> {
       for (Neighbor& nb : ln.nb) waited += recv_halo(ln, nb, Yl);
     for (const auto& [r0, r1] : ln.shell_rows)
       epilogue_rows(ln, Xl, Yl, Zl, c, scale, zc, r0, r1);
-    EngineStepStats& st = ln.steps[static_cast<std::size_t>(step)];
-    st.wait = waited;
-    st.compute = tstep.seconds() - waited;
-    st.modeled = ln.comm.modeled_seconds - modeled0;
+    return {tstep.seconds() - waited, waited, ln.comm.modeled_seconds - modeled0};
   }
 
   /// Copy the lane's local rows (owned + ghost) of one global column.
@@ -511,7 +492,7 @@ class RankEngine final : public ExecBackend<T> {
   /// la::chebyshev_filter on the lane's brick, each step one
   /// lane_fused_step (halo exchange included, step k timed into steps[k]).
   void lane_filter(Lane& ln, la::Matrix<T>& X, index_t col0, index_t ncols, int degree,
-                   double a, double b, double a0, EngineMode mode) {
+                   double a, double b, double a0) {
     obs::TraceSpan span("CF-lane", "dd", ln.rank);
     const index_t nloc = ln.nloc;
     la::Matrix<T>& Xb = ln.xb.acquire(nloc, ncols);
@@ -522,7 +503,7 @@ class RankEngine final : public ExecBackend<T> {
         &Xb, &Yb, &Zb, degree, a, b, a0,
         [&](const la::Matrix<T>& In, la::Matrix<T>& Out, const la::Matrix<T>* Z, double c,
             double scale, double zc, int k) {
-          lane_fused_step(ln, In, Out, Z, c, scale, zc, mode, k);
+          ln.steps[static_cast<std::size_t>(k)] = lane_fused_step(ln, In, Out, Z, c, scale, zc);
         });
     scatter_owned(ln, *R, X, col0, ncols);
   }
@@ -530,20 +511,22 @@ class RankEngine final : public ExecBackend<T> {
   /// Brick-local partial Gram block: the upper block triangle of
   /// A_r^H B_r over this lane's owned rows, gathered into lane-local panels
   /// and written into the lane's persistent gram buffer. The FP32
-  /// off-diagonal policy matches the undecomposed overlap. The modeled
-  /// interconnect cost of the subsequent log2-depth tree allreduce is
-  /// accounted per lane (stats only — the actual reduction is the driver's
-  /// deterministic stride-doubling sum in shared memory).
-  void lane_gram(Lane& ln, const Job& job) {
+  /// off-diagonal policy matches the undecomposed overlap, and on the FP32
+  /// gram wire each off-diagonal entry round-trips through its codec. The
+  /// modeled interconnect cost of the subsequent log2-depth tree allreduce
+  /// is accounted per lane (stats only — the actual reduction is
+  /// overlap()'s deterministic stride-doubling sum in shared memory).
+  void lane_gram(Lane& ln, const la::Matrix<T>& A, const la::Matrix<T>& B, index_t mp_block,
+                 bool mixed) {
     obs::TraceSpan span("Gram-lane", "dd", ln.rank);
     Timer tstep;
-    const index_t N = job.X->cols();
+    const index_t N = A.cols();
     la::Matrix<T>& S = ln.gram.acquire_zeroed(N, N);
     la::Matrix<T>& GA = ln.ga.acquire(ln.nown, N);
     la::Matrix<T>& GB = ln.gb.acquire(ln.nown, N);
     for (index_t j = 0; j < N; ++j) {
-      const T* a = job.X->col(j);
-      const T* b2 = job.B2->col(j);
+      const T* a = A.col(j);
+      const T* b2 = B.col(j);
       T* ga = GA.col(j);
       T* gb = GB.col(j);
       index_t p = 0;
@@ -553,17 +536,30 @@ class RankEngine final : public ExecBackend<T> {
         p += rn.len;
       }
     }
-    la::overlap_hermitian_partial(GA, GB, S, job.mp_block, job.mixed);
+    la::overlap_hermitian_partial(GA, GB, S, mp_block, mixed);
     // Allreduce payload: one logical message. With the mixed policy the
     // diagonal blocks travel in full precision and the off-diagonal triangle
     // in FP32 (two ledger lines), mirroring the paper's mixed-precision
     // CholGS/RR communication.
     std::int64_t elems64 = static_cast<std::int64_t>(N) * N, elems32 = 0;
-    if (job.mixed) {
+    if (mixed) {
+      using Fp32 = WireCodec<Wire::fp32, T>;
+      const bool wire32 = opt_.wire != Wire::fp64 && lanes_.size() > 1;
+      WireLine& line = ln.job_drift[static_cast<std::size_t>(Wire::fp32)];
+      const index_t nb = std::max<index_t>(1, std::min(mp_block, N));
       std::int64_t diag = 0;
-      for (index_t b0 = 0; b0 < N; b0 += job.mp_block) {
-        const std::int64_t w = std::min(job.mp_block, N - b0);
-        diag += w * w;
+      for (index_t J = 0; J < N; J += nb) {
+        const index_t nj = std::min(nb, N - J);
+        diag += nj * nj;
+        for (index_t j = J; wire32 && j < J + nj; ++j)
+          for (index_t i = 0; i < J; ++i) {
+            typename Fp32::unit u[Fp32::units];
+            Fp32::store(S(i, j), u);
+            const T rt = Fp32::load(u);
+            line.drift_num += scalar_traits<T>::abs2(S(i, j) - rt);
+            line.drift_den += scalar_traits<T>::abs2(S(i, j));
+            S(i, j) = rt;
+          }
       }
       elems32 = elems64 - diag;
       elems64 = diag;
@@ -576,36 +572,7 @@ class RankEngine final : public ExecBackend<T> {
     const double modeled =
         opt_.model.allreduce_time(bytes64 + bytes32, static_cast<int>(lanes_.size()));
     ln.comm.modeled_seconds += modeled;
-    EngineStepStats& st = ln.steps[0];
-    st.wait = 0.0;
-    st.compute = tstep.seconds();
-    st.modeled = modeled;
-  }
-
-  /// Brick-local density accumulation: rho[g] += weight * sum_j occ_j
-  /// |X(g,j)|^2 / mass[g] over this lane's owned (disjoint) rows — per-row
-  /// arithmetic identical to the serial DC loop, so the threaded density is
-  /// bitwise equal given the same subspace. The halo-reduced quadrature sums
-  /// (density normalization / residual norms) stay driver-side: they read
-  /// the fully assembled rho.
-  void lane_density(Lane& ln, const Job& job) {
-    obs::TraceSpan span("DC-lane", "dd", ln.rank);
-    Timer tstep;
-    const la::Matrix<T>& X = *job.X;
-    const std::vector<double>& f = *job.occ;
-    const double* mass = dofh_->mass().data();
-    double* rho = job.rho->data();
-    for (const Run& rn : ln.owned_runs)
-      for (index_t i = rn.dst; i < rn.dst + rn.len; ++i) {
-        double s = 0.0;
-        for (index_t j = 0; j < X.cols(); ++j)
-          if (f[j] > 1e-12) s += f[j] * scalar_traits<T>::abs2(X(i, j));
-        rho[i] += job.weight * s / mass[i];
-      }
-    EngineStepStats& st = ln.steps[0];
-    st.wait = 0.0;
-    st.compute = tstep.seconds();
-    st.modeled = 0.0;
+    ln.steps[0] = {tstep.seconds(), 0.0, modeled};
   }
 
   /// Real part of sum conj(a_i) b_i over this lane's owned rows — each
@@ -636,18 +603,17 @@ class RankEngine final : public ExecBackend<T> {
   /// la::pcg's lane policy: the stiffness on the lane's brick (halo
   /// exchange included) with the Dirichlet rows of input and output zeroed,
   /// dot products over owned rows, completed by lane_allreduce. Each apply's
-  /// timings accumulate into steps[0] (steps[1] is the per-apply scratch).
-  /// Ghost rows run the same elementwise updates with the same alpha and
-  /// beta, so they track their owners' values and the next apply sees a
-  /// consistent p.
+  /// timings accumulate into steps[0]. Ghost rows run the same elementwise
+  /// updates with the same alpha and beta, so they track their owners'
+  /// values and the next apply sees a consistent p.
   struct LaneCg {
     RankEngine& eng;
     Lane& ln;
-    const Job& job;
+    int fault_lane, fault_iter;  // debug_fault_pcg arming of this job
     int iteration = -1;  // CG iteration of the next apply (-1: the initial residual)
 
     void apply(la::Matrix<T>& P, la::Matrix<T>& AP) {
-      if (iteration == job.fault_iter && ln.rank == job.fault_lane)
+      if (iteration == fault_iter && ln.rank == fault_lane)
         throw std::runtime_error("dd::RankEngine: injected lane fault in pcg");
       ++iteration;
       const double* bm = ln.bmask.data();
@@ -655,8 +621,7 @@ class RankEngine final : public ExecBackend<T> {
       T* ap = AP.data();
       for (index_t i = 0; i < ln.nloc; ++i)
         if (bm[i] != 0.0) p[i] = T{};
-      eng.lane_fused_step(ln, P, AP, nullptr, 0.0, 1.0, 0.0, job.mode, 1);
-      const EngineStepStats& st = ln.steps[1];
+      const EngineStepStats st = eng.lane_fused_step(ln, P, AP, nullptr, 0.0, 1.0, 0.0);
       EngineStepStats& acc = ln.steps[0];
       acc.compute += st.compute;
       acc.wait += st.wait;
@@ -669,24 +634,6 @@ class RankEngine final : public ExecBackend<T> {
     index_t owned_rows() const { return ln.nown; }
   };
 
-  /// The pcg job on one lane: gather its rows of b and x, run la::pcg over
-  /// its local rows (owned + ghost) with the lane policy, scatter its owned
-  /// rows of x.
-  void lane_cg(Lane& ln, const Job& job) {
-    obs::TraceSpan span("EP-lane", "dd", ln.rank);
-    const index_t n = ln.nloc;
-    la::Matrix<T>& V = ln.cg.acquire(n, 4);
-    T* b = V.col(0);
-    T* x = V.col(1);
-    gather_rows(ln, job.vb->data(), b);
-    gather_rows(ln, job.vx->data(), x);
-    ln.steps[0] = EngineStepStats{};
-    LaneCg pol{*this, ln, job};
-    ln.pcg_rep = la::pcg(pol, ln.kdiag.data(), b, x, V.col(2), V.col(3), ln.xb.acquire(n, 1),
-                         ln.yb.acquire(n, 1), job.tol, job.maxit);
-    scatter_rows(ln, x, job.vx->data());
-  }
-
   const fe::DofHandler* dofh_;
   BackendOptions opt_;
   Operator op_;
@@ -697,7 +644,7 @@ class RankEngine final : public ExecBackend<T> {
   int pcg_fault_lane_ = -1, pcg_fault_iter_ = -1;  // debug_fault_pcg arming
   std::vector<EngineStepStats> step_stats_;
 
-  // Job broadcast protocol: the driver publishes a Job under mu_ and bumps
+  // Job broadcast protocol: submit publishes a LaneJob under mu_ and bumps
   // job_seq_; parked lanes copy it and run; the driver sleeps on cv_done_
   // until every lane checked in (lane writes to their Lane state are
   // published to the driver by that same mutex). job_active_ guards against
@@ -709,7 +656,7 @@ class RankEngine final : public ExecBackend<T> {
   // explorable by the same checker that owns the mailbox schedules.
   sched::Mutex mu_;
   sched::CondVar cv_job_, cv_done_;
-  Job job_;
+  LaneJob job_;
   std::uint64_t job_seq_ = 0;
   int done_count_ = 0;
   bool job_active_ = false;

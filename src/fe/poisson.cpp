@@ -41,29 +41,21 @@ la::SolveReport PoissonSolver::solve(const std::vector<double>& rho, std::vector
   if (periodic_) {
     // Neutralizing background: remove the mean charge so K phi = rhs is
     // consistent; gauge-fix phi to zero mean afterwards.
-    double q = 0.0;
-#pragma omp parallel for reduction(+ : q)
-    for (index_t i = 0; i < n; ++i) q += mass[i] * rho[i];
-    const double mean = q / volume;
+    const double mean = dofh_->integrate(rho) / volume;
 #pragma omp parallel for
     for (index_t i = 0; i < n; ++i) rhs[i] = 4.0 * kPi * mass[i] * (rho[i] - mean);
 
     auto rep = run_cg(rhs, phi, tol, maxit);
     obs::MetricsRegistry::global().series_append("poisson.iterations", rep.iterations);
     // Remove the constant nullspace component.
-    double pmean = 0.0;
-#pragma omp parallel for reduction(+ : pmean)
-    for (index_t i = 0; i < n; ++i) pmean += mass[i] * phi[i];
-    pmean /= volume;
+    const double pmean = dofh_->integrate(phi) / volume;
 #pragma omp parallel for
     for (index_t i = 0; i < n; ++i) phi[i] -= pmean;
     return rep;
   }
 
   // Isolated: Dirichlet boundary phi_b = Q / |r - center| (monopole far field).
-  double q = 0.0;
-#pragma omp parallel for reduction(+ : q)
-  for (index_t i = 0; i < n; ++i) q += mass[i] * rho[i];
+  const double q = dofh_->integrate(rho);
   const auto& mesh = dofh_->mesh();
   const double cx = 0.5 * (mesh.axis(0).nodes.front() + mesh.axis(0).nodes.back());
   const double cy = 0.5 * (mesh.axis(1).nodes.front() + mesh.axis(1).nodes.back());

@@ -17,6 +17,8 @@
 // Table 3 bench reads back out.
 
 #include <array>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "base/flops.hpp"
@@ -40,6 +42,19 @@ struct ChfesOptions {
   index_t block_size = 128;      // B_f, the CF wavefunction block size
   bool mixed_precision = true;   // FP32 off-diagonal blocks in CholGS-S/RR-P
   index_t mp_block = 64;         // column block for the mixed-precision tiling
+
+  /// Throw std::invalid_argument naming the first field, as `owner::field`,
+  /// that no solve can run with: a degree or CF block below 1, or a mixed
+  /// tile below 1 (the filter's and the lanes' gram column loops would
+  /// never advance).
+  void validate(const char* owner = "ks::ChfesOptions") const {
+    const char* bad = cheb_degree < 1                    ? "cheb_degree"
+                      : block_size < 1                   ? "block_size"
+                      : mixed_precision && mp_block < 1 ? "mp_block"
+                                                         : nullptr;
+    if (bad != nullptr)
+      throw std::invalid_argument(std::string(owner) + "::" + bad + " must be >= 1");
+  }
 };
 
 template <class T>
@@ -53,7 +68,9 @@ class ChebyshevFilteredSolver {
         owned_serial_(std::make_unique<dd::SerialBackend<T>>(
             H.dofs(),
             [h = &H](const la::Matrix<T>& A, la::Matrix<T>& B, double c, double s,
-                     const la::Matrix<T>* Z, double zc) { h->apply_fused(A, B, c, s, Z, zc); })) {}
+                     const la::Matrix<T>* Z, double zc) { h->apply_fused(A, B, c, s, Z, zc); })) {
+    opt_.validate();
+  }
 
   index_t nstates() const { return X_.cols(); }
   la::Matrix<T>& subspace() { return X_; }

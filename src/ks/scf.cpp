@@ -38,6 +38,14 @@ KohnShamDFT<T>::KohnShamDFT(const fe::DofHandler& dofh, std::shared_ptr<xc::XCFu
                             dd::BackendOptions backend)
     : dofh_(&dofh), xcf_(std::move(xcf)), kpts_(std::move(kpts)), opt_(opt),
       backend_opt_(backend), poisson_(dofh) {
+  // Reject, by name, the settings that would hang or crash the solve: with
+  // no iteration or no first cycle, find_fermi_level reads empty Ritz values.
+  const char* bad = opt_.max_iterations < 1           ? "max_iterations"
+                    : opt_.first_iteration_cycles < 1 ? "first_iteration_cycles"
+                                                      : nullptr;
+  if (bad != nullptr)
+    throw std::invalid_argument(std::string("ks::ScfOptions::") + bad + " must be >= 1");
+  chfes_options().validate("ks::ScfOptions");
   // lint: allow(hot-path-alloc): one-time construction, not the SCF loop
   if (kpts_.empty()) kpts_.push_back({});
   double wsum = 0.0;
@@ -298,11 +306,7 @@ ScfResult KohnShamDFT<T>::solve() {
   poisson_.set_cg({});  // detach before the old engine dies
   backends_.clear();
   es_engine_.reset();
-  ChfesOptions copt;
-  copt.cheb_degree = opt_.cheb_degree;
-  copt.block_size = opt_.block_size;
-  copt.mixed_precision = opt_.mixed_precision;
-  copt.mp_block = opt_.mp_block;
+  const ChfesOptions copt = chfes_options();
   for (std::size_t ik = 0; ik < kpts_.size(); ++ik) {
     // lint: allow(hot-path-alloc): per-solve setup, outside the iteration loop
     hams_.push_back(std::make_unique<Hamiltonian<T>>(*dofh_, kpts_[ik].k));

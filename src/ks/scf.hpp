@@ -113,7 +113,9 @@ class KohnShamDFT {
  public:
   /// `backend` runs every solver stage (per-k ChFES cycles, density
   /// accumulation, the EP-step Poisson CG): serial (the ks-layer arithmetic,
-  /// the default) or threaded brick-rank lanes.
+  /// the default) or threaded brick-rank lanes. Throws std::invalid_argument
+  /// naming the `opt` field a solve cannot run with (ChfesOptions::validate,
+  /// and max_iterations or first_iteration_cycles < 1).
   KohnShamDFT(const fe::DofHandler& dofh, std::shared_ptr<xc::XCFunctional> xcf,
               std::vector<KPointSample> kpts, ScfOptions opt = {},
               dd::BackendOptions backend = {});
@@ -162,6 +164,9 @@ class KohnShamDFT {
   std::vector<std::array<double, 3>> forces() const;
 
  private:
+  ChfesOptions chfes_options() const {
+    return {opt_.cheb_degree, opt_.block_size, opt_.mixed_precision, opt_.mp_block};
+  }
   void init_density();
   double xc_energy_and_potential(const std::vector<double>& rho, std::vector<double>& vxc,
                                  bool& used_gradient) const;

@@ -476,6 +476,34 @@ TEST(BackendThreaded, NanHaloTripsDriftBudgetAndNextJobRuns) {
   }
 }
 
+TEST(BackendThreaded, NanGramTripsDriftBudgetAndNextOverlapRuns) {
+  // A mixed overlap on two lanes under a lossy halo wire sends its
+  // off-diagonal tiles over the FP32 gram wire. One NaN operand entry makes
+  // that wire's drift NaN, so the gram job must fail under the default
+  // budget, as a NaN halo does; the next finite overlap on the same engine
+  // must run, because the check reads this job's own drift.
+  const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 4, false);
+  const fe::DofHandler dofh(mesh, 2);
+  BackendOptions eopt;
+  eopt.nlanes = 2;
+  eopt.wire = Wire::fp32;
+  RankEngine<double> be(dofh, eopt);
+  la::Matrix<double> A(dofh.ndofs(), 6), Anan, S;
+  for (index_t i = 0; i < A.size(); ++i) A.data()[i] = std::cos(0.23 * i);
+  Anan = A;
+  Anan(dofh.ndofs() / 2, 0) = std::numeric_limits<double>::quiet_NaN();
+  try {
+    be.overlap(Anan, Anan, S, /*mp_block=*/2, /*mixed=*/true);
+    ADD_FAILURE() << "NaN on the gram wire did not fail the job";
+  } catch (const std::runtime_error& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("'gram'"), std::string::npos) << what;
+    EXPECT_NE(what.find("drift_budget"), std::string::npos) << what;
+  }
+  ASSERT_NO_THROW(be.overlap(A, A, S, /*mp_block=*/2, /*mixed=*/true));
+  for (index_t i = 0; i < S.size(); ++i) ASSERT_TRUE(std::isfinite(S.data()[i])) << i;
+}
+
 TEST(BackendThreaded, SecondSubmitWhileJobInFlightIsDiagnosedLoudly) {
   // The engine's driver-thread contract: a second public entry while a job
   // is in flight must fail with a diagnostic naming both jobs (satellite of

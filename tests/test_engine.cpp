@@ -846,5 +846,18 @@ TEST(LanePcg, RejectsHamiltonianEnginesAndDirichletLoads) {
   EXPECT_THROW(eng.pcg(b, x, 1e-10, 10), std::invalid_argument);
 }
 
+TEST(LanePcg, BareStiffnessEnginesRejectFilterBlock) {
+  // The Chebyshev filter is the Hamiltonian's recurrence: a bare-stiffness
+  // engine only applies its operator (apply, overlap, pcg), so filter_block
+  // refuses it rather than run a recurrence on the Poisson operator.
+  const auto mesh = fe::make_uniform_mesh(6.0, 4, false);
+  fe::DofHandler dofh(mesh, 3);
+  RankEngine<double> eng(dofh, stiffness_options({2, 1, 1}, EngineMode::sync),
+                         Operator::stiffness);
+  la::Matrix<double> X(dofh.ndofs(), 2);
+  X.fill(1.0);
+  EXPECT_THROW(eng.filter_block(X, 0, 2, 4, 0.5, 2.0, -1.0), std::logic_error);
+}
+
 }  // namespace
 }  // namespace dftfe::dd

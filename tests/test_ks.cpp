@@ -10,6 +10,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "fe/gradient.hpp"
 #include "ks/chfes.hpp"
@@ -285,6 +286,62 @@ TEST(Chfes, CholeskyBreakdownRegularizationRetry) {
 }
 
 // ---------- SCF on exactly solvable systems ----------
+
+// ---------- settings that would hang or crash a solve are rejected by name ----------
+
+/// Constructing KohnShamDFT with `opt`, and a ChFES with its eigensolver
+/// fields, must throw std::invalid_argument naming `field`.
+void expect_rejected(const ScfOptions& opt, const std::string& field, bool chfes_too) {
+  const fe::Mesh mesh = fe::make_uniform_mesh(4.0, 2, false);
+  const fe::DofHandler dofh(mesh, 2);
+  try {
+    KohnShamDFT<double> dft(dofh, nullptr, {}, opt);
+    ADD_FAILURE() << "ScfOptions::" << field << " was accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("ScfOptions::" + field), std::string::npos)
+        << err.what();
+  }
+  if (!chfes_too) return;
+  const Hamiltonian<double> H(dofh);
+  const ChfesOptions copt{opt.cheb_degree, opt.block_size, opt.mixed_precision, opt.mp_block};
+  try {
+    ChebyshevFilteredSolver<double> solver(H, 4, copt);
+    ADD_FAILURE() << "ChfesOptions::" << field << " was accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("ChfesOptions::" + field), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(ScfOptionsCheck, BlockSizeBelowOneIsRejected) {
+  ScfOptions opt;
+  opt.block_size = 0;  // the serial filter's column loop would never advance
+  expect_rejected(opt, "block_size", true);
+}
+
+TEST(ScfOptionsCheck, MixedTileBelowOneIsRejected) {
+  ScfOptions opt;
+  opt.mp_block = 0;  // each lane's gram tile loop would never advance
+  expect_rejected(opt, "mp_block", true);
+}
+
+TEST(ScfOptionsCheck, ChebyshevDegreeBelowOneIsRejected) {
+  ScfOptions opt;
+  opt.cheb_degree = 0;  // serial ran a degree-1 filter, lanes threw mid-solve
+  expect_rejected(opt, "cheb_degree", true);
+}
+
+TEST(ScfOptionsCheck, MaxIterationsBelowOneIsRejected) {
+  ScfOptions opt;
+  opt.max_iterations = 0;  // the Fermi level would read an empty Ritz vector
+  expect_rejected(opt, "max_iterations", false);
+}
+
+TEST(ScfOptionsCheck, FirstIterationCyclesBelowOneIsRejected) {
+  ScfOptions opt;
+  opt.first_iteration_cycles = 0;  // no cycle before the first Fermi level
+  expect_rejected(opt, "first_iteration_cycles", false);
+}
 
 TEST(Scf, NonInteractingHarmonicTrapTotalEnergy) {
   // Two non-interacting electrons (no Hartree, no XC) in a harmonic trap:

@@ -37,6 +37,7 @@
 #include "la/mixed.hpp"
 #include "la/workspace.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 // Counting global operator new: the metrics zero-allocation suite asserts
 // that string_view lookups on warmed registry keys never allocate (the
@@ -460,6 +461,45 @@ TEST(Workspace, LaneHighwaterCountsBothCellOperators) {
                                                    ".highwater_bytes"),
               static_cast<double>(expect))
         << "lane " << r;
+}
+
+TEST(Workspace, WarmEngineStagesCallOperatorNewZeroTimes) {
+#if !DFTFE_COUNT_GLOBAL_NEW
+  GTEST_SKIP() << "global operator new counting disabled under sanitizers";
+#else
+  // Every engine stage hands its lanes a borrowed body, so once the lanes'
+  // workspace, the wire and the metric keys are warm a job allocates
+  // nothing. Tracing is off: the recorder's event buffer grows by design.
+  obs::TraceRecorder& rec = obs::TraceRecorder::global();
+  const bool tracing = rec.enabled();
+  rec.set_enabled(false);
+  const fe::Mesh mesh = fe::make_uniform_mesh(6.0, 4, true);
+  const fe::DofHandler dofh(mesh, 2);
+  dd::BackendOptions opt;
+  opt.nlanes = 4;  // the default FP32 wire: a mixed overlap takes the gram wire
+  dd::RankEngine<double> eng(dofh, opt);
+  const index_t n = dofh.ndofs(), N = 6;
+  eng.set_potential(std::vector<double>(static_cast<std::size_t>(n), -0.3));
+  la::MatrixD X0(n, N), X(n, N), Y, S;
+  for (index_t i = 0; i < X0.size(); ++i) X0.data()[i] = std::sin(0.37 * i);
+  const std::vector<double> occ(static_cast<std::size_t>(N), 2.0);
+  std::vector<double> rho(static_cast<std::size_t>(n), 0.0);
+  // A fresh copy each rep: refiltering one block on a fixed [a, b] would
+  // overflow it within a few reps.
+  auto stages = [&] {
+    std::copy(X0.data(), X0.data() + X0.size(), X.data());
+    eng.filter_block(X, 0, N, 4, -0.2, 2.5, -1.1);
+    eng.apply(X, Y);
+    eng.overlap(X, X, S, /*mp_block=*/2, /*mixed=*/true);
+    eng.accumulate_density(X, occ, 1.0, rho);
+  };
+  stages();
+  const std::int64_t before = g_global_new_calls.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 3; ++rep) stages();
+  const std::int64_t calls = g_global_new_calls.load(std::memory_order_relaxed) - before;
+  rec.set_enabled(tracing);
+  EXPECT_EQ(calls, 0) << "warm engine stages touched the heap";
+#endif
 }
 
 // ---------- metrics and profile registries: zero-alloc string_view lookups ----------

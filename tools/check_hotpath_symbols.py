@@ -119,34 +119,36 @@ HOT_FUNCTIONS = [
      "SCF control plane: per-solve setup, density/potential vectors sized "
      "per iteration, result publication; the per-element loops live in "
      "ks/hamiltonian.hpp and la/ kernels"),
-    (r"dftfe::ks::ChebyshevFilteredSolver<", {"alloc", "throw"},
+    (r"dftfe::ks::(ChebyshevFilteredSolver<|ChfesOptions::validate)", {"alloc", "throw"},
      "solver stage drivers: workspace warmup plus the orthonormalization "
-     "breakdown hard-fail; per-cycle, not per-element"),
+     "breakdown hard-fail, per-cycle, not per-element; and the options "
+     "check at construction"),
     # -- threaded rank engine --------------------------------------------
-    (r"dftfe::dd::RankEngine<.*>::(build_lanes|start_lanes|ensure_wire_capacity|"
-     r"ensure_step_storage|collect_step_stats|publish_job_metrics|submit|"
-     r"set_potential|debug_fault|debug_fault_pcg)", {"alloc", "throw"},
-     "engine cold control plane: construction, sizing, job submission, "
-     "metrics publication (driver thread, between jobs)"),
-    (r"dftfe::dd::RankEngine<.*>::(apply|overlap|accumulate_density|filter_block|"
-     r"pcg|run_job)\(", {"alloc", "throw"},
-     "driver-side job entry points: precondition throws plus failure "
-     "propagation (rethrow of a lane's job error); at most once per job"),
+    (r"dftfe::dd::RankEngine<.*>::(build_lanes|start_lanes|publish_job_metrics|submit|"
+     r"set_potential|debug_fault_pcg)|dftfe::dd::\(anonymous namespace\)::push_run<",
+     {"alloc", "throw"},
+     "engine cold control plane: construction (run lists included), job "
+     "submission, metrics publication (the engine's owning thread, between "
+     "jobs)"),
+    (r"dftfe::dd::RankEngine<.*>::((apply|overlap|accumulate_density|filter_block|pcg|"
+     r"debug_fault|lane_main)\(|run_lanes<)", {"alloc", "throw"},
+     "the stages, the bodies they hand their lanes, and the one path between "
+     "(run_lanes, lane_main): precondition throws, the drift-budget hard-fail "
+     "and the rethrow of a lane's job error (at most once per job), grow-only "
+     "wire and step-storage sizing before a job, and the bodies' workspace "
+     "acquires (gathered gram panels, partial Gram, pcg vectors) inlined at "
+     "-O3, zero after the first job of each shape"),
     (r"dftfe::dd::RankEngine<.*>::(post_halo|recv_halo)", {"throw"},
      "mailbox poison propagation (a peer lane failed) — the very protocol "
      "paths tools/model_check explores; throws at most once per failed job"),
-    (r"dftfe::dd::RankEngine<.*>::lane_gram\(", {"alloc"},
-     "brick gram: the per-lane gathered-panel and partial-Gram WorkMatrix "
-     "acquires, inlined at -O3; grow-only, so zero after the first overlap "
-     "of each shape"),
-    (r"dftfe::dd::RankEngine<.*>::(lane_cg|LaneCg::apply|lane_allreduce)|"
+    (r"dftfe::dd::RankEngine<.*>::(LaneCg::apply|lane_allreduce)|"
      r"dftfe::la::pcg<.*RankEngine<.*>::LaneCg>", {"alloc", "throw"},
-     "lane-resident PCG (la::pcg over the LaneCg policy): per-lane workspace "
-     "acquire inlined at -O3 (zero after the first solve, asserted by "
-     "LanePcg.WarmSolveAllocatesNothing), the reduction barrier's poison "
-     "throw — a peer lane failed, the cascade the allreduce model-check "
-     "scenarios explore — and the injected-fault test hook in the policy's "
-     "apply; each throws at most once per failed job"),
+     "lane-resident PCG (la::pcg over the LaneCg policy): the reduction "
+     "barrier's poison throw — a peer lane failed, the cascade the allreduce "
+     "model-check scenarios explore — and the injected-fault test hook in the "
+     "policy's apply, each at most once per failed job; workspace growth "
+     "inlined from the policy's apply, zero after the first solve (asserted "
+     "by LanePcg.WarmSolveAllocatesNothing)"),
     (r"dftfe::dd::LaneAllreduce::(allreduce|init)", {"alloc", "throw"},
      "lane allreduce barrier: poison throw when a peer lane failed (at most "
      "once per failed job) and the cold slot sizing in init()"),

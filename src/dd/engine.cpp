@@ -1,6 +1,7 @@
 // Cold control plane of the threaded rank engine: lane construction (the
-// brick sub-mesh and its interface and interior cell operators, field
-// slices, run lists, mailbox wiring), run_lanes and the job broadcast
+// brick sub-mesh, field slices, the sorted dof-copy list and what it gives:
+// mailbox wiring, packet and owned run lists, the interface and interior
+// cell operators), run_lanes and the job broadcast
 // protocol under it, failure cascade/reset, the tree allreduce of the gram
 // partials, and each stage: its input checks and the body it hands its
 // lanes. The per-step data plane those bodies call lives inline in
@@ -69,25 +70,12 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
   const fe::Mesh& mesh = dofh_->mesh();
   const int R = part_.nranks();
   const int deg = dofh_->degree();
-  const std::array<int, 3>& grid = part_.grid();
   index_t naxis[3];
   bool per[3];
   for (int a = 0; a < 3; ++a) {
     naxis[a] = part_.naxis(a);
     per[a] = part_.periodic(a);
   }
-
-  // One mailbox per (rank, direction): channel r*26 + di carries rank r's
-  // partial toward direction di; the receiver is neighbor(r, di) draining its
-  // opposite-direction mailbox. Inactive directions leave their channel
-  // unused (never init'd, never touched). A periodic axis with a single
-  // brick wires a direction's send channel back to the same lane
-  // (self-exchange) across the periodic wrap interface.
-  channels_.resize(static_cast<std::size_t>(R) * kDirs);
-  for (auto& ch : channels_) ch = std::make_unique<HaloChannel<T>>();
-  auto chan = [&](int r, int di) {
-    return channels_[static_cast<std::size_t>(r) * kDirs + di].get();
-  };
 
   const auto& mass = dofh_->mass();
   const auto& bmask = dofh_->boundary_mask();
@@ -99,7 +87,6 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
     lanes_[r] = std::make_unique<Lane>();
     Lane& ln = *lanes_[r];
     const Brick& bk = part_.brick(r);
-    const std::array<int, 3> c = part_.coords(r);
     ln.rank = r;
     const std::string comm_prefix = "comm.lane" + std::to_string(r);
     ln.metric_bytes = comm_prefix + ".bytes";
@@ -107,27 +94,18 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
     ln.metric_wait = comm_prefix + ".exposed_wait_s";
     ln.metric_highwater = "mem.lane" + std::to_string(r) + ".highwater_bytes";
 
-    index_t nc[3];
-    bool lo_act[3], hi_act[3];
-    for (int a = 0; a < 3; ++a) {
-      nc[a] = bk.c_end[a] - bk.c_begin[a];
-      ln.m[a] = nc[a] * deg + 1;  // closed dof box: upper layer is ghost when shared
-      lo_act[a] = (c[a] > 0) || per[a];
-      hi_act[a] = (c[a] < grid[a] - 1) || per[a];
-      ln.own[a] = ln.m[a] - (hi_act[a] ? 1 : 0);
-    }
-    const index_t m0 = ln.m[0], m1 = ln.m[1], m2 = ln.m[2];
-    ln.nloc = m0 * m1 * m2;
-    ln.nown = ln.own[0] * ln.own[1] * ln.own[2];
+    index_t m[3];  // closed dof box: nc * degree + 1 layers per axis
+    for (int a = 0; a < 3; ++a) m[a] = (bk.c_end[a] - bk.c_begin[a]) * deg + 1;
+    ln.nloc = m[0] * m[1] * m[2];
 
-    // Local dof -> global dof (wrap-aware: a periodic axis' closing ghost
-    // layer maps back to global layer 0).
+    // Local dof -> global dof (wrap-aware: a periodic axis' closing layer
+    // maps back to global layer 0).
     ln.gmap.resize(static_cast<std::size_t>(ln.nloc));
     {
       index_t l = 0;
-      for (index_t k = 0; k < m2; ++k)
-        for (index_t j = 0; j < m1; ++j)
-          for (index_t i = 0; i < m0; ++i, ++l) {
+      for (index_t k = 0; k < m[2]; ++k)
+        for (index_t j = 0; j < m[1]; ++j)
+          for (index_t i = 0; i < m[0]; ++i, ++l) {
             const index_t loc[3] = {i, j, k};
             index_t gi[3];
             for (int a = 0; a < 3; ++a) {
@@ -138,17 +116,11 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
           }
     }
 
-    // Run lists (maximal both-sides-contiguous row ranges). For slab-shaped
+    // Gather runs (maximal both-sides-contiguous row ranges). For slab-shaped
     // lanes these collapse to a handful of whole-plane-range runs, making the
     // hot copies identical to the historical plane arithmetic.
     for (index_t l = 0; l < ln.nloc; ++l)
       push_run(ln.gather_runs, l, ln.gmap[static_cast<std::size_t>(l)], 1);
-    for (index_t k = 0; k < ln.own[2]; ++k)
-      for (index_t j = 0; j < ln.own[1]; ++j)
-        for (index_t i = 0; i < ln.own[0]; ++i) {
-          const index_t l = i + m0 * (j + m1 * k);
-          push_run(ln.owned_runs, ln.gmap[static_cast<std::size_t>(l)], l, 1);
-        }
 
     // Slices of the *global* nodal fields. A brick-local DofHandler's own
     // mass/boundary data would be wrong on interface layers (it sees only
@@ -169,83 +141,94 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
     }
 
     // One sub-mesh for the whole brick: its DofHandler numbers the closed
-    // dof box x fastest, the lane-local row order. The interface cells (any
-    // axis on an active interface layer) and the rest form one operator each.
+    // dof box x fastest, the lane-local row order.
     ln.mesh = std::make_unique<fe::Mesh>(fe::make_brick_mesh(
         mesh, bk.c_begin[0], bk.c_end[0], bk.c_begin[1], bk.c_end[1], bk.c_begin[2],
         bk.c_end[2]));
     ln.dofh = std::make_unique<fe::DofHandler>(*ln.mesh, deg);
     if (ln.dofh->ndofs() != ln.nloc)
       throw std::logic_error("RankEngine: brick dof layout mismatch");
-    std::vector<index_t> iface_cells, inner_cells;
+  }
+
+  // Every lane's copy of every global dof, sorted by dof, then lane, then
+  // row (copies are listed in lane, row order; the sort is stable). A dof
+  // with more than one copy is shared. Each ordered pair of its distinct
+  // copies is one packet value: the sender's row is read into the packet and
+  // the receiver's row adds it, at the same offset on both ends, so the two
+  // agree on a packet dof by dof.
+  struct Copy {
+    index_t g;
+    int lane;
+    index_t row;
+  };
+  std::vector<Copy> copies;
+  for (const auto& lp : lanes_)
+    for (index_t l = 0; l < lp->nloc; ++l)
+      copies.push_back({lp->gmap[static_cast<std::size_t>(l)], lp->rank, l});
+  std::stable_sort(copies.begin(), copies.end(),
+                   [](const Copy& x, const Copy& y) { return x.g < y.g; });
+  const auto pair = [R](int a, int b) { return static_cast<std::size_t>(a) * R + b; };
+  const auto packet_end = [](const std::vector<Run>& runs) {
+    return runs.empty() ? index_t{0} : runs.back().dst + runs.back().len;
+  };
+  std::vector<Neighbor> nbs(pair(R, 0));  // nbs[pair(a, b)]: lane a's view of lane b
+  for (std::size_t i0 = 0, i1 = 0; i0 < copies.size(); i0 = i1) {
+    while (i1 < copies.size() && copies[i1].g == copies[i0].g) ++i1;
+    // The highest-rank lane holding the dof owns it, through its first copy.
+    std::size_t o = i1 - 1;
+    while (o > i0 && copies[o - 1].lane == copies[o].lane) --o;
+    Lane& owner = *lanes_[static_cast<std::size_t>(copies[o].lane)];
+    push_run(owner.owned_runs, copies[o].g, copies[o].row, 1);
+    ++owner.nown;
+    for (std::size_t s = i0; s < i1; ++s)
+      for (std::size_t d = i0; d < i1; ++d) {
+        if (d == s) continue;
+        Neighbor& out = nbs[pair(copies[s].lane, copies[d].lane)];
+        Neighbor& in = nbs[pair(copies[d].lane, copies[s].lane)];
+        if (out.send == nullptr) {  // one mailbox per (sender, receiver) pair
+          channels_.push_back(std::make_unique<HaloChannel<T>>());
+          out.send = in.recv = channels_.back().get();
+        }
+        push_run(out.send_runs, packet_end(out.send_runs), copies[s].row, 1);
+        push_run(in.recv_runs, packet_end(in.recv_runs), copies[d].row, 1);
+      }
+  }
+
+  const double coef_lap = op_ == Operator::hamiltonian ? 0.5 : 1.0;
+  for (int r = 0; r < R; ++r) {
+    Lane& ln = *lanes_[r];
+    std::vector<char> shared(static_cast<std::size_t>(ln.nloc), 0);
+    for (int q = 0; q < R; ++q) {  // peers in rank order
+      Neighbor& nb = nbs[pair(r, q)];
+      if (nb.send == nullptr) continue;
+      nb.count = packet_end(nb.send_runs);
+      for (const Run& rn : nb.send_runs) std::fill_n(shared.begin() + rn.src, rn.len, 1);
+      ln.nb.push_back(std::move(nb));
+    }
+
+    // Epilogue row ranges, merged: interior rows (no shared dof) can be
+    // epilogued before the async receives land; shell rows wait for every
+    // peer's partial.
+    for (index_t l = 0; l < ln.nloc; ++l) {
+      auto& rows = shared[static_cast<std::size_t>(l)] != 0 ? ln.shell_rows : ln.interior_rows;
+      if (!rows.empty() && rows.back().second == l)
+        ++rows.back().second;
+      else
+        rows.emplace_back(l, l + 1);
+    }
+
+    // The interface cells (those with a shared row) and the rest form one
+    // operator each.
+    std::vector<index_t> iface_cells, inner_cells, dofs;
     for (index_t cell = 0; cell < ln.mesh->ncells_total(); ++cell) {
-      const std::array<index_t, 3> cc = ln.mesh->cell_coords(cell);
-      bool on_iface = false;
-      for (int a = 0; a < 3; ++a)
-        on_iface = on_iface || (lo_act[a] && cc[a] == 0) || (hi_act[a] && cc[a] == nc[a] - 1);
+      ln.dofh->cell_dofs(cell, dofs);
+      const bool on_iface = std::any_of(dofs.begin(), dofs.end(), [&](index_t l) {
+        return shared[static_cast<std::size_t>(l)] != 0;
+      });
       (on_iface ? iface_cells : inner_cells).push_back(cell);
     }
-    const double coef_lap = op_ == Operator::hamiltonian ? 0.5 : 1.0;
     ln.iface_op = std::make_unique<fe::CellStiffness<T>>(*ln.dofh, iface_cells, coef_lap, kpoint);
     ln.inner_op = std::make_unique<fe::CellStiffness<T>>(*ln.dofh, inner_cells, coef_lap, kpoint);
-
-    // Mailbox wiring + shared-region run lists for all 26 directions. The
-    // send region in direction d is this brick's closed boundary layer
-    // toward d (axis -1 -> layer 0, axis +1 -> layer m-1, axis 0 -> full
-    // extent); the receiver accumulates it into its mirrored region, which
-    // covers the same global dofs. Because cells are disjoint across lanes,
-    // summing every sharer's partial assembles shared dofs exactly.
-    for (int di = 0; di < kDirs; ++di) {
-      const std::array<int, 3> d = dir_of(di);
-      const int nbr = part_.neighbor(r, d[0], d[1], d[2]);
-      Neighbor& nb = ln.nb[static_cast<std::size_t>(di)];
-      if (nbr < 0) continue;
-      nb.active = true;
-      nb.send = chan(r, di);
-      nb.recv = chan(nbr, opposite(di));
-      index_t lo[3], hi[3];
-      for (int a = 0; a < 3; ++a) {
-        lo[a] = (d[a] > 0) ? ln.m[a] - 1 : 0;
-        hi[a] = (d[a] < 0) ? 1 : ln.m[a];
-      }
-      nb.count = (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
-      index_t off = 0;
-      for (index_t k = lo[2]; k < hi[2]; ++k)
-        for (index_t j = lo[1]; j < hi[1]; ++j) {
-          push_run(nb.runs, off, lo[0] + m0 * (j + m1 * k), hi[0] - lo[0]);
-          off += hi[0] - lo[0];
-        }
-    }
-
-    // Epilogue row ranges: interior rows (no axis on a shared layer) can be
-    // epilogued before the async receives land; shell rows wait for every
-    // neighbor's partial. Stored as merged contiguous ranges; on a slab lane
-    // they collapse to the historical [P, nloc-P) / [0, P) / [nloc-P, nloc).
-    const index_t il[3] = {lo_act[0] ? 1 : 0, lo_act[1] ? 1 : 0, lo_act[2] ? 1 : 0};
-    const index_t ih[3] = {m0 - (hi_act[0] ? 1 : 0), m1 - (hi_act[1] ? 1 : 0),
-                           m2 - (hi_act[2] ? 1 : 0)};
-    auto add_box = [&](std::vector<std::pair<index_t, index_t>>& out, index_t x0,
-                       index_t x1, index_t y0, index_t y1, index_t z0, index_t z1) {
-      if (x0 >= x1 || y0 >= y1 || z0 >= z1) return;
-      for (index_t k = z0; k < z1; ++k)
-        for (index_t j = y0; j < y1; ++j) {
-          const index_t r0 = x0 + m0 * (j + m1 * k);
-          const index_t r1 = r0 + (x1 - x0);
-          if (!out.empty() && out.back().second == r0)
-            out.back().second = r1;
-          else
-            out.emplace_back(r0, r1);
-        }
-    };
-    add_box(ln.interior_rows, il[0], ih[0], il[1], ih[1], il[2], ih[2]);
-    // Disjoint shell cover: x-extreme layers first, then y-extremes with x
-    // interior, then z-extremes with x/y interior.
-    if (lo_act[0]) add_box(ln.shell_rows, 0, 1, 0, m1, 0, m2);
-    if (hi_act[0]) add_box(ln.shell_rows, m0 - 1, m0, 0, m1, 0, m2);
-    if (lo_act[1]) add_box(ln.shell_rows, il[0], ih[0], 0, 1, 0, m2);
-    if (hi_act[1]) add_box(ln.shell_rows, il[0], ih[0], m1 - 1, m1, 0, m2);
-    if (lo_act[2]) add_box(ln.shell_rows, il[0], ih[0], il[1], ih[1], 0, 1);
-    if (hi_act[2]) add_box(ln.shell_rows, il[0], ih[0], il[1], ih[1], m2 - 1, m2);
   }
 }
 
@@ -325,24 +308,20 @@ void RankEngine<T>::lane_main(int r) {
 
 template <class T>
 void RankEngine<T>::close_lane_channels(Lane& ln) {
-  for (Neighbor& nb : ln.nb)
-    if (nb.active) {
-      nb.send->close();
-      nb.recv->close();
-    }
+  for (Neighbor& nb : ln.nb) {
+    nb.send->close();
+    nb.recv->close();
+  }
 }
 
 template <class T>
 template <class Body>
 void RankEngine<T>::run_lanes(const char* name, index_t wire_cols, int nsteps,
                               const Body& body) {
-  // Per-direction packet sizes: a face carries a full boundary plane, an
-  // edge a line, a corner a single dof — each channel is sized for exactly
-  // its shared region.
+  // Each channel is sized for exactly the dofs its two lanes share.
   if (wire_cols > 0)
     for (auto& lp : lanes_)
-      for (Neighbor& nb : lp->nb)
-        if (nb.active) nb.send->init(opt_.wire, nb.count * wire_cols);
+      for (Neighbor& nb : lp->nb) nb.send->init(opt_.wire, nb.count * wire_cols);
   for (auto& lp : lanes_)
     if (lp->steps.size() < static_cast<std::size_t>(nsteps))
       lp->steps.resize(static_cast<std::size_t>(nsteps));
@@ -598,7 +577,7 @@ void RankEngine<T>::debug_fault(int lane) {
   if (lane < 0 || lane >= nlanes())
     throw std::invalid_argument("RankEngine::debug_fault: bad lane");
   // A minimal halo round: every lane but `lane` posts to and receives from
-  // each active neighbor once, in the fixed direction order.
+  // each peer once, in rank order.
   run_lanes("debug_fault", 1, 1, [&](Lane& ln) {
     if (ln.rank == lane) throw std::runtime_error("dd::RankEngine: injected lane fault");
     la::Matrix<T>& Yl = ln.yb.acquire_zeroed(ln.nloc, 1);

@@ -10,31 +10,35 @@
 //
 //   * one sub-mesh and DofHandler for the whole brick, whose dof numbering
 //     is the lane's local row order, and two fe::CellStiffness operators
-//     built over its cell lists: the interface cells (any axis on an active
-//     interface layer), applied before the halo posts, and the interior
-//     cells, applied after. Both read the lane's scaled block and add
-//     straight into its result rows with the cell-level batched-GEMM
-//     kernels of fe/cell_ops.hpp;
+//     built over its cell lists: the interface cells (those with a shared
+//     row), applied before the halo posts, and the interior cells, applied
+//     after. Both read the lane's scaled block and add straight into its
+//     result rows with the cell-level batched-GEMM kernels of
+//     fe/cell_ops.hpp;
 //   * lane-local slices of the global mass / potential / boundary-mask nodal
 //     fields (sliced from the *global* DofHandler — a brick-local assembly
 //     would be wrong on interface layers);
 //   * persistent per-lane workspace blocks (la::WorkMatrix), so the steady
 //     state of the recurrence allocates nothing after lane startup.
 //
-// Halo exchange goes through double-buffered HaloChannel mailboxes
-// (dd/mailbox.hpp), one channel per (lane, direction): every lane posts to
-// and drains up to 26 neighbors — 6 faces, 12 edges, 8 corners — carrying the
-// closed-intersection *partial sums* of the kinetic apply in the exact
+// Lanes exchange exactly the dofs they share. build_lanes sorts every lane's
+// copy of every global dof by (dof, lane, row); a dof with more than one copy
+// is shared, and each ordered pair of its distinct copies is one packet
+// value, read from the sender's row and added into the receiver's at the
+// same packet offset on both ends. The lanes a lane shares dofs with are its
+// peers, kept in rank order, with one double-buffered HaloChannel mailbox
+// (dd/mailbox.hpp) per (sender, receiver) pair; a periodic axis with a single
+// brick makes the lane its own peer. The same list gives each lane's
+// interface cells and shell rows (the shared ones), and the owned rows. The
+// packets carry the *partial sums* of the kinetic apply in the exact
 // FP64/FP32/BF16 wire format of dd/exchange.hpp. post_halo and recv_halo are
 // one pack and one unpack loop over that header's WireCodec, and every lane
 // counts its traffic in one CommStats ledger (a line per format). Because
-// cells are partitioned disjointly, summing every sharer's partial assembles
-// each shared dof exactly: a face dof (2 sharers) adds 1 received partial, an
-// edge dof (4 sharers) adds 3 — two through face packets, one through the
-// edge packet — and a corner dof (8 sharers) adds 7. Both execution modes
-// run the same arithmetic in the same fixed neighbor order (dz-major
-// ascending, posts and receives alike) — only the position of the receive
-// differs:
+// cells are partitioned disjointly, summing every copy's partial assembles
+// each shared dof exactly: a dof with c copies adds c - 1 received partials
+// at each copy. Both execution modes run the same arithmetic in the same
+// peer order (rank ascending, posts and receives alike) — only the position
+// of the receive differs:
 //
 //   sync  : boundary compute -> post halos -> WAIT -> interior compute
 //           -> epilogue                             (exposed wire time)
@@ -54,15 +58,16 @@
 // (lanes, grid, halo protocol, wire, interconnect model, drift budget) plus
 // the operator its lanes apply and the k-point.
 //
-// Numerics: with the FP64 wire, a 2-sharer face dof combines as a + b on one
-// side and b + a on the other (IEEE addition is commutative), so face ghosts
-// stay bitwise consistent across lanes; with > 2 sharers (edges/corners) the
-// sharers accumulate the same partials in different association orders, so
-// ghost copies may differ at the last ulp — the owned copy is canonical, and
-// the engine matches the undecomposed reference apply to FP-association
-// order (~1e-15). With the FP32 wire each side adds the *other* sharers'
-// demoted partials to its own full-precision one, reproducing the asymmetric
-// interface rounding of a real distributed run.
+// Numerics: with the FP64 wire, a dof with 2 copies combines as a + b on one
+// side and b + a on the other (IEEE addition is commutative), so its ghost
+// stays bitwise consistent across lanes; with more copies each accumulates
+// the same partials in a different association order, so ghost copies may
+// differ at the last ulp. The owned copy is canonical: the highest-rank lane
+// holding a dof owns it, through its first copy. The engine matches the
+// undecomposed reference apply to FP-association order (~1e-15). With the
+// FP32 wire each copy adds the *other* copies' demoted partials to its own
+// full-precision one, reproducing the asymmetric interface rounding of a
+// real distributed run.
 //
 // Gram reductions (CholGS/RR) combine the per-lane partial Gram blocks with
 // a stride-doubling *tree* allreduce — log2-depth pairwise sums over the
@@ -166,7 +171,6 @@ class RankEngine final : public ExecBackend<T> {
 
   const char* name() const override { return "threaded"; }
   int nlanes() const override { return static_cast<int>(lanes_.size()); }
-  const BrickPartition& partition() const { return part_; }
   EngineMode mode() const { return opt_.mode; }
   /// Switch sync/async between jobs (driver thread only).
   void set_mode(EngineMode m) { opt_.mode = m; }
@@ -232,22 +236,6 @@ class RankEngine final : public ExecBackend<T> {
   void debug_fault_pcg(int lane, int iteration);
 
  private:
-  /// Neighbor directions (dx, dy, dz) in {-1, 0, 1}^3 \ {0}, enumerated
-  /// dz-major ascending (dx fastest). This fixed order governs posts AND
-  /// receives in both schedules, which is what keeps sync ≡ async bitwise;
-  /// for a {1, 1, N} grid the two active directions come out lower-then-
-  /// upper, the historical slab order.
-  static constexpr int kDirs = 26;
-  static constexpr std::array<int, 3> dir_of(int di) {
-    const int full = di < 13 ? di : di + 1;  // skip the (0,0,0) center
-    return {full % 3 - 1, (full / 3) % 3 - 1, full / 9 - 1};
-  }
-  static constexpr int opposite(int di) {
-    const int full = di < 13 ? di : di + 1;
-    const int opp = 26 - full;
-    return opp < 13 ? opp : opp - 1;
-  }
-
   /// A maximal row range that is contiguous on both of its sides (copy /
   /// packet / global indices advance in lockstep). Built cold in engine.cpp;
   /// the hot path only walks the lists.
@@ -256,21 +244,22 @@ class RankEngine final : public ExecBackend<T> {
     index_t src = 0;
     index_t len = 0;
   };
+  /// One peer: the lane's mailbox to it and the peer's mailbox back. Both
+  /// packets carry `count` values per column; the two run lists differ only
+  /// where a lane holds several copies of one dof (across a periodic wrap).
   struct Neighbor {
     HaloChannel<T>* send = nullptr;
     HaloChannel<T>* recv = nullptr;
-    bool active = false;
-    index_t count = 0;                 // shared-region values per column
-    std::vector<Run> runs;             // dst: packet offset, src: lane-local row
+    index_t count = 0;                 // packet values per column
+    std::vector<Run> send_runs;        // dst: packet offset, src: row read into it
+    std::vector<Run> recv_runs;        // dst: packet offset, src: row it adds into
   };
   /// One brick rank. During a job only its own thread touches it, running
   /// the job's body; the engine's owning thread reads it between jobs.
   struct Lane {
     int rank = 0;                      // brick rank (= lane index, trace dim)
-    std::array<index_t, 3> m{0, 0, 0};    // local dof extent per axis (closed box)
-    std::array<index_t, 3> own{0, 0, 0};  // owned local extent per axis
-    index_t nloc = 0;                  // local rows = m0 * m1 * m2
-    index_t nown = 0;                  // owned rows = own0 * own1 * own2
+    index_t nloc = 0;                  // local rows: the brick's closed dof box
+    index_t nown = 0;                  // owned rows
     std::vector<index_t> gmap;         // local dof -> global dof (wrap-aware)
     std::vector<Run> gather_runs;      // dst: lane-local row, src: global row
     std::vector<Run> owned_runs;       // dst: global row, src: lane-local row
@@ -279,9 +268,9 @@ class RankEngine final : public ExecBackend<T> {
     std::unique_ptr<fe::Mesh> mesh;    // the brick; outlives its DofHandler
     std::unique_ptr<fe::DofHandler> dofh;  // numbers the lane-local rows
     std::unique_ptr<fe::CellStiffness<T>> iface_op, inner_op;  // interface cells, the rest
-    std::array<Neighbor, kDirs> nb;    // fixed dz-major neighbor order
-    // Epilogue row ranges: interior rows touch no shared region (safe before
-    // the async receives); shell rows are epilogued after every receive.
+    std::vector<Neighbor> nb;          // peers in rank order
+    // Epilogue row ranges: interior rows hold no shared dof (safe before the
+    // async receives); shell rows are epilogued after every receive.
     std::vector<std::pair<index_t, index_t>> interior_rows, shell_rows;
     la::WorkMatrix<T> sl, xb, yb, zb;  // scaled input + recurrence blocks
     la::WorkMatrix<T> ga, gb;          // gathered owned rows (brick gram)
@@ -334,12 +323,11 @@ class RankEngine final : public ExecBackend<T> {
 
   // --- hot data plane (runs on lane threads; allocation-free once warm) --
 
-  /// Pack this lane's partial over the shared region with neighbor `nb`
-  /// through the wire codec and publish it, stamped with the modeled
-  /// transfer time. A lossy codec's drift accumulates value by value, into
-  /// the lane's per-job line the drift budget checks.
+  /// Pack this lane's partial at the rows it shares with peer `nb` through
+  /// the wire codec and publish it, stamped with the modeled transfer time.
+  /// A lossy codec's drift accumulates value by value, into the lane's
+  /// per-job line the drift budget checks.
   void post_halo(Lane& ln, Neighbor& nb, const la::Matrix<T>& Yl) {
-    if (!nb.active) return;
     Timer tp;
     const index_t B = Yl.cols(), C = nb.count;
     const std::int64_t bytes = wire_bytes(C, B);
@@ -352,7 +340,7 @@ class RankEngine final : public ExecBackend<T> {
       for (index_t j = 0; j < B; ++j) {
         const T* y = Yl.col(j);
         typename Codec::unit* wj = w + j * C * u;
-        for (const Run& rn : nb.runs)
+        for (const Run& rn : nb.send_runs)
           for (index_t i = 0; i < rn.len; ++i) {
             const T x = y[rn.src + i];
             typename Codec::unit* wi = wj + (rn.dst + i) * u;
@@ -375,11 +363,10 @@ class RankEngine final : public ExecBackend<T> {
     ln.comm.pack_seconds += tp.seconds();
   }
 
-  /// Wait for the neighbor's shared-region partial and accumulate it into
-  /// Yl. Returns the exposed wait (block + residual wire time); unpack cost
-  /// goes to pack_seconds.
+  /// Wait for peer `nb`'s partial at the rows it shares and accumulate it
+  /// into Yl. Returns the exposed wait (block + residual wire time); unpack
+  /// cost goes to pack_seconds.
   double recv_halo(Lane& ln, Neighbor& nb, la::Matrix<T>& Yl) {
-    if (!nb.active) return 0.0;
     obs::TraceSpan span("CF-halo", "dd", ln.rank);
     Timer tw;
     const index_t B = Yl.cols(), C = nb.count;
@@ -394,7 +381,7 @@ class RankEngine final : public ExecBackend<T> {
       for (index_t j = 0; j < B; ++j) {
         T* y = Yl.col(j);
         const typename Codec::unit* wj = w + j * C * u;
-        for (const Run& rn : nb.runs)
+        for (const Run& rn : nb.recv_runs)
           for (index_t i = 0; i < rn.len; ++i)
             y[rn.src + i] += Codec::load(wj + (rn.dst + i) * u);
       }
@@ -424,9 +411,9 @@ class RankEngine final : public ExecBackend<T> {
 
   /// One fused operator step Yl = scale*(op Xl - c Xl) - zc Zl on the lane's
   /// brick, including the halo exchange of interface partial sums with every
-  /// active neighbor. Sync and async modes execute identical arithmetic in
-  /// the same fixed neighbor order; only the receive position differs (see
-  /// the schedule in the header comment). Returns the step's timings.
+  /// peer. Sync and async modes execute identical arithmetic in the same
+  /// peer order; only the receive position differs (see the schedule in the
+  /// header comment). Returns the step's timings.
   EngineStepStats lane_fused_step(Lane& ln, const la::Matrix<T>& Xl, la::Matrix<T>& Yl,
                                   const la::Matrix<T>* Zl, double c, double scale, double zc) {
     Timer tstep;

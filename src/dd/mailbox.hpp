@@ -20,7 +20,8 @@
 // pays the full exposed wire time.
 //
 // Concurrency contract: exactly one sender thread and one receiver thread
-// per channel (the engine wires one channel per interface per direction).
+// per channel (the engine wires one channel per (sender, receiver) pair of
+// lanes; a lane that is its own peer across a periodic wrap is both).
 // Two slots are sufficient because a lane can run at most one exchange ahead
 // of its neighbor (the next recurrence step's boundary compute needs the
 // previous halo). close() poisons the channel: blocked peers wake and throw,

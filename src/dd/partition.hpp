@@ -18,8 +18,10 @@ namespace dftfe::dd {
 
 /// One rank's cell-aligned brick: the half-open cell range it owns on each
 /// axis. Its dof box is closed — the brick's sub-mesh carries nc*degree + 1
-/// dof layers per axis; the upper closing layer is a ghost whenever an upper
-/// neighbor exists (that neighbor owns it).
+/// dof layers per axis, so bricks that touch share the dofs on their common
+/// layers. Of the bricks holding a dof, the highest-rank one owns it (the
+/// rank engine's rule); on a non-periodic grid that makes the upper closing
+/// layer a ghost whenever an upper neighbor exists.
 struct Brick {
   std::array<index_t, 3> c_begin{0, 0, 0};
   std::array<index_t, 3> c_end{0, 0, 0};
@@ -55,24 +57,6 @@ class BrickPartition {
   }
   int rank_of(int gx, int gy, int gz) const {
     return gx + grid_[0] * (gy + grid_[1] * gz);
-  }
-
-  /// Lane-grid neighbor of rank r in direction (dx, dy, dz) in {-1, 0, 1}^3,
-  /// or -1 when the step leaves a non-periodic boundary. A periodic axis with
-  /// a single brick wraps to the brick itself (self-exchange across the
-  /// periodic wrap interface).
-  int neighbor(int r, int dx, int dy, int dz) const {
-    const std::array<int, 3> c = coords(r);
-    const int d[3] = {dx, dy, dz};
-    std::array<int, 3> n{};
-    for (int a = 0; a < 3; ++a) {
-      n[a] = c[a] + d[a];
-      if (n[a] < 0 || n[a] >= grid_[a]) {
-        if (!periodic_[a]) return -1;
-        n[a] = (n[a] + grid_[a]) % grid_[a];
-      }
-    }
-    return rank_of(n[0], n[1], n[2]);
   }
 
   index_t ndofs() const { return ndofs_; }

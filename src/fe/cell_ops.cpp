@@ -138,12 +138,12 @@ void CellStiffness<T>::apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const
   if (groups_.empty()) return;  // no cells: no scratch either
   const index_t nd = dofh_->ndofs_per_cell();
   const index_t B = X.cols();
-  la::Matrix<T>& Xc = xc_.acquire(nd, chunk_cells_ * B);
-  la::Matrix<T>& Yc = yc_.acquire(nd, chunk_cells_ * B);
+  la::Matrix<T>& Xc = xc_.acquire(nd, kChunkCells * B);
+  la::Matrix<T>& Yc = yc_.acquire(nd, kChunkCells * B);
   for (const Group& g : groups_) {
     const index_t ncg = static_cast<index_t>(g.cells.size());
-    for (index_t c0 = 0; c0 < ncg; c0 += chunk_cells_) {
-      const index_t nc = std::min(chunk_cells_, ncg - c0);
+    for (index_t c0 = 0; c0 < ncg; c0 += kChunkCells) {
+      const index_t nc = std::min(kChunkCells, ncg - c0);
       // Gather: cell-local blocks Xc[:, b*B:(b+1)*B] = X[dofs(cell_b), :].
 #pragma omp parallel for schedule(static)
       for (index_t b = 0; b < nc; ++b) {
@@ -191,7 +191,7 @@ void CellStiffness<T>::apply_add_sumfac(const la::Matrix<T>& X, la::Matrix<T>& Y
   // all issued as strided-batched GEMMs across the whole chunk, so the batch
   // dimension spans cells x columns. nd = n^3 makes the slab stride uniform
   // (pair p, slab k lives at offset (p*n + k) * n^2).
-  const index_t max_pairs = chunk_cells_ * B;
+  const index_t max_pairs = kChunkCells * B;
   la::Matrix<T>& U = sf_u_.acquire(nd, max_pairs);
   la::Matrix<T>& Sx = sf_x_.acquire(nd, max_pairs);
   la::Matrix<T>& Sy = sf_y_.acquire(nd, max_pairs);
@@ -199,8 +199,8 @@ void CellStiffness<T>::apply_add_sumfac(const la::Matrix<T>& X, la::Matrix<T>& Y
 
   for (const Group& g : groups_) {
     const index_t ncg = static_cast<index_t>(g.cells.size());
-    for (index_t c0 = 0; c0 < ncg; c0 += chunk_cells_) {
-      const index_t nc = std::min(chunk_cells_, ncg - c0);
+    for (index_t c0 = 0; c0 < ncg; c0 += kChunkCells) {
+      const index_t nc = std::min(kChunkCells, ncg - c0);
       const index_t pairs = nc * B;
       // Gather cell-local vectors.
 #pragma omp parallel for schedule(static)

@@ -85,10 +85,6 @@ class CellStiffness {
   }
   const DofHandler& dofs() const { return *dofh_; }
 
-  /// Maximum number of cells gathered at once (workspace bound); exposed so
-  /// benches can explore the arithmetic-intensity/memory trade-off.
-  void set_chunk_cells(index_t n) { chunk_cells_ = n; }
-
  private:
   struct Group {
     la::Matrix<T> A;              // dense cell matrix, ndofc x ndofc
@@ -102,7 +98,9 @@ class CellStiffness {
   la::Matrix<double> k1_;              // 1D reference stiffness (sum factorization)
   la::Matrix<T> k1s_;                  // same, in the operator scalar type (GEMM operand)
   bool has_bloch_ = false;
-  index_t chunk_cells_ = 16;
+  // Cells gathered at once: bounds the gather/scatter and sum-factorization
+  // scratch at kChunkCells * ncols cell-local columns.
+  static constexpr index_t kChunkCells = 16;
   // Persistent workspace (allocation-free steady state). Applies are const
   // but reuse this scratch, so concurrent applies on one object are not
   // supported — each thread/solver owns its operator instance.

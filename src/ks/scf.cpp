@@ -45,6 +45,9 @@ KohnShamDFT<T>::KohnShamDFT(const fe::DofHandler& dofh, std::shared_ptr<xc::XCFu
                                                       : nullptr;
   if (bad != nullptr)
     throw std::invalid_argument(std::string("ks::ScfOptions::") + bad + " must be >= 1");
+  // fermi() divides by T: at T <= 0 (or NaN) the occupations cannot converge.
+  if (!(opt_.temperature > 0.0))
+    throw std::invalid_argument("ks::ScfOptions::temperature must be > 0");
   chfes_options().validate("ks::ScfOptions");
   // lint: allow(hot-path-alloc): one-time construction, not the SCF loop
   if (kpts_.empty()) kpts_.push_back({});

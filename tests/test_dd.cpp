@@ -121,28 +121,6 @@ TEST(BrickPartition, FactorizePrefersLongAxisOnElongatedBox) {
   EXPECT_EQ(BrickPartition::factorize(dofh, 4), (std::array<int, 3>{1, 1, 4}));
 }
 
-TEST(BrickPartition, NeighborWrapsOnlyPeriodicAxes) {
-  const auto mesh = fe::make_uniform_mesh(4.0, 4, false);
-  const fe::DofHandler dofh(mesh, 3);
-  const auto part = BrickPartition::cell_aligned(dofh, {2, 2, 2});
-  // Corner rank 0 = (0,0,0): negative steps leave the non-periodic box.
-  EXPECT_EQ(part.neighbor(0, -1, 0, 0), -1);
-  EXPECT_EQ(part.neighbor(0, 0, -1, 0), -1);
-  EXPECT_EQ(part.neighbor(0, -1, -1, -1), -1);
-  EXPECT_EQ(part.neighbor(0, 1, 0, 0), 1);
-  EXPECT_EQ(part.neighbor(0, 1, 1, 1), 7);
-
-  const auto pmesh = fe::make_uniform_mesh(4.0, 4, true);
-  const fe::DofHandler pdofh(pmesh, 3);
-  const auto ppart = BrickPartition::cell_aligned(pdofh, {2, 2, 2});
-  EXPECT_EQ(ppart.neighbor(0, -1, 0, 0), 1);     // wraps in x
-  EXPECT_EQ(ppart.neighbor(0, -1, -1, -1), 7);   // wraps on all three
-  // A periodic axis with a single brick wraps to itself (self-exchange).
-  const auto single = BrickPartition::cell_aligned(pdofh, {1, 1, 2});
-  EXPECT_EQ(single.neighbor(0, 1, 0, 0), 0);
-  EXPECT_EQ(single.neighbor(0, 0, 0, -1), 1);
-}
-
 TEST(Pipeline, TreeAllreduceBeatsFlatBeyondTwoRanks) {
   const double mt = 1.0e-3;
   EXPECT_DOUBLE_EQ(allreduce_flat_time(mt, 1), 0.0);

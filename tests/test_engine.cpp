@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -561,8 +562,8 @@ TEST(BrickEngine, SyncAndAsyncAreBitwiseIdenticalOn2x2x1) {
     Xs.data()[i] = Xa.data()[i] = std::cos(0.21 * i) * 0.3;
   run(EngineMode::sync, Xs);
   run(EngineMode::async, Xa);
-  // Same arithmetic, same fixed 26-direction post/receive order in both
-  // schedules: exactly equal, even with edge/corner packets in flight.
+  // Same arithmetic, same rank-ordered post/receive order in both
+  // schedules: exactly equal, even with edge/corner dofs in flight.
   EXPECT_EQ(max_diff(Xs, Xa), 0.0);
 }
 
@@ -626,6 +627,77 @@ TEST(BrickEngine, GramTreeReductionMatchesSerialOverlap) {
   for (index_t j = 0; j < nst; ++j)
     for (index_t i = 0; i < nst; ++i)
       EXPECT_NEAR(S(i, j), Sref(i, j), 1e-11 * n) << i << "," << j;
+}
+
+// Lanes exchange exactly the dofs they share: one packet per (sender,
+// receiver) pair per step, carrying every dof the two hold in common. An
+// isolated axis adds no peer; a periodic one wraps, and with a single brick
+// the lane is its own peer. A dof with c copies among the lanes receives the
+// other c - 1 partials at each copy, so the ledger (each value counted when
+// posted and when received) holds 2 * 8 * ncols * sum_g c_g (c_g - 1) FP64
+// bytes. The density check shows each row is owned exactly once.
+TEST(BrickEngine, OnePacketPerSharingLane) {
+  const double L = 8.0;
+  const int p = 3;
+  const index_t ncols = 3;
+  struct Case {
+    std::array<int, 3> grid;
+    std::int64_t messages_isolated, messages_periodic;
+  };
+  const Case cases[] = {{{2, 2, 2}, 112, 112}, {{2, 1, 2}, 24, 32}, {{1, 1, 2}, 4, 8},
+                        {{1, 1, 1}, 0, 2}};
+  for (const bool periodic : {false, true}) {
+    const auto mesh = fe::make_uniform_mesh(L, 4, periodic);
+    fe::DofHandler dofh(mesh, p);
+    ks::Hamiltonian<double> H(dofh);
+    H.set_potential(mg_like_potential(dofh, L));
+    la::Matrix<double> X(dofh.ndofs(), ncols);
+    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.13 * i) + 0.2;
+    la::Matrix<double> Yref;
+    H.apply(X, Yref);
+    double scale = 0.0;
+    for (index_t i = 0; i < Yref.size(); ++i) scale = std::max(scale, std::abs(Yref.data()[i]));
+    const std::vector<double> occ{2.0, 1.5, 0.5};
+    SerialBackend<double> serial(
+        dofh, [&H](const la::Matrix<double>& A, la::Matrix<double>& B, double c, double sc,
+                   const la::Matrix<double>* Z, double zc) { H.apply_fused(A, B, c, sc, Z, zc); });
+    std::vector<double> rho_ref(static_cast<std::size_t>(dofh.ndofs()), 0.25);
+    serial.accumulate_density(X, occ, 0.5, rho_ref);
+    const index_t nx = dofh.naxis(0), ny = dofh.naxis(1), nz = dofh.naxis(2);
+    for (const Case& c : cases) {
+      const std::string where = "periodic=" + std::to_string(periodic) + " grid=" +
+                                std::to_string(c.grid[0]) + "x" + std::to_string(c.grid[1]) +
+                                "x" + std::to_string(c.grid[2]);
+      // c_g: every brick's closed dof box, wrapped on a periodic axis.
+      const auto part = BrickPartition::cell_aligned(dofh, c.grid);
+      std::vector<std::int64_t> copies(static_cast<std::size_t>(dofh.ndofs()), 0);
+      for (int r = 0; r < part.nranks(); ++r) {
+        const Brick& bk = part.brick(r);
+        for (index_t k = bk.c_begin[2] * p; k <= bk.c_end[2] * p; ++k)
+          for (index_t j = bk.c_begin[1] * p; j <= bk.c_end[1] * p; ++j)
+            for (index_t i = bk.c_begin[0] * p; i <= bk.c_end[0] * p; ++i)
+              ++copies[static_cast<std::size_t>(i % nx + nx * (j % ny + ny * (k % nz)))];
+      }
+      std::int64_t pairs = 0;
+      for (const std::int64_t cg : copies) pairs += cg * (cg - 1);
+
+      BackendOptions opt;
+      opt.grid = c.grid;
+      opt.nlanes = c.grid[0] * c.grid[1] * c.grid[2];
+      opt.wire = Wire::fp64;
+      RankEngine<double> eng(dofh, opt);
+      eng.set_potential(H.potential());
+      la::Matrix<double> Y;
+      eng.apply(X, Y);
+      const CommStats st = eng.comm_stats();
+      EXPECT_EQ(st.messages, periodic ? c.messages_periodic : c.messages_isolated) << where;
+      EXPECT_EQ(st.bytes(), 2 * 8 * ncols * pairs) << where;
+      EXPECT_LT(max_diff(Y, Yref), 1e-12 * scale) << where;
+      std::vector<double> rho(static_cast<std::size_t>(dofh.ndofs()), 0.25);
+      eng.accumulate_density(X, occ, 0.5, rho);
+      EXPECT_EQ(rho, rho_ref) << where;
+    }
+  }
 }
 
 TEST(BrickEngine, RejectsNonPositiveLaneCountsAndPartialGrids) {

@@ -297,17 +297,23 @@ TEST(CellStiffness, BlockApplyMatchesColumnwiseApply) {
   }
 }
 
-TEST(CellStiffness, SmallChunkSizeGivesSameAnswer) {
+TEST(CellStiffness, GroupSpanningTwoChunksMatchesItsCellOperators) {
+  // 27 cells of one geometry group: the whole-mesh apply gathers them in two
+  // chunks (16 + 11). Each single-cell operator holds one chunk of one cell.
   const Mesh m = make_uniform_mesh(2.0, 3, true);
   DofHandler dofh(m, 2);
-  CellStiffness<double> K1(dofh, 1.0), K2(dofh, 1.0);
-  K2.set_chunk_cells(2);
+  CellStiffness<double> whole(dofh, 1.0);
+  ASSERT_EQ(whole.ngroups(), 1);
+  ASSERT_EQ(whole.ncells(), 27);
   const index_t n = dofh.ndofs();
-  la::Matrix<double> X(n, 3), Y1(n, 3), Y2(n, 3);
+  la::Matrix<double> X(n, 3), Y(n, 3), Ycells(n, 3);
   for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::cos(0.3 * i);
-  K1.apply_add(X, Y1);
-  K2.apply_add(X, Y2);
-  EXPECT_LT(la::max_abs_diff(Y1, Y2), 1e-11);
+  whole.apply_add(X, Y);
+  for (index_t c = 0; c < m.ncells_total(); ++c)
+    CellStiffness<double>(dofh, std::vector<index_t>{c}, 1.0).apply_add(X, Ycells);
+  double scale = 0.0;
+  for (index_t i = 0; i < Y.size(); ++i) scale = std::max(scale, std::abs(Y.data()[i]));
+  EXPECT_LT(la::max_abs_diff(Y, Ycells), 1e-12 * scale);
 }
 
 TEST(CellStiffness, ComplexKpointOperatorIsHermitianAndShiftsConstants) {

@@ -343,6 +343,16 @@ TEST(ScfOptionsCheck, FirstIterationCyclesBelowOneIsRejected) {
   expect_rejected(opt, "first_iteration_cycles", false);
 }
 
+TEST(ScfOptionsCheck, TemperatureAtOrBelowZeroIsRejected) {
+  // fermi() divides by T: at 0 the occupations are a step and the Fermi
+  // level settles below every Ritz value, so the SCF never converges.
+  for (const double t : {0.0, -1e-3, std::nan("")}) {
+    ScfOptions opt;
+    opt.temperature = t;
+    expect_rejected(opt, "temperature", false);
+  }
+}
+
 TEST(Scf, NonInteractingHarmonicTrapTotalEnergy) {
   // Two non-interacting electrons (no Hartree, no XC) in a harmonic trap:
   // both occupy the 1.5 Ha level -> E = 3.0 Ha exactly.

@@ -444,80 +444,83 @@ inline Scenario chain_scenario(int nlanes, int nsteps) {
 
 // ---------------------------------------------------------------------------
 // 2x2 brick exchange: four lanes in an x-y brick grid, each posting to (and
-// receiving from) THREE neighbors per step — two face channels plus the
-// diagonal edge/corner channel — through twelve HaloChannels total. This is
-// the RankEngine mailbox topology scaled down to the smallest grid where a
-// lane has more than two neighbor channels. Lane r = x + 2y, so the three
-// neighbor relations are rank XORs: d = 0 flips x (face), d = 1 flips y
-// (face), d = 2 flips both (the diagonal). Posts and receives both walk d
-// ascending — the engine's fixed di-order that makes sync and async
-// schedules bitwise identical.
+// receiving from) THREE peers per step — the two face neighbors plus the
+// diagonal one, every lane it shares a dof with — through twelve
+// HaloChannels, one per (sender, receiver) pair. This is the RankEngine
+// mailbox topology scaled down to the smallest grid where a lane has more
+// than two peers. Posts and receives both walk the peers in rank order, the
+// engine's order that makes sync and async schedules bitwise identical:
+// lane 0 visits 1, 2, 3; lane 1 visits 0, 2, 3; lane 2 visits 0, 1, 3;
+// lane 3 visits 0, 1, 2.
 //
 // Each of the twelve channels carries a *distinct* payload (virtual sender
-// id r*3 + d), so a packet mis-routed between a face and the corner channel
-// of the same sender fails the payload check instead of aliasing; the
-// RecvCheck generation stamps assert every published buffer is consumed
-// exactly once per channel (publish-once).
+// id 4*r + q on channel r -> q), so a packet mis-routed between a face and
+// the diagonal channel of the same sender fails the payload check instead of
+// aliasing; the RecvCheck generation stamps assert every published buffer is
+// consumed exactly once per channel (publish-once).
 
-inline int brick_peer(int r, int d) { return r ^ (d + 1); }
-inline int brick_vtid(int r, int d) { return r * 3 + d; }
+constexpr int kBrickLanes = 4;
+inline int brick_vtid(int r, int q) { return kBrickLanes * r + q; }
+
+/// The twelve channels: out[r][q] carries lane r's packet to peer q (q != r).
+using BrickChannels = std::unique_ptr<Channel>[kBrickLanes][kBrickLanes];
+
+inline void brick4_wire(Registrar& reg, BrickChannels& out) {
+  for (int r = 0; r < kBrickLanes; ++r)
+    for (int q = 0; q < kBrickLanes; ++q) {
+      if (q == r) continue;
+      out[r][q] = std::make_unique<Channel>();
+      out[r][q]->init(dd::Wire::fp64, kPlane);
+      std::ostringstream nm;
+      nm << "ch[" << r << "->" << q << "]";
+      reg.channel(*out[r][q], nm.str());
+    }
+}
 
 struct Brick4State {
-  // out[r][d]: the channel lane r publishes on toward brick_peer(r, d).
-  // Lane r's matching inbound channel for direction d is out[peer][d],
-  // because the relation is symmetric: brick_peer(peer, d) == r.
-  std::unique_ptr<Channel> out[4][3];
+  BrickChannels out;
   int nsteps = 1;
   bool async = false;
-  RecvCheck rc[4][3];
-  double halo[4] = {0.0, 0.0, 0.0, 0.0};
-  double interior[4] = {0.0, 0.0, 0.0, 0.0};
+  RecvCheck rc[kBrickLanes][kBrickLanes];  // rc[r][q]: lane r's check of q's packets
+  double halo[kBrickLanes] = {0.0, 0.0, 0.0, 0.0};
+  double interior[kBrickLanes] = {0.0, 0.0, 0.0, 0.0};
 };
 
 inline std::shared_ptr<Brick4State> brick4_setup(Registrar& reg, int nsteps, bool async) {
   auto st = std::make_shared<Brick4State>();
   st->nsteps = nsteps;
   st->async = async;
-  const char* dname[3] = {"x", "y", "xy"};
-  for (int r = 0; r < 4; ++r)
-    for (int d = 0; d < 3; ++d) {
-      st->out[r][d] = std::make_unique<Channel>();
-      st->out[r][d]->init(dd::Wire::fp64, kPlane);
-      std::ostringstream nm;
-      nm << "ch[" << r << "->" << brick_peer(r, d) << "|" << dname[d] << "]";
-      reg.channel(*st->out[r][d], nm.str());
-    }
+  brick4_wire(reg, st->out);
   return st;
 }
 
 inline void brick4_body(Brick4State& st, int tid) {
   for (int step = 0; step < st.nsteps; ++step) {
-    for (int d = 0; d < 3; ++d)
-      post_packet(*st.out[tid][d], brick_vtid(tid, d), step);
+    for (int q = 0; q < kBrickLanes; ++q)
+      if (q != tid) post_packet(*st.out[tid][q], brick_vtid(tid, q), step);
     if (st.async)  // overlapped interior sweep between post-all and recv-all
       st.interior[tid] += 1e-3 * lane_value(tid, step, 0);
-    for (int d = 0; d < 3; ++d) {
-      const int p = brick_peer(tid, d);
-      st.halo[tid] += st.rc[tid][d].consume(*st.out[p][d], brick_vtid(p, d), step);
-    }
+    for (int q = 0; q < kBrickLanes; ++q)
+      if (q != tid)
+        st.halo[tid] += st.rc[tid][q].consume(*st.out[q][tid], brick_vtid(q, tid), step);
     if (!st.async)
       st.interior[tid] += 1e-3 * lane_value(tid, step, 0);
   }
 }
 
 inline void brick4_check(Brick4State& st) {
-  for (int tid = 0; tid < 4; ++tid) {
+  for (int tid = 0; tid < kBrickLanes; ++tid) {
     double ref_halo = 0.0, ref_interior = 0.0;
     for (int step = 0; step < st.nsteps; ++step) {
-      for (int d = 0; d < 3; ++d)
-        ref_halo += packet_sum(brick_vtid(brick_peer(tid, d), d), step);
+      for (int q = 0; q < kBrickLanes; ++q)
+        if (q != tid) ref_halo += packet_sum(brick_vtid(q, tid), step);
       ref_interior += 1e-3 * lane_value(tid, step, 0);
     }
     if (st.halo[tid] + st.interior[tid] != ref_halo + ref_interior)
       throw InvariantViolation(
           "brick: lane result depends on the schedule (sync/async bitwise divergence)");
-    for (int d = 0; d < 3; ++d)
-      if (st.rc[tid][d].consumed != static_cast<std::uint64_t>(st.nsteps))
+    for (int q = 0; q < kBrickLanes; ++q)
+      if (q != tid && st.rc[tid][q].consumed != static_cast<std::uint64_t>(st.nsteps))
         throw InvariantViolation(
             "brick: published buffers were not each consumed exactly once");
   }
@@ -526,63 +529,55 @@ inline void brick4_check(Brick4State& st) {
 inline Scenario brick4_scenario(int nsteps, bool async) {
   return make_scenario<Brick4State>(
       async ? "brick_async_2x2" : "brick_sync_2x2",
-      async ? "2x2 brick exchange, async: 4 lanes x 3 neighbor channels, overlapped interior"
-            : "2x2 brick exchange, sync: 4 lanes x 3 neighbor channels (face+face+corner)",
-      4,
+      async ? "2x2 brick exchange, async: 4 lanes x 3 peer channels, overlapped interior"
+            : "2x2 brick exchange, sync: 4 lanes x 3 peer channels (face+face+diagonal)",
+      kBrickLanes,
       [nsteps, async](Registrar& reg) { return brick4_setup(reg, nsteps, async); },
       brick4_body, brick4_check);
 }
 
-// Poison cascade across more than two neighbor channels: lane 0 publishes
-// its three halos, then hard-fails (the drift-budget overrun path) and
-// closes all six of its channels, exactly like RankEngine's lane teardown.
-// A peer that trips on the poison closes ITS six channels in turn — the
-// cascade — because in a brick a poisoned lane that silently stopped
-// posting would deadlock the neighbors it never failed toward (lane 3
-// never shares a channel with lane 0 directly... it does via the diagonal,
-// but lanes 1 and 2 wait on each other's diagonal too). The explorer
+// Poison cascade across more than two peer channels: lane 0 publishes its
+// three halos, then hard-fails (the drift-budget overrun path) and closes
+// all six of its channels, exactly like RankEngine's lane teardown. A peer
+// that trips on the poison closes ITS six channels in turn — the cascade —
+// because a poisoned lane that silently stopped posting would deadlock the
+// peers it never failed toward (lanes 1, 2 and 3 also wait on each other).
+// Every lane walks its peers in rank order, as the engine does. The explorer
 // proves that under every schedule each lane either completes its step
 // (lane 0's packets were already published, so delivery is guaranteed) or
 // observes the poison — never blocks forever.
 
 struct BrickDriftState {
-  std::unique_ptr<Channel> out[4][3];
-  RecvCheck rc[4][3];
-  double halo[4] = {0.0, 0.0, 0.0, 0.0};
+  BrickChannels out;
+  RecvCheck rc[kBrickLanes][kBrickLanes];
+  double halo[kBrickLanes] = {0.0, 0.0, 0.0, 0.0};
   bool lane0_failed = false;
-  bool completed[4] = {false, false, false, false};
-  bool poisoned[4] = {false, false, false, false};
+  bool completed[kBrickLanes] = {false, false, false, false};
+  bool poisoned[kBrickLanes] = {false, false, false, false};
 };
 
 inline Scenario brick4_drift_scenario() {
   return make_scenario<BrickDriftState>(
       "brick_drift_2x2",
-      "lane hard-fail in a 2x2 brick: poison must cascade across 3 neighbor channels",
-      4,
+      "lane hard-fail in a 2x2 brick: poison must cascade across 3 peer channels",
+      kBrickLanes,
       [](Registrar& reg) {
         auto st = std::make_shared<BrickDriftState>();
-        const char* dname[3] = {"x", "y", "xy"};
-        for (int r = 0; r < 4; ++r)
-          for (int d = 0; d < 3; ++d) {
-            st->out[r][d] = std::make_unique<Channel>();
-            st->out[r][d]->init(dd::Wire::fp64, kPlane);
-            std::ostringstream nm;
-            nm << "ch[" << r << "->" << brick_peer(r, d) << "|" << dname[d] << "]";
-            reg.channel(*st->out[r][d], nm.str());
-          }
+        brick4_wire(reg, st->out);
         return st;
       },
       [](BrickDriftState& st, int tid) {
         // close() is idempotent, so concurrent cascades may overlap.
         const auto close_all = [&st](int r) {
-          for (int d = 0; d < 3; ++d) {
-            st.out[r][d]->close();                  // my outbound channels
-            st.out[brick_peer(r, d)][d]->close();   // my inbound channels
-          }
+          for (int q = 0; q < kBrickLanes; ++q)
+            if (q != r) {
+              st.out[r][q]->close();  // my outbound channels
+              st.out[q][r]->close();  // my inbound channels
+            }
         };
         try {
-          for (int d = 0; d < 3; ++d)
-            post_packet(*st.out[tid][d], brick_vtid(tid, d), 0);
+          for (int q = 0; q < kBrickLanes; ++q)
+            if (q != tid) post_packet(*st.out[tid][q], brick_vtid(tid, q), 0);
           if (tid == 0) {
             // Drift overrun detected after the posts: hard-fail and close
             // every channel this lane touches, RankEngine-style.
@@ -590,10 +585,9 @@ inline Scenario brick4_drift_scenario() {
             close_all(0);
             return;
           }
-          for (int d = 0; d < 3; ++d) {
-            const int p = brick_peer(tid, d);
-            st.halo[tid] += st.rc[tid][d].consume(*st.out[p][d], brick_vtid(p, d), 0);
-          }
+          for (int q = 0; q < kBrickLanes; ++q)
+            if (q != tid)
+              st.halo[tid] += st.rc[tid][q].consume(*st.out[q][tid], brick_vtid(q, tid), 0);
           st.completed[tid] = true;
         } catch (const InvariantViolation&) {
           throw;
@@ -605,7 +599,7 @@ inline Scenario brick4_drift_scenario() {
       [](BrickDriftState& st) {
         if (!st.lane0_failed)
           throw InvariantViolation("brick drift: overrun path did not run");
-        for (int tid = 1; tid < 4; ++tid)
+        for (int tid = 1; tid < kBrickLanes; ++tid)
           if (!st.completed[tid] && !st.poisoned[tid])
             throw InvariantViolation(
                 "brick drift: a lane neither completed nor observed the poison cascade");
@@ -788,7 +782,7 @@ inline std::vector<ScenarioSpec> all_scenarios() {
   // the async body re-proves the same bitwise property and stays in the
   // full sweep. The seeded lost-corner-notify mutant leg runs drop-notify
   // against brick_sync_2x2: one step means no later publish heals a
-  // swallowed notify on any of the twelve (face or corner) channels.
+  // swallowed notify on any of the twelve (face or diagonal) channels.
   specs.push_back({brick4_scenario(1, false), 2, 120000, 40.0, true});
   specs.push_back({brick4_scenario(1, true), 2, 120000, 40.0, false});
   specs.push_back({brick4_drift_scenario(), 2, 120000, 40.0, true});

@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) of the hot kernels: dense GEMM,
 // strided-batched cell GEMM, the full cell-level Hamiltonian apply
-// (gather + batched GEMM + assembly), mixed-precision GEMM, and the
-// FP64/FP32/BF16 halo-packet round trip. These are the building blocks whose
-// throughputs the table/figure benches aggregate.
+// (gather + batched GEMM + assembly), the one-column Poisson stiffness
+// apply, mixed-precision GEMM, and the FP64/FP32/BF16 halo-packet round
+// trip. These are the building blocks whose throughputs the table/figure
+// benches aggregate.
 //
 // Unlike the plain BENCHMARK_MAIN() harness, this binary runs with a
 // reporter that mirrors every finished benchmark into the metrics registry
@@ -95,6 +96,33 @@ static void BM_HamiltonianApply(benchmark::State& state) {
   set_flop_counters(state, H.kinetic().flops_per_apply(bf));
 }
 BENCHMARK(BM_HamiltonianApply)->Arg(16)->Arg(64)->Arg(128);
+
+static void BM_StiffnessApply(benchmark::State& state) {
+  // The bare p = 4 stiffness (the Poisson operator) on the dimer workload's
+  // isolated 7 x 5 x 5-cell mesh (12,789 DoFs). One column is the apply of
+  // every EP conjugate-gradient iteration. An iteration runs 16 applies
+  // (about 3 ms on one AVX-512 core), so the entry clears
+  // check_bench_regression.py's 1 ms noise floor and the CI gate compares it.
+  constexpr int kApplies = 16;
+  const index_t bf = state.range(0);
+  static fe::Mesh mesh(fe::make_uniform_axis(19.8, 7), fe::make_uniform_axis(14.0, 5),
+                       fe::make_uniform_axis(14.0, 5));
+  static fe::DofHandler dofh(mesh, 4);
+  static fe::CellStiffness<double> K(dofh, 1.0);
+  la::MatrixD X(dofh.ndofs(), bf), Y(dofh.ndofs(), bf);
+  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.01 * i);
+  K.apply_add(X, Y);  // warm up the gather/scatter chunks
+  la::WorkspaceCounters::reset();
+  for (auto _ : state) {
+    for (int r = 0; r < kApplies; ++r) K.apply_add(X, Y);
+    benchmark::DoNotOptimize(Y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ws_allocs"] =
+      benchmark::Counter(static_cast<double>(la::WorkspaceCounters::allocations()));
+  set_flop_counters(state, kApplies * K.flops_per_apply(bf));
+}
+BENCHMARK(BM_StiffnessApply)->Arg(1);
 
 static void BM_MixedPrecisionGemm(benchmark::State& state) {
   const index_t n = state.range(0);

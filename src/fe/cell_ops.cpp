@@ -44,24 +44,33 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
   has_bloch_ = has_k;
   if (has_k && !scalar_traits<T>::is_complex)
     throw std::invalid_argument("CellStiffness: k-points require a complex scalar type");
-  k1_ = reference_stiffness_1d(dofh.nodes_per_cell_1d());
-  // Scalar-typed copy of the (symmetric) 1D stiffness: the GEMM operand of
-  // the sum-factorization contractions.
-  k1s_.resize(k1_.rows(), k1_.cols());
-  for (index_t j = 0; j < k1_.cols(); ++j)
-    for (index_t i = 0; i < k1_.rows(); ++i) k1s_(i, j) = T(k1_(i, j));
+  sumfac_ = !has_k && dofh.degree() >= kSumfacMinDegree;
 
   const int n = dofh.nodes_per_cell_1d();
   const index_t nd = dofh.ndofs_per_cell();
-  const auto K1 = reference_stiffness_1d(n);
+  k1_ = reference_stiffness_1d(n);
+  const auto& K1 = k1_;
   const auto D = gll_derivative_matrix(dofh.ref_nodes());
   const auto& w = dofh.ref_weights();
+  // Widen before multiplying: i + n*(j + n*k) evaluated in int overflows
+  // once n^3 exceeds INT_MAX, and signed overflow is UB, not wraparound.
+  auto idx = [n](int i, int j, int k) {
+    return static_cast<index_t>(i) +
+           static_cast<index_t>(n) * (static_cast<index_t>(j) + static_cast<index_t>(n) * k);
+  };
+  if (sumfac_) {
+    wcell_.resize(static_cast<std::size_t>(nd));  // lint: allow(hot-path-alloc): construction
+    for (int k = 0; k < n; ++k)
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+          wcell_[static_cast<std::size_t>(idx(i, j, k))] = w[i] * w[j] * w[k];
+  }
 
   // Precompute the slot -> dof map (slot s holds cells[s]) and group the
   // slots by geometry.
   const Mesh& mesh = dofh.mesh();
   const index_t nc = static_cast<index_t>(cells.size());
-  cell_dof_map_.resize(nc * nd);
+  cell_dof_map_.resize(nc * nd);  // lint: allow(hot-path-alloc): construction
   std::map<GeomKey, index_t> group_of;
   std::vector<index_t> dofs;
   for (index_t s = 0; s < nc; ++s) {
@@ -72,11 +81,12 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
     std::copy(dofs.begin(), dofs.end(), cell_dof_map_.begin() + s * nd);
     const GeomKey key = quantize(mesh.cell_sizes(c));
     auto [it, inserted] = group_of.try_emplace(key, static_cast<index_t>(groups_.size()));
-    if (inserted) groups_.push_back({});
-    groups_[it->second].cells.push_back(s);
+    if (inserted) groups_.push_back({});  // lint: allow(hot-path-alloc): construction
+    groups_[it->second].cells.push_back(s);  // lint: allow(hot-path-alloc): construction
   }
 
-  // Build one dense cell matrix per geometry group.
+  // Build each geometry group's operator: the folded 1D operators or the
+  // dense cell matrix.
   for (auto& [key, gi] : group_of) {
     Group& g = groups_[gi];
     const auto h = mesh.cell_sizes(cells[static_cast<std::size_t>(g.cells.front())]);
@@ -87,13 +97,23 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
     g.cxx = cxx;
     g.cyy = cyy;
     g.czz = czz;
-    g.A.resize(nd, nd);
-    // Widen before multiplying: i + n*(j + n*k) evaluated in int overflows
-    // once n^3 exceeds INT_MAX, and signed overflow is UB, not wraparound.
-    auto idx = [n](int i, int j, int k) {
-      return static_cast<index_t>(i) +
-             static_cast<index_t>(n) * (static_cast<index_t>(j) + static_cast<index_t>(n) * k);
-    };
+    if (sumfac_) {
+      // A_x(i, m) = cxx K1(i, m) / w_m, and A_y, A_z alike, so that on the
+      // weighted vector v = (w (x) w (x) w) u
+      //   (A_x (x) I (x) I + I (x) A_y (x) I + I (x) I (x) A_z) v
+      //   = (cxx K1 (x) M (x) M + cyy M (x) K1 (x) M + czz M (x) M (x) K1) u.
+      // The y and z contractions multiply from the right, so A_y and A_z are
+      // stored transposed: A = [A_x | A_y^T | A_z^T], n x 3n.
+      g.A.resize(n, 3 * n);  // lint: allow(hot-path-alloc): construction
+      for (int m = 0; m < n; ++m)
+        for (int i = 0; i < n; ++i) {
+          g.A(i, m) = T(cxx * K1(i, m) / w[m]);
+          g.A(m, n + i) = T(cyy * K1(i, m) / w[m]);
+          g.A(m, 2 * n + i) = T(czz * K1(i, m) / w[m]);
+        }
+      continue;
+    }
+    g.A.resize(nd, nd);  // lint: allow(hot-path-alloc): construction
     for (int k = 0; k < n; ++k)
       for (int j = 0; j < n; ++j)
         for (int i = 0; i < n; ++i) {
@@ -136,27 +156,52 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
 template <class T>
 void CellStiffness<T>::apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const {
   if (groups_.empty()) return;  // no cells: no scratch either
+  const index_t n = dofh_->nodes_per_cell_1d();
+  const index_t n2 = n * n;
   const index_t nd = dofh_->ndofs_per_cell();
   const index_t B = X.cols();
+  const double* wc = sumfac_ ? wcell_.data() : nullptr;
   la::Matrix<T>& Xc = xc_.acquire(nd, kChunkCells * B);
   la::Matrix<T>& Yc = yc_.acquire(nd, kChunkCells * B);
   for (const Group& g : groups_) {
     const index_t ncg = static_cast<index_t>(g.cells.size());
     for (index_t c0 = 0; c0 < ncg; c0 += kChunkCells) {
       const index_t nc = std::min(kChunkCells, ncg - c0);
-      // Gather: cell-local blocks Xc[:, b*B:(b+1)*B] = X[dofs(cell_b), :].
+      const index_t pairs = nc * B;
+      // Gather: cell-local blocks Xc[:, b*B:(b+1)*B] = X[dofs(cell_b), :],
+      // weighted by the cell's GLL weights on the sum-factorized path.
 #pragma omp parallel for schedule(static)
       for (index_t b = 0; b < nc; ++b) {
         const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
         for (index_t j = 0; j < B; ++j) {
           const T* src = X.col(j);
           T* dst = Xc.col(b * B + j);
-          for (index_t i = 0; i < nd; ++i) dst[i] = src[dofs[i]];
+          if (wc == nullptr) {
+            for (index_t i = 0; i < nd; ++i) dst[i] = src[dofs[i]];
+          } else {
+            for (index_t i = 0; i < nd; ++i) dst[i] = src[dofs[i]] * wc[i];
+          }
         }
       }
-      // Batched dense apply with the shared group matrix (stride 0).
-      la::gemm_strided_batched<T>('N', 'N', nd, B, nd, T(1), g.A.data(), nd, 0, Xc.data(), nd,
-                                  nd * B, T(0), Yc.data(), nd, nd * B, nc);
+      if (sumfac_) {
+        // The three contractions of each (cell, column) pair p accumulate
+        // into Yc[p] in x, y, z order:
+        //   x: Yc[p] = A_x V[p], V[p] viewed as n x n^2;
+        //   y: Yc[p]_k += V[p]_k A_y^T on each n x n slab k (the uniform slab
+        //      stride n^2 lets one call batch pairs * n GEMMs);
+        //   z: Yc[p] += V[p] A_z^T, V[p] viewed as n^2 x n.
+        const T* ax = g.A.data();
+        la::gemm_strided_batched<T>('N', 'N', n, n2, n, T(1), ax, n, 0, Xc.data(), n, nd, T(0),
+                                    Yc.data(), n, nd, pairs);
+        la::gemm_strided_batched<T>('N', 'N', n, n, n, T(1), Xc.data(), n, n2, ax + n2, n, 0,
+                                    T(1), Yc.data(), n, n2, pairs * n);
+        la::gemm_strided_batched<T>('N', 'N', n2, n, n, T(1), Xc.data(), n2, nd, ax + 2 * n2, n,
+                                    0, T(1), Yc.data(), n2, nd, pairs);
+      } else {
+        // Batched dense apply with the shared group matrix (stride 0).
+        la::gemm_strided_batched<T>('N', 'N', nd, B, nd, T(1), g.A.data(), nd, 0, Xc.data(),
+                                    nd, nd * B, T(0), Yc.data(), nd, nd * B, nc);
+      }
       // Scatter (Assembly_FE): parallel over columns so no two threads write
       // the same (dof, column) entry.
 #pragma omp parallel for schedule(static)
@@ -170,89 +215,10 @@ void CellStiffness<T>::apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const
       }
     }
   }
-}
-
-template <class T>
-void CellStiffness<T>::apply_add_sumfac(const la::Matrix<T>& X, la::Matrix<T>& Y) const {
-  if (has_bloch_)
-    throw std::logic_error("CellStiffness: sum factorization has no Bloch terms");
-  const int n = dofh_->nodes_per_cell_1d();
-  const index_t n2 = static_cast<index_t>(n) * n;
-  const index_t nd = dofh_->ndofs_per_cell();
-  const index_t B = X.cols();
-  const auto& w = dofh_->ref_weights();
-
-  // Gathered chunk of (cell, column) pairs, pair p = b * B + j. Each pair's
-  // cell-local vector u (one nd column of U) is contracted with the symmetric
-  // 1D stiffness K1 along each tensor direction via its three unfoldings:
-  //   Sx = K1 . U      (U as n x n^2, one GEMM per pair)
-  //   Sy = U_k . K1    (n x n slabs, n GEMMs per pair; K1 = K1^T)
-  //   Sz = U_(ij),m . K1  (U as n^2 x n, one GEMM per pair)
-  // all issued as strided-batched GEMMs across the whole chunk, so the batch
-  // dimension spans cells x columns. nd = n^3 makes the slab stride uniform
-  // (pair p, slab k lives at offset (p*n + k) * n^2).
-  const index_t max_pairs = kChunkCells * B;
-  la::Matrix<T>& U = sf_u_.acquire(nd, max_pairs);
-  la::Matrix<T>& Sx = sf_x_.acquire(nd, max_pairs);
-  la::Matrix<T>& Sy = sf_y_.acquire(nd, max_pairs);
-  la::Matrix<T>& Sz = sf_z_.acquire(nd, max_pairs);
-
-  for (const Group& g : groups_) {
-    const index_t ncg = static_cast<index_t>(g.cells.size());
-    for (index_t c0 = 0; c0 < ncg; c0 += kChunkCells) {
-      const index_t nc = std::min(kChunkCells, ncg - c0);
-      const index_t pairs = nc * B;
-      // Gather cell-local vectors.
-#pragma omp parallel for schedule(static)
-      for (index_t b = 0; b < nc; ++b) {
-        const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
-        for (index_t j = 0; j < B; ++j) {
-          const T* src = X.col(j);
-          T* dst = U.col(b * B + j);
-          for (index_t i = 0; i < nd; ++i) dst[i] = src[dofs[i]];
-        }
-      }
-      // x-direction: Sx[p] = K1 * U[p] with U[p] viewed as n x n^2.
-      la::gemm_strided_batched<T>('N', 'N', n, n2, n, T(1), k1s_.data(), n, 0, U.data(), n,
-                                  nd, T(0), Sx.data(), n, nd, pairs);
-      // y-direction: one n x n GEMM per (pair, z-slab), batch = pairs * n.
-      la::gemm_strided_batched<T>('N', 'N', n, n, n, T(1), U.data(), n, n2, k1s_.data(), n,
-                                  0, T(0), Sy.data(), n, n2, pairs * n);
-      // z-direction: Sz[p] = U[p] * K1 with U[p] viewed as n^2 x n.
-      la::gemm_strided_batched<T>('N', 'N', n2, n, n, T(1), U.data(), n2, nd, k1s_.data(), n,
-                                  0, T(0), Sz.data(), n2, nd, pairs);
-      // Weighted combination + assembly, fused into the scatter sweep
-      // (parallel over columns so no two threads write the same entry).
-      FlopCounter::global().add(6.0 * static_cast<double>(nd) * pairs *
-                                scalar_traits<T>::flop_factor);
-#pragma omp parallel for schedule(static)
-      for (index_t j = 0; j < B; ++j) {
-        T* dst = Y.col(j);
-        for (index_t b = 0; b < nc; ++b) {
-          const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
-          const index_t p = b * B + j;
-          const T* sx = Sx.col(p);
-          const T* sy = Sy.col(p);
-          const T* sz = Sz.col(p);
-          for (int kk = 0; kk < n; ++kk)
-            for (int jj = 0; jj < n; ++jj) {
-              // index_t arithmetic: the int product n * (jj + n * kk) is UB
-              // (signed overflow) for large polynomial orders.
-              const index_t off =
-                  static_cast<index_t>(n) * (jj + static_cast<index_t>(n) * kk);
-              const double cx = g.cxx * w[jj] * w[kk];
-              const double cy = g.cyy * w[kk];
-              const double cz = g.czz * w[jj];
-              const index_t* d = dofs + off;
-#pragma omp simd
-              for (int ii = 0; ii < n; ++ii)
-                dst[d[ii]] += T(cx) * sx[off + ii] +
-                              T(w[ii]) * (T(cy) * sy[off + ii] + T(cz) * sz[off + ii]);
-            }
-        }
-      }
-    }
-  }
+  // The gather's weighting: one product per gathered entry.
+  if (sumfac_)
+    FlopCounter::global().add(static_cast<double>(nd) * static_cast<double>(ncells()) * B *
+                              scalar_traits<T>::flop_factor);
 }
 
 template <class T>
@@ -321,8 +287,12 @@ void CellStiffness<T>::apply_add(const std::vector<T>& x, std::vector<T>& y) con
 
 template <class T>
 double CellStiffness<T>::flops_per_apply(index_t ncols) const {
+  // What apply_add charges: the dense cell GEMM, or the three n^4
+  // contractions plus the gather's weighting.
+  const double n = dofh_->nodes_per_cell_1d();
   const double nd = static_cast<double>(dofh_->ndofs_per_cell());
-  return 2.0 * nd * nd * ncols * static_cast<double>(ncells()) * scalar_traits<T>::flop_factor;
+  const double per_cell = sumfac_ ? 6.0 * n * nd + nd : 2.0 * nd * nd;
+  return per_cell * ncols * static_cast<double>(ncells()) * scalar_traits<T>::flop_factor;
 }
 
 template class CellStiffness<double>;

@@ -5,13 +5,23 @@
 //
 //   Y^b = Assembly_FE { H_ci X_ci^b }
 //
-// Cells are grouped by geometry (identical (hx, hy, hz) share one dense cell
-// matrix), blocks of wavefunctions are gathered to cell-local storage, the
-// per-cell dense matrices are applied with strided-batched GEMM, and results
-// are scattered back (assembled) into the global vector. On structured/graded
+// Cells are grouped by geometry (identical (hx, hy, hz) share one cell
+// operator), blocks of wavefunctions are gathered to cell-local storage, the
+// cell operator is applied with strided-batched GEMMs, and results are
+// scattered back (assembled) into the global vector. On structured/graded
 // meshes there are only a handful of geometry groups, so the batched GEMM
-// reuses one A matrix across the whole batch (stride 0), exactly like the
+// reuses one operator across the whole batch (stride 0), exactly like the
 // reference-cell reuse in DFT-FE.
+//
+// The operator picks its cell apply once, at construction. Degree >= 4
+// without Bloch terms applies by sum factorization: three n x n 1D operators
+// per group contracted along x, y and z (O(p^4) per cell). Every other
+// operator applies its dense (p+1)^3 x (p+1)^3 cell matrix (O(p^6)), the
+// paper's choice for wide wavefunction blocks on GPUs. On one AVX-512 core,
+// sum factorization applies the p = 4 stiffness 2.9-3.9x faster than the
+// dense matrix on one column and 1.0-1.5x faster on 11 and 64 columns; at
+// p = 2 and 3 it is slower on 11 and 64 columns (bench_ablation_cell_linalg,
+// DESIGN.md §8).
 //
 // The class is templated on the scalar: real for Gamma-point calculations and
 // complex for k-point sampled Hamiltonians, where the Bloch-twisted kinetic
@@ -48,29 +58,17 @@ class CellStiffness {
   /// Y += A X for a block of column vectors (Y must be sized like X).
   void apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const;
 
-  /// Same operator applied by sum factorization (tensor contractions with
-  /// the 1D reference matrices, O(p^4) per cell instead of the dense cell
-  /// matrix's O(p^6)). Available when the operator has no Bloch terms.
-  /// DFT-FE chooses the *dense* path on GPUs because batched GEMMs buy
-  /// arithmetic intensity despite the extra FLOPs (Sec. 5.4.1); the
-  /// cell-linalg ablation bench quantifies that trade-off here.
-  ///
-  /// The contractions are cast as three n x n^2 GEMMs per (cell, column)
-  /// pair — K1 against the three tensor unfoldings of the cell-local vector —
-  /// executed as strided-batched GEMMs over all pairs of a gathered chunk,
-  /// so parallelism spans cells x columns (the paper's cell-level GEMM
-  /// formulation) instead of columns only.
-  void apply_add_sumfac(const la::Matrix<T>& X, la::Matrix<T>& Y) const;
-
-  /// Reference scalar-loop sum factorization (the pre-GEMM n^4 loop nest):
-  /// kept as the equivalence/bench baseline for the batched-GEMM rewrite.
+  /// Reference scalar-loop sum factorization (the n^4 loop nest), which the
+  /// tests compare apply_add against on either path. It allocates on every
+  /// call, and an operator with Bloch terms has none (it throws).
   void apply_add_sumfac_scalar(const la::Matrix<T>& X, la::Matrix<T>& Y) const;
-  bool supports_sumfac() const { return !has_bloch_; }
+  /// Whether apply_add runs by sum factorization (else by dense matrices).
+  bool sum_factorized() const { return sumfac_; }
 
   /// y += A x for a single vector.
   void apply_add(const std::vector<T>& x, std::vector<T>& y) const;
 
-  /// Analytic FLOP count of one block apply with `ncols` columns.
+  /// FLOPs one apply_add of `ncols` columns charges, on the path it takes.
   double flops_per_apply(index_t ncols) const;
 
   index_t ncells() const {
@@ -79,34 +77,39 @@ class CellStiffness {
   index_t ngroups() const { return static_cast<index_t>(groups_.size()); }
   /// Bytes of persistent scratch the applies have grown so far.
   std::int64_t scratch_highwater_bytes() const {
-    return xc_.highwater_bytes() + yc_.highwater_bytes() + sf_u_.highwater_bytes() +
-           sf_x_.highwater_bytes() + sf_y_.highwater_bytes() + sf_z_.highwater_bytes() +
-           xv_.highwater_bytes() + yv_.highwater_bytes();
+    return xc_.highwater_bytes() + yc_.highwater_bytes() + xv_.highwater_bytes() +
+           yv_.highwater_bytes();
   }
   const DofHandler& dofs() const { return *dofh_; }
 
  private:
   struct Group {
-    la::Matrix<T> A;              // dense cell matrix, ndofc x ndofc
+    // Dense path: the nd x nd cell matrix. Sum-factorized path: the folded
+    // 1D operators side by side, n x 3n (see the constructor).
+    la::Matrix<T> A;
     std::vector<index_t> cells;   // member slots (rows of cell_dof_map_)
-    double cxx = 0, cyy = 0, czz = 0;  // per-direction sum-factorization scales
+    double cxx = 0, cyy = 0, czz = 0;  // per-direction stiffness scales
   };
+
+  // Lowest degree applied by sum factorization: below it the dense apply
+  // wins on the Chebyshev filter's wide blocks (DESIGN.md §8).
+  static constexpr int kSumfacMinDegree = 4;
 
   const DofHandler* dofh_;
   std::vector<Group> groups_;
   std::vector<index_t> cell_dof_map_;  // ndofc global dof ids per slot (cell list order)
-  la::Matrix<double> k1_;              // 1D reference stiffness (sum factorization)
-  la::Matrix<T> k1s_;                  // same, in the operator scalar type (GEMM operand)
+  la::Matrix<double> k1_;              // 1D reference stiffness (scalar reference)
+  std::vector<double> wcell_;          // w_i w_j w_k per cell dof (sum-factorized gather)
   bool has_bloch_ = false;
-  // Cells gathered at once: bounds the gather/scatter and sum-factorization
-  // scratch at kChunkCells * ncols cell-local columns.
+  bool sumfac_ = false;
+  // Cells gathered at once: bounds the gather/scatter scratch at
+  // kChunkCells * ncols cell-local columns.
   static constexpr index_t kChunkCells = 16;
   // Persistent workspace (allocation-free steady state). Applies are const
   // but reuse this scratch, so concurrent applies on one object are not
   // supported — each thread/solver owns its operator instance.
-  mutable la::WorkMatrix<T> xc_, yc_;            // dense-path gather/scatter chunks
-  mutable la::WorkMatrix<T> sf_u_, sf_x_, sf_y_, sf_z_;  // sum-factorization stages
-  mutable la::WorkMatrix<T> xv_, yv_;            // single-vector apply
+  mutable la::WorkMatrix<T> xc_, yc_;  // gather/scatter chunks, both paths
+  mutable la::WorkMatrix<T> xv_, yv_;  // single-vector apply
 };
 
 extern template class CellStiffness<double>;

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <set>
+#include <type_traits>
 
+#include "base/flops.hpp"
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
 #include "fe/gll.hpp"
@@ -300,20 +302,23 @@ TEST(CellStiffness, BlockApplyMatchesColumnwiseApply) {
 TEST(CellStiffness, GroupSpanningTwoChunksMatchesItsCellOperators) {
   // 27 cells of one geometry group: the whole-mesh apply gathers them in two
   // chunks (16 + 11). Each single-cell operator holds one chunk of one cell.
+  // p = 2 applies dense cell matrices, p = 4 sum-factorizes.
   const Mesh m = make_uniform_mesh(2.0, 3, true);
-  DofHandler dofh(m, 2);
-  CellStiffness<double> whole(dofh, 1.0);
-  ASSERT_EQ(whole.ngroups(), 1);
-  ASSERT_EQ(whole.ncells(), 27);
-  const index_t n = dofh.ndofs();
-  la::Matrix<double> X(n, 3), Y(n, 3), Ycells(n, 3);
-  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::cos(0.3 * i);
-  whole.apply_add(X, Y);
-  for (index_t c = 0; c < m.ncells_total(); ++c)
-    CellStiffness<double>(dofh, std::vector<index_t>{c}, 1.0).apply_add(X, Ycells);
-  double scale = 0.0;
-  for (index_t i = 0; i < Y.size(); ++i) scale = std::max(scale, std::abs(Y.data()[i]));
-  EXPECT_LT(la::max_abs_diff(Y, Ycells), 1e-12 * scale);
+  for (int p : {2, 4}) {
+    DofHandler dofh(m, p);
+    CellStiffness<double> whole(dofh, 1.0);
+    ASSERT_EQ(whole.ngroups(), 1);
+    ASSERT_EQ(whole.ncells(), 27);
+    const index_t n = dofh.ndofs();
+    la::Matrix<double> X(n, 3), Y(n, 3), Ycells(n, 3);
+    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::cos(0.3 * i);
+    whole.apply_add(X, Y);
+    for (index_t c = 0; c < m.ncells_total(); ++c)
+      CellStiffness<double>(dofh, std::vector<index_t>{c}, 1.0).apply_add(X, Ycells);
+    double scale = 0.0;
+    for (index_t i = 0; i < Y.size(); ++i) scale = std::max(scale, std::abs(Y.data()[i]));
+    EXPECT_LT(la::max_abs_diff(Y, Ycells), 1e-12 * scale) << "p=" << p;
+  }
 }
 
 TEST(CellStiffness, ComplexKpointOperatorIsHermitianAndShiftsConstants) {
@@ -395,64 +400,96 @@ TEST(CellStiffness, GroupsCollapseOnUniformMesh) {
 }
 
 
-TEST(CellStiffness, SumFactorizationMatchesDenseApply) {
-  // Both operator paths are exact: dense per-cell GEMM vs tensor
-  // contractions must agree to round-off, including on graded meshes.
-  const Mesh m(make_uniform_axis(2.0, 2), make_graded_axis(3.0, 1.5, 0.5, 0.3, 1.0),
-               make_uniform_axis(2.5, 3, true));
-  for (int p : {2, 3, 5}) {
-    DofHandler dofh(m, p);
-    CellStiffness<double> K(dofh, 0.5);
-    ASSERT_TRUE(K.supports_sumfac());
-    const index_t n = dofh.ndofs(), B = 4;
-    la::Matrix<double> X(n, B), Y1(n, B), Y2(n, B);
-    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.05 * i) + 0.2;
-    K.apply_add(X, Y1);
-    K.apply_add_sumfac(X, Y2);
-    EXPECT_LT(la::max_abs_diff(Y1, Y2), 1e-11) << "p=" << p;
-  }
+// The graded, partly periodic mesh of the path-equivalence tests below: its
+// cells fall into several geometry groups, so a sum-factorized operator holds
+// several sets of folded 1D operators.
+Mesh graded_mesh() {
+  return Mesh(make_uniform_axis(2.0, 2), make_graded_axis(3.0, 1.5, 0.5, 0.3, 1.0),
+              make_uniform_axis(2.5, 3, true));
 }
 
-TEST(CellStiffness, SumFactorizationMatchesDenseAtHighOrder) {
+// apply_add, on whichever path the operator picked (sum factorization from
+// p = 4, dense below), against the scalar sum-factorization loop nest. Both
+// are exact, so they agree to round-off.
+template <class T>
+void expect_apply_matches_scalar_reference(int p) {
+  const Mesh m = graded_mesh();
+  DofHandler dofh(m, p);
+  CellStiffness<T> K(dofh, 0.5);
+  EXPECT_EQ(K.sum_factorized(), p >= 4) << "p=" << p;
+  ASSERT_GT(K.ngroups(), 1);
+  const index_t n = dofh.ndofs(), B = 4;
+  la::Matrix<T> X(n, B), Y(n, B), Yref(n, B);
+  for (index_t i = 0; i < X.size(); ++i) {
+    if constexpr (std::is_same_v<T, double>)
+      X.data()[i] = std::sin(0.05 * i) + 0.2;
+    else
+      X.data()[i] = T(std::sin(0.1 * i), std::cos(0.07 * i));
+  }
+  K.apply_add(X, Y);
+  K.apply_add_sumfac_scalar(X, Yref);
+  double scale = 0.0;
+  for (index_t i = 0; i < Yref.size(); ++i) scale = std::max(scale, std::abs(Yref.data()[i]));
+  EXPECT_LT(la::max_abs_diff(Y, Yref), 1e-13 * scale) << "p=" << p;
+}
+
+TEST(CellStiffness, ApplyMatchesScalarReference) {
+  for (int p : {2, 3, 4, 5}) expect_apply_matches_scalar_reference<double>(p);
+}
+
+TEST(CellStiffness, ApplyMatchesScalarReferenceAtHighOrder) {
   // p = 7 and 8 give 8^3 = 512 and 9^3 = 729 dofs per cell: large enough to
   // exercise the linearized i + n*(j + n*k) gather/scatter arithmetic well
   // past the low-order cases above (regression for the index_t widening of
   // the previously int-typed index lambdas in fe/cell_ops.cpp).
-  const Mesh m = make_uniform_mesh(2.0, 2, true);
-  for (int p : {7, 8}) {
-    DofHandler dofh(m, p);
-    CellStiffness<double> K(dofh, 0.5);
-    ASSERT_TRUE(K.supports_sumfac());
-    const index_t n = dofh.ndofs(), B = 3;
-    la::Matrix<double> X(n, B), Y1(n, B), Y2(n, B);
-    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::cos(0.03 * i) - 0.1;
-    K.apply_add(X, Y1);
-    K.apply_add_sumfac(X, Y2);
-    EXPECT_LT(la::max_abs_diff(Y1, Y2), 1e-10) << "p=" << p;
-  }
+  for (int p : {7, 8}) expect_apply_matches_scalar_reference<double>(p);
 }
 
-TEST(CellStiffness, SumFactorizationComplexGammaMatchesDense) {
-  const Mesh m = make_uniform_mesh(3.0, 2, true);
-  DofHandler dofh(m, 3);
-  CellStiffness<complex_t> K(dofh, 0.5);
-  const index_t n = dofh.ndofs();
-  la::Matrix<complex_t> X(n, 2), Y1(n, 2), Y2(n, 2);
-  for (index_t i = 0; i < X.size(); ++i)
-    X.data()[i] = complex_t(std::sin(0.1 * i), std::cos(0.07 * i));
-  K.apply_add(X, Y1);
-  K.apply_add_sumfac(X, Y2);
-  EXPECT_LT(la::max_abs_diff(Y1, Y2), 1e-11);
+TEST(CellStiffness, ComplexGammaApplyMatchesScalarReference) {
+  for (int p : {2, 3, 4, 5, 7, 8}) expect_apply_matches_scalar_reference<complex_t>(p);
 }
 
-TEST(CellStiffness, SumFactorizationRejectsBlochOperator) {
+TEST(CellStiffness, ScalarReferenceRejectsBlochOperator) {
+  // Bloch terms keep the dense path at any degree; the reference has none.
   const Mesh m = make_uniform_mesh(3.0, 2, true);
-  DofHandler dofh(m, 2);
+  DofHandler dofh(m, 4);
   CellStiffness<complex_t> K(dofh, 0.5, {0.3, 0.0, 0.0});
-  EXPECT_FALSE(K.supports_sumfac());
+  EXPECT_FALSE(K.sum_factorized());
   la::Matrix<complex_t> X(dofh.ndofs(), 1), Y(dofh.ndofs(), 1);
-  EXPECT_THROW(K.apply_add_sumfac(X, Y), std::logic_error);
+  EXPECT_THROW(K.apply_add_sumfac_scalar(X, Y), std::logic_error);
 }
+
+TEST(CellStiffness, ChargedFlopsMatchFlopsPerApply) {
+  // One apply of 3 columns charges exactly flops_per_apply(3) on either
+  // path: 2 nd^2 per cell and column dense, 6 n^4 + n^3 (three contractions
+  // and the gather's weighting) sum-factorized; 4x that for complex scalars.
+  const Mesh m = graded_mesh();
+  auto charged = [](const auto& K, auto zero) {
+    using T = decltype(zero);
+    const index_t n = K.dofs().ndofs();
+    la::Matrix<T> X(n, 3), Y(n, 3);
+    X.fill(T(0.5));
+    FlopCounter::global().clear();
+    K.apply_add(X, Y);
+    return FlopCounter::global().total();
+  };
+  for (int p : {2, 3, 4, 5}) {
+    DofHandler dofh(m, p);
+    const CellStiffness<double> K(dofh, 0.5);
+    const CellStiffness<complex_t> Kz(dofh, 0.5);
+    EXPECT_EQ(charged(K, 0.0), K.flops_per_apply(3)) << "p=" << p;
+    EXPECT_EQ(charged(Kz, complex_t{}), Kz.flops_per_apply(3)) << "p=" << p;
+    const double n = p + 1, nd = n * n * n;
+    const double per_cell = p >= 4 ? 6.0 * n * nd + nd : 2.0 * nd * nd;
+    EXPECT_EQ(K.flops_per_apply(3), per_cell * 3 * K.ncells()) << "p=" << p;
+    EXPECT_EQ(Kz.flops_per_apply(3), 4.0 * per_cell * 3 * Kz.ncells()) << "p=" << p;
+  }
+  DofHandler dofh(m, 4);
+  const CellStiffness<complex_t> Kk(dofh, 0.5, {0.3, -0.2, 0.1});
+  EXPECT_EQ(charged(Kk, complex_t{}), Kk.flops_per_apply(3));
+  EXPECT_EQ(Kk.flops_per_apply(3), 4.0 * 2.0 * 125 * 125 * 3 * Kk.ncells());
+}
+
 // ---------- Poisson ----------
 
 TEST(Poisson, PeriodicCosineChargeHasAnalyticPotential) {

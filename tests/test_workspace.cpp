@@ -8,8 +8,8 @@
 //  * equivalence of the fused Chebyshev apply epilogue with the plain apply,
 //  * equivalence of the public pointer-rotating filter() with a reference
 //    three-term recurrence built from plain applies,
-//  * equivalence of the GEMM-cast sum factorization with the dense cell-matrix
-//    path and the scalar sum-factorization loop nest,
+//  * equivalence of the sum-factorized cell apply (three strided-batched GEMM
+//    contractions) with the scalar sum-factorization loop nest,
 //  * equivalence of the Hermitian-mirrored (half-triangle) overlap with the
 //    full A^H B product, in both FP64 and mixed-precision modes,
 //  * FLOP accounting: degenerate GEMM calls (k = 0 or alpha = 0) charge zero.
@@ -247,27 +247,26 @@ TEST(Workspace, FilterMatchesReferenceChebyshevRecurrence) {
 
 // ---------- sum-factorization equivalence ----------
 
-TEST(Workspace, SumfacGemmMatchesDenseAndScalarPaths) {
+TEST(Workspace, SumFactorizedApplyMatchesScalarReference) {
+  // p = 4: apply_add sum-factorizes. Both applies add into the same nonzero
+  // output, on a periodic and an isolated mesh.
   for (const bool periodic : {true, false}) {
     const fe::Mesh mesh = fe::make_uniform_mesh(5.0, 2, periodic);
     const fe::DofHandler dofh(mesh, 4);
     fe::CellStiffness<double> K(dofh, 0.5);
+    ASSERT_TRUE(K.sum_factorized());
     const index_t n = dofh.ndofs(), B = 3;
-    la::MatrixD X(n, B), Yd(n, B), Ys(n, B), Yg(n, B);
+    la::MatrixD X(n, B), Ys(n, B), Yg(n, B);
     for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.013 * i + 0.2);
-    for (index_t i = 0; i < n * B; ++i)
-      Yd.data()[i] = Ys.data()[i] = Yg.data()[i] = 0.1 * std::cos(0.07 * i);
+    for (index_t i = 0; i < n * B; ++i) Ys.data()[i] = Yg.data()[i] = 0.1 * std::cos(0.07 * i);
 
-    K.apply_add(X, Yd);
     K.apply_add_sumfac_scalar(X, Ys);
-    K.apply_add_sumfac(X, Yg);
+    K.apply_add(X, Yg);
 
     double scale = 0.0;
-    for (index_t i = 0; i < Yd.size(); ++i) scale = std::max(scale, std::abs(Yd.data()[i]));
-    for (index_t i = 0; i < Yd.size(); ++i) {
-      EXPECT_NEAR(Yg.data()[i], Yd.data()[i], 1e-10 * scale) << "dense vs gemm, entry " << i;
-      EXPECT_NEAR(Yg.data()[i], Ys.data()[i], 1e-10 * scale) << "scalar vs gemm, entry " << i;
-    }
+    for (index_t i = 0; i < Ys.size(); ++i) scale = std::max(scale, std::abs(Ys.data()[i]));
+    for (index_t i = 0; i < Ys.size(); ++i)
+      EXPECT_NEAR(Yg.data()[i], Ys.data()[i], 1e-13 * scale) << "entry " << i;
   }
 }
 
@@ -322,25 +321,28 @@ TEST(Workspace, HermitianOverlapMatchesFullProductComplex) {
 // ---------- zero-allocation steady state ----------
 
 TEST(Workspace, HamiltonianApplyIsAllocationFreeAfterWarmup) {
+  // p = 3 applies dense cell matrices, p = 4 sum-factorizes.
   const fe::Mesh mesh = fe::make_uniform_mesh(6.0, 2, true);
-  const fe::DofHandler dofh(mesh, 3);
-  auto H = make_hamiltonian(dofh);
-  const index_t n = dofh.ndofs();
-  la::MatrixD X(n, 6), Y;
-  for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.02 * i);
-  la::MatrixD xv(n, 1), yv;  // one column: the Lanczos-bound apply
-  xv.fill(0.5);
+  for (int p : {3, 4}) {
+    const fe::DofHandler dofh(mesh, p);
+    auto H = make_hamiltonian(dofh);
+    const index_t n = dofh.ndofs();
+    la::MatrixD X(n, 6), Y;
+    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::sin(0.02 * i);
+    la::MatrixD xv(n, 1), yv;  // one column: the Lanczos-bound apply
+    xv.fill(0.5);
 
-  H.apply(X, Y);  // warmup: persistent buffers size themselves
-  H.apply(xv, yv);
-  la::WorkspaceCounters::reset();
-  for (int it = 0; it < 4; ++it) {
-    H.apply(X, Y);
+    H.apply(X, Y);  // warmup: persistent buffers size themselves
     H.apply(xv, yv);
+    la::WorkspaceCounters::reset();
+    for (int it = 0; it < 4; ++it) {
+      H.apply(X, Y);
+      H.apply(xv, yv);
+    }
+    EXPECT_EQ(la::WorkspaceCounters::allocations(), 0)
+        << "steady-state Hamiltonian applies must not touch the heap, p=" << p;
+    EXPECT_GT(la::WorkspaceCounters::checkouts(), 0);
   }
-  EXPECT_EQ(la::WorkspaceCounters::allocations(), 0)
-      << "steady-state Hamiltonian applies must not touch the heap";
-  EXPECT_GT(la::WorkspaceCounters::checkouts(), 0);
 }
 
 TEST(Workspace, ChfesCycleIsAllocationFreeAfterWarmup) {
@@ -437,30 +439,34 @@ TEST(Workspace, PoissonSolveAllocatesNothingWhenWarm) {
 TEST(Workspace, LaneHighwaterCountsBothCellOperators) {
   // An isolated 4^3-cell mesh on a {2,1,1} grid: each lane's brick is 2 x 4
   // x 4 cells, one layer of interface cells and one of interior cells, so
-  // both of its cell operators hold cells.
+  // both of its cell operators hold cells. p = 2 applies dense cell
+  // matrices, p = 4 sum-factorizes; both hold two chunks per operator.
   const fe::Mesh mesh = fe::make_uniform_mesh(6.0, 4, false);
-  const fe::DofHandler dofh(mesh, 2);
-  dd::BackendOptions opt;
-  opt.grid = {2, 1, 1};
-  opt.nlanes = 2;
-  opt.wire = dd::Wire::fp64;
-  dd::RankEngine<double> eng(dofh, opt);
-  eng.set_potential(std::vector<double>(static_cast<std::size_t>(dofh.ndofs()), -0.5));
-  const index_t B = 6;
-  la::MatrixD X(dofh.ndofs(), B), Y;
-  X.fill(0.25);
-  eng.apply(X, Y);
-  // Per lane: the scaled input, the gathered input and the result
-  // (nloc x B each), and the gather and scatter chunks of the interface and
-  // the interior operator (nd x 16 cells x B each).
-  const index_t nloc = 5 * 9 * 9, nd = 27, chunk_cells = 16;
-  const std::int64_t expect =
-      static_cast<std::int64_t>((3 * nloc * B + 2 * 2 * nd * chunk_cells * B) * sizeof(double));
-  for (int r = 0; r < eng.nlanes(); ++r)
-    EXPECT_EQ(obs::MetricsRegistry::global().gauge("mem.lane" + std::to_string(r) +
-                                                   ".highwater_bytes"),
-              static_cast<double>(expect))
-        << "lane " << r;
+  for (const index_t p : {2, 4}) {
+    const fe::DofHandler dofh(mesh, static_cast<int>(p));
+    dd::BackendOptions opt;
+    opt.grid = {2, 1, 1};
+    opt.nlanes = 2;
+    opt.wire = dd::Wire::fp64;
+    dd::RankEngine<double> eng(dofh, opt);
+    eng.set_potential(std::vector<double>(static_cast<std::size_t>(dofh.ndofs()), -0.5));
+    const index_t B = 6;
+    la::MatrixD X(dofh.ndofs(), B), Y;
+    X.fill(0.25);
+    eng.apply(X, Y);
+    // Per lane: the scaled input, the gathered input and the result
+    // (nloc x B each), and the gather and scatter chunks of the interface
+    // and the interior operator (nd x 16 cells x B each).
+    const index_t nloc = (2 * p + 1) * (4 * p + 1) * (4 * p + 1), nd = (p + 1) * (p + 1) * (p + 1);
+    const index_t chunk_cells = 16;
+    const std::int64_t expect =
+        static_cast<std::int64_t>((3 * nloc * B + 2 * 2 * nd * chunk_cells * B) * sizeof(double));
+    for (int r = 0; r < eng.nlanes(); ++r)
+      EXPECT_EQ(obs::MetricsRegistry::global().gauge("mem.lane" + std::to_string(r) +
+                                                     ".highwater_bytes"),
+                static_cast<double>(expect))
+          << "lane " << r << ", p=" << p;
+  }
 }
 
 TEST(Workspace, WarmEngineStagesCallOperatorNewZeroTimes) {
@@ -473,32 +479,35 @@ TEST(Workspace, WarmEngineStagesCallOperatorNewZeroTimes) {
   obs::TraceRecorder& rec = obs::TraceRecorder::global();
   const bool tracing = rec.enabled();
   rec.set_enabled(false);
+  // p = 2 applies dense cell matrices, p = 4 sum-factorizes.
   const fe::Mesh mesh = fe::make_uniform_mesh(6.0, 4, true);
-  const fe::DofHandler dofh(mesh, 2);
-  dd::BackendOptions opt;
-  opt.nlanes = 4;  // the default FP32 wire: a mixed overlap takes the gram wire
-  dd::RankEngine<double> eng(dofh, opt);
-  const index_t n = dofh.ndofs(), N = 6;
-  eng.set_potential(std::vector<double>(static_cast<std::size_t>(n), -0.3));
-  la::MatrixD X0(n, N), X(n, N), Y, S;
-  for (index_t i = 0; i < X0.size(); ++i) X0.data()[i] = std::sin(0.37 * i);
-  const std::vector<double> occ(static_cast<std::size_t>(N), 2.0);
-  std::vector<double> rho(static_cast<std::size_t>(n), 0.0);
-  // A fresh copy each rep: refiltering one block on a fixed [a, b] would
-  // overflow it within a few reps.
-  auto stages = [&] {
-    std::copy(X0.data(), X0.data() + X0.size(), X.data());
-    eng.filter_block(X, 0, N, 4, -0.2, 2.5, -1.1);
-    eng.apply(X, Y);
-    eng.overlap(X, X, S, /*mp_block=*/2, /*mixed=*/true);
-    eng.accumulate_density(X, occ, 1.0, rho);
-  };
-  stages();
-  const std::int64_t before = g_global_new_calls.load(std::memory_order_relaxed);
-  for (int rep = 0; rep < 3; ++rep) stages();
-  const std::int64_t calls = g_global_new_calls.load(std::memory_order_relaxed) - before;
+  for (int p : {2, 4}) {
+    const fe::DofHandler dofh(mesh, p);
+    dd::BackendOptions opt;
+    opt.nlanes = 4;  // the default FP32 wire: a mixed overlap takes the gram wire
+    dd::RankEngine<double> eng(dofh, opt);
+    const index_t n = dofh.ndofs(), N = 6;
+    eng.set_potential(std::vector<double>(static_cast<std::size_t>(n), -0.3));
+    la::MatrixD X0(n, N), X(n, N), Y, S;
+    for (index_t i = 0; i < X0.size(); ++i) X0.data()[i] = std::sin(0.37 * i);
+    const std::vector<double> occ(static_cast<std::size_t>(N), 2.0);
+    std::vector<double> rho(static_cast<std::size_t>(n), 0.0);
+    // A fresh copy each rep: refiltering one block on a fixed [a, b] would
+    // overflow it within a few reps.
+    auto stages = [&] {
+      std::copy(X0.data(), X0.data() + X0.size(), X.data());
+      eng.filter_block(X, 0, N, 4, -0.2, 2.5, -1.1);
+      eng.apply(X, Y);
+      eng.overlap(X, X, S, /*mp_block=*/2, /*mixed=*/true);
+      eng.accumulate_density(X, occ, 1.0, rho);
+    };
+    stages();
+    const std::int64_t before = g_global_new_calls.load(std::memory_order_relaxed);
+    for (int rep = 0; rep < 3; ++rep) stages();
+    const std::int64_t calls = g_global_new_calls.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(calls, 0) << "warm engine stages touched the heap, p=" << p;
+  }
   rec.set_enabled(tracing);
-  EXPECT_EQ(calls, 0) << "warm engine stages touched the heap";
 #endif
 }
 

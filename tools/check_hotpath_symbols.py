@@ -52,6 +52,7 @@ HOT_TUS = [
     ("la/eig.cpp", "dftfe_la.dir/la/eig.cpp.o"),
     ("ks/scf.cpp", "dftfe_ks.dir/ks/scf.cpp.o"),
     ("dd/engine.cpp", "dftfe_dd.dir/dd/engine.cpp.o"),
+    ("fe/cell_ops.cpp", "dftfe_fe.dir/fe/cell_ops.cpp.o"),
 ] + KERNEL_TUS
 
 # Symbols whose presence in a hot function needs a reviewed justification.
@@ -123,6 +124,21 @@ HOT_FUNCTIONS = [
      "solver stage drivers: workspace warmup plus the orthonormalization "
      "breakdown hard-fail, per-cycle, not per-element; and the options "
      "check at construction"),
+    # -- FE cell operator (every Poisson CG iteration, KS apply and lane) --
+    (r"dftfe::fe::CellStiffness<.*>::CellStiffness\(|"
+     r"dftfe::fe::\(anonymous namespace\)::all_cells", {"alloc", "throw"},
+     "cell operator construction, once per operator: the slot map, the "
+     "geometry groups and their operators, and the argument throws (bad cell "
+     "id, k-point on a real operator)"),
+    (r"dftfe::fe::CellStiffness<.*>::apply_add\(", {"alloc"},
+     "grow-only WorkMatrix acquires of the gather/scatter chunks and the "
+     "single-vector blocks, inlined at -O3: zero after the first apply of "
+     "each width (asserted by Workspace.HamiltonianApplyIsAllocationFreeAfterWarmup "
+     "and Workspace.PoissonSolveAllocatesNothingWhenWarm); lint_invariants "
+     "polices the source for any other growth"),
+    (r"dftfe::fe::CellStiffness<.*>::apply_add_sumfac_scalar", {"alloc", "throw"},
+     "the tests' scalar reference: per-thread cell vectors on every call and "
+     "the throw on a Bloch operator; no solver calls it"),
     # -- threaded rank engine --------------------------------------------
     (r"dftfe::dd::RankEngine<.*>::(build_lanes|start_lanes|publish_job_metrics|submit|"
      r"set_potential|debug_fault_pcg)|dftfe::dd::\(anonymous namespace\)::push_run<",

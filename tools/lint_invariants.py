@@ -90,8 +90,11 @@ HOT_PATH_FILES = [
     "src/ks/hamiltonian.hpp",
     "src/ks/chfes.hpp",
     # The nodal KS kernel (fe::ks_nodal_rows) runs per column in the
-    # Hamiltonian apply and per row range in every engine lane step.
+    # Hamiltonian apply and per row range in every engine lane step; the
+    # cell apply in every Poisson CG iteration, KS apply and lane step (its
+    # constructor's sizing carries waivers).
     "src/fe/cell_ops.hpp",
+    "src/fe/cell_ops.cpp",
     # The serial policy of la::pcg (fe::PoissonSolver::SerialCg): its apply
     # and dot product run every CG iteration of a serial EP solve; the solve
     # itself runs once per SCF iteration on vectors sized at construction.

@@ -42,12 +42,23 @@ static void set_flop_counters(benchmark::State& state, double flops_per_iter,
       100.0 * gflop / bench::hw_peak_gflops(fp32), benchmark::Counter::kIsRate);
 }
 
+/// Products per iteration for an n x n x n GEMM: (512 / n)^3, so every
+/// size does the FLOPs of one 512^3 product per iteration (about 9 ms in
+/// FP64 and 3 ms in FP32 on one AVX-512 core) and clears
+/// check_bench_regression.py's 1 ms noise floor.
+static int products_per_iteration(index_t n) {
+  const index_t r = std::max<index_t>(1, 512 / n);
+  return static_cast<int>(r * r * r);
+}
+
 static void BM_Gemm(benchmark::State& state) {
   const index_t n = state.range(0);
+  const int reps = products_per_iteration(n);
   la::MatrixD A(n, n), B(n, n), C(n, n);
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = B.data()[i] = 0.5 + 1e-6 * i;
-  for (auto _ : state) la::gemm('N', 'N', 1.0, A, B, 0.0, C);
-  set_flop_counters(state, 2.0 * n * n * n);
+  for (auto _ : state)
+    for (int r = 0; r < reps; ++r) la::gemm('N', 'N', 1.0, A, B, 0.0, C);
+  set_flop_counters(state, reps * 2.0 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(128)->Arg(256)->Arg(512);
 
@@ -100,10 +111,11 @@ BENCHMARK(BM_HamiltonianApply)->Arg(16)->Arg(64)->Arg(128);
 static void BM_StiffnessApply(benchmark::State& state) {
   // The bare p = 4 stiffness (the Poisson operator) on the dimer workload's
   // isolated 7 x 5 x 5-cell mesh (12,789 DoFs). One column is the apply of
-  // every EP conjugate-gradient iteration. An iteration runs 16 applies
-  // (about 3 ms on one AVX-512 core), so the entry clears
-  // check_bench_regression.py's 1 ms noise floor and the CI gate compares it.
-  constexpr int kApplies = 16;
+  // every EP conjugate-gradient iteration, 11 a dimer Chebyshev-filter
+  // block. An iteration runs 32 applies (about 1.6 ms on one column on one
+  // AVX-512 core), so both entries clear check_bench_regression.py's 1 ms
+  // noise floor and the CI gate compares them.
+  constexpr int kApplies = 32;
   const index_t bf = state.range(0);
   static fe::Mesh mesh(fe::make_uniform_axis(19.8, 7), fe::make_uniform_axis(14.0, 5),
                        fe::make_uniform_axis(14.0, 5));
@@ -122,15 +134,17 @@ static void BM_StiffnessApply(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(la::WorkspaceCounters::allocations()));
   set_flop_counters(state, kApplies * K.flops_per_apply(bf));
 }
-BENCHMARK(BM_StiffnessApply)->Arg(1);
+BENCHMARK(BM_StiffnessApply)->Arg(1)->Arg(11);
 
 static void BM_MixedPrecisionGemm(benchmark::State& state) {
   const index_t n = state.range(0);
+  const int reps = products_per_iteration(n);
   la::MatrixD A(n, n), B(n, n), C(n, n);
   for (index_t i = 0; i < A.size(); ++i) A.data()[i] = B.data()[i] = 0.5;
   for (auto _ : state)
-    la::gemm_low_precision<double>('N', 'N', n, n, n, A.data(), n, B.data(), n, C.data(), n);
-  set_flop_counters(state, 2.0 * n * n * n, /*fp32=*/true);
+    for (int r = 0; r < reps; ++r)
+      la::gemm_low_precision<double>('N', 'N', n, n, n, A.data(), n, B.data(), n, C.data(), n);
+  set_flop_counters(state, reps * 2.0 * n * n * n, /*fp32=*/true);
 }
 BENCHMARK(BM_MixedPrecisionGemm)->Arg(256);
 

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "la/gemm_kernel.hpp"
+
 namespace dftfe::fe {
 
 namespace {
@@ -102,14 +104,13 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
       // weighted vector v = (w (x) w (x) w) u
       //   (A_x (x) I (x) I + I (x) A_y (x) I + I (x) I (x) A_z) v
       //   = (cxx K1 (x) M (x) M + cyy M (x) K1 (x) M + czz M (x) M (x) K1) u.
-      // The y and z contractions multiply from the right, so A_y and A_z are
-      // stored transposed: A = [A_x | A_y^T | A_z^T], n x 3n.
-      g.A.resize(n, 3 * n);  // lint: allow(hot-path-alloc): construction
+      // Stored as the kernel reads them: [A_x | A_y | A_z], n x 3n.
+      g.S.resize(n, 3 * n);  // lint: allow(hot-path-alloc): construction
       for (int m = 0; m < n; ++m)
         for (int i = 0; i < n; ++i) {
-          g.A(i, m) = T(cxx * K1(i, m) / w[m]);
-          g.A(m, n + i) = T(cyy * K1(i, m) / w[m]);
-          g.A(m, 2 * n + i) = T(czz * K1(i, m) / w[m]);
+          g.S(i, m) = cxx * K1(i, m) / w[m];
+          g.S(i, n + m) = cyy * K1(i, m) / w[m];
+          g.S(i, 2 * n + m) = czz * K1(i, m) / w[m];
         }
       continue;
     }
@@ -156,69 +157,80 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
 template <class T>
 void CellStiffness<T>::apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const {
   if (groups_.empty()) return;  // no cells: no scratch either
-  const index_t n = dofh_->nodes_per_cell_1d();
-  const index_t n2 = n * n;
   const index_t nd = dofh_->ndofs_per_cell();
   const index_t B = X.cols();
-  const double* wc = sumfac_ ? wcell_.data() : nullptr;
-  la::Matrix<T>& Xc = xc_.acquire(nd, kChunkCells * B);
-  la::Matrix<T>& Yc = yc_.acquire(nd, kChunkCells * B);
+  T* xc = xc_.acquire(nd, kChunkCells * B).data();
+  T* yc = yc_.acquire(nd, kChunkCells * B).data();
+  // Below this many chunk entries a parallel region costs more than the
+  // copies it splits (la::pcg's vector-length cut).
+  constexpr index_t kParallelEntries = 8192;
+  if (sumfac_) {
+    // Each column runs alone in its own kChunkCells-cell slice of the two
+    // chunk buffers, so one thread owns each column's scatter targets and a
+    // chunk stays in L1. Per chunk of nc cells: the weighted gather, pairs
+    // fastest (entry i of cell b at i * nc + b; a complex entry is two real
+    // lanes), one kernel call for the x, y and z contractions, and the
+    // scatter in cell order.
+    const index_t n = dofh_->nodes_per_cell_1d();
+    const la::kernel::SumfacFn sumfac = la::kernel::active().sumfac;
+    constexpr index_t kLanes = scalar_traits<T>::is_complex ? 2 : 1;
+#pragma omp parallel for if (B > 1 && B * ncells() * nd > kParallelEntries) schedule(static)
+    for (index_t j = 0; j < B; ++j) {
+      const T* src = X.col(j);
+      T* dst = Y.col(j);
+      T* xj = xc + j * kChunkCells * nd;
+      T* yj = yc + j * kChunkCells * nd;
+      for (const Group& g : groups_) {
+        const index_t ncg = static_cast<index_t>(g.cells.size());
+        for (index_t c0 = 0; c0 < ncg; c0 += kChunkCells) {
+          const index_t nc = std::min(kChunkCells, ncg - c0);
+          for (index_t b = 0; b < nc; ++b) {
+            const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
+            for (index_t i = 0; i < nd; ++i) xj[i * nc + b] = src[dofs[i]] * wcell_[i];
+          }
+          sumfac(n, nc * kLanes, g.S.data(), reinterpret_cast<const double*>(xj),
+                 reinterpret_cast<double*>(yj), nc * kLanes);
+          for (index_t b = 0; b < nc; ++b) {
+            const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
+            for (index_t i = 0; i < nd; ++i) dst[dofs[i]] += yj[i * nc + b];
+          }
+        }
+      }
+    }
+    FlopCounter::global().add(flops_per_apply(B));
+    return;
+  }
   for (const Group& g : groups_) {
     const index_t ncg = static_cast<index_t>(g.cells.size());
     for (index_t c0 = 0; c0 < ncg; c0 += kChunkCells) {
       const index_t nc = std::min(kChunkCells, ncg - c0);
-      const index_t pairs = nc * B;
-      // Gather: cell-local blocks Xc[:, b*B:(b+1)*B] = X[dofs(cell_b), :],
-      // weighted by the cell's GLL weights on the sum-factorized path.
-#pragma omp parallel for schedule(static)
+      const bool par = nc * B * nd > kParallelEntries;
+      // Gather: cell-local blocks Xc[:, b*B:(b+1)*B] = X[dofs(cell_b), :].
+#pragma omp parallel for if (par) schedule(static)
       for (index_t b = 0; b < nc; ++b) {
         const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
         for (index_t j = 0; j < B; ++j) {
           const T* src = X.col(j);
-          T* dst = Xc.col(b * B + j);
-          if (wc == nullptr) {
-            for (index_t i = 0; i < nd; ++i) dst[i] = src[dofs[i]];
-          } else {
-            for (index_t i = 0; i < nd; ++i) dst[i] = src[dofs[i]] * wc[i];
-          }
+          T* dst = xc + (b * B + j) * nd;
+          for (index_t i = 0; i < nd; ++i) dst[i] = src[dofs[i]];
         }
       }
-      if (sumfac_) {
-        // The three contractions of each (cell, column) pair p accumulate
-        // into Yc[p] in x, y, z order:
-        //   x: Yc[p] = A_x V[p], V[p] viewed as n x n^2;
-        //   y: Yc[p]_k += V[p]_k A_y^T on each n x n slab k (the uniform slab
-        //      stride n^2 lets one call batch pairs * n GEMMs);
-        //   z: Yc[p] += V[p] A_z^T, V[p] viewed as n^2 x n.
-        const T* ax = g.A.data();
-        la::gemm_strided_batched<T>('N', 'N', n, n2, n, T(1), ax, n, 0, Xc.data(), n, nd, T(0),
-                                    Yc.data(), n, nd, pairs);
-        la::gemm_strided_batched<T>('N', 'N', n, n, n, T(1), Xc.data(), n, n2, ax + n2, n, 0,
-                                    T(1), Yc.data(), n, n2, pairs * n);
-        la::gemm_strided_batched<T>('N', 'N', n2, n, n, T(1), Xc.data(), n2, nd, ax + 2 * n2, n,
-                                    0, T(1), Yc.data(), n2, nd, pairs);
-      } else {
-        // Batched dense apply with the shared group matrix (stride 0).
-        la::gemm_strided_batched<T>('N', 'N', nd, B, nd, T(1), g.A.data(), nd, 0, Xc.data(),
-                                    nd, nd * B, T(0), Yc.data(), nd, nd * B, nc);
-      }
+      // Batched dense apply with the shared group matrix (stride 0).
+      la::gemm_strided_batched<T>('N', 'N', nd, B, nd, T(1), g.A.data(), nd, 0, xc, nd, nd * B,
+                                  T(0), yc, nd, nd * B, nc);
       // Scatter (Assembly_FE): parallel over columns so no two threads write
       // the same (dof, column) entry.
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for if (par) schedule(static)
       for (index_t j = 0; j < B; ++j) {
         T* dst = Y.col(j);
         for (index_t b = 0; b < nc; ++b) {
           const index_t* dofs = cell_dof_map_.data() + g.cells[c0 + b] * nd;
-          const T* src = Yc.col(b * B + j);
+          const T* src = yc + (b * B + j) * nd;
           for (index_t i = 0; i < nd; ++i) dst[dofs[i]] += src[i];
         }
       }
     }
   }
-  // The gather's weighting: one product per gathered entry.
-  if (sumfac_)
-    FlopCounter::global().add(static_cast<double>(nd) * static_cast<double>(ncells()) * B *
-                              scalar_traits<T>::flop_factor);
 }
 
 template <class T>

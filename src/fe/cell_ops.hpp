@@ -15,13 +15,14 @@
 //
 // The operator picks its cell apply once, at construction. Degree >= 4
 // without Bloch terms applies by sum factorization: three n x n 1D operators
-// per group contracted along x, y and z (O(p^4) per cell). Every other
-// operator applies its dense (p+1)^3 x (p+1)^3 cell matrix (O(p^6)), the
-// paper's choice for wide wavefunction blocks on GPUs. On one AVX-512 core,
-// sum factorization applies the p = 4 stiffness 2.9-3.9x faster than the
-// dense matrix on one column and 1.0-1.5x faster on 11 and 64 columns; at
-// p = 2 and 3 it is slower on 11 and 64 columns (bench_ablation_cell_linalg,
-// DESIGN.md §8).
+// per group contracted along x, y and z (O(p^4) per cell) by one call of the
+// per-ISA kernel la::kernel::Table::sumfac, one (cell, column) pair per SIMD
+// lane. Every other operator applies its dense (p+1)^3 x (p+1)^3 cell
+// matrix (O(p^6)), the paper's choice for wide wavefunction blocks on GPUs.
+// On one AVX-512 core the fused kernel applies the p = 4 stiffness of the
+// 175-cell dimer mesh in about 50 us on one column and 0.55 ms on 11,
+// 2.2-2.4x faster than the three batched GEMMs it replaced (bench_kernels
+// BM_StiffnessApply, DESIGN.md §8).
 //
 // The class is templated on the scalar: real for Gamma-point calculations and
 // complex for k-point sampled Hamiltonians, where the Bloch-twisted kinetic
@@ -84,9 +85,8 @@ class CellStiffness {
 
  private:
   struct Group {
-    // Dense path: the nd x nd cell matrix. Sum-factorized path: the folded
-    // 1D operators side by side, n x 3n (see the constructor).
-    la::Matrix<T> A;
+    la::Matrix<T> A;        // dense path: the nd x nd cell matrix
+    la::Matrix<double> S;   // sum-factorized path: folded 1D operators, n x 3n
     std::vector<index_t> cells;   // member slots (rows of cell_dof_map_)
     double cxx = 0, cyy = 0, czz = 0;  // per-direction stiffness scales
   };

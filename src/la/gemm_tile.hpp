@@ -373,6 +373,158 @@ void gemm_c(index_t m, index_t n, index_t k, std::complex<float> alpha,
                        ldc);
 }
 
+// Sum-factorized apply (Table::sumfac). One SIMD lane per pair: a vector
+// holds entry a of W consecutive pairs, so every operator entry is a
+// broadcast. Each output is the x sum as an FMA chain in m order from zero,
+// plus the y sum, plus the z sum: the arithmetic of the three strided-batched
+// GEMMs that compute the same contractions.
+
+/// Lines contracted at once for a compile-time n: N outputs by L lines of
+/// accumulators, plus the L loaded inputs and a broadcast operand, fit the
+/// vector registers (32 on AVX-512, 16 below).
+template <int N>
+constexpr int sumfac_lines() {
+  constexpr int regs = kIsa == Isa::avx512 ? 32 : 16;
+  return (regs - 2) / (N + 1) > 1 ? (regs - 2) / (N + 1) : 1;
+}
+
+/// Entry offset of the first entry of line l of direction d: x lines run
+/// along i at (j, k) = (l mod n, l div n), y lines along j at (i, k), z lines
+/// along k at (i, j) = (l mod n, l div n). Entries of a line are 1, n and n^2
+/// apart.
+index_t sumfac_base(int d, index_t n, index_t l) {
+  return d == 0 ? n * l : d == 1 ? l % n + n * n * (l / n) : l;
+}
+
+/// Direction d's contraction over lines [l0, l0 + L) of one group of pairs:
+/// along each line (entries `step` apart)
+///   out(o) = sum_m op(o, m) v(m),   op column-major N x N,
+/// stored into Y (x) or added to it (y, z).
+template <int N, int L, int D, bool Masked>
+__attribute__((noinline)) void sumfac_block(const double* op, index_t l0, const double* V,
+                                            double* Y, index_t ld,
+                                            typename Simd<double>::Mask mask) {
+  using S = Simd<double>;
+  using Vec = typename S::V;
+  const index_t step = (D == 0 ? 1 : D == 1 ? N : N * N) * ld;
+  index_t base[L];
+#pragma GCC unroll 16
+  for (int l = 0; l < L; ++l) base[l] = sumfac_base(D, N, l0 + l) * ld;
+  Vec acc[N][L];
+#pragma GCC unroll 16
+  for (int o = 0; o < N; ++o)
+#pragma GCC unroll 16
+    for (int l = 0; l < L; ++l) acc[o][l] = S::zero();
+#pragma GCC unroll 16
+  for (int m = 0; m < N; ++m) {
+    Vec v[L];
+#pragma GCC unroll 16
+    for (int l = 0; l < L; ++l) {
+      const double* p = V + base[l] + m * step;
+      v[l] = Masked ? S::load(p, mask) : S::load(p);
+    }
+#pragma GCC unroll 16
+    for (int o = 0; o < N; ++o) {
+      const Vec a = S::set1(op[o + N * m]);
+#pragma GCC unroll 16
+      for (int l = 0; l < L; ++l) acc[o][l] = S::fma(a, v[l], acc[o][l]);
+    }
+  }
+#pragma GCC unroll 16
+  for (int o = 0; o < N; ++o)
+#pragma GCC unroll 16
+    for (int l = 0; l < L; ++l) {
+      double* y = Y + base[l] + o * step;
+      Vec r = acc[o][l];
+      if constexpr (D > 0) r = S::add(Masked ? S::load(y, mask) : S::load(y), r);
+      if (Masked)
+        S::store(y, r, mask);
+      else
+        S::store(y, r);
+    }
+}
+
+template <int N, int D, bool Masked>
+void sumfac_pass(const double* op, const double* V, double* Y, index_t ld,
+                 typename Simd<double>::Mask mask) {
+  constexpr int L = sumfac_lines<N>();
+  constexpr index_t lines = N * N;
+  index_t l0 = 0;
+  for (; l0 + L <= lines; l0 += L) sumfac_block<N, L, D, Masked>(op, l0, V, Y, ld, mask);
+  if constexpr (lines % L != 0) sumfac_block<N, lines % L, D, Masked>(op, l0, V, Y, ld, mask);
+}
+
+/// The x, y and z contractions of one group of pairs, n = N.
+template <int N, bool Masked>
+void sumfac_group(const double* A, const double* V, double* Y, index_t ld,
+                  typename Simd<double>::Mask mask) {
+  sumfac_pass<N, 0, Masked>(A, V, Y, ld, mask);
+  sumfac_pass<N, 1, Masked>(A + N * N, V, Y, ld, mask);
+  sumfac_pass<N, 2, Masked>(A + 2 * N * N, V, Y, ld, mask);
+}
+
+/// The same for any n, one output at a time.
+template <bool Masked>
+void sumfac_group_n(index_t n, const double* A, const double* V, double* Y, index_t ld,
+                    typename Simd<double>::Mask mask) {
+  using S = Simd<double>;
+  using Vec = typename S::V;
+  for (int d = 0; d < 3; ++d) {
+    const double* op = A + d * n * n;
+    const index_t step = (d == 0 ? 1 : d == 1 ? n : n * n) * ld;
+    for (index_t l = 0; l < n * n; ++l) {
+      const index_t base = sumfac_base(d, n, l) * ld;
+      for (index_t o = 0; o < n; ++o) {
+        Vec acc = S::zero();
+        for (index_t m = 0; m < n; ++m) {
+          const double* p = V + base + m * step;
+          acc = S::fma(S::set1(op[o + n * m]), Masked ? S::load(p, mask) : S::load(p), acc);
+        }
+        double* y = Y + base + o * step;
+        if (d > 0) acc = S::add(Masked ? S::load(y, mask) : S::load(y), acc);
+        if (Masked)
+          S::store(y, acc, mask);
+        else
+          S::store(y, acc);
+      }
+    }
+  }
+}
+
+/// Whole groups of W pairs, then a masked partial one; N = 0 runs any n.
+template <int N>
+void sumfac_run(index_t n, index_t pairs, const double* A, const double* V, double* Y,
+                index_t ld) {
+  using S = Simd<double>;
+  constexpr index_t W = S::W;
+  const index_t full = pairs - pairs % W;
+  for (index_t q = 0; q < full; q += W) {
+    if constexpr (N > 0)
+      sumfac_group<N, false>(A, V + q, Y + q, ld, S::mask(W));
+    else
+      sumfac_group_n<false>(n, A, V + q, Y + q, ld, S::mask(W));
+  }
+  if (full == pairs) return;
+  const typename S::Mask last = S::mask(static_cast<int>(pairs - full));
+  if constexpr (N > 0)
+    sumfac_group<N, true>(A, V + full, Y + full, ld, last);
+  else
+    sumfac_group_n<true>(n, A, V + full, Y + full, ld, last);
+}
+
+void sumfac_d(index_t n, index_t pairs, const double* A, const double* V, double* Y,
+              index_t ld) {
+  if (n <= 0 || pairs <= 0) return;
+  switch (n) {
+    case 5: return sumfac_run<5>(n, pairs, A, V, Y, ld);
+    case 6: return sumfac_run<6>(n, pairs, A, V, Y, ld);
+    case 7: return sumfac_run<7>(n, pairs, A, V, Y, ld);
+    case 8: return sumfac_run<8>(n, pairs, A, V, Y, ld);
+    case 9: return sumfac_run<9>(n, pairs, A, V, Y, ld);
+    default: return sumfac_run<0>(n, pairs, A, V, Y, ld);
+  }
+}
+
 /// kProbeChains independent FMA chains x <- 0.999 x + 0.001 (fixed point 1,
 /// so no overflow or subnormals), enough chains to cover FMA latency on
 /// every port.
@@ -400,7 +552,8 @@ double fma_probe(std::int64_t iters, R* sink) {
 }  // namespace
 
 extern const Table DFTFE_GEMM_TABLE;
-const Table DFTFE_GEMM_TABLE{kIsa,    kName,   &gemm_d,           &gemm_s,
-                            &gemm_z, &gemm_c, &fma_probe<double>, &fma_probe<float>};
+const Table DFTFE_GEMM_TABLE{kIsa,     kName,   &gemm_d,           &gemm_s,
+                            &gemm_z,  &gemm_c, &sumfac_d,         &fma_probe<double>,
+                            &fma_probe<float>};
 
 }  // namespace dftfe::la::kernel

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <utility>
+#include <vector>
 #include <type_traits>
 
 #include "base/flops.hpp"
@@ -14,6 +19,7 @@
 #include "fe/gll.hpp"
 #include "fe/mesh.hpp"
 #include "fe/poisson.hpp"
+#include "la/batched.hpp"
 
 namespace dftfe::fe {
 namespace {
@@ -457,6 +463,77 @@ TEST(CellStiffness, ScalarReferenceRejectsBlochOperator) {
   EXPECT_FALSE(K.sum_factorized());
   la::Matrix<complex_t> X(dofh.ndofs(), 1), Y(dofh.ndofs(), 1);
   EXPECT_THROW(K.apply_add_sumfac_scalar(X, Y), std::logic_error);
+}
+
+TEST(CellStiffness, SumFactorizedApplyIsBitwiseTheThreeGemmComposition) {
+  // The fused kernel against the three strided-batched GEMMs written out:
+  // geometry groups in order of first appearance (sizes quantized as the
+  // operator does), each cell's weighted gather, x, y and z contractions,
+  // and the scatter in group and cell order, adding into a nonzero Y.
+  const Mesh m = graded_mesh();
+  for (int p : {4, 5}) {
+    DofHandler dofh(m, p);
+    const double coef = 0.5;
+    CellStiffness<double> K(dofh, coef);
+    ASSERT_TRUE(K.sum_factorized());
+    const index_t n = p + 1, n2 = n * n, nd = n2 * n, N = dofh.ndofs(), B = 3;
+    la::Matrix<double> X(N, B), Y(N, B);
+    for (index_t i = 0; i < X.size(); ++i) {
+      X.data()[i] = std::sin(0.05 * i) + 0.2;
+      Y.data()[i] = std::cos(0.03 * i);
+    }
+    la::Matrix<double> Yref = Y;
+    K.apply_add(X, Y);
+
+    const auto K1 = reference_stiffness_1d(static_cast<int>(n));
+    const auto& w = dofh.ref_weights();
+    auto q = [](double v) { return std::lround(v * 1e12); };
+    std::vector<std::pair<std::array<long, 3>, std::vector<index_t>>> groups;
+    for (index_t c = 0; c < m.ncells_total(); ++c) {
+      const auto h = m.cell_sizes(c);
+      const std::array<long, 3> key{q(h[0]), q(h[1]), q(h[2])};
+      auto it = std::find_if(groups.begin(), groups.end(),
+                             [&](const auto& g) { return g.first == key; });
+      if (it == groups.end()) it = groups.insert(groups.end(), {key, {}});
+      it->second.push_back(c);
+    }
+    ASSERT_GT(groups.size(), 1u);
+    std::vector<index_t> dofs;
+    la::Matrix<double> Xc(nd, B), Yc(nd, B);
+    for (const auto& [key, cells] : groups) {
+      const auto h = m.cell_sizes(cells.front());
+      const double hx = h[0], hy = h[1], hz = h[2];
+      const double cxx = coef * (2.0 / hx) * (hy / 2.0) * (hz / 2.0);
+      const double cyy = coef * (hx / 2.0) * (2.0 / hy) * (hz / 2.0);
+      const double czz = coef * (hx / 2.0) * (hy / 2.0) * (2.0 / hz);
+      la::Matrix<double> G(n, 3 * n);  // [A_x | A_y^T | A_z^T]
+      for (index_t mm = 0; mm < n; ++mm)
+        for (index_t i = 0; i < n; ++i) {
+          G(i, mm) = cxx * K1(i, mm) / w[mm];
+          G(mm, n + i) = cyy * K1(i, mm) / w[mm];
+          G(mm, 2 * n + i) = czz * K1(i, mm) / w[mm];
+        }
+      for (const index_t c : cells) {
+        dofh.cell_dofs(c, dofs);
+        for (index_t j = 0; j < B; ++j)
+          for (index_t k = 0; k < n; ++k)
+            for (index_t jj = 0; jj < n; ++jj)
+              for (index_t i = 0; i < n; ++i) {
+                const index_t a = i + n * (jj + n * k);
+                Xc(a, j) = X(dofs[a], j) * (w[i] * w[jj] * w[k]);
+              }
+        la::gemm_strided_batched<double>('N', 'N', n, n2, n, 1.0, G.data(), n, 0, Xc.data(), n,
+                                         nd, 0.0, Yc.data(), n, nd, B);
+        la::gemm_strided_batched<double>('N', 'N', n, n, n, 1.0, Xc.data(), n, n2,
+                                         G.data() + n2, n, 0, 1.0, Yc.data(), n, n2, B * n);
+        la::gemm_strided_batched<double>('N', 'N', n2, n, n, 1.0, Xc.data(), n2, nd,
+                                         G.data() + 2 * n2, n, 0, 1.0, Yc.data(), n2, nd, B);
+        for (index_t j = 0; j < B; ++j)
+          for (index_t a = 0; a < nd; ++a) Yref(dofs[a], j) += Yc(a, j);
+      }
+    }
+    EXPECT_EQ(std::memcmp(Y.data(), Yref.data(), sizeof(double) * Y.size()), 0) << "p=" << p;
+  }
 }
 
 TEST(CellStiffness, ChargedFlopsMatchFlopsPerApply) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <tuple>
@@ -346,6 +347,51 @@ TEST(GemmKernel, EveryHostVariantServesEveryGemmOp) {
     check_gemm_ops<float>(*t);
     check_gemm_ops<complex_t>(*t);
     check_gemm_ops<std::complex<float>>(*t);
+  }
+}
+
+TEST(GemmKernel, EveryHostVariantSumfacIsBitwiseTheThreeGemmComposition) {
+  // The sum-factorization entry against the three 'N','N' GEMMs of the same
+  // variant's d entry that compute its contractions on pair-major vectors:
+  // x as one n x n^2 product, y over the n x n slabs, z on the n^2 x n
+  // unfolding. 19 pairs leave a partial last group on every vector width,
+  // and the lanes between `pairs` and `ld` stay untouched.
+  Rng rng(35);
+  const double sentinel = -7.25;
+  for (const kernel::Table* t : kernel::variants()) {
+    if (!kernel::host_supports(t->isa)) continue;
+    for (const index_t n : {index_t{5}, index_t{6}, index_t{8}, index_t{9}}) {
+      const index_t n2 = n * n, nd = n2 * n, pairs = 19, ld = pairs + 3;
+      const Matrix<double> A = random_matrix<double>(n, 3 * n, rng);  // [Ax | Ay | Az]
+      Matrix<double> G(n, 3 * n);                                      // [Ax | Ay^T | Az^T]
+      for (index_t m = 0; m < n; ++m)
+        for (index_t i = 0; i < n; ++i) {
+          G(i, m) = A(i, m);
+          G(m, n + i) = A(i, n + m);
+          G(m, 2 * n + i) = A(i, 2 * n + m);
+        }
+      const Matrix<double> Vp = random_matrix<double>(nd, pairs, rng);
+      std::vector<double> V(static_cast<std::size_t>(nd * ld), sentinel), Y(V.size(), sentinel);
+      for (index_t a = 0; a < nd; ++a)
+        for (index_t q = 0; q < pairs; ++q) V[a * ld + q] = Vp(a, q);
+      t->sumfac(n, pairs, A.data(), V.data(), Y.data(), ld);
+      Matrix<double> Yp(nd, pairs);
+      for (index_t q = 0; q < pairs; ++q) {
+        const double* v = Vp.col(q);
+        double* y = Yp.col(q);
+        t->d(n, n2, n, 1.0, G.data(), n, v, n, 0.0, y, n);
+        for (index_t k = 0; k < n; ++k)
+          t->d(n, n, n, 1.0, v + k * n2, n, G.data() + n2, n, 1.0, y + k * n2, n);
+        t->d(n2, n, n, 1.0, v, n2, G.data() + 2 * n2, n, 1.0, y, n2);
+      }
+      for (index_t a = 0; a < nd; ++a) {
+        for (index_t q = 0; q < pairs; ++q)
+          ASSERT_EQ(std::memcmp(&Y[a * ld + q], &Yp(a, q), sizeof(double)), 0)
+              << t->name << " n=" << n << " a=" << a << " q=" << q;
+        for (index_t q = pairs; q < ld; ++q)
+          ASSERT_EQ(Y[a * ld + q], sentinel) << t->name << " n=" << n << " gap lane written";
+      }
+    }
   }
 }
 

@@ -130,12 +130,14 @@ HOT_FUNCTIONS = [
      "cell operator construction, once per operator: the slot map, the "
      "geometry groups and their operators, and the argument throws (bad cell "
      "id, k-point on a real operator)"),
-    (r"dftfe::fe::CellStiffness<.*>::apply_add\(", {"alloc"},
+    (r"dftfe::fe::CellStiffness<.*>::apply_add\(", {"alloc", "throw"},
      "grow-only WorkMatrix acquires of the gather/scatter chunks and the "
      "single-vector blocks, inlined at -O3: zero after the first apply of "
      "each width (asserted by Workspace.HamiltonianApplyIsAllocationFreeAfterWarmup "
      "and Workspace.PoissonSolveAllocatesNothingWhenWarm); lint_invariants "
-     "polices the source for any other growth"),
+     "polices the source for any other growth. The sum-factorized apply's "
+     "one FLOP charge inlines FlopCounter::add's step-map insert (and its "
+     "rethrow), amortized after the first apply of each step"),
     (r"dftfe::fe::CellStiffness<.*>::apply_add_sumfac_scalar", {"alloc", "throw"},
      "the tests' scalar reference: per-thread cell vectors on every call and "
      "the throw on a Bloch operator; no solver calls it"),

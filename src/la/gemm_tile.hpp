@@ -388,7 +388,7 @@ constexpr int sumfac_lines() {
   return (regs - 2) / (N + 1) > 1 ? (regs - 2) / (N + 1) : 1;
 }
 
-/// Entry offset of the first entry of line l of direction d: x lines run
+/// Offset of the first entry of line l of direction d: x lines run
 /// along i at (j, k) = (l mod n, l div n), y lines along j at (i, k), z lines
 /// along k at (i, j) = (l mod n, l div n). Entries of a line are 1, n and n^2
 /// apart.
@@ -396,7 +396,7 @@ index_t sumfac_base(int d, index_t n, index_t l) {
   return d == 0 ? n * l : d == 1 ? l % n + n * n * (l / n) : l;
 }
 
-/// Direction d's contraction over lines [l0, l0 + L) of one group of pairs:
+/// Direction D's contraction over lines [l0, l0 + L) of one group of pairs:
 /// along each line (entries `step` apart)
 ///   out(o) = sum_m op(o, m) v(m),   op column-major N x N,
 /// stored into Y (x) or added to it (y, z).

@@ -2,16 +2,18 @@
 
 // In-job lane allreduce: the reduction plane of the lane-resident PCG
 // (dd/engine.hpp). Every lane contributes a few scalars (its partial dot
-// products over owned rows) and blocks until all lanes have; then each lane
-// sums the per-lane slots itself, in the stride-doubling tree order of the
-// engine's Gram-tree — so every lane holds bitwise-identical totals, takes
-// the same branch on them, and no lane can leave the solve loop alone.
+// products over owned rows) and blocks until all lanes have; the last
+// arrival sums the per-lane slots through tree_reduce, the stride-doubling
+// tree of the engine's Gram-tree, and every lane reads that one total — so
+// every lane holds bitwise-identical totals, takes the same branch on them,
+// and no lane can leave the solve loop alone.
 //
 // Protocol: a generation barrier. A lane writes its contribution into the
 // slot set of the current generation's parity, then arrives; the last
-// arrival bumps the generation and wakes the others. Two slot sets suffice:
-// a lane can only start writing generation g+2 after every lane arrived at
-// g+1, which each lane does only after it finished reading generation g.
+// arrival sums the set in place into lane 0's slot, bumps the generation
+// and wakes the others. Two slot sets suffice: a lane can only start
+// writing generation g+2 after every lane arrived at g+1, which each lane
+// does only after it finished reading generation g.
 //
 // Failure: close() poisons the barrier — blocked lanes wake and throw, later
 // arrivals throw at once — which is how a lane failure cascades through the
@@ -33,6 +35,19 @@
 #endif
 
 namespace dftfe::dd {
+
+/// The stride-doubling pairwise tree over lanes [0, n): for stride 1, 2, 4,
+/// ..., add(base, base + stride) folds lane base + stride's partial into
+/// lane base's, for every multiple `base` of 2 * stride whose partner is
+/// below n. Lane 0's partial ends as the total, in the log2-depth
+/// association order a recursive-doubling allreduce pins down (the one
+/// CommModel::allreduce_time charges). The engine's Gram-tree and the lane
+/// allreduce both reduce through it.
+template <class Add>
+void tree_reduce(int n, const Add& add) {
+  for (int stride = 1; stride < n; stride *= 2)
+    for (int base = 0; base + stride < n; base += 2 * stride) add(base, base + stride);
+}
 
 class LaneAllreduce {
  public:
@@ -61,6 +76,11 @@ class LaneAllreduce {
       double* s = slot(g, rank);
       for (int k = 0; k < width; ++k) s[k] = in[k];
       if (++arrived_ >= release_count()) {
+        tree_reduce(n_, [&](int acc, int part) {
+          double* a = slot(g, acc);
+          const double* p = slot(g, part);
+          for (int k = 0; k < width; ++k) a[k] += p[k];
+        });
         arrived_ = 0;
         ++gen_;
         last = true;
@@ -70,10 +90,8 @@ class LaneAllreduce {
       }
     }
     if (last) cv_.notify_all();
-    const double* base = slot(g, 0);
-    int span = 1;
-    while (span < n_) span *= 2;
-    for (int k = 0; k < width; ++k) out[k] = tree_sum(base, k, 0, span);
+    const double* total = slot(g, 0);
+    for (int k = 0; k < width; ++k) out[k] = total[k];
   }
 
   /// Poison: wake every blocked lane; they and all later arrivals throw.
@@ -114,16 +132,6 @@ class LaneAllreduce {
     if (sched::mutant() == sched::Mutant::early_release && n_ > 1) return n_ - 1;
 #endif
     return n_;
-  }
-
-  /// Sum of component k over lanes [i, i + span) ∩ [0, n): the pairwise
-  /// stride-doubling association of the engine's Gram-tree.
-  double tree_sum(const double* base, int k, int i, int span) const {
-    if (span == 1) return base[static_cast<std::size_t>(i) * kMaxWidth + k];
-    const int half = span / 2;
-    double s = tree_sum(base, k, i, half);
-    if (i + half < n_) s += tree_sum(base, k, i + half, half);
-    return s;
   }
 
   sched::Mutex mu_;

@@ -1,10 +1,10 @@
-// Cold control plane of the threaded rank engine: lane construction (the
-// brick sub-mesh, field slices, the sorted dof-copy list and what it gives:
-// mailbox wiring, packet and owned run lists, the interface and interior
-// cell operators), run_lanes and the job broadcast
-// protocol under it, failure cascade/reset, the tree allreduce of the gram
-// partials, and each stage: its input checks and the body it hands its
-// lanes. The per-step data plane those bodies call lives inline in
+// Cold control plane of the threaded rank engine: lane construction (each
+// lane's rows from its cells, field slices, the sorted list of every lane's
+// row of every dof and what it gives: mailbox wiring, packet and owned run
+// lists, the interface and interior cell operators), run_lanes and the job
+// broadcast protocol under it, failure cascade/reset, the tree allreduce of
+// the gram partials, and each stage: its input checks and the body it hands
+// its lanes. The per-step data plane those bodies call lives inline in
 // engine.hpp so the invariant linter's no-allocation rule covers it.
 
 #include "dd/engine.hpp"
@@ -67,26 +67,18 @@ RankEngine<T>::~RankEngine() {
 
 template <class T>
 void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
-  const fe::Mesh& mesh = dofh_->mesh();
   const int R = part_.nranks();
-  const int deg = dofh_->degree();
-  index_t naxis[3];
-  bool per[3];
-  for (int a = 0; a < 3; ++a) {
-    naxis[a] = part_.naxis(a);
-    per[a] = part_.periodic(a);
-  }
-
   const auto& mass = dofh_->mass();
   const auto& bmask = dofh_->boundary_mask();
   const auto& kdiag = dofh_->laplacian_diagonal();
   reduce_.init(R);
 
+  std::vector<std::vector<index_t>> cells(static_cast<std::size_t>(R));
+  std::vector<index_t> dofs, held;
   lanes_.resize(R);
   for (int r = 0; r < R; ++r) {
     lanes_[r] = std::make_unique<Lane>();
     Lane& ln = *lanes_[r];
-    const Brick& bk = part_.brick(r);
     ln.rank = r;
     const std::string comm_prefix = "comm.lane" + std::to_string(r);
     ln.metric_bytes = comm_prefix + ".bytes";
@@ -94,37 +86,24 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
     ln.metric_wait = comm_prefix + ".exposed_wait_s";
     ln.metric_highwater = "mem.lane" + std::to_string(r) + ".highwater_bytes";
 
-    index_t m[3];  // closed dof box: nc * degree + 1 layers per axis
-    for (int a = 0; a < 3; ++a) m[a] = (bk.c_end[a] - bk.c_begin[a]) * deg + 1;
-    ln.nloc = m[0] * m[1] * m[2];
-
-    // Local dof -> global dof (wrap-aware: a periodic axis' closing layer
-    // maps back to global layer 0).
-    ln.gmap.resize(static_cast<std::size_t>(ln.nloc));
-    {
-      index_t l = 0;
-      for (index_t k = 0; k < m[2]; ++k)
-        for (index_t j = 0; j < m[1]; ++j)
-          for (index_t i = 0; i < m[0]; ++i, ++l) {
-            const index_t loc[3] = {i, j, k};
-            index_t gi[3];
-            for (int a = 0; a < 3; ++a) {
-              gi[a] = bk.c_begin[a] * deg + loc[a];
-              if (per[a] && gi[a] >= naxis[a]) gi[a] -= naxis[a];
-            }
-            ln.gmap[static_cast<std::size_t>(l)] = gi[0] + naxis[0] * (gi[1] + naxis[1] * gi[2]);
-          }
+    // The lane's rows: the sorted global dofs of its cells, one row per dof.
+    cells[r] = part_.cells(r);
+    held.clear();
+    for (const index_t c : cells[r]) {
+      dofh_->cell_dofs(c, dofs);
+      held.insert(held.end(), dofs.begin(), dofs.end());
     }
+    std::sort(held.begin(), held.end());
+    ln.gmap.assign(held.begin(), std::unique(held.begin(), held.end()));
+    ln.nloc = static_cast<index_t>(ln.gmap.size());
 
     // Gather runs (maximal both-sides-contiguous row ranges). For slab-shaped
-    // lanes these collapse to a handful of whole-plane-range runs, making the
-    // hot copies identical to the historical plane arithmetic.
+    // lanes these collapse to a handful of whole-plane-range runs.
     for (index_t l = 0; l < ln.nloc; ++l)
       push_run(ln.gather_runs, l, ln.gmap[static_cast<std::size_t>(l)], 1);
 
-    // Slices of the *global* nodal fields. A brick-local DofHandler's own
-    // mass/boundary data would be wrong on interface layers (it sees only
-    // one side's cells and fabricates a Dirichlet face there).
+    // Slices of the global nodal fields: a lane holds only some cells of a
+    // shared dof, so its own assembly would be wrong there.
     ln.ims.resize(static_cast<std::size_t>(ln.nloc));
     ln.bmask.resize(static_cast<std::size_t>(ln.nloc));
     ln.veff.assign(static_cast<std::size_t>(ln.nloc), 0.0);
@@ -139,70 +118,57 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
       for (index_t l = 0; l < ln.nloc; ++l)
         ln.kdiag[static_cast<std::size_t>(l)] = kdiag[ln.gmap[static_cast<std::size_t>(l)]];
     }
-
-    // One sub-mesh for the whole brick: its DofHandler numbers the closed
-    // dof box x fastest, the lane-local row order.
-    ln.mesh = std::make_unique<fe::Mesh>(fe::make_brick_mesh(
-        mesh, bk.c_begin[0], bk.c_end[0], bk.c_begin[1], bk.c_end[1], bk.c_begin[2],
-        bk.c_end[2]));
-    ln.dofh = std::make_unique<fe::DofHandler>(*ln.mesh, deg);
-    if (ln.dofh->ndofs() != ln.nloc)
-      throw std::logic_error("RankEngine: brick dof layout mismatch");
   }
 
-  // Every lane's copy of every global dof, sorted by dof, then lane, then
-  // row (copies are listed in lane, row order; the sort is stable). A dof
-  // with more than one copy is shared. Each ordered pair of its distinct
-  // copies is one packet value: the sender's row is read into the packet and
-  // the receiver's row adds it, at the same offset on both ends, so the two
-  // agree on a packet dof by dof.
-  struct Copy {
+  // Every lane's row of every global dof, sorted by dof, then lane (rows are
+  // listed in lane order; the sort is stable). A dof held by more than one
+  // lane is shared: each ordered pair of its lanes is one packet value,
+  // read from the sender's row and added into the receiver's at the same
+  // packet offset on both ends, so the two agree on a packet dof by dof.
+  struct Holder {
     index_t g;
     int lane;
     index_t row;
   };
-  std::vector<Copy> copies;
+  std::vector<Holder> holders;
   for (const auto& lp : lanes_)
     for (index_t l = 0; l < lp->nloc; ++l)
-      copies.push_back({lp->gmap[static_cast<std::size_t>(l)], lp->rank, l});
-  std::stable_sort(copies.begin(), copies.end(),
-                   [](const Copy& x, const Copy& y) { return x.g < y.g; });
+      holders.push_back({lp->gmap[static_cast<std::size_t>(l)], lp->rank, l});
+  std::stable_sort(holders.begin(), holders.end(),
+                   [](const Holder& x, const Holder& y) { return x.g < y.g; });
   const auto pair = [R](int a, int b) { return static_cast<std::size_t>(a) * R + b; };
   const auto packet_end = [](const std::vector<Run>& runs) {
     return runs.empty() ? index_t{0} : runs.back().dst + runs.back().len;
   };
   std::vector<Neighbor> nbs(pair(R, 0));  // nbs[pair(a, b)]: lane a's view of lane b
-  for (std::size_t i0 = 0, i1 = 0; i0 < copies.size(); i0 = i1) {
-    while (i1 < copies.size() && copies[i1].g == copies[i0].g) ++i1;
-    // The highest-rank lane holding the dof owns it, through its first copy.
-    std::size_t o = i1 - 1;
-    while (o > i0 && copies[o - 1].lane == copies[o].lane) --o;
-    Lane& owner = *lanes_[static_cast<std::size_t>(copies[o].lane)];
-    push_run(owner.owned_runs, copies[o].g, copies[o].row, 1);
+  std::vector<char> shared(static_cast<std::size_t>(dofh_->ndofs()), 0);
+  for (std::size_t i0 = 0, i1 = 0; i0 < holders.size(); i0 = i1) {
+    while (i1 < holders.size() && holders[i1].g == holders[i0].g) ++i1;
+    // The highest-rank lane holding the dof owns it.
+    const Holder& own = holders[i1 - 1];
+    Lane& owner = *lanes_[static_cast<std::size_t>(own.lane)];
+    push_run(owner.owned_runs, own.g, own.row, 1);
     ++owner.nown;
+    shared[static_cast<std::size_t>(own.g)] = i1 - i0 > 1;
     for (std::size_t s = i0; s < i1; ++s)
       for (std::size_t d = i0; d < i1; ++d) {
         if (d == s) continue;
-        Neighbor& out = nbs[pair(copies[s].lane, copies[d].lane)];
-        Neighbor& in = nbs[pair(copies[d].lane, copies[s].lane)];
+        Neighbor& out = nbs[pair(holders[s].lane, holders[d].lane)];
         if (out.send == nullptr) {  // one mailbox per (sender, receiver) pair
           channels_.push_back(std::make_unique<HaloChannel<T>>());
-          out.send = in.recv = channels_.back().get();
+          out.send = nbs[pair(holders[d].lane, holders[s].lane)].recv = channels_.back().get();
         }
-        push_run(out.send_runs, packet_end(out.send_runs), copies[s].row, 1);
-        push_run(in.recv_runs, packet_end(in.recv_runs), copies[d].row, 1);
+        push_run(out.runs, packet_end(out.runs), holders[s].row, 1);
       }
   }
 
   const double coef_lap = op_ == Operator::hamiltonian ? 0.5 : 1.0;
   for (int r = 0; r < R; ++r) {
     Lane& ln = *lanes_[r];
-    std::vector<char> shared(static_cast<std::size_t>(ln.nloc), 0);
     for (int q = 0; q < R; ++q) {  // peers in rank order
       Neighbor& nb = nbs[pair(r, q)];
       if (nb.send == nullptr) continue;
-      nb.count = packet_end(nb.send_runs);
-      for (const Run& rn : nb.send_runs) std::fill_n(shared.begin() + rn.src, rn.len, 1);
+      nb.count = packet_end(nb.runs);
       ln.nb.push_back(std::move(nb));
     }
 
@@ -210,25 +176,28 @@ void RankEngine<T>::build_lanes(const std::array<double, 3>& kpoint) {
     // epilogued before the async receives land; shell rows wait for every
     // peer's partial.
     for (index_t l = 0; l < ln.nloc; ++l) {
-      auto& rows = shared[static_cast<std::size_t>(l)] != 0 ? ln.shell_rows : ln.interior_rows;
+      const bool on_shell = shared[static_cast<std::size_t>(ln.gmap[static_cast<std::size_t>(l)])];
+      auto& rows = on_shell ? ln.shell_rows : ln.interior_rows;
       if (!rows.empty() && rows.back().second == l)
         ++rows.back().second;
       else
         rows.emplace_back(l, l + 1);
     }
 
-    // The interface cells (those with a shared row) and the rest form one
-    // operator each.
-    std::vector<index_t> iface_cells, inner_cells, dofs;
-    for (index_t cell = 0; cell < ln.mesh->ncells_total(); ++cell) {
-      ln.dofh->cell_dofs(cell, dofs);
-      const bool on_iface = std::any_of(dofs.begin(), dofs.end(), [&](index_t l) {
-        return shared[static_cast<std::size_t>(l)] != 0;
+    // The interface cells (those with a shared dof) and the rest form one
+    // operator each, on the lane's rows.
+    std::vector<index_t> iface_cells, inner_cells;
+    for (const index_t cell : cells[r]) {
+      dofh_->cell_dofs(cell, dofs);
+      const bool on_iface = std::any_of(dofs.begin(), dofs.end(), [&](index_t g) {
+        return shared[static_cast<std::size_t>(g)] != 0;
       });
       (on_iface ? iface_cells : inner_cells).push_back(cell);
     }
-    ln.iface_op = std::make_unique<fe::CellStiffness<T>>(*ln.dofh, iface_cells, coef_lap, kpoint);
-    ln.inner_op = std::make_unique<fe::CellStiffness<T>>(*ln.dofh, inner_cells, coef_lap, kpoint);
+    ln.iface_op = std::make_unique<fe::CellStiffness<T>>(*dofh_, iface_cells, coef_lap, kpoint,
+                                                         ln.gmap);
+    ln.inner_op = std::make_unique<fe::CellStiffness<T>>(*dofh_, inner_cells, coef_lap, kpoint,
+                                                         ln.gmap);
   }
 }
 
@@ -469,24 +438,16 @@ void RankEngine<T>::overlap(const la::Matrix<T>& A, const la::Matrix<T>& B,
     throw std::invalid_argument("RankEngine::overlap: column count mismatch");
   run_lanes("gram", 0, 1, [&](Lane& ln) { lane_gram(ln, A, B, mp_block, mixed); });
   const index_t N = A.cols();
-  // Tree allreduce of the brick partials: stride-doubling pairwise sums over
-  // the lane grid — the deterministic log2-depth association order a real
-  // recursive-doubling allreduce pins down (and the one
-  // CommModel::allreduce_time charges). Lanes are parked, so the driver may
-  // sum their gram buffers in place; lane 0's buffer ends up holding the
-  // total.
+  // Tree allreduce of the brick partials through tree_reduce
+  // (dd/allreduce.hpp). Lanes are parked, so the driver may sum their gram
+  // buffers in place; lane 0's buffer ends up holding the total.
   {
     obs::TraceSpan span("Gram-tree", "dd", 0);
-    const int R = static_cast<int>(lanes_.size());
-    for (int stride = 1; stride < R; stride *= 2)
-      for (int base = 0; base + stride < R; base += 2 * stride) {
-        la::Matrix<T>& Acc = lanes_[static_cast<std::size_t>(base)]->gram.get();
-        const la::Matrix<T>& Gp =
-            lanes_[static_cast<std::size_t>(base + stride)]->gram.get();
-        T* s = Acc.data();
-        const T* g = Gp.data();
-        for (index_t i = 0; i < N * N; ++i) s[i] += g[i];
-      }
+    tree_reduce(nlanes(), [&](int acc, int part) {
+      T* s = lanes_[static_cast<std::size_t>(acc)]->gram.get().data();
+      const T* g = lanes_[static_cast<std::size_t>(part)]->gram.get().data();
+      for (index_t i = 0; i < N * N; ++i) s[i] += g[i];
+    });
   }
   S.reshape(N, N);
   {

@@ -6,39 +6,41 @@
 // (dd/backend.hpp): ks/ drives a RankEngine through that interface with no
 // wrapper in between. Each rank of a cell-aligned BrickPartition (an
 // nx x ny x nz lane grid; a 1 x 1 x N grid is exactly the historical z-slab
-// layout) becomes a std::thread "lane" that owns one brick of the operator:
+// layout) becomes a std::thread "lane" that owns one brick of the operator.
+// The partition hands a lane only its cells, and the lane works on the
+// engine's one DofHandler:
 //
-//   * one sub-mesh and DofHandler for the whole brick, whose dof numbering
-//     is the lane's local row order, and two fe::CellStiffness operators
-//     built over its cell lists: the interface cells (those with a shared
-//     row), applied before the halo posts, and the interior cells, applied
-//     after. Both read the lane's scaled block and add straight into its
-//     result rows with the cell-level batched-GEMM kernels of
-//     fe/cell_ops.hpp;
+//   * its rows are the sorted global dofs of its cells, one row per dof;
+//   * two fe::CellStiffness operators over that DofHandler, each cell's dofs
+//     mapped to lane rows: the interface cells (those with a shared dof),
+//     applied before the halo posts, and the interior cells, applied after.
+//     Both read the lane's scaled block and add straight into its result
+//     rows with the cell-level kernels of fe/cell_ops.hpp;
 //   * lane-local slices of the global mass / potential / boundary-mask nodal
-//     fields (sliced from the *global* DofHandler — a brick-local assembly
-//     would be wrong on interface layers);
+//     fields (a lane holds only some cells of a shared dof, so its own
+//     assembly would be wrong there);
 //   * persistent per-lane workspace blocks (la::WorkMatrix), so the steady
 //     state of the recurrence allocates nothing after lane startup.
 //
 // Lanes exchange exactly the dofs they share. build_lanes sorts every lane's
-// copy of every global dof by (dof, lane, row); a dof with more than one copy
-// is shared, and each ordered pair of its distinct copies is one packet
-// value, read from the sender's row and added into the receiver's at the
-// same packet offset on both ends. The lanes a lane shares dofs with are its
-// peers, kept in rank order, with one double-buffered HaloChannel mailbox
-// (dd/mailbox.hpp) per (sender, receiver) pair; a periodic axis with a single
-// brick makes the lane its own peer. The same list gives each lane's
-// interface cells and shell rows (the shared ones), and the owned rows. The
-// packets carry the *partial sums* of the kinetic apply in the exact
-// FP64/FP32/BF16 wire format of dd/exchange.hpp. post_halo and recv_halo are
-// one pack and one unpack loop over that header's WireCodec, and every lane
-// counts its traffic in one CommStats ledger (a line per format). Because
-// cells are partitioned disjointly, summing every copy's partial assembles
-// each shared dof exactly: a dof with c copies adds c - 1 received partials
-// at each copy. Both execution modes run the same arithmetic in the same
-// peer order (rank ascending, posts and receives alike) — only the position
-// of the receive differs:
+// row of every global dof by (dof, lane); a dof held by more than one lane
+// is shared, and each ordered pair of its lanes is one packet value, read
+// from the sender's row and added into the receiver's at the same packet
+// offset on both ends. The lanes a lane shares dofs with are its peers, kept
+// in rank order, with one double-buffered HaloChannel mailbox
+// (dd/mailbox.hpp) per (sender, receiver) pair of distinct lanes. The same
+// list gives each lane's interface cells and shell rows (the shared ones),
+// and the owned rows. The packets carry the *partial sums* of the kinetic
+// apply in the exact FP64/FP32/BF16 wire format of dd/exchange.hpp.
+// post_halo and recv_halo are one pack and one unpack loop over that
+// header's WireCodec, and every lane counts its traffic in one CommStats
+// ledger (a line per format). Because cells are partitioned disjointly,
+// summing every holding lane's partial assembles each shared dof exactly: a
+// dof held by L lanes adds L - 1 received partials on each of them. A
+// one-lane engine shares nothing and applies the serial operator. Both
+// execution modes run the same arithmetic in the same peer order (rank
+// ascending, posts and receives alike) — only the position of the receive
+// differs:
 //
 //   sync  : boundary compute -> post halos -> WAIT -> interior compute
 //           -> epilogue                             (exposed wire time)
@@ -58,23 +60,24 @@
 // (lanes, grid, halo protocol, wire, interconnect model, drift budget) plus
 // the operator its lanes apply and the k-point.
 //
-// Numerics: with the FP64 wire, a dof with 2 copies combines as a + b on one
-// side and b + a on the other (IEEE addition is commutative), so its ghost
-// stays bitwise consistent across lanes; with more copies each accumulates
-// the same partials in a different association order, so ghost copies may
-// differ at the last ulp. The owned copy is canonical: the highest-rank lane
-// holding a dof owns it, through its first copy. The engine matches the
+// Numerics: with the FP64 wire, a dof held by 2 lanes combines as a + b on
+// one side and b + a on the other (IEEE addition is commutative), so its
+// ghost stays bitwise consistent across lanes; with more lanes holding the
+// dof each accumulates the same partials in a different association order,
+// so ghosts may differ at the last ulp. The owner's value is canonical: the
+// highest-rank lane holding a dof owns it. The engine matches the
 // undecomposed reference apply to FP-association order (~1e-15). With the
-// FP32 wire each copy adds the *other* copies' demoted partials to its own
-// full-precision one, reproducing the asymmetric interface rounding of a
-// real distributed run.
+// FP32 wire each lane holding the dof adds the *other* lanes' demoted
+// partials to its own full-precision one, reproducing the asymmetric
+// interface rounding of a real distributed run.
 //
 // Gram reductions (CholGS/RR) combine the per-lane partial Gram blocks with
-// a stride-doubling *tree* allreduce — log2-depth pairwise sums over the
-// lane grid, the association order CommModel::allreduce_time charges for —
-// instead of a flat all-to-lane-0 sum. With more than one lane on a lossy
-// halo wire, a mixed overlap's off-diagonal tiles travel the FP32 gram wire,
-// drift budget-checked on the lane like a halo value's.
+// a stride-doubling *tree* allreduce (dd::tree_reduce) — log2-depth
+// pairwise sums over the lane grid, the association order
+// CommModel::allreduce_time charges for — instead of a flat all-to-lane-0
+// sum. With more than one lane on a lossy halo wire, a mixed overlap's
+// off-diagonal tiles travel the FP32 gram wire, drift budget-checked on the
+// lane like a halo value's.
 //
 // The EP-step Poisson solve runs lane-resident (pcg, bare-stiffness engines
 // only): ONE job runs the whole Jacobi-preconditioned CG, so the lanes never
@@ -84,11 +87,11 @@
 // sync/async schedules unchanged) with the Dirichlet rows masked by the
 // lane's bmask slice, and dot products are partial sums over owned rows,
 // combined by the in-job lane allreduce of dd/allreduce.hpp — a generation
-// barrier over per-lane slots, double-buffered by parity, whose slots every
-// lane sums itself in the Gram-tree stride-doubling order. Every lane
-// therefore holds bitwise-identical alpha, beta and ||r||, takes the same
-// exit branch, and cannot strand its peers in a barrier. (r.z, r.r) are
-// fused into one reduction, so an iteration costs two barrier rounds
+// barrier over per-lane slots, double-buffered by parity, whose last
+// arrival sums the slots through the same tree_reduce as the Gram-tree.
+// Every lane therefore holds bitwise-identical alpha, beta and ||r||, takes
+// the same exit branch, and cannot strand its peers in a barrier. (r.z, r.r)
+// are fused into one reduction, so an iteration costs two barrier rounds
 // ("PCG-reduce" spans) plus one halo round; the job ends with each lane
 // scattering its owned rows of x. A failing lane poisons the barrier along
 // with its mailboxes, so the failure cascades through both planes.
@@ -132,7 +135,6 @@
 #include "dd/schedule.hpp"
 #include "fe/cell_ops.hpp"
 #include "fe/dofs.hpp"
-#include "fe/mesh.hpp"
 #include "la/iterative.hpp"
 #include "la/matrix.hpp"
 #include "la/mixed.hpp"
@@ -236,7 +238,7 @@ class RankEngine final : public ExecBackend<T> {
   void debug_fault_pcg(int lane, int iteration);
 
  private:
-  /// A maximal row range that is contiguous on both of its sides (copy /
+  /// A maximal row range that is contiguous on both of its sides (lane row /
   /// packet / global indices advance in lockstep). Built cold in engine.cpp;
   /// the hot path only walks the lists.
   struct Run {
@@ -245,28 +247,25 @@ class RankEngine final : public ExecBackend<T> {
     index_t len = 0;
   };
   /// One peer: the lane's mailbox to it and the peer's mailbox back. Both
-  /// packets carry `count` values per column; the two run lists differ only
-  /// where a lane holds several copies of one dof (across a periodic wrap).
+  /// packets carry the `count` dofs the two lanes share, in dof order, so
+  /// one run list serves both directions.
   struct Neighbor {
     HaloChannel<T>* send = nullptr;
     HaloChannel<T>* recv = nullptr;
     index_t count = 0;                 // packet values per column
-    std::vector<Run> send_runs;        // dst: packet offset, src: row read into it
-    std::vector<Run> recv_runs;        // dst: packet offset, src: row it adds into
+    std::vector<Run> runs;             // dst: packet offset, src: the lane's row of it
   };
   /// One brick rank. During a job only its own thread touches it, running
   /// the job's body; the engine's owning thread reads it between jobs.
   struct Lane {
     int rank = 0;                      // brick rank (= lane index, trace dim)
-    index_t nloc = 0;                  // local rows: the brick's closed dof box
+    index_t nloc = 0;                  // local rows: one per dof of the lane's cells
     index_t nown = 0;                  // owned rows
-    std::vector<index_t> gmap;         // local dof -> global dof (wrap-aware)
+    std::vector<index_t> gmap;         // local row -> global dof, ascending
     std::vector<Run> gather_runs;      // dst: lane-local row, src: global row
     std::vector<Run> owned_runs;       // dst: global row, src: lane-local row
     std::vector<double> ims, veff, bmask;  // slices of the global nodal fields
     std::vector<double> kdiag;         // Laplacian diagonal slice (bare stiffness only)
-    std::unique_ptr<fe::Mesh> mesh;    // the brick; outlives its DofHandler
-    std::unique_ptr<fe::DofHandler> dofh;  // numbers the lane-local rows
     std::unique_ptr<fe::CellStiffness<T>> iface_op, inner_op;  // interface cells, the rest
     std::vector<Neighbor> nb;          // peers in rank order
     // Epilogue row ranges: interior rows hold no shared dof (safe before the
@@ -340,7 +339,7 @@ class RankEngine final : public ExecBackend<T> {
       for (index_t j = 0; j < B; ++j) {
         const T* y = Yl.col(j);
         typename Codec::unit* wj = w + j * C * u;
-        for (const Run& rn : nb.send_runs)
+        for (const Run& rn : nb.runs)
           for (index_t i = 0; i < rn.len; ++i) {
             const T x = y[rn.src + i];
             typename Codec::unit* wi = wj + (rn.dst + i) * u;
@@ -381,7 +380,7 @@ class RankEngine final : public ExecBackend<T> {
       for (index_t j = 0; j < B; ++j) {
         T* y = Yl.col(j);
         const typename Codec::unit* wj = w + j * C * u;
-        for (const Run& rn : nb.recv_runs)
+        for (const Run& rn : nb.runs)
           for (index_t i = 0; i < rn.len; ++i)
             y[rn.src + i] += Codec::load(wj + (rn.dst + i) * u);
       }

@@ -20,9 +20,9 @@
 // pays the full exposed wire time.
 //
 // Concurrency contract: exactly one sender thread and one receiver thread
-// per channel (the engine wires one channel per (sender, receiver) pair of
-// lanes; a lane that is its own peer across a periodic wrap is both).
-// Two slots are sufficient because a lane can run at most one exchange ahead
+// per channel, never the same thread (the engine wires one channel per
+// (sender, receiver) pair of distinct lanes, since a lane holds each of its
+// dofs once). Two slots are sufficient because a lane can run at most one exchange ahead
 // of its neighbor (the next recurrence step's boundary compute needs the
 // previous halo). close() poisons the channel: blocked peers wake and throw,
 // which is how a lane failure cascades to every lane instead of deadlocking.

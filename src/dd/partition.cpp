@@ -8,14 +8,10 @@ namespace dftfe::dd {
 BrickPartition BrickPartition::cell_aligned(const fe::DofHandler& dofh,
                                             std::array<int, 3> grid) {
   BrickPartition p;
-  p.degree_ = dofh.degree();
-  p.ndofs_ = dofh.ndofs();
   for (int a = 0; a < 3; ++a) {
     if (grid[a] < 1)
       throw std::invalid_argument("BrickPartition::cell_aligned: grid >= 1 required");
     p.ncells_[a] = dofh.mesh().ncells(a);
-    p.naxis_[a] = dofh.naxis(a);
-    p.periodic_[a] = dofh.mesh().axis(a).periodic;
     p.grid_[a] = static_cast<int>(std::min<index_t>(grid[a], p.ncells_[a]));
   }
   p.bricks_.resize(static_cast<std::size_t>(p.grid_[0]) * p.grid_[1] * p.grid_[2]);
@@ -28,6 +24,18 @@ BrickPartition BrickPartition::cell_aligned(const fe::DofHandler& dofh,
     }
   }
   return p;
+}
+
+std::vector<index_t> BrickPartition::cells(int r) const {
+  const Brick& b = brick(r);
+  std::vector<index_t> ids;
+  ids.reserve(static_cast<std::size_t>((b.c_end[0] - b.c_begin[0]) * (b.c_end[1] - b.c_begin[1]) *
+                                       (b.c_end[2] - b.c_begin[2])));
+  for (index_t cz = b.c_begin[2]; cz < b.c_end[2]; ++cz)
+    for (index_t cy = b.c_begin[1]; cy < b.c_end[1]; ++cy)
+      for (index_t cx = b.c_begin[0]; cx < b.c_end[0]; ++cx)
+        ids.push_back(cx + ncells_[0] * (cy + ncells_[1] * cz));
+  return ids;
 }
 
 std::array<int, 3> BrickPartition::factorize(const fe::DofHandler& dofh, int nlanes) {

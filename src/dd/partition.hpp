@@ -1,12 +1,11 @@
 #pragma once
 
-// Domain decomposition of the structured FE dof grid, one sub-domain per
-// rank: cell-aligned 3D bricks on an nx x ny x nz lane grid, the partition
-// the threaded rank engine (engine.hpp) runs on. Brick boundaries coincide
-// with mesh cell-layer boundaries, so each brick is a standalone sub-mesh
-// (fe::make_brick_mesh). A 1 x 1 x N grid is the z-slab layout: every lane
-// owns whole x-y planes, and with dofs numbered x-fastest each of its
-// interface planes is one contiguous index range.
+// Domain decomposition of the structured FE mesh, one sub-domain per rank:
+// cell-aligned 3D bricks on an nx x ny x nz lane grid, the partition the
+// threaded rank engine (engine.hpp) runs on. A partition only hands each
+// rank its cells; the engine numbers a lane's rows from the dofs of those
+// cells on its one DofHandler. A 1 x 1 x N grid is the z-slab layout: every
+// lane owns whole x-y cell layers.
 
 #include <array>
 #include <vector>
@@ -17,11 +16,8 @@
 namespace dftfe::dd {
 
 /// One rank's cell-aligned brick: the half-open cell range it owns on each
-/// axis. Its dof box is closed — the brick's sub-mesh carries nc*degree + 1
-/// dof layers per axis, so bricks that touch share the dofs on their common
-/// layers. Of the bricks holding a dof, the highest-rank one owns it (the
-/// rank engine's rule); on a non-periodic grid that makes the upper closing
-/// layer a ghost whenever an upper neighbor exists.
+/// axis. Bricks that touch share the dofs on their common faces, edges and
+/// corners, wrapped across a periodic axis like the mesh's own numbering.
 struct Brick {
   std::array<index_t, 3> c_begin{0, 0, 0};
   std::array<index_t, 3> c_end{0, 0, 0};
@@ -51,6 +47,8 @@ class BrickPartition {
   int nranks() const { return static_cast<int>(bricks_.size()); }
   const std::array<int, 3>& grid() const { return grid_; }
   const Brick& brick(int r) const { return bricks_[static_cast<std::size_t>(r)]; }
+  /// The mesh cell ids (x fastest) of rank r's brick, ascending.
+  std::vector<index_t> cells(int r) const;
 
   std::array<int, 3> coords(int r) const {
     return {r % grid_[0], (r / grid_[0]) % grid_[1], r / (grid_[0] * grid_[1])};
@@ -59,22 +57,14 @@ class BrickPartition {
     return gx + grid_[0] * (gy + grid_[1] * gz);
   }
 
-  index_t ndofs() const { return ndofs_; }
-  index_t naxis(int d) const { return naxis_[d]; }
   index_t ncells(int d) const { return ncells_[d]; }
-  bool periodic(int d) const { return periodic_[d]; }
-  int degree() const { return degree_; }
 
  private:
   BrickPartition() = default;
 
   std::array<int, 3> grid_{1, 1, 1};
   std::vector<Brick> bricks_;
-  std::array<index_t, 3> naxis_{0, 0, 0};
   std::array<index_t, 3> ncells_{0, 0, 0};
-  std::array<bool, 3> periodic_{false, false, false};
-  index_t ndofs_ = 0;
-  int degree_ = 1;
 };
 
 }  // namespace dftfe::dd

@@ -1,5 +1,6 @@
 #include "fe/cell_ops.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <numeric>
@@ -40,8 +41,9 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, double coef_lap,
 
 template <class T>
 CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_t>& cells,
-                                double coef_lap, std::array<double, 3> kpoint)
-    : dofh_(&dofh) {
+                                double coef_lap, std::array<double, 3> kpoint,
+                                const std::vector<index_t>& rows)
+    : dofh_(&dofh), nrows_(rows.empty() ? dofh.ndofs() : static_cast<index_t>(rows.size())) {
   const bool has_k = (kpoint[0] != 0.0 || kpoint[1] != 0.0 || kpoint[2] != 0.0);
   has_bloch_ = has_k;
   if (has_k && !scalar_traits<T>::is_complex)
@@ -68,7 +70,7 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
           wcell_[static_cast<std::size_t>(idx(i, j, k))] = w[i] * w[j] * w[k];
   }
 
-  // Precompute the slot -> dof map (slot s holds cells[s]) and group the
+  // Precompute the slot -> row map (slot s holds cells[s]) and group the
   // slots by geometry.
   const Mesh& mesh = dofh.mesh();
   const index_t nc = static_cast<index_t>(cells.size());
@@ -80,6 +82,13 @@ CellStiffness<T>::CellStiffness(const DofHandler& dofh, const std::vector<index_
     if (c < 0 || c >= mesh.ncells_total())
       throw std::invalid_argument("CellStiffness: cell id outside the mesh");
     dofh.cell_dofs(c, dofs);
+    if (!rows.empty())
+      for (index_t& d : dofs) {
+        const auto it = std::lower_bound(rows.begin(), rows.end(), d);
+        if (it == rows.end() || *it != d)
+          throw std::invalid_argument("CellStiffness: a cell dof is not in rows");
+        d = static_cast<index_t>(it - rows.begin());
+      }
     std::copy(dofs.begin(), dofs.end(), cell_dof_map_.begin() + s * nd);
     const GeomKey key = quantize(mesh.cell_sizes(c));
     auto [it, inserted] = group_of.try_emplace(key, static_cast<index_t>(groups_.size()));
@@ -287,11 +296,13 @@ void CellStiffness<T>::apply_add(const std::vector<T>& x, std::vector<T>& y) con
   // Allocation-free in steady state (persistent one-column buffers). Its
   // callers apply one vector once: the stiffness probes of the benches and
   // tests.
-  const index_t n = dofh_->ndofs();
+  const index_t n = nrows_;
+  if (static_cast<index_t>(x.size()) < n || static_cast<index_t>(y.size()) < n)
+    throw std::invalid_argument("CellStiffness::apply_add: vector shorter than nrows()");
   la::Matrix<T>& X = xv_.acquire(n, 1);
   la::Matrix<T>& Y = yv_.acquire_zeroed(n, 1);
   // Copy exactly n entries: persistent scratch callers may pass vectors
-  // whose capacity-reused size exceeds ndofs.
+  // whose capacity-reused size exceeds the row count.
   std::copy(x.begin(), x.begin() + n, X.data());
   apply_add(X, Y);
   for (index_t i = 0; i < n; ++i) y[i] += Y(i, 0);

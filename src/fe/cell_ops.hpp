@@ -47,14 +47,18 @@ namespace dftfe::fe {
 template <class T>
 class CellStiffness {
  public:
-  /// The operator over every cell of the mesh.
+  /// The operator over every cell of the mesh, on dofh's dof numbering.
   CellStiffness(const DofHandler& dofh, double coef_lap,
                 std::array<double, 3> kpoint = {0.0, 0.0, 0.0});
   /// The operator over `cells` (cell ids of dofh's mesh) only, applied group
   /// by group in list order, with their FLOPs. Operators over a split of the
-  /// cells add up to the whole; a rank-engine lane holds two.
+  /// cells add up to the whole. Its rows are dofh's dofs, or, when `rows` is
+  /// given, row i is dof rows[i]: `rows` is ascending and holds every dof of
+  /// `cells` (else std::invalid_argument). A rank-engine lane builds its two
+  /// operators this way, on its sorted dofs.
   CellStiffness(const DofHandler& dofh, const std::vector<index_t>& cells, double coef_lap,
-                std::array<double, 3> kpoint = {0.0, 0.0, 0.0});
+                std::array<double, 3> kpoint = {0.0, 0.0, 0.0},
+                const std::vector<index_t>& rows = {});
 
   /// Y += A X for a block of column vectors (Y must be sized like X).
   void apply_add(const la::Matrix<T>& X, la::Matrix<T>& Y) const;
@@ -66,7 +70,8 @@ class CellStiffness {
   /// Whether apply_add runs by sum factorization (else by dense matrices).
   bool sum_factorized() const { return sumfac_; }
 
-  /// y += A x for a single vector.
+  /// y += A x on the first nrows() entries of a single vector; x or y
+  /// shorter than that throws std::invalid_argument.
   void apply_add(const std::vector<T>& x, std::vector<T>& y) const;
 
   /// FLOPs one apply_add of `ncols` columns charges, on the path it takes.
@@ -76,6 +81,9 @@ class CellStiffness {
     return static_cast<index_t>(cell_dof_map_.size()) / dofh_->ndofs_per_cell();
   }
   index_t ngroups() const { return static_cast<index_t>(groups_.size()); }
+  /// Rows of the vectors it applies to: dofh's dof count, or the size of
+  /// `rows`.
+  index_t nrows() const { return nrows_; }
   /// Bytes of persistent scratch the applies have grown so far.
   std::int64_t scratch_highwater_bytes() const {
     return xc_.highwater_bytes() + yc_.highwater_bytes() + xv_.highwater_bytes() +
@@ -96,8 +104,9 @@ class CellStiffness {
   static constexpr int kSumfacMinDegree = 4;
 
   const DofHandler* dofh_;
+  index_t nrows_ = 0;
   std::vector<Group> groups_;
-  std::vector<index_t> cell_dof_map_;  // ndofc global dof ids per slot (cell list order)
+  std::vector<index_t> cell_dof_map_;  // ndofc rows per slot (cell list order)
   la::Matrix<double> k1_;              // 1D reference stiffness (scalar reference)
   std::vector<double> wcell_;          // w_i w_j w_k per cell dof (sum-factorized gather)
   bool has_bloch_ = false;

@@ -45,19 +45,4 @@ Mesh make_uniform_mesh(double L, index_t n, bool periodic) {
               make_uniform_axis(L, n, periodic));
 }
 
-Mesh make_brick_mesh(const Mesh& m, index_t cx_begin, index_t cx_end, index_t cy_begin,
-                     index_t cy_end, index_t cz_begin, index_t cz_end) {
-  const index_t begins[3] = {cx_begin, cy_begin, cz_begin};
-  const index_t ends[3] = {cx_end, cy_end, cz_end};
-  std::array<Axis, 3> sub;
-  for (int d = 0; d < 3; ++d) {
-    if (begins[d] < 0 || ends[d] > m.ncells(d) || begins[d] >= ends[d])
-      throw std::invalid_argument("make_brick_mesh: bad cell range");
-    sub[d].periodic = false;
-    sub[d].nodes.assign(m.axis(d).nodes.begin() + begins[d],
-                        m.axis(d).nodes.begin() + ends[d] + 1);
-  }
-  return Mesh(std::move(sub[0]), std::move(sub[1]), std::move(sub[2]));
-}
-
 }  // namespace dftfe::fe

@@ -72,12 +72,4 @@ class Mesh {
 /// Convenience: cubic box [0, L]^3 with n cells per axis.
 Mesh make_uniform_mesh(double L, index_t n, bool periodic = false);
 
-/// Extract the 3D brick sub-mesh covering cell ranges [c?_begin, c?_end) on
-/// every axis. The sub-axes keep only the covered node ranges and are never
-/// periodic: brick faces (including periodic wraps) are assembled by the rank
-/// engine's halo exchange (dd/engine.hpp), not by index wrap inside the
-/// brick.
-Mesh make_brick_mesh(const Mesh& m, index_t cx_begin, index_t cx_end, index_t cy_begin,
-                     index_t cy_end, index_t cz_begin, index_t cz_end);
-
 }  // namespace dftfe::fe

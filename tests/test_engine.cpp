@@ -96,13 +96,38 @@ TEST(SlabEngine, ApplyMatchesReferenceAcrossLaneCounts) {
       eng.apply(X, Y);
       const double d = max_diff(Y, Yref);
       EXPECT_LT(d, 1e-12) << "periodic=" << periodic << " lanes=" << lanes;
-      if (lanes == 1 && !periodic) {
-        // An undecomposed single lane runs the identical kernels on the
-        // identical mesh: bitwise equality, not just tolerance.
-        EXPECT_EQ(d, 0.0);
+      if (lanes == 1) {
+        // A single lane shares no dof: it runs the identical kernels over
+        // the identical cells and rows, bitwise, not just to tolerance.
+        EXPECT_EQ(d, 0.0) << "periodic=" << periodic;
       }
     }
   }
+}
+
+// The same on a complex Bloch operator over the default (FP32) wire: one
+// lane sends nothing, so it is bitwise the serial Hamiltonian on a periodic
+// mesh.
+TEST(SlabEngine, OneLaneIsBitwiseTheComplexBlochHamiltonian) {
+  const double L = 8.0;
+  const auto mesh = fe::make_uniform_mesh(L, 4, true);
+  fe::DofHandler dofh(mesh, 3);
+  const std::array<double, 3> kpt{0.1, 0.0, 0.05};
+  ks::Hamiltonian<complex_t> H(dofh, kpt);
+  H.set_potential(mg_like_potential(dofh, L));
+  la::Matrix<complex_t> X(dofh.ndofs(), 5);
+  for (index_t i = 0; i < X.size(); ++i)
+    X.data()[i] = complex_t(std::sin(0.31 * i), std::cos(0.17 * i));
+  la::Matrix<complex_t> Yref, Y;
+  H.apply(X, Yref);
+  BackendOptions opt;
+  opt.nlanes = 1;
+  ASSERT_EQ(opt.wire, Wire::fp32);
+  RankEngine<complex_t> eng(dofh, opt, Operator::hamiltonian, kpt);
+  eng.set_potential(H.potential());
+  eng.apply(X, Y);
+  EXPECT_EQ(max_diff(Y, Yref), 0.0);
+  EXPECT_EQ(eng.comm_stats().messages, 0);
 }
 
 TEST(SlabEngine, SyncAndAsyncAreBitwiseIdentical) {
@@ -630,22 +655,23 @@ TEST(BrickEngine, GramTreeReductionMatchesSerialOverlap) {
 }
 
 // Lanes exchange exactly the dofs they share: one packet per (sender,
-// receiver) pair per step, carrying every dof the two hold in common. An
-// isolated axis adds no peer; a periodic one wraps, and with a single brick
-// the lane is its own peer. A dof with c copies among the lanes receives the
-// other c - 1 partials at each copy, so the ledger (each value counted when
-// posted and when received) holds 2 * 8 * ncols * sum_g c_g (c_g - 1) FP64
-// bytes. The density check shows each row is owned exactly once.
+// receiver) pair of distinct lanes per step, carrying every dof the two hold
+// in common. A periodic axis wraps the shared faces, but a lane holds each
+// dof once, so with a single brick on an axis it shares nothing across the
+// wrap and the message counts are the isolated ones. A dof held by L_g lanes
+// receives the other L_g - 1 partials on each of them, so the ledger (each
+// value counted when posted and when received) holds
+// 2 * 8 * ncols * sum_g L_g (L_g - 1) FP64 bytes. The density check shows
+// each row is owned exactly once.
 TEST(BrickEngine, OnePacketPerSharingLane) {
   const double L = 8.0;
   const int p = 3;
   const index_t ncols = 3;
   struct Case {
     std::array<int, 3> grid;
-    std::int64_t messages_isolated, messages_periodic;
+    std::int64_t messages;
   };
-  const Case cases[] = {{{2, 2, 2}, 112, 112}, {{2, 1, 2}, 24, 32}, {{1, 1, 2}, 4, 8},
-                        {{1, 1, 1}, 0, 2}};
+  const Case cases[] = {{{2, 2, 2}, 112}, {{2, 1, 2}, 24}, {{1, 1, 2}, 4}, {{1, 1, 1}, 0}};
   for (const bool periodic : {false, true}) {
     const auto mesh = fe::make_uniform_mesh(L, 4, periodic);
     fe::DofHandler dofh(mesh, p);
@@ -668,18 +694,23 @@ TEST(BrickEngine, OnePacketPerSharingLane) {
       const std::string where = "periodic=" + std::to_string(periodic) + " grid=" +
                                 std::to_string(c.grid[0]) + "x" + std::to_string(c.grid[1]) +
                                 "x" + std::to_string(c.grid[2]);
-      // c_g: every brick's closed dof box, wrapped on a periodic axis.
+      // L_g: the bricks whose closed dof box, wrapped on a periodic axis,
+      // holds g, each counted once.
       const auto part = BrickPartition::cell_aligned(dofh, c.grid);
-      std::vector<std::int64_t> copies(static_cast<std::size_t>(dofh.ndofs()), 0);
+      std::vector<std::int64_t> lanes(static_cast<std::size_t>(dofh.ndofs()), 0);
+      std::vector<int> last(static_cast<std::size_t>(dofh.ndofs()), -1);
       for (int r = 0; r < part.nranks(); ++r) {
         const Brick& bk = part.brick(r);
         for (index_t k = bk.c_begin[2] * p; k <= bk.c_end[2] * p; ++k)
           for (index_t j = bk.c_begin[1] * p; j <= bk.c_end[1] * p; ++j)
-            for (index_t i = bk.c_begin[0] * p; i <= bk.c_end[0] * p; ++i)
-              ++copies[static_cast<std::size_t>(i % nx + nx * (j % ny + ny * (k % nz)))];
+            for (index_t i = bk.c_begin[0] * p; i <= bk.c_end[0] * p; ++i) {
+              const auto g = static_cast<std::size_t>(i % nx + nx * (j % ny + ny * (k % nz)));
+              if (last[g] != r) ++lanes[g];
+              last[g] = r;
+            }
       }
       std::int64_t pairs = 0;
-      for (const std::int64_t cg : copies) pairs += cg * (cg - 1);
+      for (const std::int64_t lg : lanes) pairs += lg * (lg - 1);
 
       BackendOptions opt;
       opt.grid = c.grid;
@@ -690,7 +721,7 @@ TEST(BrickEngine, OnePacketPerSharingLane) {
       la::Matrix<double> Y;
       eng.apply(X, Y);
       const CommStats st = eng.comm_stats();
-      EXPECT_EQ(st.messages, periodic ? c.messages_periodic : c.messages_isolated) << where;
+      EXPECT_EQ(st.messages, c.messages) << where;
       EXPECT_EQ(st.bytes(), 2 * 8 * ncols * pairs) << where;
       EXPECT_LT(max_diff(Y, Yref), 1e-12 * scale) << where;
       std::vector<double> rho(static_cast<std::size_t>(dofh.ndofs()), 0.25);
@@ -819,28 +850,30 @@ TEST(LanePcg, MatchesSerialPcgOnBrickGridsInBothModes) {
 // The CG is written once: a one-lane engine's pcg job and the serial solve
 // run the same la::pcg statements over the same rows in the same order, so
 // at one OpenMP thread (the serial dot products then add in row order, as a
-// lane's do) iterations, residual and every entry of x are bitwise equal.
-// The mesh is isolated: on a periodic one the lane's self-exchange adds the
-// wrapped partials in another order.
+// lane's do) iterations, residual and every entry of x are bitwise equal,
+// on isolated and periodic meshes alike.
 TEST(LanePcg, OneLaneIsBitwiseTheSerialCg) {
   const double L = 8.0, tol = 1e-12;
-  const auto mesh = fe::make_uniform_mesh(L, 5, false);
-  fe::DofHandler dofh(mesh, 4);
-  ASSERT_GT(dofh.ndofs(), 8192);
-  const std::vector<double> b = poisson_rhs(dofh, L);
-  std::vector<double> xref(dofh.ndofs(), 0.0), x(dofh.ndofs(), 0.0);
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const la::SolveReport ref = serial_pcg(dofh, b, xref, tol, 4000);
-  RankEngine<double> eng(dofh, stiffness_options({1, 1, 1}, EngineMode::async),
-                         Operator::stiffness);
-  const la::SolveReport rep = eng.pcg(b, x, tol, 4000);
-  omp_set_num_threads(saved);
-  ASSERT_TRUE(ref.converged);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_EQ(rep.iterations, ref.iterations);
-  EXPECT_EQ(rep.residual, ref.residual);
-  for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_EQ(x[i], xref[i]) << i;
+  for (const bool periodic : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "periodic=" << periodic);
+    const auto mesh = fe::make_uniform_mesh(L, periodic ? 6 : 5, periodic);
+    fe::DofHandler dofh(mesh, 4);
+    ASSERT_GT(dofh.ndofs(), 8192);
+    const std::vector<double> b = poisson_rhs(dofh, L);
+    std::vector<double> xref(dofh.ndofs(), 0.0), x(dofh.ndofs(), 0.0);
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(1);
+    const la::SolveReport ref = serial_pcg(dofh, b, xref, tol, 4000);
+    RankEngine<double> eng(dofh, stiffness_options({1, 1, 1}, EngineMode::async),
+                           Operator::stiffness);
+    const la::SolveReport rep = eng.pcg(b, x, tol, 4000);
+    omp_set_num_threads(saved);
+    ASSERT_TRUE(ref.converged);
+    EXPECT_TRUE(rep.converged);
+    EXPECT_EQ(rep.iterations, ref.iterations);
+    EXPECT_EQ(rep.residual, ref.residual);
+    for (index_t i = 0; i < dofh.ndofs(); ++i) ASSERT_EQ(x[i], xref[i]) << i;
+  }
 }
 
 TEST(LanePcg, MaxitReturnsUnconvergedWithoutDeadlock) {

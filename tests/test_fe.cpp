@@ -386,6 +386,35 @@ TEST(CellStiffness, OperatorsOverASplitOfTheCellsAddUpToTheWhole) {
   };
   check(0.0, {0.0, 0.0, 0.0});
   check(complex_t{}, {0.3, -0.2, 0.1});
+  // On rows (a rank-engine lane's numbering): the operator over `first`
+  // whose rows are the sorted dofs of those cells applies, row by row, the
+  // bits of the operator over `first` on the whole numbering.
+  std::vector<index_t> rows, dofs;
+  for (const index_t c : first) {
+    dofh.cell_dofs(c, dofs);
+    rows.insert(rows.end(), dofs.begin(), dofs.end());
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  {
+    const CellStiffness<double> A(dofh, first, 0.5), Arows(dofh, first, 0.5, {}, rows);
+    const index_t n = dofh.ndofs(), nr = static_cast<index_t>(rows.size());
+    EXPECT_EQ(A.nrows(), n);
+    EXPECT_EQ(Arows.nrows(), nr);
+    EXPECT_LT(nr, n);
+    la::Matrix<double> X(n, 3), Y(n, 3), Xr(nr, 3), Yr(nr, 3);
+    for (index_t i = 0; i < X.size(); ++i) X.data()[i] = std::cos(0.09 * i) - 0.2;
+    for (index_t j = 0; j < 3; ++j)
+      for (index_t i = 0; i < nr; ++i) Xr(i, j) = X(rows[static_cast<std::size_t>(i)], j);
+    A.apply_add(X, Y);
+    Arows.apply_add(Xr, Yr);
+    for (index_t j = 0; j < 3; ++j)
+      for (index_t i = 0; i < nr; ++i)
+        ASSERT_EQ(Yr(i, j), Y(rows[static_cast<std::size_t>(i)], j)) << i << "," << j;
+    // Every dof of the cells must have a row.
+    const std::vector<index_t> missing(rows.begin() + 1, rows.end());
+    EXPECT_THROW(CellStiffness<double>(dofh, first, 0.5, {}, missing), std::invalid_argument);
+  }
   // No cells: an apply that adds nothing.
   CellStiffness<double> none(dofh, std::vector<index_t>{}, 1.0);
   EXPECT_EQ(none.ngroups(), 0);
@@ -396,6 +425,39 @@ TEST(CellStiffness, OperatorsOverASplitOfTheCellsAddUpToTheWhole) {
   EXPECT_EQ(none.scratch_highwater_bytes(), 0);
   EXPECT_THROW(CellStiffness<double>(dofh, std::vector<index_t>{m.ncells_total()}, 1.0),
                std::invalid_argument);
+}
+
+TEST(CellStiffness, SingleVectorApplyRejectsShortVectors) {
+  // The single-vector apply reads and updates the first nrows() entries: a
+  // shorter x or y throws instead of reading or writing past its end, and
+  // longer ones keep their tail.
+  const Mesh m = make_uniform_mesh(2.0, 2, false);
+  DofHandler dofh(m, 2);
+  const CellStiffness<double> K(dofh, 1.0);
+  const auto n = static_cast<std::size_t>(K.nrows());
+  std::vector<double> x(n), y(n, 0.0), too_short(n - 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) x[i] = std::sin(0.4 * static_cast<double>(i));
+  EXPECT_THROW(K.apply_add(too_short, y), std::invalid_argument);
+  EXPECT_THROW(K.apply_add(x, too_short), std::invalid_argument);
+  EXPECT_EQ(y, std::vector<double>(n, 0.0));
+  std::vector<double> xl(x), yl(n + 3, 0.0);
+  xl.resize(n + 3, 5.0);
+  yl[n] = yl[n + 1] = yl[n + 2] = 7.0;
+  K.apply_add(x, y);
+  K.apply_add(xl, yl);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(yl[i], y[i]) << i;
+  EXPECT_EQ(yl[n], 7.0);
+  EXPECT_EQ(yl[n + 2], 7.0);
+  // An operator on rows sizes its vectors by its rows, not by the mesh.
+  const std::vector<index_t> cells{0};
+  std::vector<index_t> rows;
+  dofh.cell_dofs(0, rows);
+  std::sort(rows.begin(), rows.end());
+  const CellStiffness<double> K0(dofh, cells, 1.0, {}, rows);
+  std::vector<double> x0(rows.size(), 1.0), y0(rows.size(), 0.0);
+  EXPECT_NO_THROW(K0.apply_add(x0, y0));
+  x0.pop_back();
+  EXPECT_THROW(K0.apply_add(x0, y0), std::invalid_argument);
 }
 
 TEST(CellStiffness, GroupsCollapseOnUniformMesh) {
